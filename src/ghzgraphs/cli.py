@@ -24,7 +24,7 @@ from .ghz import (
 )
 from .graphs import Multigraph, drop_zero_edges, merge_parallel_edges
 from .io import graph_to_document, load_graph, serialize_graph, weight_to_strings
-from .matchings import colouring_weight_table, graph_weight, filter_graph, induced_colouring, is_feasible
+from .matchings import colouring_weight_table, filter_graph, induced_colouring
 from .reduction import ReductionReport, reduce
 from .search import SearchProblem, exactify, search
 from .structure import CutSpec, find_cut, mcg, vertex_connectivity
@@ -82,19 +82,19 @@ def _cmd_weights(args) -> int:
     g = load_graph(args.file)
     if args.colouring is not None:
         vc = _parse_colouring(args.colouring, g)
-        table = colouring_weight_table(g)
+        table = colouring_weight_table(filter_graph(g, vc))
         _print(
             {
                 "colouring": list(vc),
                 "weight": weight_to_strings(table.get(vc, g.zero)),
-                "feasible": is_feasible(g, vc),
+                "feasible": bool(table),
             }
         )
         return 0
     table = colouring_weight_table(g)
     _print(
         {
-            "graph_weight": weight_to_strings(graph_weight(g)),
+            "graph_weight": weight_to_strings(sum(table.values(), g.zero)),
             "table": [
                 {"colouring": list(vc), "weight": weight_to_strings(w)}
                 for vc, w in table.items()

@@ -61,7 +61,11 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     compared exactly.  The dimension field counts monochromatic colourings
     with non-zero weight regardless of the verdict flags.
     """
-    table = colouring_weight_table(g)
+    return _classify(g, colouring_weight_table(g), epsilon)
+
+
+def _classify(g: Multigraph, table: dict, epsilon: float) -> GhzVerdict:
+    """The verdict of ``verify`` on g, read from g's colouring-weight table."""
     exact = g.is_exact
 
     def near(w, target) -> bool:
@@ -106,7 +110,10 @@ def dimension(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> int:
 
 def mono_weights(g: Multigraph) -> dict[Colour, object]:
     """Weight of the all-i colouring for every colour i in the universe."""
-    table = colouring_weight_table(g)
+    return _mono_weights(g, colouring_weight_table(g))
+
+
+def _mono_weights(g: Multigraph, table: dict) -> dict[Colour, object]:
     return {
         colour: table.get(mono_colouring(g.n, colour), g.zero)
         for colour in sorted(g.colour_universe)
@@ -126,13 +133,14 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
-    verdict = verify(g)
+    table = colouring_weight_table(g)
+    verdict = _classify(g, table, epsilon)
     if not verdict.is_g_ghz:
         raise NotGhzError("not a g-GHZ graph; scaling is undefined")
     if g.n == 0:
         return Multigraph(0, (), g.colour_universe)
 
-    weights = mono_weights(g)
+    weights = _mono_weights(g, table)
     dead = {c for c, w in weights.items() if w == g.zero}
     if dead:
         live_colours: set[Colour] = set()

@@ -1,10 +1,15 @@
-"""Perfect-matching enumeration and the weight/colouring bookkeeping on top.
+"""Perfect matchings and the colouring-weight bookkeeping on top of them.
 
 A perfect matching is stored as a sorted tuple of edge indices into the
 graph's edge list.  Everything downstream -- graph weight, vertex-colouring
 weights, the induced-colouring partition -- is a finite sum of matching
 weights, evaluated exactly for GaussianRational graphs and in complex floats
 for scaled ones.
+
+Those sums come from one kernel, ``_weight_table``: a subset DP over the
+covered vertices that adds up matching weights per induced colouring without
+listing the matchings.  ``enumerate_perfect_matchings`` lists them one by
+one, for callers that need single matchings.
 """
 
 from __future__ import annotations
@@ -104,25 +109,78 @@ def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
     return Multigraph(g.n, kept, g.colour_universe)
 
 
+def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
+    """Total matching weight per induced colouring, by a subset DP.
+
+    Parallel edges of one colour class are merged by summing their weights;
+    a merged edge whose weights cancel to 0 is kept, so its colourings stay
+    feasible with weight 0.  A state is the set of covered vertices; it
+    branches on its lowest uncovered vertex, whose partners are all higher,
+    so each edge is listed under its lower endpoint only.  A state's table
+    is keyed by the colours of its uncovered vertices, held as the digits of
+    one integer in base (largest colour + 1) with vertex 0 most significant:
+    an edge's two half-colours are spliced in by adding their digits, and
+    integer order is the order of the colour tuples.  The values are the
+    enumeration's sums, regrouped: identical in exact mode.
+    """
+    n = g.n
+    if n % 2:
+        return {}
+    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
+    place = [base ** (n - 1 - v) for v in range(n)]
+    merged: dict[tuple[int, int, int, int], object] = {}
+    for e in g.edges:
+        edge_class = (e.u, e.v, e.cu, e.cv)
+        merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
+    below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
+    touched = 0
+    for (u, v, cu, cv), w in merged.items():
+        below[u].append((1 << v, cu * place[u] + cv * place[v], w))
+        touched |= 1 << u | 1 << v
+    full = (1 << n) - 1
+    if touched != full:
+        return {}  # an isolated vertex
+    memo: dict[int, dict[int, object]] = {full: {0: g.one}}
+
+    def solve(covered: int) -> dict[int, object]:
+        table = memo.get(covered)
+        if table is not None:
+            return table
+        low = ~covered & (covered + 1)  # bit of the lowest uncovered vertex
+        table = {}
+        for bit, digits, w in below[low.bit_length() - 1]:
+            if covered & bit:
+                continue
+            for key, sub in solve(covered | low | bit).items():
+                key += digits
+                prev = table.get(key)
+                table[key] = w * sub if prev is None else prev + w * sub
+        memo[covered] = table
+        return table
+
+    out: dict[VertexColouring, object] = {}
+    for key, w in sorted(solve(0).items()):
+        colours = []
+        for p in place:
+            c, key = divmod(key, p)
+            colours.append(c)
+        out[tuple(colours)] = w
+    return out
+
+
 def graph_weight(g: Multigraph):
     """Sum of all perfect-matching weights; 1 for the empty graph, 0 if none."""
-    total = g.zero
-    for m in enumerate_perfect_matchings(g):
-        w = g.one
-        for i in m:
-            w = w * g.edges[i].weight
-        total = total + w
-    return total
+    return sum(_weight_table(g).values(), g.zero)
 
 
 def colouring_weight(g: Multigraph, vc: VertexColouring):
-    """Weight of the subgraph surviving the colouring filter."""
-    return graph_weight(filter_graph(g, vc))
+    """Weight of the subgraph surviving the colouring filter; g's zero if none."""
+    return _weight_table(filter_graph(g, vc)).get(vc, g.zero)
 
 
 def is_feasible(g: Multigraph, vc: VertexColouring) -> bool:
     """Whether at least one perfect matching induces vc (its weight may be 0)."""
-    return bool(enumerate_perfect_matchings(filter_graph(g, vc)))
+    return bool(_weight_table(filter_graph(g, vc)))
 
 
 def colouring_weight_table(g: Multigraph) -> dict[VertexColouring, object]:
@@ -133,11 +191,4 @@ def colouring_weight_table(g: Multigraph) -> dict[VertexColouring, object]:
     partition by induced colouring.  Keys are sorted for deterministic
     iteration.
     """
-    acc: dict[VertexColouring, object] = {}
-    for m in enumerate_perfect_matchings(g):
-        w = g.one
-        for i in m:
-            w = w * g.edges[i].weight
-        vc = induced_colouring(g, m)
-        acc[vc] = acc[vc] + w if vc in acc else w
-    return dict(sorted(acc.items()))
+    return _weight_table(g)

@@ -1,12 +1,14 @@
 """Matching enumeration and the weight bookkeeping, against brute force."""
 
 import math
+import random
 
 import pytest
 
 from ghzgraphs import (
     GaussianRational,
     build_graph,
+    cancelling_square,
     colouring_weight,
     colouring_weight_table,
     enumerate_perfect_matchings,
@@ -18,10 +20,13 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    hard_family,
     oracle_colouring_weight,
     oracle_graph_weight,
+    planted_cut_corpus,
     random_corpus,
     random_multigraph,
+    small_rational,
 )
 
 
@@ -122,6 +127,8 @@ def test_infeasible_colourings_weigh_zero():
     assert not is_feasible(g, (1, 1))
     assert colouring_weight(g, (1, 1)) == GaussianRational(0)
     assert (1, 1) not in colouring_weight_table(g)
+    # a float graph's zero, though no edge survives the filter
+    assert colouring_weight(as_float(g), (1, 1)) == 0j
 
 
 def test_feasible_with_weight_zero_is_still_feasible():
@@ -135,3 +142,122 @@ def test_empty_product_conventions():
     empty = build_graph(0, [])
     assert graph_weight(empty) == GaussianRational(1)
     assert matching_weight(empty, ()) == GaussianRational(1)
+
+
+# ---------------------------------------------------------------------------
+# the subset-DP kernel against the enumerate-and-multiply loop it replaced
+
+
+def slow_table(g):
+    """Colouring-weight table by listing every perfect matching."""
+    acc = {}
+    for m in enumerate_perfect_matchings(g):
+        w = g.one
+        for i in m:
+            w = w * g.edges[i].weight
+        vc = induced_colouring(g, m)
+        acc[vc] = acc[vc] + w if vc in acc else w
+    return dict(sorted(acc.items()))
+
+
+def dense_graph(n, d, seed):
+    """K_n with one edge of every colour class on every vertex pair."""
+    rng = random.Random(f"dense-{n}-{d}-{seed}")
+    specs = [
+        (u, v, a, b, small_rational(rng))
+        for u in range(n)
+        for v in range(u + 1, n)
+        for a in range(d)
+        for b in range(d)
+    ]
+    return build_graph(n, specs, colours=range(d))
+
+
+def recoloured(g, colour_map):
+    specs = [(e.u, e.v, colour_map[e.cu], colour_map[e.cv], e.weight) for e in g.edges]
+    return build_graph(g.n, specs, colours=[colour_map[c] for c in g.colour_universe])
+
+
+def as_float(g):
+    specs = [(e.u, e.v, e.cu, e.cv, complex(e.weight)) for e in g.edges]
+    return build_graph(g.n, specs, colours=g.colour_universe)
+
+
+def differential_corpus():
+    corpus = random_corpus(100)
+    corpus += [g for g, _ in planted_cut_corpus(50)]
+    corpus += [g for g, _ in hard_family(12)]
+    corpus += [dense_graph(6, 2, 0), dense_graph(6, 3, 0)]
+    # sparse, out-of-order colour labels: keys must still sort as tuples
+    corpus += [recoloured(g, {0: 7, 1: 1, 2: 4}) for g in random_corpus(30)]
+    return corpus
+
+
+def test_kernel_table_is_the_enumeration_table_exactly():
+    for g in differential_corpus():
+        fast = colouring_weight_table(g)
+        assert list(fast.items()) == list(slow_table(g).items())
+        assert all(isinstance(w, GaussianRational) for w in fast.values())
+
+
+def test_kernel_table_against_pairing_oracles():
+    for g in differential_corpus():
+        table = colouring_weight_table(g)
+        assert graph_weight(g) == oracle_graph_weight(g) == sum(table.values(), g.zero)
+        # every entry of the small graphs, an even sample of the dense ones
+        for vc, w in list(table.items())[:: 1 + len(table) // 64]:
+            assert w == oracle_colouring_weight(g, vc)
+            assert colouring_weight(g, vc) == w
+            assert is_feasible(g, vc)
+
+
+def test_kernel_float_tables_agree_within_tolerance():
+    for g in differential_corpus():
+        gf = as_float(g)
+        fast = colouring_weight_table(gf)
+        slow = slow_table(gf)
+        assert list(fast) == list(slow)
+        for vc, w in fast.items():
+            assert isinstance(w, complex)
+            assert abs(w - slow[vc]) <= 1e-12 * max(1.0, abs(slow[vc]))
+        total = sum(slow.values(), gf.zero)
+        assert abs(graph_weight(gf) - total) <= 1e-12 * max(1.0, abs(total))
+
+
+def test_parallel_edges_cancelling_to_zero_stay_feasible():
+    g = build_graph(4, [
+        (0, 1, 0, 1, 2),
+        (0, 1, 0, 1, -2),
+        (2, 3, 1, 1, 3),
+        (0, 1, 0, 0, 1),
+        (2, 3, 0, 0, 1),
+    ])
+    expected = {(0, 0, 0, 0): 1, (0, 0, 1, 1): 3, (0, 1, 0, 0): 0, (0, 1, 1, 1): 0}
+    for graph, kind in ((g, GaussianRational), (as_float(g), complex)):
+        table = colouring_weight_table(graph)
+        assert list(table) == list(expected)
+        assert table == slow_table(graph)
+        for vc, w in expected.items():
+            assert table[vc] == kind(w)
+            assert is_feasible(graph, vc)
+            assert colouring_weight(graph, vc) == kind(w)
+
+
+def test_cancelling_square_keeps_its_zero_mono_entry():
+    g = cancelling_square()
+    table = colouring_weight_table(g)
+    assert table == slow_table(g)
+    assert table[(0, 0, 0, 0)] == GaussianRational(0)
+    assert is_feasible(g, (0, 0, 0, 0))
+    assert graph_weight(g) == GaussianRational(0)
+
+
+def test_kernel_edge_cases():
+    assert colouring_weight_table(build_graph(0, [])) == {(): GaussianRational(1)}
+    odd = build_graph(3, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1)])
+    assert colouring_weight_table(odd) == {}
+    assert graph_weight(odd) == GaussianRational(0)
+    isolated = build_graph(4, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1), (0, 2, 0, 0, 1)])
+    assert colouring_weight_table(isolated) == {}
+    assert graph_weight(isolated) == GaussianRational(0)
+    assert not is_feasible(isolated, (0, 0, 0, 0))
