@@ -23,7 +23,7 @@ from .ghz import (
     verify,
 )
 from .graphs import Multigraph, drop_zero_edges, merge_parallel_edges
-from .io import graph_to_document, load_graph, serialize_graph, weight_to_strings
+from .io import graph_to_document, load_graph, weight_to_strings
 from .matchings import colouring_weight_table, filter_graph, induced_colouring
 from .reduction import ReductionReport, reduce
 from .search import SearchProblem, exactify, search

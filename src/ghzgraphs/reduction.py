@@ -14,12 +14,21 @@ remaining cut vertices included).
 
 Colours split into C1 = {c : the all-c colouring of G[V2] has non-zero
 weight}, taken as empty when no type-0 matching has non-zero grouped weight,
-and C2 = the rest.  When C1 is empty the whole of V1 contracts to a single
-vertex and the reduced graph has four vertices ("easy" case); otherwise V2
-is eliminated and the edges inside S are resynthesized from block weights
-("hard" case).  Both constructions satisfy an exact summation identity
-relating reduced colouring weights to original ones, which is re-checked at
-runtime unless disabled.
+and C2 = the rest.  One reduction covers both cases.  It keeps V1 + S,
+contracting V1 to a single vertex when C1 is empty ("easy" case, four
+vertices) and keeping it otherwise ("hard" case), eliminates V2 and
+resynthesizes the edges inside S from block weights.  With
+
+    f_c = 1 / (|C1| * W(c_V2))  for c in C1,      f_c = 1  otherwise,
+
+W(c_V2) the all-c weight of G[V2], every colouring vc' of the result obeys
+
+    w'(vc') = sum_c  f_c * w(vc'(c)),
+
+where vc'(c) paints V2 in c and every other vertex as vc' paints the
+reduced vertex standing for it.  In the easy case every f_c is 1.  The
+identity is re-checked against the colouring-weight table of the input
+unless disabled.
 """
 
 from __future__ import annotations
@@ -133,141 +142,95 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     return ColourClassification(c1, c2, has_type0, v2_weights)
 
 
-def _pair_weight(g: Multigraph, cut: CutSpec, a: int, b: int, p: Colour, q: Colour,
-                 colours, transform=None):
-    """sum over c of w(c on V2, p at a, q at b) on G[V2 + {a, b}].
+def _v2_sum(table: dict, vc: list, cls: ColourClassification, zero):
+    """sum_c f_c * w(vc with V2 painted c), the vertices of V2 marked None in vc.
 
-    ``transform`` maps (colour, weight) to the summand, defaulting to the
-    identity on the weight; used by the hard case to divide C1 terms.
+    f_c * w is written w / W(c_V2) / |C1| for c in C1 and w otherwise; w is
+    read from ``table``, the colouring-weight table of vc's graph.
     """
-    sub, kept = induced_subgraph(g, set(cut.v2) | {a, b})
-    total = g.zero
-    for c in colours:
-        vc = tuple(p if x == a else q if x == b else c for x in kept)
-        w = colouring_weight(sub, vc)
-        total = total + (w if transform is None else transform(c, w))
+    total = zero
+    for c, w_v2 in cls.v2_mono_weights.items():
+        w = table.get(tuple(c if x is None else x for x in vc), zero)
+        total = total + (w / w_v2 / len(cls.c1) if c in cls.c1 else w)
     return total
+
+
+def _vertex_map(cut: CutSpec, cls: ColourClassification) -> tuple:
+    """The original vertices behind each reduced vertex (``ReductionReport.vertex_map``)."""
+    if not cls.c1:
+        return (cut.v1,) + cut.s
+    return tuple(sorted(set(cut.v1) | set(cut.s)))
+
+
+def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool) -> Multigraph:
+    """Build the reduced graph of either case and, unless ``check`` is off,
+    re-check the identity w'(vc') = sum_c f_c * w(vc'(c)) against one
+    colouring-weight table of g.
+
+    Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
+    The edges touching V1 are contracted into v0 (easy case) or copied (hard
+    case).  Every cut pair (a, b) and class (p, q) gets one edge weighing
+    sum_c f_c * w(c on V2, p at a, q at b) on G[V2 + {a, b}].
+    """
+    universe = sorted(g.colour_universe)
+    vertex_map = _vertex_map(cut, cls)
+    pos = {x: r for r, orig in enumerate(vertex_map)
+           for x in (orig if isinstance(orig, tuple) else (orig,))}
+    v1_set = set(cut.v1)
+
+    edges: list[Edge] = []
+    if not cls.c1:
+        for i, u_i in enumerate(cut.s, start=1):
+            sub, kept = induced_subgraph(g, v1_set | {u_i})
+            for p, q in itertools.product(universe, repeat=2):
+                vc = tuple(q if x == u_i else p for x in kept)
+                edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
+    else:
+        for e in g.edges:
+            if e.u in v1_set or e.v in v1_set:
+                edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
+    for a, b in itertools.combinations(cut.s, 2):
+        sub, kept = induced_subgraph(g, set(cut.v2) | {a, b})
+        table = colouring_weight_table(sub)
+        for p, q in itertools.product(universe, repeat=2):
+            vc = [p if x == a else q if x == b else None for x in kept]
+            edges.append(Edge(pos[a], pos[b], p, q, _v2_sum(table, vc, cls, g.zero)))
+
+    reduced = Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
+    if check:
+        owner = [pos.get(x) for x in range(g.n)]
+        table = colouring_weight_table(g)
+        reduced_table = colouring_weight_table(reduced)
+        for vc_r in itertools.product(universe, repeat=reduced.n):
+            total = _v2_sum(table, [None if r is None else vc_r[r] for r in owner], cls, g.zero)
+            if reduced_table.get(vc_r, g.zero) != total:
+                raise InvariantViolation(
+                    f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
+                    f"reduced {reduced_table.get(vc_r, g.zero)} vs {total}"
+                )
+    return drop_zero_edges(merge_parallel_edges(reduced))
 
 
 def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     """Contract V1 to a single vertex; valid when C1 is empty.
 
     The result lives on vertices (v0, v1, v2, v3) = (V1 block, u1, u2, u3).
-    An edge of class (p, q) between v0 and v_i weighs w(p on V1, q at u_i)
-    on G[V1 + u_i]; between v_i and v_j it weighs
-    sum_c w(c on V2, p at u_i, q at u_j) on G[V2 + {u_i, u_j}].  For every
-    colouring vc' of the result, w'(vc') = sum_c w(vc'(c)) with vc'(c) the
-    original colouring that paints V2 in c and the rest as vc' says.
     """
-    _check_three_cut(cut)
     cls = classify_colours(g, cut)
     if cls.c1:
         raise WrongCaseError(f"easy case inapplicable: C1 = {sorted(cls.c1)} is non-empty")
-    universe = sorted(g.colour_universe)
-    s = cut.s
-    v1_set = set(cut.v1)
-
-    edges: list[Edge] = []
-    for i, u_i in enumerate(s, start=1):
-        sub, kept = induced_subgraph(g, v1_set | {u_i})
-        for p, q in itertools.product(universe, repeat=2):
-            vc = tuple(q if x == u_i else p for x in kept)
-            edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
-    for (i, a), (j, b) in itertools.combinations(enumerate(s, start=1), 2):
-        for p, q in itertools.product(universe, repeat=2):
-            edges.append(Edge(i, j, p, q, _pair_weight(g, cut, a, b, p, q, universe)))
-
-    reduced = Multigraph(4, tuple(edges), g.colour_universe)
-    if check:
-        _check_easy_identity(g, cut, reduced, universe)
-    return drop_zero_edges(merge_parallel_edges(reduced))
-
-
-def _check_easy_identity(g, cut, reduced, universe):
-    table = colouring_weight_table(reduced)
-    for vc_r in itertools.product(universe, repeat=4):
-        total = g.zero
-        for c in universe:
-            vc = [0] * g.n
-            for x in cut.v1:
-                vc[x] = vc_r[0]
-            for i, u_i in enumerate(cut.s, start=1):
-                vc[u_i] = vc_r[i]
-            for x in cut.v2:
-                vc[x] = c
-            total = total + colouring_weight(g, tuple(vc))
-        if table.get(vc_r, g.zero) != total:
-            raise InvariantViolation(
-                f"easy-case identity failed at {vc_r}: reduced {table.get(vc_r, g.zero)} vs {total}"
-            )
+    return _reduce(g, cut, cls, check)
 
 
 def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     """Eliminate V2, resynthesizing the edges inside S; needs C1 non-empty.
 
-    Vertices V1 + S are kept (relabelled densely in increasing order).
-    Edges touching V1 are copied verbatim; the original edges inside S are
-    discarded and replaced, per cut pair (u_i, u_j) and class (p, q), by one
-    edge weighing
-
-        sum_{c in C2} W(c,p,q)  +  (1/|C1|) sum_{c in C1} W(c,p,q) / W(c_V2)
-
-    where W(c,p,q) = w(c on V2, p at u_i, q at u_j) on G[V2 + {u_i, u_j}]
-    and W(c_V2) is the all-c weight of G[V2].  The sum-identity
-
-        w'(vc') = sum_{c in C2} w(vc'(c)) + (1/|C1|) sum_{c in C1} w(vc'(c)) / W(c_V2)
-
-    holds for every colouring vc' of the result and is re-checked here
-    unless ``check`` is off.
+    The result lives on V1 + S, relabelled densely in increasing order.
     """
-    _check_three_cut(cut)
     cls = classify_colours(g, cut)
     if not cls.c1:
         raise WrongCaseError("hard case inapplicable: C1 is empty")
-    universe = sorted(g.colour_universe)
-    kept = sorted(set(cut.v1) | set(cut.s))
-    pos = {orig: idx for idx, orig in enumerate(kept)}
-    v1_set = set(cut.v1)
-    k1 = len(cls.c1)
-
-    edges: list[Edge] = []
-    for e in g.edges:
-        if e.u in v1_set or e.v in v1_set:
-            edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
-
-    def summand(c, w):
-        if c in cls.c1:
-            return w / cls.v2_mono_weights[c] / k1
-        return w
-
-    for a, b in itertools.combinations(cut.s, 2):
-        for p, q in itertools.product(universe, repeat=2):
-            w = _pair_weight(g, cut, a, b, p, q, universe, transform=summand)
-            edges.append(Edge(pos[a], pos[b], p, q, w))
-
-    reduced = Multigraph(len(kept), tuple(edges), g.colour_universe)
-    if check:
-        _check_hard_identity(g, cut, cls, reduced, kept, universe)
-    return drop_zero_edges(merge_parallel_edges(reduced))
-
-
-def _check_hard_identity(g, cut, cls, reduced, kept, universe):
-    table = colouring_weight_table(reduced)
-    k1 = len(cls.c1)
-    for vc_r in itertools.product(universe, repeat=len(kept)):
-        total = g.zero
-        for c in universe:
-            vc = [c] * g.n
-            for orig, colour in zip(kept, vc_r):
-                vc[orig] = colour
-            w = colouring_weight(g, tuple(vc))
-            if c in cls.c1:
-                w = w / cls.v2_mono_weights[c] / k1
-            total = total + w
-        if table.get(vc_r, g.zero) != total:
-            raise InvariantViolation(
-                f"hard-case identity failed at {vc_r}: reduced {table.get(vc_r, g.zero)} vs {total}"
-            )
+    return _reduce(g, cut, cls, check)
 
 
 @dataclass(frozen=True)
@@ -294,7 +257,7 @@ class ReductionReport:
     output_verdict: GhzVerdict | None = None
 
 
-def _finish(g, case, kappa, mu_bound, cut, cls, reduced, vertex_map, input_verdict) -> ReductionReport:
+def _finish(kappa, mu_bound, cut, cls, reduced, input_verdict) -> ReductionReport:
     output_verdict = verify(reduced)
     scaled = None
     if input_verdict.is_g_ghz:
@@ -306,7 +269,7 @@ def _finish(g, case, kappa, mu_bound, cut, cls, reduced, vertex_map, input_verdi
             )
         scaled = scale_to_ghz(reduced)
     return ReductionReport(
-        case=case,
+        case="hard" if cls.c1 else "easy",
         kappa=kappa,
         input_verdict=input_verdict,
         mu_bound=mu_bound,
@@ -314,7 +277,7 @@ def _finish(g, case, kappa, mu_bound, cut, cls, reduced, vertex_map, input_verdi
         classification=cls,
         graph=reduced,
         scaled=scaled,
-        vertex_map=vertex_map,
+        vertex_map=_vertex_map(cut, cls),
         output_verdict=output_verdict,
     )
 
@@ -339,13 +302,14 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     kappa = vertex_connectivity(g)
     mu_bound = 2 if kappa <= 2 else None
 
-    candidates = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    cuts = list(iter_cuts(g, 3))
+    candidates = [cut for cut in cuts if cut.parity == "odd"]
     if not candidates:
         if kappa <= 2:
             return ReductionReport(
                 case="connectivity-bound", kappa=kappa, input_verdict=input_verdict, mu_bound=2
             )
-        if any(True for _ in iter_cuts(g, 3)):
+        if cuts:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
 
@@ -354,15 +318,8 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     best: ReductionReport | None = None
     for cut in candidates:
         cls = classify_colours(g, cut)
-        if cls.c1:
-            reduced = reduce_hard(g, cut, check)
-            vertex_map: tuple = tuple(sorted(set(cut.v1) | set(cut.s)))
-            case = "hard"
-        else:
-            reduced = reduce_easy(g, cut, check)
-            vertex_map = (cut.v1,) + cut.s
-            case = "easy"
-        report = _finish(g, case, kappa, mu_bound, cut, cls, reduced, vertex_map, input_verdict)
+        reduced = (reduce_hard if cls.c1 else reduce_easy)(g, cut, check)
+        report = _finish(kappa, mu_bound, cut, cls, reduced, input_verdict)
         if best is None or (report.graph.n, len(report.graph.edges)) < (
             best.graph.n,
             len(best.graph.edges),

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 from .graphs import (
     Colour,
-    Edge,
     Multigraph,
-    VertexColouring,
     adjacency_sets,
     induced_subgraph,
-    skeleton,
 )
 from .matchings import colouring_weight, enumerate_perfect_matchings
 

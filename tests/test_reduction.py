@@ -6,9 +6,13 @@ import random
 
 import pytest
 
+import ghzgraphs.reduction
 from ghzgraphs import (
+    Edge,
     GaussianRational,
+    InvariantViolation,
     IrreducibleError,
+    Multigraph,
     WrongCaseError,
     build_graph,
     classify_colours,
@@ -16,7 +20,11 @@ from ghzgraphs import (
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
+    drop_zero_edges,
+    induced_subgraph,
+    iter_cuts,
     make_cut,
+    merge_parallel_edges,
     mono_weights,
     octahedron,
     reduce,
@@ -26,7 +34,13 @@ from ghzgraphs import (
     verify,
 )
 
-from conftest import HARD_ORDER, hard_family_member, planted_cut_instance
+from conftest import (
+    HARD_ORDER,
+    hard_family_member,
+    planted_cut_corpus,
+    planted_cut_instance,
+    small_rational,
+)
 
 
 def eight_vertex_ladder(universe=1):
@@ -255,3 +269,144 @@ def test_pipeline_twisted_cycle_stays_dimension_two():
     report = reduce(g)
     assert report.kappa == 2 and report.mu_bound == 2
     assert report.output_verdict.dimension == 2
+
+
+# ---------------------------------------------------------------------------
+# one builder for both cases, against the two per-case builders it replaced
+
+
+def slow_pair_weight(g, cut, a, b, p, q, colours, transform=None):
+    sub, kept = induced_subgraph(g, set(cut.v2) | {a, b})
+    total = g.zero
+    for c in colours:
+        vc = tuple(p if x == a else q if x == b else c for x in kept)
+        w = colouring_weight(sub, vc)
+        total = total + (w if transform is None else transform(c, w))
+    return total
+
+
+def slow_reduce_easy(g, cut):
+    universe = sorted(g.colour_universe)
+    edges = []
+    for i, u_i in enumerate(cut.s, start=1):
+        sub, kept = induced_subgraph(g, set(cut.v1) | {u_i})
+        for p, q in itertools.product(universe, repeat=2):
+            vc = tuple(q if x == u_i else p for x in kept)
+            edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
+    for (i, a), (j, b) in itertools.combinations(enumerate(cut.s, start=1), 2):
+        for p, q in itertools.product(universe, repeat=2):
+            edges.append(Edge(i, j, p, q, slow_pair_weight(g, cut, a, b, p, q, universe)))
+    reduced = Multigraph(4, tuple(edges), g.colour_universe)
+    return drop_zero_edges(merge_parallel_edges(reduced))
+
+
+def slow_reduce_hard(g, cut):
+    cls = classify_colours(g, cut)
+    universe = sorted(g.colour_universe)
+    kept = sorted(set(cut.v1) | set(cut.s))
+    pos = {orig: idx for idx, orig in enumerate(kept)}
+    v1_set = set(cut.v1)
+    edges = []
+    for e in g.edges:
+        if e.u in v1_set or e.v in v1_set:
+            edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
+
+    def summand(c, w):
+        if c in cls.c1:
+            return w / cls.v2_mono_weights[c] / len(cls.c1)
+        return w
+
+    for a, b in itertools.combinations(cut.s, 2):
+        for p, q in itertools.product(universe, repeat=2):
+            w = slow_pair_weight(g, cut, a, b, p, q, universe, transform=summand)
+            edges.append(Edge(pos[a], pos[b], p, q, w))
+    reduced = Multigraph(len(kept), tuple(edges), g.colour_universe)
+    return drop_zero_edges(merge_parallel_edges(reduced))
+
+
+def odd_three_cuts(g):
+    return [(g, cut) for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+
+
+def two_colours_in_c1(seed):
+    """A hard-family member plus a colour-1 edge inside V2, so C1 = {0, 1}."""
+    g, cut = hard_family_member(seed)
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    specs.append((6, 7, 1, 1, small_rational(random.Random(f"c1-{seed}"))))
+    return build_graph(g.n, specs, colours=g.colour_universe), cut
+
+
+DIFFERENTIAL_CASES = (
+    [hard_family_member(seed, split) for seed in range(12) for split in (False, True)]
+    + [two_colours_in_c1(seed) for seed in range(4)]
+    + planted_cut_corpus(50)
+    + odd_three_cuts(cycle_ghz(6))
+    + odd_three_cuts(cycle_ghz_on(HARD_ORDER))
+)
+
+
+@pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)))
+def test_one_builder_matches_the_per_case_builders(case):
+    g, cut = DIFFERENTIAL_CASES[case]
+    if classify_colours(g, cut).c1:
+        fast, slow, wrong = reduce_hard, slow_reduce_hard, reduce_easy
+    else:
+        fast, slow, wrong = reduce_easy, slow_reduce_easy, reduce_hard
+    expected = slow(g, cut)
+    for check in (True, False):
+        got = fast(g, cut, check)
+        # same edges in the same order, exact weights of the same type
+        assert got == expected
+        assert [type(e.weight) for e in got.edges] == [type(e.weight) for e in expected.edges]
+    with pytest.raises(WrongCaseError):
+        wrong(g, cut)
+
+
+def test_differential_cases_cover_every_size_of_c1():
+    sizes = {len(classify_colours(g, cut).c1) for g, cut in DIFFERENTIAL_CASES}
+    assert sizes == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the identity check fires
+
+
+def perturb_table_of(monkeypatch, g):
+    """Make the reduction read g's table with the all-0 entry off by one.
+
+    Every cut reads that entry: it is the lift of the all-0 reduced
+    colouring with V2 painted 0, and its factor f_0 is non-zero.
+    """
+    real = ghzgraphs.reduction.colouring_weight_table
+
+    def perturbed(h):
+        table = dict(real(h))
+        if h is g:
+            key = (0,) * g.n
+            table[key] = table.get(key, g.zero) + 1
+        return table
+
+    monkeypatch.setattr(ghzgraphs.reduction, "colouring_weight_table", perturbed)
+
+
+def test_identity_check_fires_in_the_easy_case(monkeypatch):
+    c6 = cycle_ghz(6)
+    cut = make_cut(c6, (1, 3, 5), (0,), (2, 4))
+    perturb_table_of(monkeypatch, c6)
+    with pytest.raises(InvariantViolation, match="easy-case identity failed"):
+        reduce_easy(c6, cut)
+    with pytest.raises(InvariantViolation, match="easy-case identity failed"):
+        reduce(c6)
+    reduce_easy(c6, cut, check=False)
+    reduce(c6, check=False)
+
+
+def test_identity_check_fires_in_the_hard_case(monkeypatch):
+    g, cut = hard_family_member(0)
+    perturb_table_of(monkeypatch, g)
+    with pytest.raises(InvariantViolation, match="hard-case identity failed"):
+        reduce_hard(g, cut)
+    with pytest.raises(InvariantViolation, match="identity failed"):
+        reduce(g, all_cuts=True)
+    reduce_hard(g, cut, check=False)
+    reduce(g, all_cuts=True, check=False)
