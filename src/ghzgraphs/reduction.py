@@ -302,19 +302,24 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     kappa = vertex_connectivity(g)
     mu_bound = 2 if kappa <= 2 else None
 
-    cuts = list(iter_cuts(g, 3))
-    candidates = [cut for cut in cuts if cut.parity == "odd"]
+    # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is kept
+    any_cut = False
+    candidates = []
+    for cut in iter_cuts(g, 3):
+        any_cut = True
+        if cut.parity == "odd":
+            candidates.append(cut)
+            if not all_cuts:
+                break
     if not candidates:
         if kappa <= 2:
             return ReductionReport(
                 case="connectivity-bound", kappa=kappa, input_verdict=input_verdict, mu_bound=2
             )
-        if cuts:
+        if any_cut:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
 
-    if not all_cuts:
-        candidates = candidates[:1]
     best: ReductionReport | None = None
     for cut in candidates:
         cls = classify_colours(g, cut)

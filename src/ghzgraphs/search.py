@@ -17,14 +17,16 @@ restarted from seeded random points in the unit polydisc.  The gradient of
 the real residual with respect to (Re x_k, Im x_k) is packed into one
 complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
+
+numpy is imported inside the functions that use it, not at module level: it
+is loaded the first time a search problem is built or evaluated, so the rest
+of the library and every CLI command but ``search`` run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact import GaussianRational
 from .ghz import DEFAULT_EPSILON, GhzVerdict, verify
@@ -36,6 +38,8 @@ class SearchProblem:
     """Monomial structure of the residual for one skeleton and dimension."""
 
     def __init__(self, g: Multigraph, d: int):
+        import numpy as np
+
         if d < 1:
             raise ValueError("dimension must be at least 1")
         base = skeleton(g)
@@ -106,6 +110,8 @@ class SearchResult:
 
 
 def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (problem.n_vars,):
         raise ValueError(f"expected {problem.n_vars} weights, got shape {x.shape}")
@@ -113,6 +119,8 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _group_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w = np.zeros(len(problem.targets), dtype=np.complex128)
     if len(problem.monomials):
         products = np.prod(x[problem.monomials], axis=1)
@@ -121,12 +129,16 @@ def _group_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _value(problem: SearchProblem, x: np.ndarray) -> float:
+    import numpy as np
+
     diff = _group_weights(problem, x) - problem.targets
     return float(np.sum(diff.real**2 + diff.imag**2))
 
 
 def residual(problem: SearchProblem, weights) -> Residual:
     """Residual value plus the |w_vc - t_vc|^2 contribution per colouring."""
+    import numpy as np
+
     x = _check_weights(problem, weights)
     diff = _group_weights(problem, x) - problem.targets
     contributions = diff.real**2 + diff.imag**2
@@ -136,6 +148,8 @@ def residual(problem: SearchProblem, weights) -> Residual:
 
 def gradient(problem: SearchProblem, weights) -> np.ndarray:
     """Complex-packed gradient: (d/dRe x_k) + i (d/dIm x_k) of the residual."""
+    import numpy as np
+
     x = _check_weights(problem, weights)
     grad = np.zeros(problem.n_vars, dtype=np.complex128)
     if not len(problem.monomials):
@@ -156,6 +170,8 @@ def gradient(problem: SearchProblem, weights) -> np.ndarray:
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
     """Backtracking gradient descent from one starting point."""
+    import numpy as np
+
     f = _value(problem, x)
     step = 0.1
     iterations = 0
@@ -193,6 +209,8 @@ def search(
     reach ``tol`` wins outright; otherwise the lowest residual does, earlier
     restarts breaking ties.
     """
+    import numpy as np
+
     if restarts < 1:
         raise ValueError("need at least one restart")
     best_x = None

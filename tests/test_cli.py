@@ -1,8 +1,11 @@
 """CLI contract: JSON on stdout, deterministic bytes, exit codes 0/1/2."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +218,35 @@ def test_console_entry_point_runs(files, console_script):
         timeout=120,
     )
     assert proc.returncode == 1
+
+
+COLD_START = textwrap.dedent("""
+    import contextlib, io, sys, types
+    import ghzgraphs, ghzgraphs.cli
+    c6, k2skel = sys.argv[1:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ghzgraphs.cli.main(["verify", c6]) == 0
+        assert ghzgraphs.cli.main(["reduce", c6]) == 0
+    assert "numpy" not in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ghzgraphs.cli.main(
+            ["search", "--skeleton", k2skel, "--dim", "2", "--restarts", "3"]
+        ) == 0
+    assert "numpy" in sys.modules
+    assert isinstance(ghzgraphs.search, types.FunctionType)
+    module = sys.modules["ghzgraphs.search"]
+    assert isinstance(module, types.ModuleType) and module.search is ghzgraphs.search
+""")
+
+
+def test_only_search_loads_numpy(files):
+    # a fresh interpreter: this test session has numpy loaded already
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, files["c6"], files["k2skel"]],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

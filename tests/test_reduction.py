@@ -410,3 +410,133 @@ def test_identity_check_fires_in_the_hard_case(monkeypatch):
         reduce(g, all_cuts=True)
     reduce_hard(g, cut, check=False)
     reduce(g, all_cuts=True, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the lazy cut scan in reduce(), against the list-then-filter scan it replaced
+
+
+def list_then_filter_reduce(g, all_cuts=False, check=True):
+    """reduce() as it was: list every 3-cut, then keep the odd ones."""
+    r = ghzgraphs.reduction
+    if g.n <= 4:
+        raise ValueError("reduction needs more than four vertices")
+    if not g.is_exact:
+        raise ValueError("reduction expects an exact-weighted graph")
+    input_verdict = verify(g)
+    kappa = r.vertex_connectivity(g)
+    mu_bound = 2 if kappa <= 2 else None
+    cuts = list(r.iter_cuts(g, 3))
+    candidates = [cut for cut in cuts if cut.parity == "odd"]
+    if not candidates:
+        if kappa <= 2:
+            return r.ReductionReport(
+                case="connectivity-bound", kappa=kappa, input_verdict=input_verdict, mu_bound=2
+            )
+        if cuts:
+            raise ValueError("no size-3 cut admits an odd block; cannot reduce")
+        raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
+    if not all_cuts:
+        candidates = candidates[:1]
+    best = None
+    for cut in candidates:
+        cls = classify_colours(g, cut)
+        reduced = (reduce_hard if cls.c1 else reduce_easy)(g, cut, check)
+        report = r._finish(kappa, mu_bound, cut, cls, reduced, input_verdict)
+        if best is None or (report.graph.n, len(report.graph.edges)) < (
+            best.graph.n,
+            len(best.graph.edges),
+        ):
+            best = report
+    return best
+
+
+def only_even_cuts():
+    """A 7-vertex, 3-connected graph whose one 3-cut leaves two even blocks."""
+    pairs = [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
+             (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)]
+    return build_graph(7, [(u, v, 0, 0, 1) for u, v in pairs], colours=range(1))
+
+
+def even_cut_first():
+    """A 7-vertex graph whose first 3-cut is even and whose later ones are odd."""
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (2, 4), (2, 6), (3, 5), (4, 5), (4, 6)]
+    return build_graph(7, [(u, v, 0, 0, 1) for u, v in pairs], colours=range(1))
+
+
+def outcome(fn, g, all_cuts):
+    # the identity check reads no cut list; it is left out where every cut is
+    # reduced, which is where reduce() spends its time
+    try:
+        return fn(g, all_cuts=all_cuts, check=not all_cuts)
+    except (ValueError, IrreducibleError) as exc:
+        return type(exc), str(exc)
+
+
+SCAN_CASES = (
+    [g for g, _ in planted_cut_corpus(50)]
+    + [g for g, _ in (hard_family_member(seed, seed % 3 == 2) for seed in range(12))]
+    + [cycle_ghz(6), cycle_ghz_on(HARD_ORDER), octahedron(), only_even_cuts(), even_cut_first()]
+)
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+@pytest.mark.parametrize("case", range(len(SCAN_CASES)))
+def test_lazy_cut_scan_matches_the_listed_scan(case, all_cuts):
+    g = SCAN_CASES[case]
+    assert outcome(reduce, g, all_cuts) == outcome(list_then_filter_reduce, g, all_cuts)
+
+
+def test_scan_cases_reach_every_outcome():
+    kinds = {
+        out[0] if isinstance(out, tuple) else out.case
+        for out in (outcome(reduce, g, False) for g in SCAN_CASES)
+    }
+    assert kinds == {"easy", "hard", ValueError, IrreducibleError}
+    assert next(iter_cuts(even_cut_first(), 3)).parity == "even"
+
+
+def test_each_odd_cut_of_c6_is_the_one_reduced_when_it_comes_first(monkeypatch):
+    c6 = cycle_ghz(6)
+    real = ghzgraphs.reduction.iter_cuts
+    for first in [cut for cut in real(c6, 3) if cut.parity == "odd"]:
+        monkeypatch.setattr(
+            ghzgraphs.reduction, "iter_cuts",
+            lambda g, size, first=first: itertools.chain([first], real(g, size)),
+        )
+        report = reduce(c6)
+        assert report.cut == first
+        assert report == list_then_filter_reduce(c6)
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+def test_connectivity_bound_when_no_cut_is_odd(monkeypatch, all_cuts):
+    # kappa <= 2 on five or more vertices always leaves an odd 3-cut, so the
+    # scan is stubbed to drop the odd ones (and, second, to yield nothing)
+    real = ghzgraphs.reduction.iter_cuts
+    for scan in (
+        lambda g, size: (cut for cut in real(g, size) if cut.parity != "odd"),
+        lambda g, size: iter(()),
+    ):
+        monkeypatch.setattr(ghzgraphs.reduction, "iter_cuts", scan)
+        g = cycle_ghz(8)
+        report = reduce(g, all_cuts=all_cuts)
+        assert report.case == "connectivity-bound" and report.mu_bound == 2
+        assert report == list_then_filter_reduce(g, all_cuts=all_cuts)
+
+
+def test_scan_stops_at_the_first_odd_cut(monkeypatch):
+    real = ghzgraphs.reduction.iter_cuts
+    drawn = []
+
+    def counting(g, size):
+        for cut in real(g, size):
+            drawn.append(cut)
+            yield cut
+
+    monkeypatch.setattr(ghzgraphs.reduction, "iter_cuts", counting)
+    g = even_cut_first()
+    report = reduce(g)
+    assert drawn[-1] == report.cut and report.cut.parity == "odd"
+    assert [cut.parity for cut in drawn[:-1]] == ["even"]
+    assert len(drawn) < len(list(real(g, 3)))
