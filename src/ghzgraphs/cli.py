@@ -143,19 +143,13 @@ def _report_json(report: ReductionReport) -> dict:
         "case": report.case,
         "kappa": report.kappa,
         "mu_bound": report.mu_bound,
-        "cut": _cut_json(report.cut) if report.cut else None,
-        "classification": (
-            {"c1": sorted(cls.c1), "c2": sorted(cls.c2)} if cls else None
-        ),
-        "vertex_map": (
-            [list(x) if isinstance(x, tuple) else x for x in report.vertex_map]
-            if report.vertex_map is not None
-            else None
-        ),
-        "graph": graph_to_document(report.graph) if report.graph else None,
+        "cut": _cut_json(report.cut),
+        "classification": {"c1": sorted(cls.c1), "c2": sorted(cls.c2)},
+        "vertex_map": [list(x) if isinstance(x, tuple) else x for x in report.vertex_map],
+        "graph": graph_to_document(report.graph),
         "scaled": graph_to_document(report.scaled) if report.scaled else None,
         "input_verdict": _verdict_json(report.input_verdict),
-        "output_verdict": _verdict_json(report.output_verdict) if report.output_verdict else None,
+        "output_verdict": _verdict_json(report.output_verdict),
     }
 
 
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--size", type=int, default=3)
 
-    p = add("reduce", _cmd_reduce, "reduce across a 3-cut or report the connectivity bound")
+    p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
     p.add_argument("file")
     p.add_argument("--all-cuts", action="store_true", help="try every cut, keep the smallest result")
     p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")

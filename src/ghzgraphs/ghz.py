@@ -67,6 +67,7 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
 def _classify(g: Multigraph, table: dict, epsilon: float) -> GhzVerdict:
     """The verdict of ``verify`` on g, read from g's colouring-weight table."""
     exact = g.is_exact
+    zero, one = g.zero, g.one
 
     def near(w, target) -> bool:
         if exact:
@@ -78,18 +79,18 @@ def _classify(g: Multigraph, table: dict, epsilon: float) -> GhzVerdict:
     for vc, w in table.items():
         if _is_mono(vc):
             continue
-        if not near(w, g.zero):
+        if not near(w, zero):
             violations.append(Violation(vc, w, NON_MONO_NONZERO))
     for colour in sorted(g.colour_universe):
         vc = mono_colouring(g.n, colour)
         if vc not in table:
             continue  # infeasible mono colouring: no constraint
         w = table[vc]
-        if near(w, g.zero):
+        if near(w, zero):
             violations.append(Violation(vc, w, MONO_ZERO))
             continue
         dimension += 1
-        if not near(w, g.one):
+        if not near(w, one):
             violations.append(Violation(vc, w, MONO_NOT_ONE))
     is_g_ghz = not any(v.kind == NON_MONO_NONZERO for v in violations)
     return GhzVerdict(

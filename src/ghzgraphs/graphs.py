@@ -179,7 +179,8 @@ def merge_parallel_edges(g: Multigraph) -> Multigraph:
 
 def drop_zero_edges(g: Multigraph) -> Multigraph:
     """Remove edges whose weight is exactly zero (a weight-0 edge is no edge)."""
-    kept = tuple(e for e in g.edges if e.weight != g.zero)
+    zero = g.zero
+    kept = tuple(e for e in g.edges if e.weight != zero)
     return Multigraph(g.n, kept, g.colour_universe)
 
 

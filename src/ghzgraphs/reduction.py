@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
-from .ghz import GhzVerdict, scale_to_ghz, verify
+from .ghz import DEFAULT_EPSILON, GhzVerdict, _classify, scale_to_ghz
 from .graphs import (
     Colour,
     Edge,
@@ -127,31 +127,33 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     non-zero.
     """
     _check_three_cut(cut)
+    zero = g.zero
     h0, _ = _type0_graph(g, cut)
-    has_type0 = any(w != g.zero for w in colouring_weight_table(h0).values())
+    has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
     v2 = induced_subgraph(g, cut.v2).graph
     v2_weights = {
         colour: colouring_weight(v2, (colour,) * v2.n)
         for colour in sorted(g.colour_universe)
     }
     if has_type0:
-        c1 = frozenset(c for c, w in v2_weights.items() if w != g.zero)
+        c1 = frozenset(c for c, w in v2_weights.items() if w != zero)
     else:
         c1 = frozenset()
     c2 = frozenset(g.colour_universe) - c1
     return ColourClassification(c1, c2, has_type0, v2_weights)
 
 
-def _v2_sum(table: dict, vc: list, cls: ColourClassification, zero):
+def _v2_sum(table: dict, vc: list, factors: dict, zero):
     """sum_c f_c * w(vc with V2 painted c), the vertices of V2 marked None in vc.
 
-    f_c * w is written w / W(c_V2) / |C1| for c in C1 and w otherwise; w is
-    read from ``table``, the colouring-weight table of vc's graph.
+    ``factors`` maps c to f_c; w is read from ``table``, the
+    colouring-weight table of vc's graph.
     """
     total = zero
-    for c, w_v2 in cls.v2_mono_weights.items():
-        w = table.get(tuple(c if x is None else x for x in vc), zero)
-        total = total + (w / w_v2 / len(cls.c1) if c in cls.c1 else w)
+    for c, f in factors.items():
+        w = table.get(tuple(c if x is None else x for x in vc))
+        if w is not None:
+            total = total + w * f
     return total
 
 
@@ -162,17 +164,21 @@ def _vertex_map(cut: CutSpec, cls: ColourClassification) -> tuple:
     return tuple(sorted(set(cut.v1) | set(cut.s)))
 
 
-def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool) -> Multigraph:
-    """Build the reduced graph of either case and, unless ``check`` is off,
-    re-check the identity w'(vc') = sum_c f_c * w(vc'(c)) against one
-    colouring-weight table of g.
+def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dict | None):
+    """The reduced graph of either case, with its colouring-weight table.
 
     Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
     The edges touching V1 are contracted into v0 (easy case) or copied (hard
     case).  Every cut pair (a, b) and class (p, q) gets one edge weighing
-    sum_c f_c * w(c on V2, p at a, q at b) on G[V2 + {a, b}].
+    sum_c f_c * w(c on V2, p at a, q at b) on G[V2 + {a, b}].  Parallel
+    edges are merged and zero edges dropped.  Given ``g_table``, g's
+    colouring-weight table, the identity w'(vc') = sum_c f_c * w(vc'(c))
+    is checked on the returned graph; None skips the check.
     """
     universe = sorted(g.colour_universe)
+    one, zero = g.one, g.zero
+    factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
+               for c, w in cls.v2_mono_weights.items()}
     vertex_map = _vertex_map(cut, cls)
     pos = {x: r for r, orig in enumerate(vertex_map)
            for x in (orig if isinstance(orig, tuple) else (orig,))}
@@ -194,21 +200,22 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool)
         table = colouring_weight_table(sub)
         for p, q in itertools.product(universe, repeat=2):
             vc = [p if x == a else q if x == b else None for x in kept]
-            edges.append(Edge(pos[a], pos[b], p, q, _v2_sum(table, vc, cls, g.zero)))
+            edges.append(Edge(pos[a], pos[b], p, q, _v2_sum(table, vc, factors, zero)))
 
-    reduced = Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
-    if check:
+    reduced = drop_zero_edges(merge_parallel_edges(
+        Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
+    ))
+    reduced_table = colouring_weight_table(reduced)
+    if g_table is not None:
         owner = [pos.get(x) for x in range(g.n)]
-        table = colouring_weight_table(g)
-        reduced_table = colouring_weight_table(reduced)
         for vc_r in itertools.product(universe, repeat=reduced.n):
-            total = _v2_sum(table, [None if r is None else vc_r[r] for r in owner], cls, g.zero)
-            if reduced_table.get(vc_r, g.zero) != total:
+            total = _v2_sum(g_table, [None if r is None else vc_r[r] for r in owner], factors, zero)
+            if reduced_table.get(vc_r, zero) != total:
                 raise InvariantViolation(
                     f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
-                    f"reduced {reduced_table.get(vc_r, g.zero)} vs {total}"
+                    f"reduced {reduced_table.get(vc_r, zero)} vs {total}"
                 )
-    return drop_zero_edges(merge_parallel_edges(reduced))
+    return reduced, reduced_table
 
 
 def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
@@ -219,7 +226,7 @@ def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if cls.c1:
         raise WrongCaseError(f"easy case inapplicable: C1 = {sorted(cls.c1)} is non-empty")
-    return _reduce(g, cut, cls, check)
+    return _reduce(g, cut, cls, colouring_weight_table(g) if check else None)[0]
 
 
 def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
@@ -230,7 +237,7 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if not cls.c1:
         raise WrongCaseError("hard case inapplicable: C1 is empty")
-    return _reduce(g, cut, cls, check)
+    return _reduce(g, cut, cls, colouring_weight_table(g) if check else None)[0]
 
 
 @dataclass(frozen=True)
@@ -240,12 +247,11 @@ class ReductionReport:
     ``vertex_map`` ties reduced vertices back to the input: for the hard
     case a tuple of original labels, for the easy case the tuple
     (V1 block, u1, u2, u3) whose first entry is itself a tuple.
-    ``mu_bound`` is 2 whenever kappa <= 2, independently of whether a
-    reduced graph was also constructed; the connectivity-bound case carries
-    the bound alone.
+    ``mu_bound`` is 2 whenever kappa <= 2 (the connectivity bound mu <= 2)
+    and None otherwise.
     """
 
-    case: str  # "connectivity-bound" | "easy" | "hard"
+    case: str  # "easy" | "hard"
     kappa: int
     input_verdict: GhzVerdict
     mu_bound: int | None = None
@@ -257,77 +263,70 @@ class ReductionReport:
     output_verdict: GhzVerdict | None = None
 
 
-def _finish(kappa, mu_bound, cut, cls, reduced, input_verdict) -> ReductionReport:
-    output_verdict = verify(reduced)
-    scaled = None
-    if input_verdict.is_g_ghz:
-        if not output_verdict.is_g_ghz:
-            raise InvariantViolation("reduction broke the g-GHZ property")
-        if output_verdict.dimension < input_verdict.dimension:
-            raise InvariantViolation(
-                f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
-            )
-        scaled = scale_to_ghz(reduced)
-    return ReductionReport(
-        case="hard" if cls.c1 else "easy",
-        kappa=kappa,
-        input_verdict=input_verdict,
-        mu_bound=mu_bound,
-        cut=cut,
-        classification=cls,
-        graph=reduced,
-        scaled=scaled,
-        vertex_map=_vertex_map(cut, cls),
-        output_verdict=output_verdict,
-    )
-
-
 def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> ReductionReport:
-    """Shrink g across a size-3 cut, or bound its dimension via connectivity.
+    """Shrink g across a size-3 cut with an odd block.
 
-    The first size-3 cut with an odd block is used (all of them when
-    ``all_cuts``, keeping the smallest result).  A graph with no such cut is
-    either answered with the connectivity bound mu <= 2 (kappa <= 2, no
-    reduced graph) or rejected as 4-connected.  Reports always carry kappa,
-    and ``mu_bound = 2`` whenever kappa <= 2 -- the bound holds whether or
-    not a reduced graph was also built.  When the input is g-GHZ the report
-    additionally carries a float rescaling of the result to a strict GHZ
-    graph, and the dimension never decreases.
+    The first such cut is used (all of them when ``all_cuts``, keeping the
+    smallest result); a graph without one is rejected.  g's colouring-weight
+    table is built once, for the input verdict and every identity check.
+    Reports carry kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the
+    input is g-GHZ the report also carries a float rescaling of the result
+    to a strict GHZ graph, and the dimension never decreases.
+
+    kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
+    component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j
+    vertices of A and 3 - kappa - j of B into S leaves both sides non-empty
+    for lo = max(0, 4 - kappa - b) <= j <= hi = min(3 - kappa, a - 1), and
+    lo <= hi as a + b = n - kappa >= 5 - kappa.  For even n the n - 3
+    vertices left are odd in number, so some component is odd.  For odd n,
+    a j with a - j odd leaves an odd component inside A: lo < hi gives both
+    parities; lo = hi = a - 1 gives a - j = 1; else lo = hi = 3 - kappa > 0
+    forces b = 1 and a - j = n - 4.
     """
     if g.n <= 4:
         raise ValueError("reduction needs more than four vertices")
     if not g.is_exact:
         raise ValueError("reduction expects an exact-weighted graph")
-    input_verdict = verify(g)
+    g_table = colouring_weight_table(g)
+    input_verdict = _classify(g, g_table, DEFAULT_EPSILON)
     kappa = vertex_connectivity(g)
-    mu_bound = 2 if kappa <= 2 else None
 
-    # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is kept
+    # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
-    candidates = []
+    best: ReductionReport | None = None
     for cut in iter_cuts(g, 3):
         any_cut = True
-        if cut.parity == "odd":
-            candidates.append(cut)
-            if not all_cuts:
-                break
-    if not candidates:
-        if kappa <= 2:
-            return ReductionReport(
-                case="connectivity-bound", kappa=kappa, input_verdict=input_verdict, mu_bound=2
-            )
-        if any_cut:
-            raise ValueError("no size-3 cut admits an odd block; cannot reduce")
-        raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
-
-    best: ReductionReport | None = None
-    for cut in candidates:
+        if cut.parity != "odd":
+            continue
         cls = classify_colours(g, cut)
-        reduced = (reduce_hard if cls.c1 else reduce_easy)(g, cut, check)
-        report = _finish(kappa, mu_bound, cut, cls, reduced, input_verdict)
-        if best is None or (report.graph.n, len(report.graph.edges)) < (
-            best.graph.n,
-            len(best.graph.edges),
-        ):
-            best = report
-    return best
+        reduced, reduced_table = _reduce(g, cut, cls, g_table if check else None)
+        output_verdict = _classify(reduced, reduced_table, DEFAULT_EPSILON)
+        scaled = None
+        if input_verdict.is_g_ghz:
+            if not output_verdict.is_g_ghz:
+                raise InvariantViolation("reduction broke the g-GHZ property")
+            if output_verdict.dimension < input_verdict.dimension:
+                raise InvariantViolation(
+                    f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
+                )
+            scaled = scale_to_ghz(reduced)
+        if best is None or (reduced.n, len(reduced.edges)) < (best.graph.n, len(best.graph.edges)):
+            best = ReductionReport(
+                case="hard" if cls.c1 else "easy",
+                kappa=kappa,
+                input_verdict=input_verdict,
+                mu_bound=2 if kappa <= 2 else None,
+                cut=cut,
+                classification=cls,
+                graph=reduced,
+                scaled=scaled,
+                vertex_map=_vertex_map(cut, cls),
+                output_verdict=output_verdict,
+            )
+        if not all_cuts:
+            break
+    if best is not None:
+        return best
+    if any_cut:
+        raise ValueError("no size-3 cut admits an odd block; cannot reduce")
+    raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")

@@ -12,6 +12,7 @@ has H = -V.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .graphs import (
@@ -64,9 +65,9 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
     flow = 0
     while True:
         parent = {source: source}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in parent:
-            a = queue.pop(0)
+            a = queue.popleft()
             for b in out[a]:
                 if b not in parent and cap[(a, b)] > 0:
                     parent[b] = a
@@ -87,6 +88,10 @@ def vertex_connectivity(g: Multigraph) -> int:
 
     0 for disconnected (or trivially small) graphs, n - 1 for complete ones,
     otherwise the minimum over non-adjacent pairs of the max-flow bound.
+    Only pairs whose lower vertex s is at most kappa need a flow (Even,
+    SIAM J. Comput. 4, 1975): the lowest vertex s outside a minimum
+    separator S is among 0..kappa, and every vertex in another component
+    of G - S is higher than s.
     """
     n = g.n
     if n <= 1:
@@ -94,17 +99,16 @@ def vertex_connectivity(g: Multigraph) -> int:
     adj = adjacency_sets(g)
     if all(len(adj[x]) == n - 1 for x in range(n)):
         return n - 1
-    best = None
+    best = n - 2  # the other n - 2 vertices separate any non-adjacent pair
     for s in range(n):
+        if s > best:
+            break
         for t in range(s + 1, n):
             if t in adj[s]:
                 continue
-            k = _local_connectivity(adj, s, t)
-            if best is None or k < best:
-                best = k
-                if best == 0:
-                    return 0
-    assert best is not None  # a non-complete graph has a non-adjacent pair
+            best = min(best, _local_connectivity(adj, s, t))
+            if best == 0:
+                return 0
     return best
 
 

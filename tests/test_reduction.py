@@ -30,6 +30,7 @@ from ghzgraphs import (
     reduce,
     reduce_easy,
     reduce_hard,
+    scale_to_ghz,
     type_weights,
     verify,
 )
@@ -417,7 +418,9 @@ def test_identity_check_fires_in_the_hard_case(monkeypatch):
 
 
 def list_then_filter_reduce(g, all_cuts=False, check=True):
-    """reduce() as it was: list every 3-cut, then keep the odd ones."""
+    """reduce() as it was: list every 3-cut, keep the odd ones, reduce each
+    through the public builders and report from the public verify and
+    scale_to_ghz."""
     r = ghzgraphs.reduction
     if g.n <= 4:
         raise ValueError("reduction needs more than four vertices")
@@ -425,14 +428,9 @@ def list_then_filter_reduce(g, all_cuts=False, check=True):
         raise ValueError("reduction expects an exact-weighted graph")
     input_verdict = verify(g)
     kappa = r.vertex_connectivity(g)
-    mu_bound = 2 if kappa <= 2 else None
     cuts = list(r.iter_cuts(g, 3))
     candidates = [cut for cut in cuts if cut.parity == "odd"]
     if not candidates:
-        if kappa <= 2:
-            return r.ReductionReport(
-                case="connectivity-bound", kappa=kappa, input_verdict=input_verdict, mu_bound=2
-            )
         if cuts:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
@@ -442,7 +440,28 @@ def list_then_filter_reduce(g, all_cuts=False, check=True):
     for cut in candidates:
         cls = classify_colours(g, cut)
         reduced = (reduce_hard if cls.c1 else reduce_easy)(g, cut, check)
-        report = r._finish(kappa, mu_bound, cut, cls, reduced, input_verdict)
+        output_verdict = verify(reduced)
+        scaled = None
+        if input_verdict.is_g_ghz:
+            if not output_verdict.is_g_ghz:
+                raise InvariantViolation("reduction broke the g-GHZ property")
+            if output_verdict.dimension < input_verdict.dimension:
+                raise InvariantViolation(
+                    f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
+                )
+            scaled = scale_to_ghz(reduced)
+        report = r.ReductionReport(
+            case="hard" if cls.c1 else "easy",
+            kappa=kappa,
+            input_verdict=input_verdict,
+            mu_bound=2 if kappa <= 2 else None,
+            cut=cut,
+            classification=cls,
+            graph=reduced,
+            scaled=scaled,
+            vertex_map=r._vertex_map(cut, cls),
+            output_verdict=output_verdict,
+        )
         if best is None or (report.graph.n, len(report.graph.edges)) < (
             best.graph.n,
             len(best.graph.edges),
@@ -509,22 +528,6 @@ def test_each_odd_cut_of_c6_is_the_one_reduced_when_it_comes_first(monkeypatch):
         assert report == list_then_filter_reduce(c6)
 
 
-@pytest.mark.parametrize("all_cuts", [False, True])
-def test_connectivity_bound_when_no_cut_is_odd(monkeypatch, all_cuts):
-    # kappa <= 2 on five or more vertices always leaves an odd 3-cut, so the
-    # scan is stubbed to drop the odd ones (and, second, to yield nothing)
-    real = ghzgraphs.reduction.iter_cuts
-    for scan in (
-        lambda g, size: (cut for cut in real(g, size) if cut.parity != "odd"),
-        lambda g, size: iter(()),
-    ):
-        monkeypatch.setattr(ghzgraphs.reduction, "iter_cuts", scan)
-        g = cycle_ghz(8)
-        report = reduce(g, all_cuts=all_cuts)
-        assert report.case == "connectivity-bound" and report.mu_bound == 2
-        assert report == list_then_filter_reduce(g, all_cuts=all_cuts)
-
-
 def test_scan_stops_at_the_first_odd_cut(monkeypatch):
     real = ghzgraphs.reduction.iter_cuts
     drawn = []
@@ -540,3 +543,39 @@ def test_scan_stops_at_the_first_odd_cut(monkeypatch):
     assert drawn[-1] == report.cut and report.cut.parity == "odd"
     assert [cut.parity for cut in drawn[:-1]] == ["even"]
     assert len(drawn) < len(list(real(g, 3)))
+
+
+# ---------------------------------------------------------------------------
+# one table of g per reduce() call, one classification per cut
+
+
+COMPUTE_ONCE_CASES = (
+    [cycle_ghz(6), cycle_ghz_on(HARD_ORDER), hard_family_member(0)[0], even_cut_first()]
+    + [g for g, _ in planted_cut_corpus(4)]
+)
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+@pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
+def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, case, all_cuts):
+    g = COMPUTE_ONCE_CASES[case]
+    real_table = ghzgraphs.matchings._weight_table
+    real_classify = ghzgraphs.reduction.classify_colours
+    tables_of_g, classified = [], []
+
+    def counting_table(h):
+        if h is g:
+            tables_of_g.append(h)
+        return real_table(h)
+
+    def counting_classify(h, cut):
+        classified.append(cut)
+        return real_classify(h, cut)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "_weight_table", counting_table)
+    monkeypatch.setattr(ghzgraphs.reduction, "classify_colours", counting_classify)
+    report = reduce(g, all_cuts=all_cuts)
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    assert len(tables_of_g) == 1
+    assert classified == (odd if all_cuts else odd[:1])
+    assert report.cut in classified

@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ghzgraphs.structure
 from ghzgraphs import (
     CutSpec,
     build_graph,
@@ -79,20 +80,55 @@ def test_connectivity_of_known_graphs():
     assert vertex_connectivity(build_graph(1, [])) == 0
 
 
-def simple_graphs(max_n=7):
+def simple_graphs(max_n=7, min_n=1, max_edges=18):
     def make(n, picks):
         pairs = list(itertools.combinations(range(n), 2))
         chosen = [pairs[i % len(pairs)] for i in picks] if pairs else []
         return build_graph(n, [(u, v, 0, 0, 1) for u, v in set(chosen)])
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.builds(make, st.just(n), st.lists(st.integers(min_value=0, max_value=40), max_size=18))
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            make, st.just(n), st.lists(st.integers(min_value=0, max_value=60), max_size=max_edges)
+        )
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(simple_graphs())
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs(max_n=11, max_edges=45))
 def test_connectivity_matches_brute_force(g):
     assert vertex_connectivity(g) == oracle_connectivity(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_connectivity_of_dense_random_graphs(seed):
+    # dense enough that kappa reaches 3 to 8, where the scan stops early
+    rng = random.Random(f"kappa-{seed}")
+    n = rng.randint(5, 11)
+    p = rng.uniform(0.5, 0.95)
+    pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+    g = build_graph(n, [(u, v, 0, 0, 1) for u, v in pairs])
+    assert vertex_connectivity(g) == oracle_connectivity(g)
+
+
+def test_connectivity_of_a_long_cycle(monkeypatch):
+    # Even's bound: flows start only from the first kappa + 1 vertices
+    real = ghzgraphs.structure._local_connectivity
+    sources = []
+
+    def counting(adj, s, t):
+        sources.append(s)
+        return real(adj, s, t)
+
+    monkeypatch.setattr(ghzgraphs.structure, "_local_connectivity", counting)
+    assert vertex_connectivity(cycle_ghz(40)) == 2
+    assert set(sources) == {0, 1, 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(max_n=9, min_n=5))
+def test_low_connectivity_leaves_an_odd_three_cut(g):
+    # the lemma that lets reduce() do without a connectivity-bound branch
+    assume(vertex_connectivity(g) <= 2)
+    assert any(cut.parity == "odd" for cut in iter_cuts(g, 3))
 
 
 def test_connectivity_ignores_parallel_edges():
