@@ -18,13 +18,13 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import BogdanovHypothesisError, InvariantViolation, NotGhzError, UnscalableColourError
-from .graphs import Colour, Edge, Multigraph, VertexColouring, mono_colouring
+from .graphs import Colour, Edge, Multigraph, VertexColouring, drop_zero_edges, mono_colouring
 from .matchings import (
     PerfectMatching,
     colouring_weight_table,
     enumerate_perfect_matchings,
     induced_colouring,
-    matching_weight,
+    is_feasible,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -130,7 +130,10 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     sends every non-zero mono weight to 1 and leaves zeros zero.  Colours
     whose mono weight is 0 get s_i = 1, unless an edge carrying that colour
     sits in a perfect matching of non-zero weight -- then no finite scale
-    exists and the colour is reported as unscalable.
+    exists and the colour is reported as unscalable.  A matching has
+    non-zero weight iff its edges do, so the colours of such matchings are
+    the colours of g's table without its zero edges, cancelled keys
+    included; no matching is listed.
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
@@ -144,13 +147,7 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     weights = _mono_weights(g, table)
     dead = {c for c, w in weights.items() if w == g.zero}
     if dead:
-        live_colours: set[Colour] = set()
-        for m in enumerate_perfect_matchings(g):
-            if matching_weight(g, m) != g.zero:
-                for i in m:
-                    e = g.edges[i]
-                    live_colours.add(e.cu)
-                    live_colours.add(e.cv)
+        live_colours = {c for vc in colouring_weight_table(drop_zero_edges(g)) for c in vc}
         bad = sorted(dead & live_colours)
         if bad:
             raise UnscalableColourError(
@@ -186,24 +183,19 @@ def find_bogdanov_witness(g: Multigraph) -> PerfectMatching:
     Requires more than four vertices and at least three monochromatic
     perfect matchings of pairwise distinct colours; a non-monochromatic
     perfect matching then necessarily exists.  Weights play no role here.
+    The mono colours are counted by feasibility checks, so a failing
+    hypothesis is reported without listing matchings; the witness is the
+    first non-mono matching in enumeration order.
     """
     if g.n <= 4:
         raise BogdanovHypothesisError("hypothesis needs more than four vertices")
-    matchings = enumerate_perfect_matchings(g)
-    mono_colours = set()
-    witness: PerfectMatching | None = None
-    for m in matchings:
-        vc = induced_colouring(g, m)
-        if _is_mono(vc):
-            if vc:
-                mono_colours.add(vc[0])
-        elif witness is None:
-            witness = m
-    if len(mono_colours) < 3:
+    mono_count = sum(is_feasible(g, mono_colouring(g.n, c)) for c in g.colour_universe)
+    if mono_count < 3:
         raise BogdanovHypothesisError(
             f"hypothesis needs monochromatic perfect matchings of three distinct "
-            f"colours, found {len(mono_colours)}"
+            f"colours, found {mono_count}"
         )
-    if witness is None:
-        raise InvariantViolation("no non-monochromatic perfect matching found")
-    return witness
+    for m in enumerate_perfect_matchings(g):
+        if not _is_mono(induced_colouring(g, m)):
+            return m
+    raise InvariantViolation("no non-monochromatic perfect matching found")

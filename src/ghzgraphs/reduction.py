@@ -244,23 +244,26 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
 class ReductionReport:
     """Everything reduce() learned: the reduced graph and its provenance.
 
-    ``vertex_map`` ties reduced vertices back to the input: for the hard
-    case a tuple of original labels, for the easy case the tuple
-    (V1 block, u1, u2, u3) whose first entry is itself a tuple.
+    Every report carries the cut used, its colour classification, the
+    reduced graph, its vertex map and both verdicts.  ``vertex_map`` ties
+    reduced vertices back to the input: for the hard case a tuple of
+    original labels, for the easy case the tuple (V1 block, u1, u2, u3)
+    whose first entry is itself a tuple.  Only two fields are optional:
     ``mu_bound`` is 2 whenever kappa <= 2 (the connectivity bound mu <= 2)
-    and None otherwise.
+    and None otherwise, and ``scaled``, the float rescaling of the reduced
+    graph to a strict GHZ graph, is None unless the input is g-GHZ.
     """
 
     case: str  # "easy" | "hard"
     kappa: int
     input_verdict: GhzVerdict
+    cut: CutSpec
+    classification: ColourClassification
+    graph: Multigraph
+    vertex_map: tuple
+    output_verdict: GhzVerdict
     mu_bound: int | None = None
-    cut: CutSpec | None = None
-    classification: ColourClassification | None = None
-    graph: Multigraph | None = None
     scaled: Multigraph | None = None
-    vertex_map: tuple | None = None
-    output_verdict: GhzVerdict | None = None
 
 
 def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> ReductionReport:

@@ -48,37 +48,20 @@ class SearchProblem:
         self.pairs: tuple[tuple[int, int], ...] = tuple((e.u, e.v) for e in base.edges)
         self.n_vars = len(self.pairs) * d * d
 
-        expanded = Multigraph(
-            base.n,
-            tuple(
-                Edge(u, v, p, q, 1)
-                for (u, v) in self.pairs
-                for p in range(d)
-                for q in range(d)
-            ),
-            frozenset(range(d)),
-        )
+        expanded = _coloured_graph(self, [1] * self.n_vars)
         self.expanded = expanded
 
         matchings = enumerate_perfect_matchings(expanded)
-        groups: dict[tuple, int] = {}
-        for colour in range(d):
-            groups.setdefault((colour,) * base.n, len(groups))
-        for m in matchings:
-            groups.setdefault(induced_colouring(expanded, m), len(groups))
-        ordered = sorted(groups, key=lambda vc: groups[vc])
-        # re-sort colourings for stable reporting, monos staying first
-        ordered = ordered[:d] + sorted(ordered[d:])
+        induced = [induced_colouring(expanded, m) for m in matchings]
+        # monos first (one entry when n = 0), then the rest sorted for stable reporting
+        ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
+        ordered += sorted(set(induced).difference(ordered))
         self.colourings: tuple[tuple, ...] = tuple(ordered)
         index = {vc: k for k, vc in enumerate(ordered)}
 
         width = base.n // 2
-        self.monomials = np.array(
-            [m for m in matchings], dtype=np.int64
-        ).reshape(len(matchings), width)
-        self.monomial_group = np.array(
-            [index[induced_colouring(expanded, m)] for m in matchings], dtype=np.int64
-        )
+        self.monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), width)
+        self.monomial_group = np.array([index[vc] for vc in induced], dtype=np.int64)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
         self.targets = targets
@@ -236,16 +219,21 @@ def search(
     )
 
 
+def _coloured_graph(problem: SearchProblem, weights) -> Multigraph:
+    """The multigraph with one edge per variable, weighted weights[k] at index k."""
+    d = problem.d
+    edges = tuple(
+        Edge(u, v, p, q, weights[e * d * d + p * d + q])
+        for e, (u, v) in enumerate(problem.pairs)
+        for p in range(d)
+        for q in range(d)
+    )
+    return Multigraph(problem.skeleton.n, edges, frozenset(range(d)))
+
+
 def assignment_graph(problem: SearchProblem, weights) -> Multigraph:
     """The float-weighted multigraph an assignment vector describes."""
-    x = _check_weights(problem, weights)
-    d = problem.d
-    edges = []
-    for e, (u, v) in enumerate(problem.pairs):
-        for p in range(d):
-            for q in range(d):
-                edges.append(Edge(u, v, p, q, complex(x[e * d * d + p * d + q])))
-    return Multigraph(problem.skeleton.n, tuple(edges), frozenset(range(d)))
+    return _coloured_graph(problem, [complex(z) for z in _check_weights(problem, weights)])
 
 
 @dataclass(frozen=True)
@@ -281,14 +269,7 @@ def exactify(
         default=0.0,
     )
     if err <= tol:
-        d = problem.d
-        edges = tuple(
-            Edge(u, v, p, q, rounded[e * d * d + p * d + q])
-            for e, (u, v) in enumerate(problem.pairs)
-            for p in range(d)
-            for q in range(d)
-        )
-        exact_graph = Multigraph(problem.skeleton.n, edges, frozenset(range(d)))
+        exact_graph = _coloured_graph(problem, rounded)
         verdict = verify(exact_graph)
         if verdict.is_ghz and verdict.dimension == problem.d:
             return Exactification(exact_graph, verdict, "exact", 0.0)

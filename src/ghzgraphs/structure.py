@@ -20,8 +20,9 @@ from .graphs import (
     Multigraph,
     adjacency_sets,
     induced_subgraph,
+    skeleton,
 )
-from .matchings import colouring_weight, enumerate_perfect_matchings
+from .matchings import colouring_weight, colouring_weight_table
 
 # ---------------------------------------------------------------------------
 # matching-covered graph
@@ -32,12 +33,19 @@ def mcg(g: Multigraph) -> Multigraph:
 
     Perfect matchings, their weights and the whole colouring-weight table
     are unchanged; the result is a fixpoint of the operation.  If g has no
-    perfect matching the result has no edges.
+    perfect matching the result has no edges.  An edge u-v lies in some
+    perfect matching iff G - u - v has one, which the weight kernel answers
+    on the skeleton without listing matchings; parallel edges can stand in
+    for each other, so one check per vertex pair decides them all.
     """
-    used: set[int] = set()
-    for m in enumerate_perfect_matchings(g):
-        used.update(m)
-    kept = tuple(e for i, e in enumerate(g.edges) if i in used)
+    base = skeleton(g)
+    vertices = set(range(g.n))
+    live = {
+        (e.u, e.v)
+        for e in base.edges
+        if colouring_weight_table(induced_subgraph(base, vertices - {e.u, e.v}).graph)
+    }
+    kept = tuple(e for e in g.edges if (e.u, e.v) in live)
     return Multigraph(g.n, kept, g.colour_universe)
 
 
@@ -285,14 +293,14 @@ def square_decomposition_odd(
         raise ValueError("odd-case decomposition needs odd-size sides")
     i, j, k, l = colours
 
-    def paint(side: set, side_colour: Colour, cut_vertex: int, cut_colour: Colour):
+    def paint(side: set, side_colour: Colour, cut_colour: Colour):
         return lambda x: side_colour if x in side else cut_colour
 
     return SquareDecomposition(
-        v_left=_block_weight(g, a | {u}, paint(a, i, u, k)),
-        v_right=_block_weight(g, b | {v}, paint(b, j, v, l)),
-        h_top=_block_weight(g, b | {u}, paint(b, j, u, k)),
-        h_bottom=_block_weight(g, a | {v}, paint(a, i, v, l)),
+        v_left=_block_weight(g, a | {u}, paint(a, i, k)),
+        v_right=_block_weight(g, b | {v}, paint(b, j, l)),
+        h_top=_block_weight(g, b | {u}, paint(b, j, k)),
+        h_bottom=_block_weight(g, a | {v}, paint(a, i, l)),
     )
 
 

@@ -297,6 +297,61 @@ def bogdanov_corpus(count: int = 100):
 
 
 # ---------------------------------------------------------------------------
+# the corpus the kernel-based yes/no checks are compared with enumeration on
+
+
+def with_zero_edges(g: Multigraph, seed) -> Multigraph:
+    """g plus one to three weight-0 edges on random pairs and colour classes."""
+    rng = random.Random(f"zero-edges-{seed}")
+    colours = sorted(g.colour_universe) or [0]
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.sample(range(g.n), 2)
+        specs.append((u, v, rng.choice(colours), rng.choice(colours), 0))
+    return build_graph(g.n, specs, colours=set(colours) | g.colour_universe)
+
+
+def with_cancelling_pairs(g: Multigraph, seed) -> Multigraph:
+    """g plus one or two parallel pairs of one colour class with weights w, -w."""
+    rng = random.Random(f"cancelling-pairs-{seed}")
+    colours = sorted(g.colour_universe) or [0]
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    for _ in range(rng.randint(1, 2)):
+        u, v = rng.sample(range(g.n), 2)
+        cu, cv, w = rng.choice(colours), rng.choice(colours), small_rational(rng)
+        specs += [(u, v, cu, cv, w), (u, v, cu, cv, -w)]
+    return build_graph(g.n, specs, colours=set(colours) | g.colour_universe)
+
+
+def enumeration_corpus() -> list[Multigraph]:
+    """The conftest corpora, their perturbed copies and the small edge cases.
+
+    274 corpus graphs, each again with zero-weight edges added and with
+    cancelling parallel pairs added, then odd n, n = 0, n = 2 and a graph
+    with an isolated vertex.
+    """
+    base = (
+        random_corpus(100)
+        + [planted_matching_graph(seed) for seed in range(12)]
+        + [g for g, _ in planted_cut_corpus(50)]
+        + [g for g, _ in hard_family(12)]
+        + bogdanov_corpus(100)
+    )
+    edge_cases = [
+        build_graph(5, [(0, 1, 0, 0, 1), (2, 3, 0, 0, 1), (3, 4, 0, 0, 1)]),
+        build_graph(0, [], colours=range(2)),
+        build_graph(2, [(0, 1, 0, 1, 1), (0, 1, 1, 1, 2)]),
+        build_graph(4, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1), (0, 2, 1, 1, 1)]),
+    ]
+    return (
+        base
+        + [with_zero_edges(g, k) for k, g in enumerate(base)]
+        + [with_cancelling_pairs(g, k) for k, g in enumerate(base)]
+        + edge_cases
+    )
+
+
+# ---------------------------------------------------------------------------
 # independent oracles
 
 

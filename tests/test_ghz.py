@@ -1,22 +1,32 @@
 """Verification, dimension, scaling and the non-mono witness."""
 
+import cmath
 import itertools
+import random
 
 import pytest
 
+import ghzgraphs.ghz
 from ghzgraphs import (
     BogdanovHypothesisError,
     GaussianRational,
+    Edge,
+    GhzGraphError,
+    InvariantViolation,
     Multigraph,
     NotGhzError,
     UnscalableColourError,
     build_graph,
     cancelling_square,
+    colouring_weight_table,
     complete_ghz_k4,
     cycle_ghz,
     dimension,
+    drop_zero_edges,
+    enumerate_perfect_matchings,
     find_bogdanov_witness,
     induced_colouring,
+    matching_weight,
     mono_weights,
     parallel_ghz_k2,
     scale_to_ghz,
@@ -26,8 +36,10 @@ from ghzgraphs import (
 from conftest import (
     bogdanov_corpus,
     brute_pairings,
+    enumeration_corpus,
     ghz_corpus,
     scaled_ghz_instance,
+    small_rational,
     weighted_cycle,
 )
 
@@ -197,3 +209,136 @@ def test_ghz_corpus_is_ghz():
     for name, g in ghz_corpus():
         v = verify(g)
         assert v.is_ghz, name
+
+
+# ---------------------------------------------------------------------------
+# the yes/no checks against the enumeration they replaced
+
+
+def slow_live_colours(g):
+    """Colours on the edges of the non-zero-weight perfect matchings, by enumeration."""
+    live = set()
+    for m in enumerate_perfect_matchings(g):
+        if matching_weight(g, m) != g.zero:
+            for i in m:
+                live |= {g.edges[i].cu, g.edges[i].cv}
+    return live
+
+
+def slow_bogdanov_witness(g):
+    """find_bogdanov_witness by enumeration: mono colours and witness in one pass."""
+    if g.n <= 4:
+        raise BogdanovHypothesisError("hypothesis needs more than four vertices")
+    mono_colours = set()
+    witness = None
+    for m in enumerate_perfect_matchings(g):
+        vc = induced_colouring(g, m)
+        if len(set(vc)) <= 1:
+            if vc:
+                mono_colours.add(vc[0])
+        elif witness is None:
+            witness = m
+    if len(mono_colours) < 3:
+        raise BogdanovHypothesisError(
+            f"hypothesis needs monochromatic perfect matchings of three distinct "
+            f"colours, found {len(mono_colours)}"
+        )
+    if witness is None:
+        raise InvariantViolation("no non-monochromatic perfect matching found")
+    return witness
+
+
+def outcome(f, g):
+    """f(g), or the type and message of what it raised."""
+    try:
+        return f(g)
+    except GhzGraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_kernel_keys_carry_the_live_colours():
+    for g in enumeration_corpus():
+        keys = colouring_weight_table(drop_zero_edges(g))
+        assert {c for vc in keys for c in vc} == slow_live_colours(g)
+
+
+def dead_colour_variants(seed):
+    """A scaled GHZ graph with an extra colour 9 nowhere, on zero-weight edges
+    only (both scalable), and on a cancelling parallel pair across one of its
+    edges (live, so unscalable)."""
+    _, h = scaled_ghz_instance(seed)
+    universe = h.colour_universe | {9}
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in h.edges]
+    e = h.edges[seed % len(h.edges)]
+    w = small_rational(random.Random(f"dead-colour-{seed}"))
+    return [
+        build_graph(h.n, specs, colours=universe),
+        build_graph(
+            h.n, specs + [(e.u, e.v, 9, e.cv, 0), (e.u, e.v, e.cu, 9, 0)], colours=universe
+        ),
+        build_graph(h.n, specs + [(e.u, e.v, 9, 9, w), (e.u, e.v, 9, 9, -w)], colours=universe),
+    ]
+
+
+def slow_scale_to_ghz(g):
+    """scale_to_ghz with its live colours found by enumeration."""
+    if not g.is_exact:
+        raise ValueError("scaling expects an exact-weighted graph")
+    verdict = verify(g)
+    if not verdict.is_g_ghz:
+        raise NotGhzError("not a g-GHZ graph; scaling is undefined")
+    if g.n == 0:
+        return Multigraph(0, (), g.colour_universe)
+    weights = mono_weights(g)
+    bad = sorted({c for c, w in weights.items() if w == g.zero} & slow_live_colours(g))
+    if bad:
+        raise UnscalableColourError(
+            f"unscalable colour {bad[0]}: zero monochromatic weight but "
+            f"present in a non-zero-weight perfect matching"
+        )
+    scale = {
+        c: 1.0 + 0.0j if w == g.zero else cmath.exp(-cmath.log(complex(w)) / g.n)
+        for c, w in weights.items()
+    }
+    edges = tuple(
+        Edge(e.u, e.v, e.cu, e.cv, complex(e.weight) * scale[e.cu] * scale[e.cv])
+        for e in g.edges
+    )
+    scaled = Multigraph(g.n, edges, g.colour_universe)
+    check = verify(scaled)
+    if not check.is_ghz:
+        raise InvariantViolation(
+            f"scaled graph failed the GHZ check at epsilon=1e-09: {check.violations[:3]}"
+        )
+    if check.dimension != verdict.dimension:
+        raise InvariantViolation("scaling changed the dimension")
+    return scaled
+
+
+def test_scaling_matches_enumeration_on_dead_colours():
+    graphs = [cancelling_square()] + [g for seed in range(20) for g in dead_colour_variants(seed)]
+    graphs += enumeration_corpus()
+    outcomes = [outcome(slow_scale_to_ghz, g) for g in graphs]
+    assert [outcome(scale_to_ghz, g) for g in graphs] == outcomes
+    # both branches of the dead-colour check run
+    assert outcomes[0][0] is UnscalableColourError
+    assert sum(isinstance(o, Multigraph) for o in outcomes[1:61]) == 40
+    assert sum(isinstance(o, tuple) and o[0] is UnscalableColourError for o in outcomes[1:61]) == 20
+
+
+def test_witness_matches_enumeration_on_the_corpus():
+    for g in enumeration_corpus():
+        assert outcome(find_bogdanov_witness, g) == outcome(slow_bogdanov_witness, g)
+
+
+def test_yes_no_checks_list_no_matchings(monkeypatch):
+    def refuse(g):
+        raise AssertionError("perfect matchings enumerated for a yes/no check")
+
+    monkeypatch.setattr(ghzgraphs.ghz, "enumerate_perfect_matchings", refuse)
+    with pytest.raises(UnscalableColourError):
+        scale_to_ghz(cancelling_square())
+    base = cycle_ghz(6)
+    scale_to_ghz(Multigraph(base.n, base.edges, base.colour_universe | {5}))
+    with pytest.raises(BogdanovHypothesisError):
+        find_bogdanov_witness(cycle_ghz(6))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import ghzgraphs.structure
 from ghzgraphs import (
     CutSpec,
+    Multigraph,
     build_graph,
     colouring_weight,
     colouring_weight_table,
@@ -29,6 +30,7 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    enumeration_corpus,
     oracle_connectivity,
     planted_matching_graph,
     small_rational,
@@ -62,6 +64,20 @@ def test_mcg_preserves_matchings_and_table(seed):
     assert as_edge_sets(kept) == as_edge_sets(g)
     assert colouring_weight_table(kept) == colouring_weight_table(g)
     assert mcg(kept) == kept  # fixpoint
+
+
+def slow_mcg(g):
+    """mcg by enumeration: keep the edges of every perfect matching."""
+    used = set()
+    for m in enumerate_perfect_matchings(g):
+        used.update(m)
+    return Multigraph(g.n, tuple(e for i, e in enumerate(g.edges) if i in used), g.colour_universe)
+
+
+def test_mcg_matches_enumeration_on_the_corpus():
+    # zero-weight edges and cancelling pairs count like any edge: weights play no role
+    for g in enumeration_corpus():
+        assert mcg(g) == slow_mcg(g)
 
 
 # ---------------------------------------------------------------------------
