@@ -17,7 +17,11 @@ class NotGhzError(GhzGraphError):
 
 
 class UnscalableColourError(GhzGraphError):
-    """A colour with zero monochromatic weight sits on a non-zero matching."""
+    """A colour with zero monochromatic weight cannot be scaled to GHZ.
+
+    Either the colour sits on a perfect matching of non-zero weight, or its
+    monochromatic colouring is feasible (its matchings cancel to 0).
+    """
 
 
 class BogdanovHypothesisError(GhzGraphError):

@@ -33,6 +33,16 @@ class GaussianRational:
         object.__setattr__(self, "_re", _as_fraction(re))
         object.__setattr__(self, "_im", _as_fraction(im))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as slot setting is refused
+        return (GaussianRational, (self._re, self._im))
+
     @classmethod
     def from_parts(cls, re_num: int, re_den: int, im_num: int = 0, im_den: int = 1):
         """Build from four integers (numerators and denominators)."""

@@ -133,7 +133,9 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     exists and the colour is reported as unscalable.  A matching has
     non-zero weight iff its edges do, so the colours of such matchings are
     the colours of g's table without its zero edges, cancelled keys
-    included; no matching is listed.
+    included; no matching is listed.  A dead colour whose all-i colouring
+    is feasible is unscalable too: scaling keeps that weight 0, and GHZ
+    needs it to be 1.
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
@@ -153,6 +155,12 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
             raise UnscalableColourError(
                 f"unscalable colour {bad[0]}: zero monochromatic weight but "
                 f"present in a non-zero-weight perfect matching"
+            )
+        stuck = [c for c in sorted(dead) if mono_colouring(g.n, c) in table]
+        if stuck:
+            raise UnscalableColourError(
+                f"unscalable colour {stuck[0]}: its monochromatic colouring is "
+                f"feasible with weight 0, and no scaling makes that weight 1"
             )
 
     scale = {}

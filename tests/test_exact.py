@@ -1,5 +1,7 @@
 """Field axioms and conversions for the exact complex rationals."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -128,3 +130,21 @@ def test_bool_and_str():
     assert GaussianRational(0, "1/3")
     assert str(GaussianRational(Fraction(1, 2))) == "1/2"
     assert str(GaussianRational(1, -2)) == "1 - 2*i"
+
+
+def test_immutable_so_its_hash_holds():
+    a = GaussianRational(Fraction(1, 2), 3)
+    held = {a}
+    for name in ("_re", "_im", "re", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, Fraction(5))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == GaussianRational(Fraction(1, 2), 3) and a in held
+
+
+def test_copies_and_pickles_are_equal_values():
+    a = GaussianRational(Fraction(-1, 3), Fraction(7, 2))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert type(b.re) is Fraction and type(b.im) is Fraction

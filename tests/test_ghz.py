@@ -142,6 +142,27 @@ def test_scaling_refuses_cancelled_colour_on_live_edges():
         scale_to_ghz(cancelling_square())
 
 
+def zero_mono_graph():
+    """g-GHZ with colour 0 dead: every perfect matching has a zero-weight
+    edge, so the all-0 colouring is feasible with weight 0."""
+    return build_graph(4, [
+        (0, 2, 0, 0, GaussianRational("1/3")),
+        (1, 2, 0, 0, GaussianRational("-2/3", 1)),
+        (0, 3, 0, 0, 0),
+        (2, 3, 0, 0, 0),
+        (1, 2, 0, 0, 0),
+    ])
+
+
+def test_scaling_refuses_a_dead_colour_with_a_feasible_mono_colouring():
+    g = zero_mono_graph()
+    v = verify(g)
+    assert v.is_g_ghz and v.dimension == 0
+    assert [x.kind for x in v.violations] == ["mono_zero"]
+    with pytest.raises(UnscalableColourError, match="colour 0: its monochromatic colouring"):
+        scale_to_ghz(g)
+
+
 def test_scaling_rejects_non_g_ghz_and_floats():
     with pytest.raises(NotGhzError):
         scale_to_ghz(build_graph(2, [(0, 1, 0, 1, 1)], colours=range(2)))
@@ -295,6 +316,14 @@ def slow_scale_to_ghz(g):
         raise UnscalableColourError(
             f"unscalable colour {bad[0]}: zero monochromatic weight but "
             f"present in a non-zero-weight perfect matching"
+        )
+    colourings = [induced_colouring(g, m) for m in enumerate_perfect_matchings(g)]
+    mono_feasible = {vc[0] for vc in colourings if len(set(vc)) == 1}
+    stuck = [c for c, w in weights.items() if w == g.zero and c in mono_feasible]
+    if stuck:
+        raise UnscalableColourError(
+            f"unscalable colour {stuck[0]}: its monochromatic colouring is "
+            f"feasible with weight 0, and no scaling makes that weight 1"
         )
     scale = {
         c: 1.0 + 0.0j if w == g.zero else cmath.exp(-cmath.log(complex(w)) / g.n)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -160,11 +161,11 @@ def slow_table(g):
     return dict(sorted(acc.items()))
 
 
-def dense_graph(n, d, seed):
+def dense_graph(n, d, seed, weight=small_rational):
     """K_n with one edge of every colour class on every vertex pair."""
     rng = random.Random(f"dense-{n}-{d}-{seed}")
     specs = [
-        (u, v, a, b, small_rational(rng))
+        (u, v, a, b, weight(rng))
         for u in range(n)
         for v in range(u + 1, n)
         for a in range(d)
@@ -193,8 +194,147 @@ def differential_corpus():
     return corpus
 
 
+def fraction_table(g):
+    """The subset DP with every value a GaussianRational, as before exact
+    weights entered it as Gaussian integers over a denominator."""
+    n = g.n
+    if n % 2:
+        return {}
+    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
+    place = [base ** (n - 1 - v) for v in range(n)]
+    merged = {}
+    for e in g.edges:
+        edge_class = (e.u, e.v, e.cu, e.cv)
+        merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
+    below = [[] for _ in range(n)]
+    touched = 0
+    for (u, v, cu, cv), w in merged.items():
+        below[u].append((1 << v, cu * place[u] + cv * place[v], w))
+        touched |= 1 << u | 1 << v
+    full = (1 << n) - 1
+    if touched != full:
+        return {}
+    memo = {full: {0: g.one}}
+
+    def solve(covered):
+        table = memo.get(covered)
+        if table is not None:
+            return table
+        low = ~covered & (covered + 1)
+        table = {}
+        for bit, digits, w in below[low.bit_length() - 1]:
+            if covered & bit:
+                continue
+            for key, sub in solve(covered | low | bit).items():
+                key += digits
+                prev = table.get(key)
+                table[key] = w * sub if prev is None else prev + w * sub
+        memo[covered] = table
+        return table
+
+    out = {}
+    for key, w in sorted(solve(0).items()):
+        colours = []
+        for p in place:
+            c, key = divmod(key, p)
+            colours.append(c)
+        out[tuple(colours)] = w
+    return out
+
+
+def rationalised(rng):
+    """A float weight rounded as exactify rounds it: denominators up to 10**6."""
+    re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
+    return GaussianRational.from_float(re, im, max_denominator=10**6)
+
+
+#: pairwise coprime, several of them far beyond a machine word once multiplied
+COPRIME_DENOMINATORS = [2**31 - 1, 10**9 + 7, 998_244_353, 2**20, 3**13, 5**9, 7, 1]
+
+
+def coprime_large(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-10**12, 10**12), rng.choice(COPRIME_DENOMINATORS)),
+        Fraction(rng.randint(-10**12, 10**12), rng.choice(COPRIME_DENOMINATORS)),
+    )
+
+
+def purely_imaginary(rng):
+    return GaussianRational(0, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+
+
+def with_cancelling_parallels(g):
+    """g with every third edge cancelled to 0 by a parallel -w, and every
+    third by two parallel halves -w/2."""
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    for k, e in enumerate(g.edges):
+        if k % 3 == 0:
+            specs.append((e.u, e.v, e.cu, e.cv, -e.weight))
+        elif k % 3 == 1:
+            half = e.weight / 2
+            specs += [(e.u, e.v, e.cu, e.cv, -half), (e.u, e.v, e.cu, e.cv, -half)]
+    return build_graph(g.n, specs, colours=g.colour_universe)
+
+
+def exact_weight_cases():
+    """Graphs whose weights exact mode must carry exactly, by name."""
+    return {
+        "rationalised K6 d=2": dense_graph(6, 2, 1, rationalised),
+        "rationalised K6 d=3": dense_graph(6, 3, 1, rationalised),
+        "coprime K6 d=2": dense_graph(6, 2, 2, coprime_large),
+        "coprime K4 d=3": dense_graph(4, 3, 2, coprime_large),
+        "imaginary K6 d=2": dense_graph(6, 2, 3, purely_imaginary),
+        "cancelling K4 d=2": with_cancelling_parallels(dense_graph(4, 2, 4)),
+        "cancelling K6 d=2": with_cancelling_parallels(dense_graph(6, 2, 4)),
+        "cancelling rationalised K6 d=2": with_cancelling_parallels(
+            dense_graph(6, 2, 5, rationalised)
+        ),
+        "n = 0": build_graph(0, []),
+        "zero edge": build_graph(2, [(0, 1, 0, 0, 0)]),
+        "path on 3": build_graph(3, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1)]),
+        "K5": build_graph(
+            5, [(u, v, 0, 0, GaussianRational("1/3", 2)) for u in range(5) for v in range(u + 1, 5)]
+        ),
+        "isolated vertex": build_graph(
+            4, [(0, 1, 0, 0, GaussianRational("1/2")), (1, 2, 0, 0, 1), (0, 2, 0, 0, 1)]
+        ),
+    }
+
+
+def kernel_corpus():
+    return differential_corpus() + list(exact_weight_cases().values())
+
+
+def test_kernel_table_is_the_fraction_kernel_table_exactly():
+    for g in kernel_corpus():
+        fast = colouring_weight_table(g)
+        assert list(fast.items()) == list(fraction_table(g).items())
+        assert all(type(w) is GaussianRational for w in fast.values())
+
+
+def test_kernel_float_tables_are_the_fraction_kernel_float_tables():
+    for g in kernel_corpus():
+        gf = as_float(g)
+        fast = colouring_weight_table(gf)
+        assert list(fast.items()) == list(fraction_table(gf).items())
+        assert all(type(w) is type(gf.one) for w in fast.values())  # an edgeless graph is exact
+
+
+def test_exact_weight_cases_reach_what_they_are_named_for():
+    tables = {name: colouring_weight_table(g) for name, g in exact_weight_cases().items()}
+    assert max(w.re_den for w in tables["rationalised K6 d=3"].values()) > 10**18
+    assert max(w.re_den for w in tables["coprime K6 d=2"].values()) > 2**64
+    imaginary = tables["imaginary K6 d=2"].values()
+    assert all(w.re == 0 or w.im == 0 for w in imaginary) and any(w.im for w in imaginary)
+    for name in ("cancelling K4 d=2", "cancelling K6 d=2", "cancelling rationalised K6 d=2"):
+        assert GaussianRational(0) in tables[name].values()
+    assert tables["n = 0"] == {(): GaussianRational(1)}
+    assert tables["zero edge"] == {(0, 0): GaussianRational(0)}
+    assert tables["path on 3"] == tables["K5"] == tables["isolated vertex"] == {}
+
+
 def test_kernel_table_is_the_enumeration_table_exactly():
-    for g in differential_corpus():
+    for g in kernel_corpus():
         fast = colouring_weight_table(g)
         assert list(fast.items()) == list(slow_table(g).items())
         assert all(isinstance(w, GaussianRational) for w in fast.values())

@@ -13,6 +13,7 @@ from ghzgraphs import (
     InvariantViolation,
     IrreducibleError,
     Multigraph,
+    UnscalableColourError,
     WrongCaseError,
     build_graph,
     classify_colours,
@@ -270,6 +271,27 @@ def test_pipeline_twisted_cycle_stays_dimension_two():
     report = reduce(g)
     assert report.kappa == 2 and report.mu_bound == 2
     assert report.output_verdict.dimension == 2
+
+
+def test_pipeline_reduces_a_graph_that_cannot_be_scaled():
+    """Colour 0 is dead and its all-0 colouring feasible with weight 0, so g
+    cannot be scaled; the reduced graph drops the zero edges that kept that
+    colouring feasible, so it can."""
+    g = build_graph(6, [
+        (0, 2, 0, 0, GaussianRational("1/3")),
+        (1, 2, 0, 0, GaussianRational("-2/3", 1)),
+        (0, 3, 0, 0, 0),
+        (2, 3, 0, 0, 0),
+        (1, 2, 0, 0, 0),
+        (4, 5, 0, 0, 1),
+    ])
+    with pytest.raises(UnscalableColourError, match="colour 0: its monochromatic colouring"):
+        scale_to_ghz(g)
+    report = reduce(g)
+    assert report.input_verdict.is_g_ghz and report.input_verdict.dimension == 0
+    assert all(e.weight != 0 for e in report.graph.edges)
+    assert report.output_verdict.is_ghz and report.output_verdict.dimension == 0
+    assert verify(report.scaled).is_ghz
 
 
 # ---------------------------------------------------------------------------
