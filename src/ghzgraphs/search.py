@@ -18,6 +18,17 @@ the real residual with respect to (Re x_k, Im x_k) is packed into one
 complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
 
+Each point is evaluated once (``_evaluate``): one gather x[monomials], the
+monomial products, and the per-colouring sums as ``np.bincount`` over the
+real and imaginary parts.  The gradient reuses that gather and the
+colourings' differences; its sums are bincounts over the flattened monomial
+table.  The line search keeps the accepted candidate's evaluation, so the
+next gradient needs no new one.  Bincount adds in index order, as the
+``np.add.at`` scatter it replaced did, so the iterates are bit-identical.
+The products stay ``np.prod(vals, axis=1)``: a column-by-column product
+takes numpy's SIMD complex multiply, which differs from it in the last
+digits (up to 3.8e-15) and would move every residual.
+
 numpy is imported inside the functions that use it, not at module level: it
 is loaded the first time a search problem is built or evaluated, so the rest
 of the library and every CLI command but ``search`` run without it.
@@ -101,75 +112,76 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _group_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
+def _evaluate(problem: SearchProblem, x: np.ndarray):
+    """(vals, diff, f) at x: vals[m, j] = x[monomials[m, j]],
+    diff[vc] = w_vc - t_vc and f the residual."""
     import numpy as np
 
-    w = np.zeros(len(problem.targets), dtype=np.complex128)
-    if len(problem.monomials):
-        products = np.prod(x[problem.monomials], axis=1)
-        np.add.at(w, problem.monomial_group, products)
-    return w
-
-
-def _value(problem: SearchProblem, x: np.ndarray) -> float:
-    import numpy as np
-
-    diff = _group_weights(problem, x) - problem.targets
-    return float(np.sum(diff.real**2 + diff.imag**2))
-
-
-def residual(problem: SearchProblem, weights) -> Residual:
-    """Residual value plus the |w_vc - t_vc|^2 contribution per colouring."""
-    import numpy as np
-
-    x = _check_weights(problem, weights)
-    diff = _group_weights(problem, x) - problem.targets
-    contributions = diff.real**2 + diff.imag**2
-    per = {vc: float(c) for vc, c in zip(problem.colourings, contributions)}
-    return Residual(float(np.sum(contributions)), per)
-
-
-def gradient(problem: SearchProblem, weights) -> np.ndarray:
-    """Complex-packed gradient: (d/dRe x_k) + i (d/dIm x_k) of the residual."""
-    import numpy as np
-
-    x = _check_weights(problem, weights)
-    grad = np.zeros(problem.n_vars, dtype=np.complex128)
-    if not len(problem.monomials):
-        return grad
     vals = x[problem.monomials]  # (M, width)
+    products = np.prod(vals, axis=1)
+    groups = len(problem.targets)
+    w = np.empty(groups, dtype=np.complex128)
+    w.real = np.bincount(problem.monomial_group, products.real, minlength=groups)
+    w.imag = np.bincount(problem.monomial_group, products.imag, minlength=groups)
+    diff = w - problem.targets
+    return vals, diff, float(np.sum(diff.real**2 + diff.imag**2))
+
+
+def _gradient(problem: SearchProblem, vals: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The complex-packed gradient from a point's ``_evaluate`` output."""
+    import numpy as np
+
     width = vals.shape[1]
-    pre = np.ones_like(vals)
-    suf = np.ones_like(vals)
+    pre = np.empty_like(vals)
+    suf = np.empty_like(vals)
+    pre[:, :1] = 1  # slices, not columns: width is 0 when n = 0
+    suf[:, -1:] = 1
     for j in range(1, width):
         pre[:, j] = pre[:, j - 1] * vals[:, j - 1]
         suf[:, width - 1 - j] = suf[:, width - j] * vals[:, width - j]
     leave_one_out = pre * suf
-    diff = _group_weights(problem, x) - problem.targets
     coeff = diff[problem.monomial_group][:, None]
-    np.add.at(grad, problem.monomials, np.conj(leave_one_out) * coeff)
+    terms = (np.conj(leave_one_out) * coeff).ravel()
+    index = problem.monomials.ravel()
+    grad = np.empty(problem.n_vars, dtype=np.complex128)
+    grad.real = np.bincount(index, terms.real, minlength=problem.n_vars)
+    grad.imag = np.bincount(index, terms.imag, minlength=problem.n_vars)
     return 2.0 * grad
+
+
+def residual(problem: SearchProblem, weights) -> Residual:
+    """Residual value plus the |w_vc - t_vc|^2 contribution per colouring."""
+    _, diff, f = _evaluate(problem, _check_weights(problem, weights))
+    contributions = diff.real**2 + diff.imag**2
+    per = {vc: float(c) for vc, c in zip(problem.colourings, contributions)}
+    return Residual(f, per)
+
+
+def gradient(problem: SearchProblem, weights) -> np.ndarray:
+    """Complex-packed gradient: (d/dRe x_k) + i (d/dIm x_k) of the residual."""
+    vals, diff, _ = _evaluate(problem, _check_weights(problem, weights))
+    return _gradient(problem, vals, diff)
 
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
     """Backtracking gradient descent from one starting point."""
     import numpy as np
 
-    f = _value(problem, x)
+    vals, diff, f = _evaluate(problem, x)
     step = 0.1
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if f <= tol:
             break
-        g = gradient(problem, x)
+        g = _gradient(problem, vals, diff)
         gnorm2 = float(np.sum(g.real**2 + g.imag**2))
         if gnorm2 < 1e-24:
             break
         while step > 1e-18:
             candidate = x - step * g
-            f_new = _value(problem, candidate)
+            c_vals, c_diff, f_new = _evaluate(problem, candidate)
             if f_new <= f - 1e-4 * step * gnorm2:
-                x, f = candidate, f_new
+                x, vals, diff, f = candidate, c_vals, c_diff, f_new
                 step *= 2.0
                 break
             step *= 0.5
@@ -196,6 +208,8 @@ def search(
 
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_iters < 0:
+        raise ValueError("max_iters must be at least 0")
     best_x = None
     best_f = math.inf
     best_restart = 0
@@ -275,6 +289,6 @@ def exactify(
             return Exactification(exact_graph, verdict, "exact", 0.0)
 
     float_graph = assignment_graph(problem, x)
-    achieved = _value(problem, x)
+    _, _, achieved = _evaluate(problem, x)
     eps = epsilon if epsilon is not None else max(DEFAULT_EPSILON, 2.0 * math.sqrt(achieved))
     return Exactification(float_graph, verify(float_graph, eps), "numeric", eps)

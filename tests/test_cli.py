@@ -163,6 +163,17 @@ def test_search_command(files, capsys):
     assert parse_document(json.dumps(blob["graph"])).n == 2
 
 
+def test_search_rejects_a_negative_iteration_budget(files, capsys):
+    code, out, err = run(
+        ["search", "--skeleton", files["k2skel"], "--dim", "2", "--iters", "-5"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert "max_iters" in blob["error"]["message"]
+
+
 def test_document_errors_surface_code_and_path(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "n": 2, "colour_universe": [0], "edges": [{"u": 0, "v": 1, "cu": 0, "cv": 0, "w": ["1", "0", "0", "1"]}]}')

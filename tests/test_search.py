@@ -1,9 +1,13 @@
 """The numerical search: monomial structure, gradient, descent, exactify."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ghzgraphs import (
+    Edge,
+    Multigraph,
     SearchProblem,
     assignment_graph,
     complete_ghz_k4,
@@ -106,6 +110,13 @@ def test_search_needs_a_restart():
         search(prob, restarts=0)
 
 
+def test_search_rejects_a_negative_iteration_budget():
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    with pytest.raises(ValueError, match="max_iters"):
+        search(prob, max_iters=-5)
+    assert search(prob, max_iters=0).iterations == 0
+
+
 def test_search_converges_on_small_problems():
     for g, d in [(parallel_ghz_k2(1), 2), (cycle_ghz(6), 2)]:
         prob = SearchProblem(g, d)
@@ -160,3 +171,192 @@ def test_assignment_graph_layout():
     assert [(e.cu, e.cv, e.weight) for e in g.edges] == [
         (0, 0, 1 + 0j), (0, 1, 2 + 0j), (1, 0, 3 + 0j), (1, 1, 4 + 0j),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The evaluation as it was before bincount sums and reused evaluations: one
+# np.add.at scatter per sum and a fresh gather per call.  The fast path must
+# agree with it bit for bit, not within a tolerance.
+
+
+def slow_group_weights(problem, x):
+    w = np.zeros(len(problem.targets), dtype=np.complex128)
+    if len(problem.monomials):
+        products = np.prod(x[problem.monomials], axis=1)
+        np.add.at(w, problem.monomial_group, products)
+    return w
+
+
+def slow_value(problem, x):
+    diff = slow_group_weights(problem, x) - problem.targets
+    return float(np.sum(diff.real**2 + diff.imag**2))
+
+
+def slow_residual(problem, x):
+    diff = slow_group_weights(problem, x) - problem.targets
+    contributions = diff.real**2 + diff.imag**2
+    per = {vc: float(c) for vc, c in zip(problem.colourings, contributions)}
+    return float(np.sum(contributions)), per
+
+
+def slow_gradient(problem, x):
+    grad = np.zeros(problem.n_vars, dtype=np.complex128)
+    if not len(problem.monomials):
+        return grad
+    vals = x[problem.monomials]
+    width = vals.shape[1]
+    pre = np.ones_like(vals)
+    suf = np.ones_like(vals)
+    for j in range(1, width):
+        pre[:, j] = pre[:, j - 1] * vals[:, j - 1]
+        suf[:, width - 1 - j] = suf[:, width - j] * vals[:, width - j]
+    leave_one_out = pre * suf
+    diff = slow_group_weights(problem, x) - problem.targets
+    coeff = diff[problem.monomial_group][:, None]
+    np.add.at(grad, problem.monomials, np.conj(leave_one_out) * coeff)
+    return 2.0 * grad
+
+
+def slow_descend(problem, x, max_iters, tol):
+    f = slow_value(problem, x)
+    step = 0.1
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        if f <= tol:
+            break
+        g = slow_gradient(problem, x)
+        gnorm2 = float(np.sum(g.real**2 + g.imag**2))
+        if gnorm2 < 1e-24:
+            break
+        while step > 1e-18:
+            candidate = x - step * g
+            f_new = slow_value(problem, candidate)
+            if f_new <= f - 1e-4 * step * gnorm2:
+                x, f = candidate, f_new
+                step *= 2.0
+                break
+            step *= 0.5
+        else:
+            break
+    return x, f, iterations
+
+
+def slow_search(problem, seed, restarts, max_iters, tol=1e-10):
+    """(weights, residual value, per colouring, converged, restart, iterations)."""
+    best_x, best_f, best_restart, best_iters = None, math.inf, 0, 0
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        radius = np.sqrt(rng.random(problem.n_vars))
+        angle = rng.random(problem.n_vars) * 2.0 * math.pi
+        x, f, iters = slow_descend(problem, radius * np.exp(1j * angle), max_iters, tol)
+        if f < best_f:
+            best_x, best_f, best_restart, best_iters = x, f, r, iters
+        if best_f <= tol:
+            break
+    value, per = slow_residual(problem, best_x)
+    return best_x, value, per, best_f <= tol, best_restart, best_iters
+
+
+def simple_skeleton(n, pairs):
+    return Multigraph(n, tuple(Edge(u, v, 0, 0, 1) for u, v in pairs), frozenset({0}))
+
+
+def complete_skeleton(n):
+    return simple_skeleton(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def degenerate_problems():
+    """n = 0 (monomials of shape (1, 0)), K2 (width 1) and a star on four
+    vertices, which has no perfect matching (monomials of shape (0, 2))."""
+    empty = SearchProblem(Multigraph(0, (), frozenset({0})), 2)
+    k2 = SearchProblem(parallel_ghz_k2(1), 3)
+    star = SearchProblem(simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2)
+    return {"empty": empty, "k2": k2, "star": star}
+
+
+def test_degenerate_problems_have_the_shapes_they_are_named_for():
+    probs = degenerate_problems()
+    assert probs["empty"].monomials.shape == (1, 0) and probs["empty"].n_vars == 0
+    assert probs["k2"].monomials.shape == (9, 1)
+    assert probs["star"].monomials.shape == (0, 2)
+
+
+def assert_same_evaluation(prob, x):
+    value, per = slow_residual(prob, x)
+    r = residual(prob, x)
+    assert r.value == value == slow_value(prob, x)
+    assert list(r.per_colouring.items()) == list(per.items())
+    assert np.array_equal(gradient(prob, x), slow_gradient(prob, x))
+
+
+@pytest.mark.parametrize(
+    "build, d",
+    [
+        (lambda: cycle_ghz(6), 2),
+        (lambda: cycle_ghz(8), 2),
+        (lambda: complete_skeleton(6), 2),
+        (lambda: complete_ghz_k4(), 3),
+        (lambda: complete_ghz_k4(), 2),
+        (lambda: parallel_ghz_k2(1), 3),
+    ],
+    ids=["C6.d2", "C8.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3"],
+)
+def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
+    prob = SearchProblem(build(), d)
+    rng = np.random.default_rng(2024)
+    for scale in (0.1, 1.0, 3.0):
+        for _ in range(4):
+            x = scale * (rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars))
+            assert_same_evaluation(prob, x)
+    # zeros and negative zeros: the sums must keep the scatter-add's signs of zero
+    assert_same_evaluation(prob, np.zeros(prob.n_vars, dtype=np.complex128))
+    assert_same_evaluation(prob, np.full(prob.n_vars, -0.0 - 0.0j))
+
+
+@pytest.mark.parametrize("name", ["empty", "k2", "star"])
+def test_degenerate_shapes_evaluate_as_before(name):
+    prob = degenerate_problems()[name]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
+    assert_same_evaluation(prob, x)
+    assert gradient(prob, x).shape == (prob.n_vars,)
+
+
+def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
+    res = search(prob, seed=seed, restarts=restarts, max_iters=max_iters, tol=tol)
+    weights, value, per, converged, restart, iterations = slow_search(
+        prob, seed, restarts, max_iters, tol
+    )
+    assert np.array_equal(res.weights, weights)
+    assert res.residual.value == value
+    assert list(res.residual.per_colouring.items()) == list(per.items())
+    assert res.converged == converged
+    assert res.restart == restart and res.iterations == iterations
+    return res
+
+
+@pytest.mark.parametrize(
+    "build, d, max_iters",
+    [
+        (lambda: cycle_ghz(6), 2, 300),
+        (lambda: cycle_ghz(8), 2, 150),
+        (lambda: complete_skeleton(6), 2, 60),
+        (lambda: complete_ghz_k4(), 3, 150),
+    ],
+    ids=["C6.d2", "C8.d2", "K6.d2", "K4.d3"],
+)
+def test_search_is_the_scatter_add_search_exactly(build, d, max_iters):
+    prob = SearchProblem(build(), d)
+    for seed in (0, 1):
+        assert_same_search(prob, seed, restarts=2, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("name", ["empty", "k2", "star"])
+def test_degenerate_shapes_search_as_before(name):
+    prob = degenerate_problems()[name]
+    res = assert_same_search(prob, seed=4, restarts=2, max_iters=200)
+    assert res.weights.shape == (prob.n_vars,)
+    if name == "star":  # no perfect matching: every mono colouring misses by 1
+        assert not res.converged and res.residual.value == 2.0
+    else:
+        assert res.converged
