@@ -58,14 +58,17 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     """Classify every feasible colouring and every mono colouring of g.
 
     ``epsilon`` only matters for float-weighted graphs; exact graphs are
-    compared exactly.  The dimension field counts monochromatic colourings
-    with non-zero weight regardless of the verdict flags.
+    compared exactly, but a negative or NaN ``epsilon`` raises ``ValueError``
+    either way.  The dimension field counts monochromatic colourings with
+    non-zero weight regardless of the verdict flags.
     """
     return _classify(g, colouring_weight_table(g), epsilon)
 
 
 def _classify(g: Multigraph, table: dict, epsilon: float) -> GhzVerdict:
     """The verdict of ``verify`` on g, read from g's colouring-weight table."""
+    if not epsilon >= 0:  # NaN compares false too
+        raise ValueError(f"epsilon must be a non-negative number, got {epsilon}")
     exact = g.is_exact
     zero, one = g.zero, g.one
 

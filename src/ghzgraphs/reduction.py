@@ -44,12 +44,10 @@ from .graphs import (
     Multigraph,
     VertexColouring,
     drop_zero_edges,
-    induced_subgraph,
     merge_parallel_edges,
-    restrict_colouring,
 )
 from .matchings import colouring_weight, colouring_weight_table
-from .structure import CutSpec, iter_cuts, vertex_connectivity
+from .structure import CutSpec, _block_weight, _cut_block, iter_cuts, vertex_connectivity
 
 
 @dataclass(frozen=True)
@@ -82,41 +80,18 @@ def _check_three_cut(cut: CutSpec) -> None:
         raise ValueError("v1 must have odd size for the type decomposition")
 
 
-def _type0_graph(g: Multigraph, cut: CutSpec):
-    """G[V1+S] with the S-internal edges removed, plus its relabel map."""
-    sub, kept = induced_subgraph(g, set(cut.v1) | set(cut.s))
-    pos = {orig: idx for idx, orig in enumerate(kept)}
-    s_new = {pos[x] for x in cut.s}
-    pruned = Multigraph(
-        sub.n,
-        tuple(e for e in sub.edges if e.u not in s_new or e.v not in s_new),
-        sub.colour_universe,
-    )
-    return pruned, kept
-
-
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:
     """The eight block weights of vc at the cut; ``.total`` equals w(vc)."""
     _check_three_cut(cut)
     if len(vc) != g.n:
         raise ValueError(f"colouring has {len(vc)} entries for {g.n} vertices")
-    h0, h0_vertices = _type0_graph(g, cut)
-    u1, u2, u3 = cut.s
-
-    def block(vertices) -> object:
-        sub, kept = induced_subgraph(g, vertices)
-        return colouring_weight(sub, restrict_colouring(vc, kept))
-
-    v1_set, v2_set, s_set = set(cut.v1), set(cut.v2), set(cut.s)
-    w0 = colouring_weight(h0, restrict_colouring(vc, h0_vertices))
-    v1_side = (w0, block(v1_set | {u1}), block(v1_set | {u2}), block(v1_set | {u3}))
-    v2_side = (
-        block(v2_set),
-        block(v2_set | (s_set - {u1})),
-        block(v2_set | (s_set - {u2})),
-        block(v2_set | (s_set - {u3})),
+    v1, v2, s, paint = set(cut.v1), set(cut.v2), set(cut.s), vc.__getitem__
+    return TypeWeights(
+        (_block_weight(g, v1 | s, paint, s),)
+        + tuple(_block_weight(g, v1 | {u}, paint) for u in cut.s),
+        (_block_weight(g, v2, paint),)
+        + tuple(_block_weight(g, v2 | (s - {u}), paint) for u in cut.s),
     )
-    return TypeWeights(v1_side, v2_side)
 
 
 def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
@@ -128,9 +103,9 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     """
     _check_three_cut(cut)
     zero = g.zero
-    h0, _ = _type0_graph(g, cut)
+    h0 = _cut_block(g, set(cut.v1) | set(cut.s), cut.s).graph
     has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
-    v2 = induced_subgraph(g, cut.v2).graph
+    v2 = _cut_block(g, cut.v2).graph
     v2_weights = {
         colour: colouring_weight(v2, (colour,) * v2.n)
         for colour in sorted(g.colour_universe)
@@ -187,7 +162,7 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dic
     edges: list[Edge] = []
     if not cls.c1:
         for i, u_i in enumerate(cut.s, start=1):
-            sub, kept = induced_subgraph(g, v1_set | {u_i})
+            sub, kept = _cut_block(g, v1_set | {u_i})
             for p, q in itertools.product(universe, repeat=2):
                 vc = tuple(q if x == u_i else p for x in kept)
                 edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
@@ -196,7 +171,7 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dic
             if e.u in v1_set or e.v in v1_set:
                 edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
     for a, b in itertools.combinations(cut.s, 2):
-        sub, kept = induced_subgraph(g, set(cut.v2) | {a, b})
+        sub, kept = _cut_block(g, set(cut.v2) | {a, b})
         table = colouring_weight_table(sub)
         for p, q in itertools.product(universe, repeat=2):
             vc = [p if x == a else q if x == b else None for x in kept]
@@ -274,7 +249,10 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     table is built once, for the input verdict and every identity check.
     Reports carry kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the
     input is g-GHZ the report also carries a float rescaling of the result
-    to a strict GHZ graph, and the dimension never decreases.
+    to a strict GHZ graph, and the dimension never decreases.  The identity
+    check and the g-GHZ and dimension checks run on every cut reduced, but
+    only the returned graph is rescaled: with ``all_cuts`` a discarded cut
+    whose reduced graph cannot be rescaled raises nothing.
 
     kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
     component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j
@@ -296,7 +274,7 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
 
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
-    best: ReductionReport | None = None
+    best = None  # (cut, classification, reduced graph, output verdict)
     for cut in iter_cuts(g, 3):
         any_cut = True
         if cut.parity != "odd":
@@ -304,7 +282,6 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         cls = classify_colours(g, cut)
         reduced, reduced_table = _reduce(g, cut, cls, g_table if check else None)
         output_verdict = _classify(reduced, reduced_table, DEFAULT_EPSILON)
-        scaled = None
         if input_verdict.is_g_ghz:
             if not output_verdict.is_g_ghz:
                 raise InvariantViolation("reduction broke the g-GHZ property")
@@ -312,24 +289,24 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
                 raise InvariantViolation(
                     f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
                 )
-            scaled = scale_to_ghz(reduced)
-        if best is None or (reduced.n, len(reduced.edges)) < (best.graph.n, len(best.graph.edges)):
-            best = ReductionReport(
-                case="hard" if cls.c1 else "easy",
-                kappa=kappa,
-                input_verdict=input_verdict,
-                mu_bound=2 if kappa <= 2 else None,
-                cut=cut,
-                classification=cls,
-                graph=reduced,
-                scaled=scaled,
-                vertex_map=_vertex_map(cut, cls),
-                output_verdict=output_verdict,
-            )
+        if best is None or (reduced.n, len(reduced.edges)) < (best[2].n, len(best[2].edges)):
+            best = (cut, cls, reduced, output_verdict)
         if not all_cuts:
             break
-    if best is not None:
-        return best
-    if any_cut:
-        raise ValueError("no size-3 cut admits an odd block; cannot reduce")
-    raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
+    if best is None:
+        if any_cut:
+            raise ValueError("no size-3 cut admits an odd block; cannot reduce")
+        raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
+    cut, cls, reduced, output_verdict = best
+    return ReductionReport(
+        case="hard" if cls.c1 else "easy",
+        kappa=kappa,
+        input_verdict=input_verdict,
+        mu_bound=2 if kappa <= 2 else None,
+        cut=cut,
+        classification=cls,
+        graph=reduced,
+        scaled=scale_to_ghz(reduced) if input_verdict.is_g_ghz else None,
+        vertex_map=_vertex_map(cut, cls),
+        output_verdict=output_verdict,
+    )

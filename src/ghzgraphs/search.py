@@ -60,8 +60,6 @@ class SearchProblem:
         self.n_vars = len(self.pairs) * d * d
 
         expanded = _coloured_graph(self, [1] * self.n_vars)
-        self.expanded = expanded
-
         matchings = enumerate_perfect_matchings(expanded)
         induced = [induced_colouring(expanded, m) for m in matchings]
         # monos first (one entry when n = 0), then the rest sorted for stable reporting

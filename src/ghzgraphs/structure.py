@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Colour,
+    InducedSubgraph,
     Multigraph,
     adjacency_sets,
     induced_subgraph,
@@ -259,23 +260,33 @@ class SquareDecomposition:
         return all(w != zero for w in (self.v_left, self.v_right, self.h_top, self.h_bottom))
 
 
-def _block_weight(g: Multigraph, vertices, colour_of) -> object:
+def _cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
+    """G[vertices] without the edges joining two vertices of ``cut_vertices``.
+
+    Relabelled and returned with its original labels as by
+    ``induced_subgraph``.  Every block of the 2-cut squares and of the 3-cut
+    type decomposition is formed here.
+    """
     sub, kept = induced_subgraph(g, vertices)
-    return colouring_weight(sub, tuple(colour_of(v) for v in kept))
+    inner = {r for r, x in enumerate(kept) if x in cut_vertices}
+    if len(inner) < 2:
+        return InducedSubgraph(sub, kept)
+    edges = tuple(e for e in sub.edges if e.u not in inner or e.v not in inner)
+    return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
+
+
+def _block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()) -> object:
+    """The weight on ``_cut_block(g, vertices, cut_vertices)`` of the
+    colouring that paints each original vertex x with ``colour_of(x)``."""
+    sub, kept = _cut_block(g, vertices, cut_vertices)
+    return colouring_weight(sub, tuple(colour_of(x) for x in kept))
 
 
 def _check_two_cut(g: Multigraph, u: int, v: int, a_side, b_side) -> tuple[set, set]:
-    a, b = set(a_side), set(b_side)
     if u == v:
         raise ValueError("cut vertices must be distinct")
-    if {u, v} | a | b != set(range(g.n)) or 2 + len(a) + len(b) != g.n:
-        raise ValueError("u, v, a_side, b_side must partition the vertex set")
-    if not a or not b:
-        raise ValueError("both sides of the cut must be non-empty")
-    for e in g.edges:
-        if (e.u in a and e.v in b) or (e.u in b and e.v in a):
-            raise ValueError(f"edge {e.u}-{e.v} crosses the cut")
-    return a, b
+    cut = make_cut(g, (u, v), a_side, b_side)
+    return set(cut.v1), set(cut.v2)
 
 
 def square_decomposition_odd(
@@ -318,20 +329,14 @@ def square_decomposition_even(
     if len(a) % 2:
         raise ValueError("even-case decomposition needs even-size sides")
     i, j, k = colours
-
     cut = {u, v}
-    sub_au, kept_au = induced_subgraph(g, a | cut)
-    pos = {orig: idx for idx, orig in enumerate(kept_au)}
-    no_uv = Multigraph(
-        sub_au.n,
-        tuple(e for e in sub_au.edges if {e.u, e.v} != {pos[u], pos[v]}),
-        sub_au.colour_universe,
-    )
-    vc_au = tuple(k if orig in cut else i for orig in kept_au)
+
+    def paint(side_colour: Colour):
+        return lambda x: k if x in cut else side_colour
 
     return SquareDecomposition(
-        v_left=colouring_weight(no_uv, vc_au),
-        v_right=_block_weight(g, b, lambda x: j),
-        h_top=_block_weight(g, b | cut, lambda x: k if x in cut else j),
-        h_bottom=_block_weight(g, a, lambda x: i),
+        v_left=_block_weight(g, a | cut, paint(i), cut),
+        v_right=_block_weight(g, b, paint(j)),
+        h_top=_block_weight(g, b | cut, paint(j)),
+        h_bottom=_block_weight(g, a, paint(i)),
     )

@@ -16,6 +16,7 @@ from ghzgraphs import (
     octahedron,
     parallel_ghz_k2,
     parse_document,
+    scale_to_ghz,
     serialize_graph,
     skeleton,
     verify,
@@ -172,6 +173,17 @@ def test_search_rejects_a_negative_iteration_budget(files, capsys):
     blob = json.loads(err)
     assert blob["error"]["type"] == "ValueError"
     assert "max_iters" in blob["error"]["message"]
+
+
+def test_verify_rejects_a_negative_epsilon(files, capsys, tmp_path):
+    ghz = tmp_path / "c6_scaled.json"
+    ghz.write_text(serialize_graph(scale_to_ghz(cycle_ghz(6))))
+    assert run(["verify", str(ghz)], capsys)[0] == 0
+    code, out, err = run(["verify", "--epsilon", "-1", str(ghz)], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert "epsilon" in blob["error"]["message"]
 
 
 def test_document_errors_surface_code_and_path(files, capsys, tmp_path):

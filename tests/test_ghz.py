@@ -108,6 +108,23 @@ def test_float_graphs_verify_within_epsilon():
     assert not verify(g, epsilon=1e-15).is_ghz
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-12, float("nan")])
+def test_out_of_range_epsilon_is_refused(epsilon):
+    ghz = scale_to_ghz(cycle_ghz(6))
+    assert verify(ghz).is_ghz and dimension(ghz) == 2
+    for call in (verify, dimension):
+        for g in (ghz, cycle_ghz(6)):
+            with pytest.raises(ValueError, match="epsilon"):
+                call(g, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        scale_to_ghz(cycle_ghz(6), epsilon)
+
+
+def test_zero_epsilon_compares_floats_exactly():
+    assert verify(build_graph(2, [(0, 1, 0, 0, 1.0)]), 0.0).is_ghz
+    assert not verify(build_graph(2, [(0, 1, 0, 0, 1.0 + 1e-12j)]), 0.0).is_ghz
+
+
 def test_scaling_a_ghz_graph_is_identity_like():
     scaled = scale_to_ghz(complete_ghz_k4())
     assert not scaled.is_exact

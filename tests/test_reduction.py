@@ -601,3 +601,23 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
     assert len(tables_of_g) == 1
     assert classified == (odd if all_cuts else odd[:1])
     assert report.cut in classified
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+@pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
+def test_reduce_scales_only_the_graph_it_returns(monkeypatch, case, all_cuts):
+    g = COMPUTE_ONCE_CASES[case]
+    real_scale = ghzgraphs.reduction.scale_to_ghz
+    scaled = []
+
+    def counting_scale(h, *args):
+        scaled.append(h)
+        return real_scale(h, *args)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "scale_to_ghz", counting_scale)
+    report = reduce(g, all_cuts=all_cuts)
+    if report.input_verdict.is_g_ghz:
+        assert len(scaled) == 1 and scaled[0] is report.graph
+        assert report.scaled is not None
+    else:
+        assert scaled == [] and report.scaled is None

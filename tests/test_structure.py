@@ -286,6 +286,39 @@ def test_square_parity_checks():
         square_decomposition_odd(g, u, v, a_side, b_side, (0, 0, 0, 0))
 
 
+SQUARE_DECOMPOSITIONS = (
+    (square_decomposition_odd, (0, 0, 0, 0)),
+    (square_decomposition_even, (0, 0, 0)),
+)
+
+
+def test_square_decompositions_reject_a_repeated_cut_vertex():
+    # vertex 2 alone separates {0, 1} from {3, 4}: make_cut takes (2, 2) as that 1-cut
+    g = build_graph(5, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1), (2, 3, 0, 0, 1), (3, 4, 0, 0, 1)])
+    assert make_cut(g, (2, 2), [0, 1], [3, 4]).s == (2,)
+    for decomposition, colours in SQUARE_DECOMPOSITIONS:
+        with pytest.raises(ValueError, match="distinct"):
+            decomposition(g, 2, 2, [0, 1], [3, 4], colours)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_square_decompositions_reject_malformed_two_cuts(odd):
+    g, u, v, a_side, b_side = planted_two_cut(0, odd)
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    crossing = build_graph(g.n, specs + [(a_side[0], b_side[0], 0, 0, 1)], colours=g.colour_universe)
+    cases = [
+        (g, a_side + [u], b_side, "partition"),            # a cut vertex on a side
+        (g, a_side, b_side[1:], "partition"),              # a vertex on no side
+        (g, a_side + b_side[:1], b_side, "partition"),     # a vertex on both sides
+        (g, [], a_side + b_side, "non-empty"),             # an empty side
+        (crossing, a_side, b_side, "crosses"),             # an A-B edge
+    ]
+    for h, a, b, message in cases:
+        for decomposition, colours in SQUARE_DECOMPOSITIONS:
+            with pytest.raises(ValueError, match=message):
+                decomposition(h, u, v, a, b, colours)
+
+
 def test_square_frozen_values_on_c6():
     # cut {0, 2} of the 6-cycle, A = {1}, B = {3, 4, 5}.  The block G[{0, 1}]
     # is the single colour-0 edge 0-1, so V_left is 1 exactly when i = k = 0;
