@@ -6,12 +6,21 @@ matchings, cancellation checks and the reduction formulas can all be
 evaluated with zero rounding error.  Floats are deliberately rejected by the
 constructor; inexact input must go through :meth:`GaussianRational.from_float`
 so that every rationalization step is explicit.
+
+A value is one Gaussian integer over one positive int denominator,
+(re + im*i) / den, never reduced by arithmetic: a product multiplies parts
+and denominators, a sum over different denominators rescales both to their
+lcm.  Lowest terms appear only when a value is read (``re``, ``im`` and their
+parts, ``str``, ``repr``, ``hash``, pickling), through ``Fraction(re, den)``.
+Equality cross-multiplies, and ``complex()`` divides ints, which rounds
+correctly, so neither depends on the denominator a value carries.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 _HASH_IMAG = sys.hash_info.imag
 
@@ -25,13 +34,15 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """Immutable exact complex number Fraction + Fraction*i."""
+    """Immutable exact complex number (re + im*i) / den, ints re, im, den > 0."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_v",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "_re", _as_fraction(re))
-        object.__setattr__(self, "_im", _as_fraction(im))
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        den = p // gcd(p, q) * q
+        _set_v(self, (re.numerator * (den // p), im.numerator * (den // q), den))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
@@ -41,7 +52,7 @@ class GaussianRational:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as slot setting is refused
-        return (GaussianRational, (self._re, self._im))
+        return (GaussianRational, (self.re, self.im))
 
     @classmethod
     def from_parts(cls, re_num: int, re_den: int, im_num: int = 0, im_den: int = 1):
@@ -56,133 +67,150 @@ class GaussianRational:
             Fraction(im).limit_denominator(max_denominator),
         )
 
-    # -- field accessors ---------------------------------------------------
+    # -- field accessors, in lowest terms ----------------------------------
 
     @property
     def re(self) -> Fraction:
-        return self._re
+        re, _, den = self._v
+        return Fraction(re, den)
 
     @property
     def im(self) -> Fraction:
-        return self._im
+        _, im, den = self._v
+        return Fraction(im, den)
 
-    @property
-    def re_num(self) -> int:
-        return self._re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self._re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self._im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self._im.denominator
+    re_num = property(lambda self: self.re.numerator)
+    re_den = property(lambda self: self.re.denominator)
+    im_num = property(lambda self: self.im.numerator)
+    im_den = property(lambda self: self.im.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self._re + other._re, self._im + other._im)
+        a, b, p = self._v
+        c, d, q = other
+        if p == q:
+            return _make((a + c, b + d, p))
+        k = gcd(p, q)
+        s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
+        return _make((a * s + c * t, b * s + d * t, p * s))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self._re, -self._im)
+        re, im, den = self._v
+        return _make((-re, -im, den))
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self._re - other._re, self._im - other._im)
+        re, im, den = other
+        return self + _make((-re, -im, den))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _make(other) + -self
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self._re, self._im, other._re, other._im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, p = self._v
+        c, d, q = other
+        return _make((a * c - b * d, a * d + b * c, p * q))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        c, d = other._re, other._im
+        a, b, p = self._v
+        c, d, q = other
         norm = c * c + d * d
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        a, b = self._re, self._im
-        return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
+        # (a + b*i)/p / ((c + d*i)/q) = (a + b*i)(c - d*i) q / (p (c^2 + d^2))
+        return _make(((a * c + b * d) * q, (b * c - a * d) * q, p * norm))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        return other / self
+        return _make(other) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        out = GaussianRational(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
+            return (1 / self) ** (-exponent)
+        out, base = _make((1, 0, 1)), self
+        while exponent:
+            if exponent & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            base, exponent = base * base, exponent >> 1
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self._re, -self._im)
+        re, im, den = self._v
+        return _make((re, -im, den))
 
     # -- comparisons and conversions --------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _parts(other)
         if other is None:
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        a, b, p = self._v
+        c, d, q = other
+        if p == q:
+            return a == c and b == d
+        return a * q == c * p and b * q == d * p
 
     def __hash__(self):
         # Mirrors the numeric hash of complex so x == int(x) implies equal
         # hashes for real values.
-        return hash(self._re) + _HASH_IMAG * hash(self._im)
+        return hash(self.re) + _HASH_IMAG * hash(self.im)
 
     def __bool__(self):
-        return bool(self._re) or bool(self._im)
+        re, im, _ = self._v
+        return re != 0 or im != 0
 
     def __complex__(self):
-        return complex(self._re) + 1j * complex(self._im)
+        re, im, den = self._v
+        return complex(re / den, im / den)
 
     def __repr__(self):
-        return f"GaussianRational({self._re}, {self._im})"
+        return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self):
-        if not self._im:
-            return str(self._re)
-        sign = "+" if self._im > 0 else "-"
-        return f"{self._re} {sign} {abs(self._im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {abs(im)}*i"
+
+
+_new = object.__new__
+_set_v = GaussianRational._v.__set__  # writes the slot past the immutability guard
+
+
+def _make(v: tuple[int, int, int]) -> GaussianRational:
+    g = _new(GaussianRational)
+    _set_v(g, v)
+    return g
+
+
+def _parts(x):
+    """x as (re, im, den), or None when x is not an exact number."""
+    if isinstance(x, GaussianRational):
+        return x._v
+    if isinstance(x, (int, Fraction)):
+        return (x.numerator, 0, x.denominator)
+    return None

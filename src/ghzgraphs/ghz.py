@@ -143,7 +143,11 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
     table = colouring_weight_table(g)
-    verdict = _classify(g, table, epsilon)
+    return _scale_to_ghz(g, table, _classify(g, table, epsilon), epsilon)
+
+
+def _scale_to_ghz(g: Multigraph, table: dict, verdict: GhzVerdict, epsilon: float) -> Multigraph:
+    """``scale_to_ghz`` of exact g, given g's table and its verdict at epsilon."""
     if not verdict.is_g_ghz:
         raise NotGhzError("not a g-GHZ graph; scaling is undefined")
     if g.n == 0:
@@ -152,7 +156,9 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     weights = _mono_weights(g, table)
     dead = {c for c, w in weights.items() if w == g.zero}
     if dead:
-        live_colours = {c for vc in colouring_weight_table(drop_zero_edges(g)) for c in vc}
+        nonzero = drop_zero_edges(g)
+        live_table = table if len(nonzero.edges) == len(g.edges) else colouring_weight_table(nonzero)
+        live_colours = {c for vc in live_table for c in vc}
         bad = sorted(dead & live_colours)
         if bad:
             raise UnscalableColourError(

@@ -24,6 +24,10 @@ from .exact import GaussianRational
 Colour = int
 VertexColouring = tuple[Colour, ...]
 
+# shared by every graph: both kinds of weight are immutable
+_EXACT_ZERO, _EXACT_ONE = GaussianRational(0), GaussianRational(1)
+_FLOAT_ZERO, _FLOAT_ONE = complex(0), complex(1)
+
 
 def _as_weight(w):
     if isinstance(w, (GaussianRational, complex)):
@@ -119,11 +123,11 @@ class Multigraph:
 
     @property
     def one(self):
-        return GaussianRational(1) if self.is_exact else complex(1)
+        return _EXACT_ONE if self.is_exact else _FLOAT_ONE
 
     @property
     def zero(self):
-        return GaussianRational(0) if self.is_exact else complex(0)
+        return _EXACT_ZERO if self.is_exact else _FLOAT_ZERO
 
 
 class InducedSubgraph(NamedTuple):

@@ -143,7 +143,8 @@ def load_graph(path) -> Multigraph:
 def weight_to_strings(w) -> list[str]:
     """Serialize one weight: 4 strings exact, 2 strings float."""
     if isinstance(w, GaussianRational):
-        return [str(w.re_num), str(w.re_den), str(w.im_num), str(w.im_den)]
+        re, im = w.re, w.im
+        return [str(re.numerator), str(re.denominator), str(im.numerator), str(im.denominator)]
     return [repr(w.real), repr(w.imag)]
 
 

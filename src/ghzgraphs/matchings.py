@@ -8,19 +8,16 @@ for scaled ones.
 
 Those sums come from one kernel, ``_weight_table``: a subset DP over the
 covered vertices that adds up matching weights per induced colouring without
-listing the matchings.  Exact weights run through it as Gaussian integers
-over an int denominator, left unreduced until each table entry leaves, so
-the DP does no ``Fraction`` normalisation; float weights run through it as
-they are.  ``enumerate_perfect_matchings`` lists matchings one by one, for
-callers that need single matchings.
+listing the matchings.  Exact and float weights run through the same lines;
+a ``GaussianRational`` is a Gaussian integer over an int denominator that
+arithmetic never reduces, so the DP does no normalisation, and its table
+entries are put in lowest terms only when they are read.
+``enumerate_perfect_matchings`` lists matchings one by one, for callers that
+need single matchings.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .exact import GaussianRational
 from .graphs import Multigraph, VertexColouring
 
 PerfectMatching = tuple[int, ...]
@@ -116,44 +113,6 @@ def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
     return Multigraph(g.n, kept, g.colour_universe)
 
 
-class _Unreduced:
-    """(re + im*i) / den with int parts and den > 0, never reduced.
-
-    The exact values of the weight DP.  A product multiplies the parts and
-    the denominators; a sum of values over different denominators rescales
-    both to their lcm.  Only ``_weight_table`` makes and reads them.
-    """
-
-    __slots__ = ("re", "im", "den")
-
-    def __init__(self, re: int, im: int, den: int):
-        self.re = re
-        self.im = im
-        self.den = den
-
-    @classmethod
-    def enter(cls, w: GaussianRational) -> "_Unreduced":
-        """w over the lcm of its two denominators (a zero w enters as 0/1)."""
-        a, b = w.re_den, w.im_den
-        den = a // gcd(a, b) * b
-        return cls(w.re_num * (den // a), w.im_num * (den // b), den)
-
-    def leave(self) -> GaussianRational:
-        return GaussianRational(Fraction(self.re, self.den), Fraction(self.im, self.den))
-
-    def __mul__(self, other: "_Unreduced") -> "_Unreduced":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _Unreduced(a * c - b * d, a * d + b * c, self.den * other.den)
-
-    def __add__(self, other: "_Unreduced") -> "_Unreduced":
-        p, q = self.den, other.den
-        if p == q:
-            return _Unreduced(self.re + other.re, self.im + other.im, p)
-        k = gcd(p, q)
-        s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
-        return _Unreduced(self.re * s + other.re * t, self.im * s + other.im * t, p * s)
-
-
 def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
     """Total matching weight per induced colouring, by a subset DP.
 
@@ -168,11 +127,9 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
     integer order is the order of the colour tuples.  The values are the
     enumeration's sums, regrouped: identical in exact mode.
 
-    Exact weights enter the DP as ``_Unreduced`` values, each merged edge
-    over the lcm of its own two denominators (no graph-wide common
-    denominator, whose size grows with every distinct denominator), and
-    each table entry leaves once as a reduced ``GaussianRational``.  Float
-    weights enter and leave as they are; ``solve`` is the same for both.
+    Exact weights keep their own denominators (no graph-wide common
+    denominator, whose size grows with every distinct denominator), and the
+    entries are left unreduced, as all ``GaussianRational`` arithmetic is.
     """
     n = g.n
     if n % 2:
@@ -183,19 +140,15 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
     for e in g.edges:
         edge_class = (e.u, e.v, e.cu, e.cv)
         merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
-    exact = g.is_exact
     below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
     touched = 0
     for (u, v, cu, cv), w in merged.items():
-        if exact:
-            w = _Unreduced.enter(w)
         below[u].append((1 << v, cu * place[u] + cv * place[v], w))
         touched |= 1 << u | 1 << v
     full = (1 << n) - 1
     if touched != full:
         return {}  # an isolated vertex
-    one = _Unreduced(1, 0, 1) if exact else g.one
-    memo: dict[int, dict[int, object]] = {full: {0: one}}
+    memo: dict[int, dict[int, object]] = {full: {0: g.one}}
 
     def solve(covered: int) -> dict[int, object]:
         table = memo.get(covered)
@@ -219,7 +172,7 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
         for p in place:
             c, key = divmod(key, p)
             colours.append(c)
-        out[tuple(colours)] = w.leave() if exact else w
+        out[tuple(colours)] = w
     return out
 
 

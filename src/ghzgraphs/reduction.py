@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
-from .ghz import DEFAULT_EPSILON, GhzVerdict, _classify, scale_to_ghz
+from .ghz import DEFAULT_EPSILON, GhzVerdict, _classify, _scale_to_ghz
 from .graphs import (
     Colour,
     Edge,
@@ -274,7 +274,7 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
 
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
-    best = None  # (cut, classification, reduced graph, output verdict)
+    best = None  # (cut, classification, reduced graph, its table, output verdict)
     for cut in iter_cuts(g, 3):
         any_cut = True
         if cut.parity != "odd":
@@ -290,14 +290,14 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
                     f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
                 )
         if best is None or (reduced.n, len(reduced.edges)) < (best[2].n, len(best[2].edges)):
-            best = (cut, cls, reduced, output_verdict)
+            best = (cut, cls, reduced, reduced_table, output_verdict)
         if not all_cuts:
             break
     if best is None:
         if any_cut:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
-    cut, cls, reduced, output_verdict = best
+    cut, cls, reduced, reduced_table, output_verdict = best
     return ReductionReport(
         case="hard" if cls.c1 else "easy",
         kappa=kappa,
@@ -306,7 +306,8 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         cut=cut,
         classification=cls,
         graph=reduced,
-        scaled=scale_to_ghz(reduced) if input_verdict.is_g_ghz else None,
+        scaled=(_scale_to_ghz(reduced, reduced_table, output_verdict, DEFAULT_EPSILON)
+                if input_verdict.is_g_ghz else None),
         vertex_map=_vertex_map(cut, cls),
         output_verdict=output_verdict,
     )

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,3 +149,170 @@ def test_copies_and_pickles_are_equal_values():
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a)
         assert type(b.re) is Fraction and type(b.im) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# differential: the class against the Fraction-pair class it replaced
+
+
+class FractionPair:
+    """GaussianRational as it was: a reduced Fraction per part, normalised
+    by every operation."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, FractionPair) else FractionPair(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionPair(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        c, d = other.re, other.im
+        norm = c * c + d * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        a, b = self.re, self.im
+        return FractionPair((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, k):
+        out = FractionPair(1)
+        for _ in range(abs(k)):
+            out = out * self
+        return out if k >= 0 else 1 / out
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) + sys.hash_info.imag * hash(self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re}, {self.im})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re} {sign} {abs(self.im)}*i"
+
+
+#: pairwise coprime, several of them far beyond a machine word once multiplied
+COPRIME_DENOMINATORS = [2**31 - 1, 10**9 + 7, 998_244_353, 2**20, 3**13, 5**9, 7, 1]
+
+numerators = st.one_of(st.integers(-50, 50), st.integers(-10**12, 10**12))
+denominators = st.one_of(st.integers(1, 20), st.sampled_from(COPRIME_DENOMINATORS))
+fractions = st.builds(Fraction, numerators, denominators)
+
+
+@st.composite
+def both(draw, nonzero=False):
+    """A GaussianRational and its FractionPair, the former often over a
+    denominator far from lowest terms (reached as (x * s) / s)."""
+    re, im = draw(fractions), draw(fractions)
+    if nonzero and not (re or im):
+        re = Fraction(1)
+    x = GaussianRational(re, im)
+    s = GaussianRational(draw(fractions), draw(fractions))
+    if s and draw(st.booleans()):
+        x = (x * s) / s
+    return x, FractionPair(re, im)
+
+
+def agree(x, ref):
+    assert type(x) is GaussianRational
+    assert x.re == ref.re and x.im == ref.im
+    assert x == GaussianRational(ref.re, ref.im)
+
+
+scalars = st.one_of(st.integers(-10**6, 10**6), fractions)
+
+
+@given(both(), both())
+def test_arithmetic_agrees_with_fraction_pairs(x, y):
+    (a, A), (b, B) = x, y
+    agree(a + b, A + B)
+    agree(a - b, A - B)
+    agree(a * b, A * B)
+    agree(-a, -A)
+    agree(a.conjugate(), A.conjugate())
+    if B:
+        agree(a / b, A / B)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert (a == b) == (A == B) and (a != b) == (A != B)
+    assert bool(a) == bool(A)
+
+
+@given(both(), scalars)
+def test_mixed_arithmetic_agrees_with_fraction_pairs(x, n):
+    a, A = x
+    for got, want in ((a + n, A + n), (n + a, n + A), (a - n, A - n), (n - a, n - A),
+                      (a * n, A * n), (n * a, n * A)):
+        agree(got, want)
+    if n:
+        agree(a / n, A / n)
+    if A:
+        agree(n / a, n / A)
+    assert (a == n) == (A == n) and (n == a) == (n == A) and (a != n) == (A != n)
+
+
+@given(both(nonzero=True), st.integers(-4, 5))
+def test_powers_agree_with_fraction_pairs(x, k):
+    a, A = x
+    agree(a ** k, A ** k)
+
+
+@given(both(), both(nonzero=True))
+def test_readings_do_not_depend_on_the_path(x, y):
+    (a, A), (b, _) = x, y
+    c = (a * b) / b
+    assert c == a and hash(c) == hash(a) == hash(A)
+    if not A.im and A.re.denominator == 1:
+        assert hash(a) == hash(A.re.numerator)
+    for v in (a, c):
+        z, want = complex(v), complex(A)
+        assert z.real == want.real and z.imag == want.imag
+        assert str(v) == str(A) and repr(v) == repr(A)
+        assert (v.re_num, v.re_den, v.im_num, v.im_den) == (
+            A.re.numerator, A.re.denominator, A.im.numerator, A.im.denominator
+        )
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            agree(w, A)
+            assert hash(w) == hash(A)

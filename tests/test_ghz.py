@@ -372,6 +372,26 @@ def test_scaling_matches_enumeration_on_dead_colours():
     assert sum(isinstance(o, tuple) and o[0] is UnscalableColourError for o in outcomes[1:61]) == 20
 
 
+def test_scaling_builds_the_table_without_zero_edges_only_when_there_are_some(monkeypatch):
+    real_table = ghzgraphs.matchings._weight_table
+    exact_tables = []
+
+    def counting_table(h):
+        if h.is_exact:
+            exact_tables.append(h)
+        return real_table(h)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "_weight_table", counting_table)
+    for seed in range(5):
+        nowhere, on_zero_edges, _ = dead_colour_variants(seed)
+        exact_tables.clear()
+        scale_to_ghz(nowhere)  # colour 9 is dead, and no edge weighs 0
+        assert exact_tables == [nowhere]
+        exact_tables.clear()
+        scale_to_ghz(on_zero_edges)
+        assert exact_tables == [on_zero_edges, drop_zero_edges(on_zero_edges)]
+
+
 def test_witness_matches_enumeration_on_the_corpus():
     for g in enumeration_corpus():
         assert outcome(find_bogdanov_witness, g) == outcome(slow_bogdanov_witness, g)

@@ -607,17 +607,38 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_scales_only_the_graph_it_returns(monkeypatch, case, all_cuts):
     g = COMPUTE_ONCE_CASES[case]
-    real_scale = ghzgraphs.reduction.scale_to_ghz
+    real_scale = ghzgraphs.reduction._scale_to_ghz
     scaled = []
 
     def counting_scale(h, *args):
         scaled.append(h)
         return real_scale(h, *args)
 
-    monkeypatch.setattr(ghzgraphs.reduction, "scale_to_ghz", counting_scale)
+    monkeypatch.setattr(ghzgraphs.reduction, "_scale_to_ghz", counting_scale)
     report = reduce(g, all_cuts=all_cuts)
     if report.input_verdict.is_g_ghz:
         assert len(scaled) == 1 and scaled[0] is report.graph
         assert report.scaled is not None
     else:
         assert scaled == [] and report.scaled is None
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+@pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
+def test_reduce_builds_one_table_of_the_graph_it_returns(monkeypatch, case, all_cuts):
+    """The rescaling reads the reduced graph's table and verdict from the
+    reduction, so no table of the returned graph, or of an equal copy such
+    as the one without zero edges, is built twice."""
+    g = COMPUTE_ONCE_CASES[case]
+    real_table = ghzgraphs.matchings._weight_table
+    seen = []
+
+    def counting_table(h):
+        seen.append(h)
+        return real_table(h)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "_weight_table", counting_table)
+    report = reduce(g, all_cuts=all_cuts)
+    assert sum(h is report.graph for h in seen) == 1
+    if not all_cuts:  # with all_cuts another cut may reduce to an equal graph
+        assert sum(h == report.graph for h in seen) == 1
