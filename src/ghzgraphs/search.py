@@ -18,16 +18,21 @@ the real residual with respect to (Re x_k, Im x_k) is packed into one
 complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
 
-Each point is evaluated once (``_evaluate``): one gather x[monomials], the
-monomial products, and the per-colouring sums as ``np.bincount`` over the
-real and imaginary parts.  The gradient reuses that gather and the
-colourings' differences; its sums are bincounts over the flattened monomial
-table.  The line search keeps the accepted candidate's evaluation, so the
-next gradient needs no new one.  Bincount adds in index order, as the
-``np.add.at`` scatter it replaced did, so the iterates are bit-identical.
-The products stay ``np.prod(vals, axis=1)``: a column-by-column product
-takes numpy's SIMD complex multiply, which differs from it in the last
-digits (up to 3.8e-15) and would move every residual.
+Each point is evaluated once (``_evaluate``): one gather x[columns], where
+``columns`` is the monomial table transposed to contiguous rows of shape
+(width, M), the monomial products, and the per-colouring sums as
+``np.bincount`` over the real and imaginary parts.  The products
+(``_products``) are formed in real arithmetic exactly as numpy's scalar
+complex-multiply reduce loop forms them, so they equal
+``np.prod(x[monomials], axis=1)`` bit for bit.  An element-wise complex
+multiply would not: numpy's SIMD loop fuses multiplies and adds, which moves
+the last digits and with them every residual.  The gradient reuses the
+gather and the colourings' differences.  Its prefix and suffix products are
+element-wise complex multiplies, whose bits do not depend on the strides,
+and its terms are copied back to monomial-major order, so the bincount sums
+add in the order of the ``np.add.at`` scatter they replaced and the iterates
+are bit-identical.  The line search keeps the accepted candidate's
+evaluation, so the next gradient needs no new one.
 
 numpy is imported inside the functions that use it, not at module level: it
 is loaded the first time a search problem is built or evaluated, so the rest
@@ -51,6 +56,8 @@ class SearchProblem:
     def __init__(self, g: Multigraph, d: int):
         import numpy as np
 
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"dimension must be an int, got {d!r}")
         if d < 1:
             raise ValueError("dimension must be at least 1")
         base = skeleton(g)
@@ -70,6 +77,7 @@ class SearchProblem:
 
         width = base.n // 2
         self.monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), width)
+        self._columns = np.ascontiguousarray(self.monomials.T)
         self.monomial_group = np.array([index[vc] for vc in induced], dtype=np.int64)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
@@ -110,36 +118,57 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _products(vals: np.ndarray):
+    """(real, imag) of the products down the columns of vals, shape (width, M):
+    ``np.multiply.reduce(vals.T, axis=1)`` bit for bit, up to the sign of a NaN.
+
+    That reduce runs numpy's scalar complex-multiply loop, a running product
+    from 1 + 0j with each real operation rounded on its own; its first step is
+    written here without the multiplications by 1.
+    """
+    import numpy as np
+
+    if not len(vals):  # n = 0: the one empty matching weighs 1
+        return np.ones(vals.shape[1]), np.zeros(vals.shape[1])
+    re, im = vals.real, vals.imag
+    pr = re[0] - 0.0 * im[0]
+    pi = im[0] + 0.0 * re[0]
+    for j in range(1, len(vals)):
+        pr, pi = pr * re[j] - pi * im[j], pr * im[j] + pi * re[j]
+    return pr, pi
+
+
 def _evaluate(problem: SearchProblem, x: np.ndarray):
-    """(vals, diff, f) at x: vals[m, j] = x[monomials[m, j]],
+    """(vals, diff, f) at x: vals[j, m] = x[monomials[m, j]],
     diff[vc] = w_vc - t_vc and f the residual."""
     import numpy as np
 
-    vals = x[problem.monomials]  # (M, width)
-    products = np.prod(vals, axis=1)
+    vals = x[problem._columns]  # (width, M)
+    pr, pi = _products(vals)
     groups = len(problem.targets)
     w = np.empty(groups, dtype=np.complex128)
-    w.real = np.bincount(problem.monomial_group, products.real, minlength=groups)
-    w.imag = np.bincount(problem.monomial_group, products.imag, minlength=groups)
+    w.real = np.bincount(problem.monomial_group, pr, minlength=groups)
+    w.imag = np.bincount(problem.monomial_group, pi, minlength=groups)
     diff = w - problem.targets
-    return vals, diff, float(np.sum(diff.real**2 + diff.imag**2))
+    return vals, diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
 
 
 def _gradient(problem: SearchProblem, vals: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """The complex-packed gradient from a point's ``_evaluate`` output."""
     import numpy as np
 
-    width = vals.shape[1]
+    width = len(vals)
     pre = np.empty_like(vals)
     suf = np.empty_like(vals)
-    pre[:, :1] = 1  # slices, not columns: width is 0 when n = 0
-    suf[:, -1:] = 1
+    pre[:1] = 1  # slices, not rows: width is 0 when n = 0
+    suf[-1:] = 1
     for j in range(1, width):
-        pre[:, j] = pre[:, j - 1] * vals[:, j - 1]
-        suf[:, width - 1 - j] = suf[:, width - j] * vals[:, width - j]
-    leave_one_out = pre * suf
-    coeff = diff[problem.monomial_group][:, None]
-    terms = (np.conj(leave_one_out) * coeff).ravel()
+        np.multiply(pre[j - 1], vals[j - 1], out=pre[j])
+        np.multiply(suf[width - j], vals[width - j], out=suf[width - 1 - j])
+    leave_one_out = np.multiply(pre, suf, out=pre)
+    np.conjugate(leave_one_out, out=leave_one_out)
+    np.multiply(leave_one_out, diff[problem.monomial_group], out=leave_one_out)
+    terms = leave_one_out.T.ravel()  # monomial-major, the order the sums add in
     index = problem.monomials.ravel()
     grad = np.empty(problem.n_vars, dtype=np.complex128)
     grad.real = np.bincount(index, terms.real, minlength=problem.n_vars)
@@ -172,7 +201,7 @@ def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
         if f <= tol:
             break
         g = _gradient(problem, vals, diff)
-        gnorm2 = float(np.sum(g.real**2 + g.imag**2))
+        gnorm2 = float(np.add.reduce(g.real**2 + g.imag**2))
         if gnorm2 < 1e-24:
             break
         while step > 1e-18:
@@ -208,6 +237,8 @@ def search(
         raise ValueError("need at least one restart")
     if max_iters < 0:
         raise ValueError("max_iters must be at least 0")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     best_x = None
     best_f = math.inf
     best_restart = 0

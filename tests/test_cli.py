@@ -175,6 +175,18 @@ def test_search_rejects_a_negative_iteration_budget(files, capsys):
     assert "max_iters" in blob["error"]["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "-0.001"])
+def test_search_rejects_a_tolerance_below_0_or_nan(files, capsys, tol):
+    code, out, err = run(
+        ["search", "--skeleton", files["k2skel"], "--dim", "2", "--tol", tol],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert "tol" in blob["error"]["message"]
+
+
 def test_verify_rejects_a_negative_epsilon(files, capsys, tmp_path):
     ghz = tmp_path / "c6_scaled.json"
     ghz.write_text(serialize_graph(scale_to_ghz(cycle_ghz(6))))

@@ -194,54 +194,6 @@ def differential_corpus():
     return corpus
 
 
-def fraction_table(g):
-    """The subset DP with every value a GaussianRational, as before exact
-    weights entered it as Gaussian integers over a denominator."""
-    n = g.n
-    if n % 2:
-        return {}
-    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
-    place = [base ** (n - 1 - v) for v in range(n)]
-    merged = {}
-    for e in g.edges:
-        edge_class = (e.u, e.v, e.cu, e.cv)
-        merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
-    below = [[] for _ in range(n)]
-    touched = 0
-    for (u, v, cu, cv), w in merged.items():
-        below[u].append((1 << v, cu * place[u] + cv * place[v], w))
-        touched |= 1 << u | 1 << v
-    full = (1 << n) - 1
-    if touched != full:
-        return {}
-    memo = {full: {0: g.one}}
-
-    def solve(covered):
-        table = memo.get(covered)
-        if table is not None:
-            return table
-        low = ~covered & (covered + 1)
-        table = {}
-        for bit, digits, w in below[low.bit_length() - 1]:
-            if covered & bit:
-                continue
-            for key, sub in solve(covered | low | bit).items():
-                key += digits
-                prev = table.get(key)
-                table[key] = w * sub if prev is None else prev + w * sub
-        memo[covered] = table
-        return table
-
-    out = {}
-    for key, w in sorted(solve(0).items()):
-        colours = []
-        for p in place:
-            c, key = divmod(key, p)
-            colours.append(c)
-        out[tuple(colours)] = w
-    return out
-
-
 def rationalised(rng):
     """A float weight rounded as exactify rounds it: denominators up to 10**6."""
     re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -305,21 +257,6 @@ def kernel_corpus():
     return differential_corpus() + list(exact_weight_cases().values())
 
 
-def test_kernel_table_is_the_fraction_kernel_table_exactly():
-    for g in kernel_corpus():
-        fast = colouring_weight_table(g)
-        assert list(fast.items()) == list(fraction_table(g).items())
-        assert all(type(w) is GaussianRational for w in fast.values())
-
-
-def test_kernel_float_tables_are_the_fraction_kernel_float_tables():
-    for g in kernel_corpus():
-        gf = as_float(g)
-        fast = colouring_weight_table(gf)
-        assert list(fast.items()) == list(fraction_table(gf).items())
-        assert all(type(w) is type(gf.one) for w in fast.values())  # an edgeless graph is exact
-
-
 def test_exact_weight_cases_reach_what_they_are_named_for():
     tables = {name: colouring_weight_table(g) for name, g in exact_weight_cases().items()}
     assert max(w.re_den for w in tables["rationalised K6 d=3"].values()) > 10**18
@@ -337,7 +274,10 @@ def test_kernel_table_is_the_enumeration_table_exactly():
     for g in kernel_corpus():
         fast = colouring_weight_table(g)
         assert list(fast.items()) == list(slow_table(g).items())
-        assert all(isinstance(w, GaussianRational) for w in fast.values())
+        assert all(type(w) is GaussianRational for w in fast.values())
+        gf = as_float(g)
+        float_table = colouring_weight_table(gf)
+        assert all(type(w) is type(gf.one) for w in float_table.values())  # an edgeless graph is exact
 
 
 def test_kernel_table_against_pairing_oracles():

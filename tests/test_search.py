@@ -19,6 +19,7 @@ from ghzgraphs import (
     search,
     verify,
 )
+from ghzgraphs.search import _products
 
 
 def k4_solution_vector(problem):
@@ -46,6 +47,12 @@ def test_problem_counts_for_k4():
     assert prob.n_vars == 6 * 4
     # 3 pairings, each choosing one of 4 parallel variables per edge pair
     assert prob.monomials.shape == (3 * 16, 2)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, False, "2", None])
+def test_problem_refuses_a_dimension_that_is_not_an_int(d):
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        SearchProblem(parallel_ghz_k2(1), d)
 
 
 def test_variable_index_bounds():
@@ -115,6 +122,14 @@ def test_search_rejects_a_negative_iteration_budget():
     with pytest.raises(ValueError, match="max_iters"):
         search(prob, max_iters=-5)
     assert search(prob, max_iters=0).iterations == 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+def test_search_rejects_a_tolerance_below_0_or_nan(tol):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    with pytest.raises(ValueError, match="tol"):
+        search(prob, tol=tol)
+    assert search(prob, max_iters=5, tol=0.0).iterations == 5
 
 
 def test_search_converges_on_small_problems():
@@ -281,12 +296,33 @@ def test_degenerate_problems_have_the_shapes_they_are_named_for():
     assert probs["star"].monomials.shape == (0, 2)
 
 
+def bits(a):
+    """IEEE bit patterns, so that -0.0 and 0.0 differ (np.array_equal and ==
+    treat them as equal); a complex value gives its two parts."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(bits(a), bits(b))
+
+
+def signed_zero_mix(rng, n):
+    """Weights whose parts are drawn from signed zeros and a few units, so that
+    products and their sums meet every pairing of signs of zero."""
+    parts = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+    x = np.empty(n, dtype=np.complex128)
+    x.real = rng.choice(parts, n)
+    x.imag = rng.choice(parts, n)
+    return x
+
+
 def assert_same_evaluation(prob, x):
     value, per = slow_residual(prob, x)
     r = residual(prob, x)
-    assert r.value == value == slow_value(prob, x)
-    assert list(r.per_colouring.items()) == list(per.items())
-    assert np.array_equal(gradient(prob, x), slow_gradient(prob, x))
+    assert_same_bits([r.value, slow_value(prob, x)], [value, value])
+    assert list(r.per_colouring) == list(per)
+    assert_same_bits(list(r.per_colouring.values()), list(per.values()))
+    assert_same_bits(gradient(prob, x), slow_gradient(prob, x))
 
 
 @pytest.mark.parametrize(
@@ -294,12 +330,18 @@ def assert_same_evaluation(prob, x):
     [
         (lambda: cycle_ghz(6), 2),
         (lambda: cycle_ghz(8), 2),
+        (lambda: cycle_ghz(10), 2),
         (lambda: complete_skeleton(6), 2),
         (lambda: complete_ghz_k4(), 3),
         (lambda: complete_ghz_k4(), 2),
         (lambda: parallel_ghz_k2(1), 3),
+        # K8 is the smallest complete skeleton where a variable's column in
+        # the monomial table can fall as the monomial index rises, so it is
+        # the one where the gradient's sums would add in another order if
+        # its terms were not put back in monomial-major order
+        (lambda: complete_skeleton(8), 1),
     ],
-    ids=["C6.d2", "C8.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3"],
+    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3", "K8.d1"],
 )
 def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
     prob = SearchProblem(build(), d)
@@ -311,6 +353,37 @@ def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
     # zeros and negative zeros: the sums must keep the scatter-add's signs of zero
     assert_same_evaluation(prob, np.zeros(prob.n_vars, dtype=np.complex128))
     assert_same_evaluation(prob, np.full(prob.n_vars, -0.0 - 0.0j))
+    for _ in range(4):
+        assert_same_evaluation(prob, signed_zero_mix(rng, prob.n_vars))
+
+
+@pytest.mark.parametrize(
+    "build, d",
+    [
+        (lambda: Multigraph(0, (), frozenset({0})), 2),
+        (lambda: parallel_ghz_k2(1), 3),
+        (lambda: complete_ghz_k4(), 3),
+        (lambda: complete_skeleton(6), 2),
+        (lambda: cycle_ghz(8), 2),
+        (lambda: cycle_ghz(10), 2),
+    ],
+    ids=["width0", "width1", "width2", "width3", "width4", "width5"],
+)
+def test_products_are_numpys_product_reduce_bit_for_bit(build, d):
+    prob = SearchProblem(build(), d)
+    width = prob.monomials.shape[1]
+    assert prob._columns.shape == (width, len(prob.monomials))
+    rng = np.random.default_rng(width)
+    points = [rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
+              for _ in range(3)]
+    points += [np.zeros(prob.n_vars, dtype=np.complex128),
+               np.full(prob.n_vars, -0.0 - 0.0j)]
+    points += [signed_zero_mix(rng, prob.n_vars) for _ in range(10)]
+    for x in points:
+        expected = np.multiply.reduce(x[prob.monomials], axis=1)
+        real, imag = _products(x[prob._columns])
+        assert_same_bits(real, expected.real)
+        assert_same_bits(imag, expected.imag)
 
 
 @pytest.mark.parametrize("name", ["empty", "k2", "star"])
@@ -327,9 +400,10 @@ def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
     weights, value, per, converged, restart, iterations = slow_search(
         prob, seed, restarts, max_iters, tol
     )
-    assert np.array_equal(res.weights, weights)
-    assert res.residual.value == value
-    assert list(res.residual.per_colouring.items()) == list(per.items())
+    assert_same_bits(res.weights, weights)
+    assert_same_bits(res.residual.value, value)
+    assert list(res.residual.per_colouring) == list(per)
+    assert_same_bits(list(res.residual.per_colouring.values()), list(per.values()))
     assert res.converged == converged
     assert res.restart == restart and res.iterations == iterations
     return res
@@ -340,10 +414,11 @@ def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
     [
         (lambda: cycle_ghz(6), 2, 300),
         (lambda: cycle_ghz(8), 2, 150),
+        (lambda: cycle_ghz(10), 2, 60),
         (lambda: complete_skeleton(6), 2, 60),
         (lambda: complete_ghz_k4(), 3, 150),
     ],
-    ids=["C6.d2", "C8.d2", "K6.d2", "K4.d3"],
+    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3"],
 )
 def test_search_is_the_scatter_add_search_exactly(build, d, max_iters):
     prob = SearchProblem(build(), d)
