@@ -168,17 +168,12 @@ def merge_parallel_edges(g: Multigraph) -> Multigraph:
     Keeps first-occurrence order, so the operation is idempotent and
     deterministic.
     """
-    order: list[tuple[int, int, Colour, Colour]] = []
-    acc: dict[tuple[int, int, Colour, Colour], object] = {}
+    merged: dict[tuple[int, int, Colour, Colour], Edge] = {}
     for e in g.edges:
         key = (e.u, e.v, e.cu, e.cv)
-        if key in acc:
-            acc[key] = acc[key] + e.weight
-        else:
-            acc[key] = e.weight
-            order.append(key)
-    merged = tuple(Edge(u, v, cu, cv, acc[(u, v, cu, cv)]) for u, v, cu, cv in order)
-    return Multigraph(g.n, merged, g.colour_universe)
+        first = merged.get(key)
+        merged[key] = e if first is None else Edge(*key, first.weight + e.weight)
+    return Multigraph(g.n, tuple(merged.values()), g.colour_universe)
 
 
 def drop_zero_edges(g: Multigraph) -> Multigraph:

@@ -26,15 +26,16 @@ W(c_V2) the all-c weight of G[V2], every colouring vc' of the result obeys
     w'(vc') = sum_c  f_c * w(vc'(c)),
 
 where vc'(c) paints V2 in c and every other vertex as vc' paints the
-reduced vertex standing for it.  In the easy case every f_c is 1.  The
-identity is re-checked against the colouring-weight table of the input
-unless disabled.
+reduced vertex standing for it.  In the easy case every f_c is 1.  Every
+block and the input are read through one projection of their tables onto
+the reduced vertices, and unless disabled the identity is re-checked on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import DEFAULT_EPSILON, GhzVerdict, _classify, _scale_to_ghz
@@ -118,18 +119,26 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     return ColourClassification(c1, c2, has_type0, v2_weights)
 
 
-def _v2_sum(table: dict, vc: list, factors: dict, zero):
-    """sum_c f_c * w(vc with V2 painted c), the vertices of V2 marked None in vc.
+def _project(table: dict, owner: list, factors: dict, zero) -> dict:
+    """sum_c f_c * w over the entries of ``table`` whose V2 part is all c.
 
-    ``factors`` maps c to f_c; w is read from ``table``, the
-    colouring-weight table of vc's graph.
+    ``owner[j]`` is the reduced vertex standing for table vertex j, or None
+    for a vertex of V2; ``factors`` maps c to f_c, and a table without V2
+    vertices is summed unweighted.  Entries in which two vertices of one
+    reduced vertex differ are skipped.  Sums are keyed by the colours of the
+    reduced vertices, in increasing order.
     """
-    total = zero
-    for c, f in factors.items():
-        w = table.get(tuple(c if x is None else x for x in vc))
-        if w is not None:
-            total = total + w * f
-    return total
+    first = {r: owner.index(r) for r in set(owner)}
+    # both getters read two or more positions, so they return tuples
+    spread = itemgetter(*(first[r] for r in owner))
+    key_of = itemgetter(*(first[r] for r in sorted(first.keys() - {None})))
+    v2 = first.get(None)
+    sums: dict = {}
+    for vc, w in table.items():
+        if spread(vc) == vc:
+            key = key_of(vc)
+            sums[key] = sums.get(key, zero) + (w if v2 is None else w * factors[vc[v2]])
+    return sums
 
 
 def _vertex_map(cut: CutSpec, cls: ColourClassification) -> tuple:
@@ -143,12 +152,13 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dic
     """The reduced graph of either case, with its colouring-weight table.
 
     Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
-    The edges touching V1 are contracted into v0 (easy case) or copied (hard
-    case).  Every cut pair (a, b) and class (p, q) gets one edge weighing
-    sum_c f_c * w(c on V2, p at a, q at b) on G[V2 + {a, b}].  Parallel
-    edges are merged and zero edges dropped.  Given ``g_table``, g's
-    colouring-weight table, the identity w'(vc') = sum_c f_c * w(vc'(c))
-    is checked on the returned graph; None skips the check.
+    In the hard case the edges touching V1 are copied.  Every block, G[V1 +
+    u_i] in the easy case and G[V2 + {a, b}] per cut pair, gives one edge per
+    class (p, q) between its two reduced vertices, read from one projection
+    of its table.  Parallel edges are merged and zero edges dropped.  Given
+    ``g_table``, g's colouring-weight table, the identity w'(vc') = sum_c
+    f_c * w(vc'(c)) is checked over the colourings either side has; None
+    skips the check.
     """
     universe = sorted(g.colour_universe)
     one, zero = g.one, g.zero
@@ -157,38 +167,29 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dic
     vertex_map = _vertex_map(cut, cls)
     pos = {x: r for r, orig in enumerate(vertex_map)
            for x in (orig if isinstance(orig, tuple) else (orig,))}
-    v1_set = set(cut.v1)
-
-    edges: list[Edge] = []
-    if not cls.c1:
-        for i, u_i in enumerate(cut.s, start=1):
-            sub, kept = _cut_block(g, v1_set | {u_i})
-            for p, q in itertools.product(universe, repeat=2):
-                vc = tuple(q if x == u_i else p for x in kept)
-                edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
-    else:
-        for e in g.edges:
-            if e.u in v1_set or e.v in v1_set:
-                edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
-    for a, b in itertools.combinations(cut.s, 2):
-        sub, kept = _cut_block(g, set(cut.v2) | {a, b})
-        table = colouring_weight_table(sub)
+    v1_set, v2_set = set(cut.v1), set(cut.v2)
+    edges = [Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight)
+             for e in g.edges if e.u in v1_set or e.v in v1_set] if cls.c1 else []
+    blocks = [] if cls.c1 else [v1_set | {u} for u in cut.s]
+    for block in blocks + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
+        sub, kept = _cut_block(g, block)
+        owner = [pos.get(x) for x in kept]
+        weights = _project(colouring_weight_table(sub), owner, factors, zero)
+        ra, rb = sorted(set(owner) - {None})
         for p, q in itertools.product(universe, repeat=2):
-            vc = [p if x == a else q if x == b else None for x in kept]
-            edges.append(Edge(pos[a], pos[b], p, q, _v2_sum(table, vc, factors, zero)))
+            edges.append(Edge(ra, rb, p, q, weights.get((p, q), zero)))
 
     reduced = drop_zero_edges(merge_parallel_edges(
         Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
     ))
     reduced_table = colouring_weight_table(reduced)
     if g_table is not None:
-        owner = [pos.get(x) for x in range(g.n)]
-        for vc_r in itertools.product(universe, repeat=reduced.n):
-            total = _v2_sum(g_table, [None if r is None else vc_r[r] for r in owner], factors, zero)
-            if reduced_table.get(vc_r, zero) != total:
+        lifted = _project(g_table, [pos.get(x) for x in range(g.n)], factors, zero)
+        for vc_r in sorted(lifted.keys() | reduced_table.keys()):
+            if reduced_table.get(vc_r, zero) != lifted.get(vc_r, zero):
                 raise InvariantViolation(
                     f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
-                    f"reduced {reduced_table.get(vc_r, zero)} vs {total}"
+                    f"reduced {reduced_table.get(vc_r, zero)} vs {lifted.get(vc_r, zero)}"
                 )
     return reduced, reduced_table
 

@@ -233,10 +233,11 @@ def search(
     """
     import numpy as np
 
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if max_iters < 0:
-        raise ValueError("max_iters must be at least 0")
+    for name, value, low in (("seed", seed, 0), ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     best_x = None

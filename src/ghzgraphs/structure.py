@@ -190,6 +190,8 @@ def iter_cuts(g: Multigraph, size: int):
     lexicographically smallest odd block first (falling back to the
     smallest-vertex grouping when no odd block exists).
     """
+    if size < 0:
+        raise ValueError(f"cut size must be at least 0, got {size}")
     if g.n < size + 2:
         return
     adj = adjacency_sets(g)

@@ -175,6 +175,28 @@ def test_search_rejects_a_negative_iteration_budget(files, capsys):
     assert "max_iters" in blob["error"]["message"]
 
 
+@pytest.mark.parametrize("option, value, name", [
+    ("--seed", "-1", "seed"), ("--restarts", "0", "restarts"),
+])
+def test_search_rejects_a_negative_seed_or_no_restarts(files, capsys, option, value, name):
+    code, out, err = run(
+        ["search", "--skeleton", files["k2skel"], "--dim", "2", option, value],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert blob["error"]["message"].startswith(f"{name} must be at least")
+
+
+def test_cut_rejects_a_negative_size(files, capsys):
+    code, out, err = run(["cut", "--size", "-1", files["c6"]], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert blob["error"]["message"] == "cut size must be at least 0, got -1"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-0.001"])
 def test_search_rejects_a_tolerance_below_0_or_nan(files, capsys, tol):
     code, out, err = run(

@@ -88,6 +88,19 @@ def test_merge_parallel_edges_sums_and_orders():
     assert merge_parallel_edges(m) == m  # idempotent
 
 
+def test_merge_keeps_unmerged_edges_and_sums_left_to_right():
+    e = Edge(0, 1, 0, 0, 0.1)
+    f = Edge(0, 1, 1, 0, 0.2)
+    g = Multigraph(2, (e, f, Edge(0, 1, 0, 0, 0.2), Edge(0, 1, 0, 0, 0.3)), frozenset({0, 1}))
+    m = merge_parallel_edges(g)
+    assert m.edges[1] is f  # a class without a sum keeps its edge
+    # first to last: (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in the last bit
+    assert [e.weight for e in m.edges] == [(0.1 + 0.2) + 0.3, 0.2]
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    # one edge object listed twice is summed with itself
+    assert merge_parallel_edges(Multigraph(2, (e, e), frozenset({0}))).edges[0].weight == 0.2
+
+
 def test_merge_keeps_colouring_weights():
     for seed in range(8):
         g = planted_matching_graph(seed)

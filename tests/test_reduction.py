@@ -18,6 +18,7 @@ from ghzgraphs import (
     build_graph,
     classify_colours,
     colouring_weight,
+    colouring_weight_table,
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
@@ -433,6 +434,162 @@ def test_identity_check_fires_in_the_hard_case(monkeypatch):
         reduce(g, all_cuts=True)
     reduce_hard(g, cut, check=False)
     reduce(g, all_cuts=True, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the table projection, against the lookups and enumeration it replaced
+
+
+def slow_v2_sum(table, vc, factors, zero):
+    """sum_c f_c * w(vc with its None entries painted c), one lookup per c."""
+    total = zero
+    for c, f in factors.items():
+        w = table.get(tuple(c if x is None else x for x in vc))
+        if w is not None:
+            total = total + w * f
+    return total
+
+
+def slow_reduce(g, cut, cls, g_table, table_of=colouring_weight_table):
+    """_reduce as it was: filtered lookups for the easy-case edges, one
+    lookup per colour for the pair edges, and an identity check over every
+    reduced colouring."""
+    universe = sorted(g.colour_universe)
+    one, zero = g.one, g.zero
+    factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
+               for c, w in cls.v2_mono_weights.items()}
+    vertex_map = ghzgraphs.reduction._vertex_map(cut, cls)
+    pos = {x: r for r, orig in enumerate(vertex_map)
+           for x in (orig if isinstance(orig, tuple) else (orig,))}
+    v1_set = set(cut.v1)
+    edges = []
+    if not cls.c1:
+        for i, u_i in enumerate(cut.s, start=1):
+            sub, kept = induced_subgraph(g, v1_set | {u_i})
+            for p, q in itertools.product(universe, repeat=2):
+                vc = tuple(q if x == u_i else p for x in kept)
+                edges.append(Edge(0, i, p, q, colouring_weight(sub, vc)))
+    else:
+        for e in g.edges:
+            if e.u in v1_set or e.v in v1_set:
+                edges.append(Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight))
+    for a, b in itertools.combinations(cut.s, 2):
+        sub, kept = induced_subgraph(g, set(cut.v2) | {a, b})
+        table = table_of(sub)
+        for p, q in itertools.product(universe, repeat=2):
+            vc = [p if x == a else q if x == b else None for x in kept]
+            edges.append(Edge(pos[a], pos[b], p, q, slow_v2_sum(table, vc, factors, zero)))
+    reduced = drop_zero_edges(merge_parallel_edges(
+        Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
+    ))
+    reduced_table = table_of(reduced)
+    if g_table is not None:
+        owner = [pos.get(x) for x in range(g.n)]
+        for vc_r in itertools.product(universe, repeat=reduced.n):
+            total = slow_v2_sum(g_table, [None if r is None else vc_r[r] for r in owner], factors, zero)
+            if reduced_table.get(vc_r, zero) != total:
+                raise InvariantViolation(
+                    f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
+                    f"reduced {reduced_table.get(vc_r, zero)} vs {total}"
+                )
+    return reduced, reduced_table
+
+
+def dense_cut_graph(v1, s, v2, d, seed):
+    """About 70% of the d * d colour classes on every pair not joining V1 to V2."""
+    rng = random.Random(f"dense-cut-{seed}")
+    n = len(v1) + len(s) + len(v2)
+    specs = [
+        (u, v, p, q, small_rational(rng))
+        for u, v in itertools.combinations(range(n), 2)
+        if not {u, v} & set(v1) or not {u, v} & set(v2)
+        for p, q in itertools.product(range(d), repeat=2)
+        if rng.random() < 0.7
+    ]
+    g = build_graph(n, specs, colours=range(d))
+    return g, make_cut(g, s, v1, v2)
+
+
+DENSE_EASY = dense_cut_graph((0,), (1, 2, 3), (4, 5, 6, 7), 3, 0)
+DENSE_HARD = dense_cut_graph((0, 1, 2), (3, 4, 5), (6, 7), 3, 1)
+PROJECTION_CASES = (
+    planted_cut_corpus(50)
+    + [hard_family_member(seed, split) for seed in range(12) for split in (False, True)]
+    + odd_three_cuts(cycle_ghz(6))
+    + odd_three_cuts(cycle_ghz(8))
+    + [DENSE_EASY, DENSE_HARD]
+)
+
+
+def test_dense_cases_cover_both_cases():
+    assert not classify_colours(*DENSE_EASY).c1
+    assert classify_colours(*DENSE_HARD).c1
+
+
+@pytest.mark.parametrize("case", range(len(PROJECTION_CASES)))
+def test_projected_reduction_matches_the_lookup_reduction(case):
+    g, cut = PROJECTION_CASES[case]
+    cls = classify_colours(g, cut)
+    g_table = colouring_weight_table(g)
+    expected, expected_table = slow_reduce(g, cut, cls, g_table)
+    for table in (g_table, None):
+        got, got_table = ghzgraphs.reduction._reduce(g, cut, cls, table)
+        # same edges in the same order, exact weights of the same type
+        assert got == expected and got_table == expected_table
+        assert [type(e.weight) for e in got.edges] == [type(e.weight) for e in expected.edges]
+
+
+def unlifted_colouring(g, cut, cls, reduced_table):
+    """The first reduced colouring that neither the reduced table nor any
+    lift into g's table has, with its lift painting V2 in the first colour."""
+    universe = sorted(g.colour_universe)
+    g_table = colouring_weight_table(g)
+    vertex_map = ghzgraphs.reduction._vertex_map(cut, cls)
+    pos = {x: r for r, orig in enumerate(vertex_map)
+           for x in (orig if isinstance(orig, tuple) else (orig,))}
+    for vc_r in itertools.product(universe, repeat=len(vertex_map)):
+        lifts = [tuple(vc_r[pos[x]] if x in pos else c for x in range(g.n)) for c in universe]
+        if vc_r not in reduced_table and not any(vc in g_table for vc in lifts):
+            return vc_r, lifts[0]
+    raise AssertionError("every reduced colouring is on some side")
+
+
+IDENTITY_CASES = [
+    (cycle_ghz(6), make_cut(cycle_ghz(6), (1, 3, 5), (0,), (2, 4))),
+    hard_family_member(0),
+    two_colours_in_c1(0),
+]
+
+
+@pytest.mark.parametrize("side", ["g", "reduced"])
+@pytest.mark.parametrize("case", range(len(IDENTITY_CASES)))
+def test_identity_check_reports_the_first_mismatch_of_the_enumeration(monkeypatch, case, side):
+    """Perturb one table at a colouring only that side has: the check over
+    table keys fails where the enumeration of every colouring did."""
+    g, cut = IDENTITY_CASES[case]
+    cls = classify_colours(g, cut)
+    reduced, reduced_table = slow_reduce(g, cut, cls, None)
+    vc_r, lift = unlifted_colouring(g, cut, cls, reduced_table)
+    g_table = dict(colouring_weight_table(g))
+    real = ghzgraphs.reduction.colouring_weight_table
+
+    def perturbed(h):
+        table = dict(real(h))
+        if h == reduced:
+            table[vc_r] = g.one
+        return table
+
+    if side == "g":
+        g_table[lift] = g.one
+    else:
+        monkeypatch.setattr(ghzgraphs.reduction, "colouring_weight_table", perturbed)
+    with pytest.raises(InvariantViolation) as slow:
+        slow_reduce(g, cut, cls, g_table, ghzgraphs.reduction.colouring_weight_table)
+    with pytest.raises(InvariantViolation) as fast:
+        ghzgraphs.reduction._reduce(g, cut, cls, g_table)
+    assert str(fast.value) == str(slow.value)
+    assert f"identity failed at {vc_r}:" in str(fast.value)
+    ghzgraphs.reduction._reduce(g, cut, cls, None)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_search_is_deterministic():
 
 def test_search_needs_a_restart():
     prob = SearchProblem(parallel_ghz_k2(1), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
         search(prob, restarts=0)
 
 
@@ -122,6 +122,23 @@ def test_search_rejects_a_negative_iteration_budget():
     with pytest.raises(ValueError, match="max_iters"):
         search(prob, max_iters=-5)
     assert search(prob, max_iters=0).iterations == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("restarts", 2.5), ("restarts", True), ("restarts", "3"),
+    ("max_iters", 3.5), ("max_iters", False), ("seed", 1.0), ("seed", True),
+])
+def test_search_refuses_budgets_and_seeds_that_are_not_ints(name, value):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
+        search(prob, **{name: value})
+
+
+def test_search_refuses_a_negative_seed():
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        search(prob, seed=-1)
+    assert search(prob, seed=0, restarts=1, max_iters=5).restart == 0
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])

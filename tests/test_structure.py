@@ -182,6 +182,14 @@ def test_find_cut_on_c6_is_deterministic():
     assert find_cut(octahedron(), 3) is None
 
 
+@pytest.mark.parametrize("g", [cycle_ghz(6), parallel_ghz_k2(1)])
+def test_cut_search_refuses_a_negative_size(g):
+    with pytest.raises(ValueError, match="cut size must be at least 0, got -1"):
+        find_cut(g, -1)
+    with pytest.raises(ValueError, match="cut size"):
+        list(iter_cuts(g, -2))
+
+
 def test_iter_cuts_yields_only_valid_cuts():
     for g in (cycle_ghz(6), cycle_ghz(8), planted_matching_graph(1)):
         for cut in itertools.islice(iter_cuts(g, 3), 50):
