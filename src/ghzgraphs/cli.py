@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import GhzGraphError
@@ -25,9 +26,10 @@ from .ghz import (
 from .graphs import Multigraph, drop_zero_edges, merge_parallel_edges
 from .io import graph_to_document, load_graph, weight_to_strings
 from .matchings import colouring_weight_table, filter_graph, induced_colouring
-from .reduction import ReductionReport, reduce
 from .search import SearchProblem, exactify, search
-from .structure import CutSpec, find_cut, mcg, vertex_connectivity
+
+# `structure` and `reduction` are imported by the handlers that use them, so
+# the other commands start without loading them
 
 
 def _print(obj) -> None:
@@ -112,6 +114,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_mcg(args) -> int:
+    from .structure import mcg
+
     _print(graph_to_document(mcg(load_graph(args.file))))
     return 0
 
@@ -127,11 +131,15 @@ def _cmd_drop_zeros(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
+    from .structure import vertex_connectivity
+
     _print({"kappa": vertex_connectivity(load_graph(args.file))})
     return 0
 
 
 def _cmd_cut(args) -> int:
+    from .structure import find_cut
+
     cut = find_cut(load_graph(args.file), args.size)
     _print(_cut_json(cut) if cut is not None else "none")
     return 0
@@ -154,6 +162,8 @@ def _report_json(report: ReductionReport) -> dict:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import reduce
+
     g = load_graph(args.file)
     report = reduce(g, all_cuts=args.all_cuts, check=not args.no_check)
     _print(_report_json(report))
@@ -208,6 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
+        # a negative number in exponent form ("-1e-3") is an option's value,
+        # not an option name, as in later CPython releases
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.set_defaults(func=func)
         return p
 

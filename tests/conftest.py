@@ -13,6 +13,7 @@ import itertools
 import os
 import random
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,23 @@ from ghzgraphs import (
     make_cut,
     parallel_ghz_k2,
 )
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter
+
+
+def fresh_interpreter(script, *args):
+    """Run ``script`` in a new interpreter on this checkout's sources: the
+    test session has numpy and every ghzgraphs module loaded already."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
 
 # ---------------------------------------------------------------------------
 # the declared console script

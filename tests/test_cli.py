@@ -1,11 +1,9 @@
 """CLI contract: JSON on stdout, deterministic bytes, exit codes 0/1/2."""
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +21,7 @@ from ghzgraphs import (
 )
 from ghzgraphs.cli import main
 
-from conftest import bogdanov_instance
+from conftest import bogdanov_instance, fresh_interpreter
 
 
 @pytest.fixture
@@ -197,7 +195,7 @@ def test_cut_rejects_a_negative_size(files, capsys):
     assert blob["error"]["message"] == "cut size must be at least 0, got -1"
 
 
-@pytest.mark.parametrize("tol", ["nan", "-0.001"])
+@pytest.mark.parametrize("tol", ["nan", "-0.001", "-1e-3"])
 def test_search_rejects_a_tolerance_below_0_or_nan(files, capsys, tol):
     code, out, err = run(
         ["search", "--skeleton", files["k2skel"], "--dim", "2", "--tol", tol],
@@ -214,6 +212,16 @@ def test_verify_rejects_a_negative_epsilon(files, capsys, tmp_path):
     ghz.write_text(serialize_graph(scale_to_ghz(cycle_ghz(6))))
     assert run(["verify", str(ghz)], capsys)[0] == 0
     code, out, err = run(["verify", "--epsilon", "-1", str(ghz)], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert "epsilon" in blob["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "scale"])
+def test_an_exponent_form_negative_epsilon_reaches_the_library(files, capsys, command):
+    # argparse would read "-1e-3" as an option name and exit 2
+    code, out, err = run([command, "--epsilon", "-1e-3", files["c6"]], capsys)
     assert code == 1 and out == ""
     blob = json.loads(err)
     assert blob["error"]["type"] == "ValueError"
@@ -297,13 +305,31 @@ COLD_START = textwrap.dedent("""
 
 
 def test_only_search_loads_numpy(files):
-    # a fresh interpreter: this test session has numpy loaded already
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, files["c6"], files["k2skel"]],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = fresh_interpreter(COLD_START, files["c6"], files["k2skel"])
     assert proc.returncode == 0, proc.stderr
+
+
+LOADED_BY = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import ghzgraphs.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ghzgraphs.cli.main(sys.argv[1:])
+    print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+""")
+
+ON_FIRST_USE = {"ghzgraphs.structure", "ghzgraphs.reduction", "ghzgraphs.instances", "numpy"}
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("verify", set()),
+    ("weights", set()),
+    ("scale", set()),
+    ("connectivity", {"ghzgraphs.structure"}),
+    ("reduce", {"ghzgraphs.structure", "ghzgraphs.reduction"}),
+])
+def test_each_command_loads_only_the_modules_it_needs(files, command, loaded):
+    proc = fresh_interpreter(LOADED_BY, command, files["c6"])
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert blob["code"] == 0
+    assert ON_FIRST_USE & set(blob["modules"]) == loaded
