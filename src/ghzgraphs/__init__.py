@@ -45,7 +45,6 @@ from .graphs import (
     induced_subgraph,
     merge_parallel_edges,
     mono_colouring,
-    restrict_colouring,
     skeleton,
 )
 from .matchings import (

@@ -226,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "check the GHZ / g-GHZ property")
     p.add_argument("file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", help="gate on the strict property (default)")
-    mode.add_argument("--g-ghz", action="store_true", help="gate on the generalized property")
+    p.add_argument("--g-ghz", action="store_true", help="gate on the generalized property (default: strict)")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     p = add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings")

@@ -51,4 +51,3 @@ class DocumentError(GhzGraphError):
         super().__init__(f"{code} at {path}: {message}")
         self.code = code
         self.path = path
-        self.message = message

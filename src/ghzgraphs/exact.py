@@ -10,8 +10,8 @@ so that every rationalization step is explicit.
 A value is one Gaussian integer over one positive int denominator,
 (re + im*i) / den, never reduced by arithmetic: a product multiplies parts
 and denominators, a sum over different denominators rescales both to their
-lcm.  Lowest terms appear only when a value is read (``re``, ``im`` and their
-parts, ``str``, ``repr``, ``hash``, pickling), through ``Fraction(re, den)``.
+lcm.  Lowest terms appear only when a value is read (``re``, ``im``, ``str``,
+``repr``, ``hash``, pickling), through ``Fraction(re, den)``.
 Equality cross-multiplies, and ``complex()`` divides ints, which rounds
 correctly, so neither depends on the denominator a value carries.
 """
@@ -78,11 +78,6 @@ class GaussianRational:
     def im(self) -> Fraction:
         _, im, den = self._v
         return Fraction(im, den)
-
-    re_num = property(lambda self: self.re.numerator)
-    re_den = property(lambda self: self.re.denominator)
-    im_num = property(lambda self: self.im.numerator)
-    im_den = property(lambda self: self.im.denominator)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -66,21 +66,6 @@ class Edge:
             object.__setattr__(self, "cu", cv)
             object.__setattr__(self, "cv", cu)
 
-    def colour_at(self, vertex: int) -> Colour:
-        """The half-colour this edge shows at one of its endpoints."""
-        if vertex == self.u:
-            return self.cu
-        if vertex == self.v:
-            return self.cv
-        raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
-
-    def other_end(self, vertex: int) -> int:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -155,11 +140,6 @@ def build_graph(n: int, edge_specs: Iterable[tuple], colours: Iterable[Colour] |
 
 def mono_colouring(n: int, colour: Colour) -> VertexColouring:
     return (colour,) * n
-
-
-def restrict_colouring(vc: VertexColouring, vertices: Iterable[int]) -> VertexColouring:
-    """Restrict a colouring to a vertex subset, in relabelled (sorted) order."""
-    return tuple(vc[v] for v in sorted(vertices))
 
 
 def merge_parallel_edges(g: Multigraph) -> Multigraph:

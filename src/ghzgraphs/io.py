@@ -69,35 +69,35 @@ def _parse_weight(w, path: str):
     return complex(parts[0], parts[1])
 
 
-def document_to_graph(obj, path: str = "$") -> Multigraph:
+def document_to_graph(obj) -> Multigraph:
     """Validate a parsed JSON object and build the multigraph it describes."""
     if not isinstance(obj, dict):
-        _fail("BAD_DOCUMENT", path, "document must be a JSON object")
+        _fail("BAD_DOCUMENT", "$", "document must be a JSON object")
     if obj.get("version") != VERSION:
-        _fail("BAD_VERSION", f"{path}.version", f"expected version {VERSION}")
+        _fail("BAD_VERSION", "$.version", f"expected version {VERSION}")
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        _fail("BAD_DOCUMENT", f"{path}.n", "n must be a non-negative integer")
+        _fail("BAD_DOCUMENT", "$.n", "n must be a non-negative integer")
     universe_raw = obj.get("colour_universe")
     if not isinstance(universe_raw, list):
-        _fail("BAD_DOCUMENT", f"{path}.colour_universe", "colour_universe must be a list")
+        _fail("BAD_DOCUMENT", "$.colour_universe", "colour_universe must be a list")
     universe = set()
     for k, c in enumerate(universe_raw):
         if not isinstance(c, int) or isinstance(c, bool):
-            _fail("BAD_DOCUMENT", f"{path}.colour_universe[{k}]", "colours must be integers")
+            _fail("BAD_DOCUMENT", f"$.colour_universe[{k}]", "colours must be integers")
         if c < 0:
-            _fail("NEGATIVE_COLOUR", f"{path}.colour_universe[{k}]", "colours must be non-negative")
+            _fail("NEGATIVE_COLOUR", f"$.colour_universe[{k}]", "colours must be non-negative")
         if c in universe:
-            _fail("BAD_DOCUMENT", f"{path}.colour_universe[{k}]", f"duplicate colour {c}")
+            _fail("BAD_DOCUMENT", f"$.colour_universe[{k}]", f"duplicate colour {c}")
         universe.add(c)
     edges_raw = obj.get("edges")
     if not isinstance(edges_raw, list):
-        _fail("BAD_DOCUMENT", f"{path}.edges", "edges must be a list")
+        _fail("BAD_DOCUMENT", "$.edges", "edges must be a list")
 
     edges = []
     kinds = set()
     for k, entry in enumerate(edges_raw):
-        epath = f"{path}.edges[{k}]"
+        epath = f"$.edges[{k}]"
         if not isinstance(entry, dict):
             _fail("BAD_DOCUMENT", epath, "edge must be a JSON object")
         for field in _INT_FIELDS:

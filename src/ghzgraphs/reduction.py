@@ -48,7 +48,7 @@ from .graphs import (
     merge_parallel_edges,
 )
 from .matchings import colouring_weight, colouring_weight_table
-from .structure import CutSpec, _block_weight, _cut_block, iter_cuts, vertex_connectivity
+from .structure import CutSpec, _block_weight, _cut_block, iter_cuts, make_cut, vertex_connectivity
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,17 @@ class ColourClassification:
     v2_mono_weights: dict  # colour -> weight of the all-colour colouring of G[V2]
 
 
-def _check_three_cut(cut: CutSpec) -> None:
+def _check_three_cut(g: Multigraph, cut: CutSpec) -> None:
     if len(cut.s) != 3:
         raise ValueError(f"need a cut of size 3, got {len(cut.s)}")
     if len(cut.v1) % 2 == 0:
         raise ValueError("v1 must have odd size for the type decomposition")
+    make_cut(g, cut.s, cut.v1, cut.v2)
 
 
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:
     """The eight block weights of vc at the cut; ``.total`` equals w(vc)."""
-    _check_three_cut(cut)
+    _check_three_cut(g, cut)
     if len(vc) != g.n:
         raise ValueError(f"colouring has {len(vc)} entries for {g.n} vertices")
     v1, v2, s, paint = set(cut.v1), set(cut.v2), set(cut.s), vc.__getitem__
@@ -102,7 +103,7 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     otherwise it collects the colours whose monochromatic weight on G[V2] is
     non-zero.
     """
-    _check_three_cut(cut)
+    _check_three_cut(g, cut)
     zero = g.zero
     h0 = _cut_block(g, set(cut.v1) | set(cut.s), cut.s).graph
     has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
@@ -271,7 +272,6 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         raise ValueError("reduction expects an exact-weighted graph")
     g_table = colouring_weight_table(g)
     input_verdict = _classify(g, g_table, DEFAULT_EPSILON)
-    kappa = vertex_connectivity(g)
 
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
@@ -299,6 +299,7 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
     cut, cls, reduced, reduced_table, output_verdict = best
+    kappa = vertex_connectivity(g)
     return ReductionReport(
         case="hard" if cls.c1 else "easy",
         kappa=kappa,

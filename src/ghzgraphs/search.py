@@ -96,9 +96,6 @@ class Residual:
     value: float
     per_colouring: dict
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -288,31 +285,23 @@ class Exactification:
     epsilon: float  # tolerance used by the verdict (0.0 in exact mode)
 
 
-def exactify(
-    problem: SearchProblem,
-    weights,
-    max_denominator: int = 10**6,
-    tol: float = 1e-9,
-    epsilon: float | None = None,
-) -> Exactification:
+def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> Exactification:
     """Certify an assignment exactly when possible, numerically otherwise.
 
-    Weights within ``tol`` of Gaussian rationals with denominators up to
-    ``max_denominator`` are rounded and re-verified with exact arithmetic;
-    if that confirms a GHZ graph of full dimension the verdict is exact.
-    Anything else falls back to a float verdict at a tolerance reflecting
-    the achieved residual.
+    The rounding is fixed: when every weight lies within 1e-9 of the
+    nearest Gaussian rational with denominators up to 10**6, the rounded
+    weights are re-verified with exact arithmetic, and if that confirms a
+    GHZ graph of full dimension the verdict is exact.  Anything else falls
+    back to a float verdict at ``epsilon``, by default a tolerance
+    reflecting the achieved residual.
     """
     x = _check_weights(problem, weights)
-    rounded = [
-        GaussianRational.from_float(float(z.real), float(z.imag), max_denominator)
-        for z in x
-    ]
+    rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
     err = max(
         (abs(complex(r) - z) for r, z in zip(rounded, x)),
         default=0.0,
     )
-    if err <= tol:
+    if err <= 1e-9:
         exact_graph = _coloured_graph(problem, rounded)
         verdict = verify(exact_graph)
         if verdict.is_ghz and verdict.dimension == problem.d:

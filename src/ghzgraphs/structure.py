@@ -125,7 +125,7 @@ def vertex_connectivity(g: Multigraph) -> int:
 # small vertex cuts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CutSpec:
     """A vertex cut S with a two-block partition of the remaining vertices.
 
@@ -136,28 +136,34 @@ class CutSpec:
     s: tuple[int, ...]
     v1: tuple[int, ...]
     v2: tuple[int, ...]
-    parity: str  # parity of |v1|: "odd" or "even"
 
     def __post_init__(self):
         object.__setattr__(self, "s", tuple(sorted(self.s)))
         object.__setattr__(self, "v1", tuple(sorted(self.v1)))
         object.__setattr__(self, "v2", tuple(sorted(self.v2)))
-        expected = "odd" if len(self.v1) % 2 else "even"
-        if self.parity != expected:
-            raise ValueError(f"parity tag {self.parity!r} does not match |v1|={len(self.v1)}")
+
+    @property
+    def parity(self) -> str:
+        """Parity of |v1|: "odd" or "even"."""
+        return "odd" if len(self.v1) % 2 else "even"
+
+    def __repr__(self):
+        # the parity stays in the repr, so printed cuts and digests of them read as before
+        return f"CutSpec(s={self.s!r}, v1={self.v1!r}, v2={self.v2!r}, parity={self.parity!r})"
 
 
 def make_cut(g: Multigraph, s, v1, v2) -> CutSpec:
     """Validate and package an explicit cut (partition, no v1-v2 edges)."""
-    s, v1, v2 = set(s), set(v1), set(v2)
-    if s | v1 | v2 != set(range(g.n)) or len(s) + len(v1) + len(v2) != g.n:
+    s, v1, v2 = tuple(s), tuple(v1), tuple(v2)
+    if sorted(s + v1 + v2) != list(range(g.n)):
         raise ValueError("s, v1, v2 must partition the vertex set")
+    s, v1, v2 = set(s), set(v1), set(v2)
     if not v1 or not v2:
         raise ValueError("both sides of the cut must be non-empty")
     for e in g.edges:
         if (e.u in v1 and e.v in v2) or (e.u in v2 and e.v in v1):
             raise ValueError(f"edge {e.u}-{e.v} crosses the cut")
-    return CutSpec(tuple(s), tuple(v1), tuple(v2), "odd" if len(v1) % 2 else "even")
+    return CutSpec(tuple(s), tuple(v1), tuple(v2))
 
 
 def _components(adj: list[set[int]], removed: set[int], n: int) -> list[tuple[int, ...]]:
@@ -199,25 +205,21 @@ def iter_cuts(g: Multigraph, size: int):
         comps = _components(adj, set(s), g.n)
         if len(comps) < 2:
             continue
-        if size < 3:
-            v1 = comps[0]
-            v2 = tuple(sorted(v for c in comps[1:] for v in c))
-            yield CutSpec(s, v1, v2, "odd" if len(v1) % 2 else "even")
-            continue
-        odd_sides = []
-        for r in range(1, len(comps)):
-            for pick in itertools.combinations(range(len(comps)), r):
-                side = tuple(sorted(v for i in pick for v in comps[i]))
-                if len(side) % 2:
-                    odd_sides.append(side)
+        odd_sides = set()
+        if size >= 3:
+            for r in range(1, len(comps)):
+                for pick in itertools.combinations(range(len(comps)), r):
+                    side = tuple(sorted(v for i in pick for v in comps[i]))
+                    if len(side) % 2:
+                        odd_sides.add(side)
         if odd_sides:
-            for v1 in sorted(set(odd_sides)):
+            for v1 in sorted(odd_sides):
                 v2 = tuple(sorted(set(range(g.n)) - set(s) - set(v1)))
-                yield CutSpec(s, v1, v2, "odd")
+                yield CutSpec(s, v1, v2)
         else:
             v1 = comps[0]
             v2 = tuple(sorted(v for c in comps[1:] for v in c))
-            yield CutSpec(s, v1, v2, "even")
+            yield CutSpec(s, v1, v2)
 
 
 def find_cut(g: Multigraph, size: int) -> CutSpec | None:

@@ -20,7 +20,7 @@ EXPORTS = {
     "graphs": [
         "Colour", "Edge", "InducedSubgraph", "Multigraph", "VertexColouring", "adjacency_sets",
         "build_graph", "drop_zero_edges", "induced_subgraph", "merge_parallel_edges",
-        "mono_colouring", "restrict_colouring", "skeleton",
+        "mono_colouring", "skeleton",
     ],
     "matchings": [
         "PerfectMatching", "colouring_weight", "colouring_weight_table",

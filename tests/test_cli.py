@@ -1,5 +1,7 @@
 """CLI contract: JSON on stdout, deterministic bytes, exit codes 0/1/2."""
 
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from ghzgraphs import (
     skeleton,
     verify,
 )
-from ghzgraphs.cli import main
+from ghzgraphs.cli import build_parser, main
 
 from conftest import bogdanov_instance, fresh_interpreter
 
@@ -253,6 +255,19 @@ def test_usage_errors_exit_two(files, capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_every_option_is_read_by_its_handler():
+    """An option that no handler reads changes nothing, so none may stay."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, command in commands.choices.items():
+        source = inspect.getsource(command.get_default("func"))
+        for action in command._actions:
+            if action.dest != "help" and f"args.{action.dest}" not in source:
+                unread.append((name, action.dest))
+    assert len(commands.choices) == 13 and unread == []
 
 
 def test_output_is_byte_deterministic(files, capsys):

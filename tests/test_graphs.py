@@ -13,7 +13,6 @@ from ghzgraphs import (
     induced_subgraph,
     merge_parallel_edges,
     mono_colouring,
-    restrict_colouring,
     skeleton,
 )
 
@@ -25,8 +24,6 @@ def test_edge_canonicalizes_endpoints_with_halves():
     assert (e.u, e.v) == (1, 3)
     # the half-colours travel with their endpoints
     assert (e.cu, e.cv) == (2, 7)
-    assert e.colour_at(1) == 2 and e.colour_at(3) == 7
-    assert e.other_end(1) == 3
 
 
 def test_edge_rejects_self_loops_and_negatives():
@@ -141,5 +138,4 @@ def test_skeleton_forgets_colours_weights_and_multiplicity():
 
 def test_colouring_helpers():
     assert mono_colouring(3, 2) == (2, 2, 2)
-    assert restrict_colouring((5, 6, 7, 8), [2, 0]) == (5, 7)
     assert adjacency_sets(build_graph(3, [(0, 1, 0, 0, 1)])) == [{1}, {0}, set()]

@@ -259,8 +259,8 @@ def kernel_corpus():
 
 def test_exact_weight_cases_reach_what_they_are_named_for():
     tables = {name: colouring_weight_table(g) for name, g in exact_weight_cases().items()}
-    assert max(w.re_den for w in tables["rationalised K6 d=3"].values()) > 10**18
-    assert max(w.re_den for w in tables["coprime K6 d=2"].values()) > 2**64
+    assert max(w.re.denominator for w in tables["rationalised K6 d=3"].values()) > 10**18
+    assert max(w.re.denominator for w in tables["coprime K6 d=2"].values()) > 2**64
     imaginary = tables["imaginary K6 d=2"].values()
     assert all(w.re == 0 or w.im == 0 for w in imaginary) and any(w.im for w in imaginary)
     for name in ("cancelling K4 d=2", "cancelling K6 d=2", "cancelling rationalised K6 d=2"):

@@ -8,6 +8,7 @@ import pytest
 
 import ghzgraphs.reduction
 from ghzgraphs import (
+    CutSpec,
     Edge,
     GaussianRational,
     InvariantViolation,
@@ -99,6 +100,27 @@ def test_type_weights_rejects_bad_cuts():
         type_weights(c6, two, (0,) * 6)
     with pytest.raises(ValueError):
         type_weights(c6, make_cut(c6, (1, 3, 5), (0,), (2, 4)), (0,) * 5)
+
+
+CUT_TAKERS = {
+    "classify_colours": lambda g, cut: classify_colours(g, cut),
+    "type_weights": lambda g, cut: type_weights(g, cut, (0,) * g.n),
+    "reduce_easy": lambda g, cut: reduce_easy(g, cut),
+    "reduce_easy unchecked": lambda g, cut: reduce_easy(g, cut, check=False),
+    "reduce_hard": lambda g, cut: reduce_hard(g, cut),
+    "reduce_hard unchecked": lambda g, cut: reduce_hard(g, cut, check=False),
+}
+
+
+@pytest.mark.parametrize("take", CUT_TAKERS.values(), ids=CUT_TAKERS.keys())
+def test_a_cut_that_is_not_one_of_the_graph_is_refused(take):
+    c8 = cycle_ghz(8)
+    with pytest.raises(ValueError, match="edge 3-4 crosses the cut"):
+        take(c8, CutSpec((0, 1, 2), (3,), (4, 5, 6, 7)))
+    with pytest.raises(ValueError, match="must partition the vertex set"):
+        take(c8, CutSpec((0, 1, 2), (3,), (5, 6, 7)))  # vertex 4 left out
+    with pytest.raises(ValueError, match="must partition the vertex set"):
+        take(cycle_ghz(6), CutSpec((1, 3, 5), (0, 0, 0), (2, 4)))  # vertex 0 thrice
 
 
 # ---------------------------------------------------------------------------
@@ -799,3 +821,21 @@ def test_reduce_builds_one_table_of_the_graph_it_returns(monkeypatch, case, all_
     assert sum(h is report.graph for h in seen) == 1
     if not all_cuts:  # with all_cuts another cut may reduce to an equal graph
         assert sum(h == report.graph for h in seen) == 1
+
+
+def test_reduce_computes_kappa_only_for_a_report(monkeypatch):
+    real = ghzgraphs.reduction.vertex_connectivity
+    seen = []
+
+    def counting_connectivity(h):
+        seen.append(h)
+        return real(h)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "vertex_connectivity", counting_connectivity)
+    with pytest.raises(IrreducibleError):
+        reduce(octahedron())
+    with pytest.raises(ValueError, match="no size-3 cut admits an odd block"):
+        reduce(only_even_cuts())
+    assert seen == []
+    c8 = cycle_ghz(8)
+    assert reduce(c8).kappa == 2 and seen == [c8]

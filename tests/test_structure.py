@@ -1,5 +1,6 @@
 """Matching cover, connectivity, cut enumeration and square decompositions."""
 
+import dataclasses
 import itertools
 import random
 
@@ -156,11 +157,14 @@ def test_connectivity_ignores_parallel_edges():
 # cuts
 
 
-def test_cutspec_validates_parity_tag():
-    with pytest.raises(ValueError):
-        CutSpec((0, 1), (2,), (3, 4), "even")
-    spec = CutSpec((1, 0), (4, 2), (3,), "even")
+def test_cutspec_sorts_its_blocks_and_reads_parity_from_v1():
+    spec = CutSpec((1, 0), (4, 2), (3,))
     assert spec.s == (0, 1) and spec.v1 == (2, 4)  # sorted on construction
+    assert spec.parity == "even" and CutSpec((0, 1), (2,), (3, 4)).parity == "odd"
+    assert [f.name for f in dataclasses.fields(CutSpec)] == ["s", "v1", "v2"]
+    assert repr(spec) == "CutSpec(s=(0, 1), v1=(2, 4), v2=(3,), parity='even')"
+    with pytest.raises(AttributeError):
+        spec.parity = "odd"
 
 
 def test_make_cut_validations():
@@ -177,8 +181,8 @@ def test_make_cut_validations():
 
 def test_find_cut_on_c6_is_deterministic():
     c6 = cycle_ghz(6)
-    assert find_cut(c6, 2) == CutSpec((0, 2), (1,), (3, 4, 5), "odd")
-    assert find_cut(c6, 3) == CutSpec((0, 1, 3), (2,), (4, 5), "odd")
+    assert find_cut(c6, 2) == CutSpec((0, 2), (1,), (3, 4, 5))
+    assert find_cut(c6, 3) == CutSpec((0, 1, 3), (2,), (4, 5))
     assert find_cut(octahedron(), 3) is None
 
 
@@ -225,7 +229,7 @@ def test_three_cut_enumeration_covers_odd_groupings():
     # removing {0, 1, 4} from C8 leaves components {2, 3} and {5, 6, 7}:
     # only one odd grouping, so exactly one cut for that S
     cuts = [c for c in iter_cuts(cycle_ghz(8), 3) if c.s == (0, 1, 4)]
-    assert cuts == [CutSpec((0, 1, 4), (5, 6, 7), (2, 3), "odd")]
+    assert cuts == [CutSpec((0, 1, 4), (5, 6, 7), (2, 3))]
     # {0, 2, 4} leaves {1}, {3}, {5, 6, 7}: three proper odd groupings
     # (the union of all components is never a side -- v2 must be non-empty)
     cuts = [c for c in iter_cuts(cycle_ghz(8), 3) if c.s == (0, 2, 4)]
@@ -301,9 +305,11 @@ SQUARE_DECOMPOSITIONS = (
 
 
 def test_square_decompositions_reject_a_repeated_cut_vertex():
-    # vertex 2 alone separates {0, 1} from {3, 4}: make_cut takes (2, 2) as that 1-cut
+    # vertex 2 alone separates {0, 1} from {3, 4}; make_cut refuses it listed twice
     g = build_graph(5, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1), (2, 3, 0, 0, 1), (3, 4, 0, 0, 1)])
-    assert make_cut(g, (2, 2), [0, 1], [3, 4]).s == (2,)
+    assert make_cut(g, (2,), [0, 1], [3, 4]).s == (2,)
+    with pytest.raises(ValueError, match="partition"):
+        make_cut(g, (2, 2), [0, 1], [3, 4])
     for decomposition, colours in SQUARE_DECOMPOSITIONS:
         with pytest.raises(ValueError, match="distinct"):
             decomposition(g, 2, 2, [0, 1], [3, 4], colours)
