@@ -17,6 +17,11 @@ stays eager: the package's ``search`` is the function, and when the import
 system first loads the submodule ``ghzgraphs.search`` it binds the package
 attribute ``search`` to that module; loaded lazily, it would replace the
 function.  numpy, which only ``search`` uses, loads inside it on first use.
+
+For the same reason the package imports neither ``dataclasses`` (which
+brings in ``inspect``) nor ``typing``.  ``Edge`` and ``Multigraph`` are
+slotted classes with hand-written validating constructors; every other
+record is an immutable ``collections.namedtuple`` subclass.
 """
 
 from importlib import import_module as _import_module

@@ -52,7 +52,7 @@ def _verdict_json(verdict: GhzVerdict) -> dict:
     }
 
 
-def _cut_json(cut: CutSpec) -> dict:
+def _cut_json(cut) -> dict:
     return {"s": list(cut.s), "v1": list(cut.v1), "v2": list(cut.v2), "parity": cut.parity}
 
 
@@ -145,7 +145,7 @@ def _cmd_cut(args) -> int:
     return 0
 
 
-def _report_json(report: ReductionReport) -> dict:
+def _report_json(report) -> dict:
     cls = report.classification
     return {
         "case": report.case,

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 _HASH_IMAG = sys.hash_info.imag
+_MAX_DENOMINATOR = 10**6  # from_float's bound, the rounding exactify certifies with
 
 
 def _as_fraction(x) -> Fraction:
@@ -60,11 +61,11 @@ class GaussianRational:
         return cls(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
     @classmethod
-    def from_float(cls, re: float, im: float = 0.0, max_denominator: int = 10**6):
-        """Nearest Gaussian rational with bounded denominators."""
+    def from_float(cls, re: float, im: float = 0.0):
+        """Nearest Gaussian rational with denominators up to 10**6."""
         return cls(
-            Fraction(re).limit_denominator(max_denominator),
-            Fraction(im).limit_denominator(max_denominator),
+            Fraction(re).limit_denominator(_MAX_DENOMINATOR),
+            Fraction(im).limit_denominator(_MAX_DENOMINATOR),
         )
 
     # -- field accessors, in lowest terms ----------------------------------

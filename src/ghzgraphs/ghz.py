@@ -15,7 +15,7 @@ scale_to_ghz or the search) within a tolerance epsilon.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BogdanovHypothesisError, InvariantViolation, NotGhzError, UnscalableColourError
 from .graphs import Colour, Edge, Multigraph, VertexColouring, drop_zero_edges, mono_colouring
@@ -35,19 +35,16 @@ MONO_NOT_ONE = "mono_not_one"          # breaks GHZ only
 MONO_ZERO = "mono_zero"                # breaks GHZ only, tolerated by g-GHZ
 
 
-@dataclass(frozen=True)
-class Violation:
-    colouring: VertexColouring
-    weight: object
-    kind: str
+class Violation(namedtuple("Violation", "colouring weight kind")):
+    """A colouring (VertexColouring) whose weight breaks GHZ, and which kind of break."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GhzVerdict:
-    is_ghz: bool
-    is_g_ghz: bool
-    dimension: int
-    violations: tuple[Violation, ...]
+class GhzVerdict(namedtuple("GhzVerdict", "is_ghz is_g_ghz dimension violations")):
+    """The two flags, the dimension (int) and a tuple of Violation, in report order."""
+
+    __slots__ = ()
 
 
 def _is_mono(vc: VertexColouring) -> bool:

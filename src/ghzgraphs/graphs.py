@@ -15,9 +15,10 @@ happens to appear on no edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from operator import attrgetter
 
 from .exact import GaussianRational
 
@@ -39,65 +40,102 @@ def _as_weight(w):
     raise TypeError(f"unsupported weight type {type(w).__name__}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Record:
+    """Value semantics for a slotted record, read from its class's ``_fields``.
+
+    An instance equals only an instance of the same class with equal fields
+    (so never a tuple), hashes as the tuple of its fields, refuses every
+    assignment after ``__init__``, and is copied and pickled by calling its
+    class on its fields, so ``__init__`` validates every rebuilt instance.
+    A slot outside ``_fields`` takes no part in any of this.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = staticmethod(attrgetter(*cls._fields))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values(self))
+
+
+_setattr = object.__setattr__  # writes a slot past the immutability guard
+
+
+class Edge(_Record):
     """One edge of a multigraph, canonicalized so that u < v."""
 
-    u: int
-    v: int
-    cu: Colour
-    cv: Colour
-    weight: GaussianRational | complex
+    __slots__ = _fields = ("u", "v", "cu", "cv", "weight")
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"self-loop at vertex {self.u} is not allowed")
-        if self.u < 0 or self.v < 0:
+    def __init__(self, u: int, v: int, cu: Colour, cv: Colour, weight):
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        if u < 0 or v < 0:
             raise ValueError("vertex indices must be non-negative")
-        if not isinstance(self.cu, int) or not isinstance(self.cv, int):
+        if not isinstance(cu, int) or not isinstance(cv, int):
             raise TypeError("colours must be ints")
-        if self.cu < 0 or self.cv < 0:
+        if cu < 0 or cv < 0:
             raise ValueError("colours must be non-negative")
-        object.__setattr__(self, "weight", _as_weight(self.weight))
-        if self.u > self.v:
-            u, v, cu, cv = self.u, self.v, self.cu, self.cv
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
-            object.__setattr__(self, "cu", cv)
-            object.__setattr__(self, "cv", cu)
+        weight = _as_weight(weight)
+        if u > v:
+            u, v, cu, cv = v, u, cv, cu
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "cu", cu)
+        _setattr(self, "cv", cv)
+        _setattr(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(_Record):
     """Vertices 0..n-1 with a tuple of coloured weighted edges."""
 
-    n: int
-    edges: tuple[Edge, ...]
-    colour_universe: frozenset[Colour]
+    __slots__ = _fields = ("n", "edges", "colour_universe")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "colour_universe", frozenset(self.colour_universe))
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge], colour_universe: Iterable[Colour]):
+        edges = tuple(edges)
+        colour_universe = frozenset(colour_universe)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for c in self.colour_universe:
+        for c in colour_universe:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"colour universe entry {c!r} is not a non-negative int")
         exact = None
-        for e in self.edges:
+        for e in edges:
             if not isinstance(e, Edge):
                 raise TypeError("edges must be Edge instances")
-            if e.v >= self.n:
-                raise ValueError(f"edge {e.u}-{e.v} exceeds vertex range 0..{self.n - 1}")
-            if e.cu not in self.colour_universe or e.cv not in self.colour_universe:
+            if e.v >= n:
+                raise ValueError(f"edge {e.u}-{e.v} exceeds vertex range 0..{n - 1}")
+            if e.cu not in colour_universe or e.cv not in colour_universe:
                 raise ValueError(
-                    f"edge {e.u}-{e.v} uses colour outside the universe {sorted(self.colour_universe)}"
+                    f"edge {e.u}-{e.v} uses colour outside the universe {sorted(colour_universe)}"
                 )
             kind = isinstance(e.weight, GaussianRational)
             if exact is None:
                 exact = kind
             elif exact != kind:
                 raise ValueError("cannot mix exact and float weights in one graph")
+        _setattr(self, "n", n)
+        _setattr(self, "edges", edges)
+        _setattr(self, "colour_universe", colour_universe)
 
     @property
     def is_exact(self) -> bool:
@@ -115,15 +153,14 @@ class Multigraph:
         return _EXACT_ZERO if self.is_exact else _FLOAT_ZERO
 
 
-class InducedSubgraph(NamedTuple):
+class InducedSubgraph(namedtuple("InducedSubgraph", "graph vertices")):
     """An induced subgraph together with its vertex relabelling.
 
     ``vertices[i]`` is the original label of new vertex i; retained vertices
     are relabelled to 0..k-1 in increasing original order.
     """
 
-    graph: Multigraph
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
 
 def build_graph(n: int, edge_specs: Iterable[tuple], colours: Iterable[Colour] | None = None) -> Multigraph:

@@ -34,13 +34,12 @@ the reduced vertices, and unless disabled the identity is re-checked on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
-from .ghz import DEFAULT_EPSILON, GhzVerdict, _classify, _scale_to_ghz
+from .ghz import DEFAULT_EPSILON, _classify, _scale_to_ghz
 from .graphs import (
-    Colour,
     Edge,
     Multigraph,
     VertexColouring,
@@ -51,12 +50,10 @@ from .matchings import colouring_weight, colouring_weight_table
 from .structure import CutSpec, _block_weight, _cut_block, iter_cuts, make_cut, vertex_connectivity
 
 
-@dataclass(frozen=True)
-class TypeWeights:
+class TypeWeights(namedtuple("TypeWeights", "v1_side v2_side")):
     """Block weights (W_0..W_3, W_0'..W_3') of one colouring at a 3-cut."""
 
-    v1_side: tuple
-    v2_side: tuple
+    __slots__ = ()
 
     @property
     def total(self):
@@ -64,14 +61,14 @@ class TypeWeights:
         return parts[0] + parts[1] + parts[2] + parts[3]
 
 
-@dataclass(frozen=True)
-class ColourClassification:
-    """The C1/C2 colour split at a 3-cut, plus the data it was derived from."""
+class ColourClassification(namedtuple("ColourClassification", "c1 c2 has_type0 v2_mono_weights")):
+    """The C1/C2 colour split at a 3-cut, plus the data it was derived from.
 
-    c1: frozenset[Colour]
-    c2: frozenset[Colour]
-    has_type0: bool
-    v2_mono_weights: dict  # colour -> weight of the all-colour colouring of G[V2]
+    ``c1`` and ``c2`` are frozensets of colours; ``v2_mono_weights`` maps each
+    colour to the weight of the all-colour colouring of G[V2].
+    """
+
+    __slots__ = ()
 
 
 def _check_three_cut(g: Multigraph, cut: CutSpec) -> None:
@@ -217,30 +214,27 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     return _reduce(g, cut, cls, colouring_weight_table(g) if check else None)[0]
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(
+    namedtuple(
+        "ReductionReport",
+        "case kappa input_verdict cut classification graph vertex_map output_verdict mu_bound scaled",
+        defaults=(None, None),
+    )
+):
     """Everything reduce() learned: the reduced graph and its provenance.
 
-    Every report carries the cut used, its colour classification, the
-    reduced graph, its vertex map and both verdicts.  ``vertex_map`` ties
-    reduced vertices back to the input: for the hard case a tuple of
-    original labels, for the easy case the tuple (V1 block, u1, u2, u3)
-    whose first entry is itself a tuple.  Only two fields are optional:
+    ``case`` is "easy" or "hard".  Every report carries the cut used, its
+    colour classification, the reduced graph, its vertex map and both
+    verdicts.  ``vertex_map`` ties reduced vertices back to the input: for
+    the hard case a tuple of original labels, for the easy case the tuple
+    (V1 block, u1, u2, u3) whose first entry is itself a tuple.  Only two
+    fields are optional:
     ``mu_bound`` is 2 whenever kappa <= 2 (the connectivity bound mu <= 2)
     and None otherwise, and ``scaled``, the float rescaling of the reduced
     graph to a strict GHZ graph, is None unless the input is g-GHZ.
     """
 
-    case: str  # "easy" | "hard"
-    kappa: int
-    input_verdict: GhzVerdict
-    cut: CutSpec
-    classification: ColourClassification
-    graph: Multigraph
-    vertex_map: tuple
-    output_verdict: GhzVerdict
-    mu_bound: int | None = None
-    scaled: Multigraph | None = None
+    __slots__ = ()
 
 
 def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> ReductionReport:

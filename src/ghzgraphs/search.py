@@ -42,10 +42,10 @@ of the library and every CLI command but ``search`` run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import GaussianRational
-from .ghz import DEFAULT_EPSILON, GhzVerdict, verify
+from .ghz import DEFAULT_EPSILON, verify
 from .graphs import Edge, Multigraph, skeleton
 from .matchings import enumerate_perfect_matchings, induced_colouring
 
@@ -91,19 +91,17 @@ class SearchProblem:
         return pair * self.d * self.d + p * self.d + q
 
 
-@dataclass(frozen=True)
-class Residual:
-    value: float
-    per_colouring: dict
+class Residual(namedtuple("Residual", "value per_colouring")):
+    """The residual (float) and a dict of each colouring's contribution to it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    weights: np.ndarray
-    residual: Residual
-    converged: bool
-    restart: int
-    iterations: int
+class SearchResult(namedtuple("SearchResult", "weights residual converged restart iterations")):
+    """The best assignment found (an np.ndarray), its Residual, whether it
+    converged, and the restart and iteration count it came from."""
+
+    __slots__ = ()
 
 
 def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
@@ -277,12 +275,11 @@ def assignment_graph(problem: SearchProblem, weights) -> Multigraph:
     return _coloured_graph(problem, [complex(z) for z in _check_weights(problem, weights)])
 
 
-@dataclass(frozen=True)
-class Exactification:
-    graph: Multigraph
-    verdict: GhzVerdict
-    mode: str  # "exact" | "numeric"
-    epsilon: float  # tolerance used by the verdict (0.0 in exact mode)
+class Exactification(namedtuple("Exactification", "graph verdict mode epsilon")):
+    """A Multigraph, its GhzVerdict, the mode ("exact" | "numeric") and the
+    tolerance the verdict used (0.0 in exact mode)."""
+
+    __slots__ = ()
 
 
 def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> Exactification:

@@ -12,8 +12,7 @@ has H = -V.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .graphs import (
     Colour,
@@ -125,22 +124,17 @@ def vertex_connectivity(g: Multigraph) -> int:
 # small vertex cuts
 
 
-@dataclass(frozen=True, repr=False)
-class CutSpec:
+class CutSpec(namedtuple("CutSpec", "s v1 v2")):
     """A vertex cut S with a two-block partition of the remaining vertices.
 
     No edge joins v1 and v2.  For cuts feeding the 3-cut reduction, v1 is
-    the odd-size block (``parity == "odd"``).
+    the odd-size block (``parity == "odd"``).  Each block is stored sorted.
     """
 
-    s: tuple[int, ...]
-    v1: tuple[int, ...]
-    v2: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(sorted(self.s)))
-        object.__setattr__(self, "v1", tuple(sorted(self.v1)))
-        object.__setattr__(self, "v2", tuple(sorted(self.v2)))
+    def __new__(cls, s, v1, v2):
+        return tuple.__new__(cls, (tuple(sorted(s)), tuple(sorted(v1)), tuple(sorted(v2))))
 
     @property
     def parity(self) -> str:
@@ -233,18 +227,14 @@ def find_cut(g: Multigraph, size: int) -> CutSpec | None:
 # coloured squares across a 2-cut
 
 
-@dataclass(frozen=True)
-class SquareDecomposition:
+class SquareDecomposition(namedtuple("SquareDecomposition", "v_left v_right h_top h_bottom")):
     """The four block weights of a square colouring across a 2-cut.
 
     ``total`` reproduces the colouring weight on the whole graph;
     the square is solid when all four factors are non-zero.
     """
 
-    v_left: object
-    v_right: object
-    h_top: object
-    h_bottom: object
+    __slots__ = ()
 
     @property
     def vertical(self):

@@ -1,8 +1,11 @@
 """The package's public names: every re-export stays reachable as
 ``ghzgraphs.<name>``, whether its module is imported eagerly or on first use."""
 
+import importlib
 import json
 import textwrap
+import types
+import typing
 
 import pytest
 
@@ -113,3 +116,31 @@ def test_a_name_rebound_in_its_submodule_is_seen_through_the_package(monkeypatch
     assert ghzgraphs.reduce is stand_in
     monkeypatch.undo()
     assert ghzgraphs.reduce is original is ghzgraphs.reduction.reduce
+
+
+def defined_in(module):
+    """Every function, class and method that ``module`` defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, types.FunctionType):
+            yield obj
+        elif isinstance(obj, type):
+            yield obj
+            for attr in vars(obj).values():
+                func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if isinstance(func, types.FunctionType):
+                    yield func
+
+
+# `search` is left out: numpy loads inside its functions, so the module has no
+# `np` to resolve its `np.ndarray` annotations against
+@pytest.mark.parametrize("module", ["ghzgraphs", "ghzgraphs.cli"] + [
+    f"ghzgraphs.{name}" for name in EXPORTS if name != "search"
+])
+def test_every_annotation_resolves(module):
+    source = importlib.import_module(module)
+    checked = list(defined_in(source))
+    assert checked
+    for obj in checked:
+        typing.get_type_hints(obj)

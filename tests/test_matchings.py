@@ -197,7 +197,7 @@ def differential_corpus():
 def rationalised(rng):
     """A float weight rounded as exactify rounds it: denominators up to 10**6."""
     re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
-    return GaussianRational.from_float(re, im, max_denominator=10**6)
+    return GaussianRational.from_float(re, im)
 
 
 #: pairwise coprime, several of them far beyond a machine word once multiplied

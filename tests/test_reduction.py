@@ -709,7 +709,7 @@ def test_lazy_cut_scan_matches_the_listed_scan(case, all_cuts):
 
 def test_scan_cases_reach_every_outcome():
     kinds = {
-        out[0] if isinstance(out, tuple) else out.case
+        out.case if isinstance(out, ghzgraphs.reduction.ReductionReport) else out[0]
         for out in (outcome(reduce, g, False) for g in SCAN_CASES)
     }
     assert kinds == {"easy", "hard", ValueError, IrreducibleError}
