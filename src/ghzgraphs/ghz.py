@@ -59,13 +59,9 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     either way.  The dimension field counts monochromatic colourings with
     non-zero weight regardless of the verdict flags.
     """
-    return _classify(g, colouring_weight_table(g), epsilon)
-
-
-def _classify(g: Multigraph, table: dict, epsilon: float) -> GhzVerdict:
-    """The verdict of ``verify`` on g, read from g's colouring-weight table."""
     if not epsilon >= 0:  # NaN compares false too
         raise ValueError(f"epsilon must be a non-negative number, got {epsilon}")
+    table = colouring_weight_table(g)
     exact = g.is_exact
     zero, one = g.zero, g.one
 
@@ -111,10 +107,7 @@ def dimension(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> int:
 
 def mono_weights(g: Multigraph) -> dict[Colour, object]:
     """Weight of the all-i colouring for every colour i in the universe."""
-    return _mono_weights(g, colouring_weight_table(g))
-
-
-def _mono_weights(g: Multigraph, table: dict) -> dict[Colour, object]:
+    table = colouring_weight_table(g)
     return {
         colour: table.get(mono_colouring(g.n, colour), g.zero)
         for colour in sorted(g.colour_universe)
@@ -139,29 +132,23 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
-    table = colouring_weight_table(g)
-    return _scale_to_ghz(g, table, _classify(g, table, epsilon), epsilon)
-
-
-def _scale_to_ghz(g: Multigraph, table: dict, verdict: GhzVerdict, epsilon: float) -> Multigraph:
-    """``scale_to_ghz`` of exact g, given g's table and its verdict at epsilon."""
+    verdict = verify(g, epsilon)
     if not verdict.is_g_ghz:
         raise NotGhzError("not a g-GHZ graph; scaling is undefined")
     if g.n == 0:
         return Multigraph(0, (), g.colour_universe)
 
-    weights = _mono_weights(g, table)
+    weights = mono_weights(g)
     dead = {c for c, w in weights.items() if w == g.zero}
     if dead:
-        nonzero = drop_zero_edges(g)
-        live_table = table if len(nonzero.edges) == len(g.edges) else colouring_weight_table(nonzero)
-        live_colours = {c for vc in live_table for c in vc}
+        live_colours = {c for vc in colouring_weight_table(drop_zero_edges(g)) for c in vc}
         bad = sorted(dead & live_colours)
         if bad:
             raise UnscalableColourError(
                 f"unscalable colour {bad[0]}: zero monochromatic weight but "
                 f"present in a non-zero-weight perfect matching"
             )
+        table = colouring_weight_table(g)
         stuck = [c for c in sorted(dead) if mono_colouring(g.n, c) in table]
         if stuck:
             raise UnscalableColourError(

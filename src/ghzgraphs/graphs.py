@@ -108,7 +108,10 @@ class Edge(_Record):
 class Multigraph(_Record):
     """Vertices 0..n-1 with a tuple of coloured weighted edges."""
 
-    __slots__ = _fields = ("n", "edges", "colour_universe")
+    _fields = ("n", "edges", "colour_universe")
+    # _table: the colouring-weight table memoised by matchings, or None;
+    # outside _fields, so no copy, pickle or equal graph shares it
+    __slots__ = _fields + ("_table",)
 
     def __init__(self, n: int, edges: Iterable[Edge], colour_universe: Iterable[Colour]):
         edges = tuple(edges)
@@ -136,6 +139,7 @@ class Multigraph(_Record):
         _setattr(self, "n", n)
         _setattr(self, "edges", edges)
         _setattr(self, "colour_universe", colour_universe)
+        _setattr(self, "_table", None)
 
     @property
     def is_exact(self) -> bool:
@@ -194,9 +198,12 @@ def merge_parallel_edges(g: Multigraph) -> Multigraph:
 
 
 def drop_zero_edges(g: Multigraph) -> Multigraph:
-    """Remove edges whose weight is exactly zero (a weight-0 edge is no edge)."""
+    """Remove edges whose weight is exactly zero (a weight-0 edge is no edge);
+    a graph without one is returned as it is."""
     zero = g.zero
     kept = tuple(e for e in g.edges if e.weight != zero)
+    if len(kept) == len(g.edges):
+        return g
     return Multigraph(g.n, kept, g.colour_universe)
 
 

@@ -18,6 +18,9 @@ need single matchings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from .graphs import Multigraph, VertexColouring
 
 PerfectMatching = tuple[int, ...]
@@ -191,12 +194,18 @@ def is_feasible(g: Multigraph, vc: VertexColouring) -> bool:
     return bool(_weight_table(filter_graph(g, vc)))
 
 
-def colouring_weight_table(g: Multigraph) -> dict[VertexColouring, object]:
-    """Total matching weight per induced colouring.
+def colouring_weight_table(g: Multigraph) -> Mapping[VertexColouring, object]:
+    """Total matching weight per induced colouring, as a read-only mapping.
 
     Only feasible colourings appear (possibly with weight 0 after
     cancellation); the values sum to the graph weight because the matchings
     partition by induced colouring.  Keys are sorted for deterministic
-    iteration.
+    iteration.  The table is built once per graph object and memoised on it,
+    so every later call on the same object returns the same mapping; an
+    equal graph, a copy or an unpickled graph builds its own.
     """
-    return _weight_table(g)
+    table = g._table
+    if table is None:
+        table = MappingProxyType(_weight_table(g))
+        object.__setattr__(g, "_table", table)  # past Multigraph's immutability guard
+    return table

@@ -38,7 +38,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
-from .ghz import DEFAULT_EPSILON, _classify, _scale_to_ghz
+from .ghz import scale_to_ghz, verify
 from .graphs import (
     Edge,
     Multigraph,
@@ -146,17 +146,16 @@ def _vertex_map(cut: CutSpec, cls: ColourClassification) -> tuple:
     return tuple(sorted(set(cut.v1) | set(cut.s)))
 
 
-def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dict | None):
-    """The reduced graph of either case, with its colouring-weight table.
+def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool) -> Multigraph:
+    """The reduced graph of either case.
 
     Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
     In the hard case the edges touching V1 are copied.  Every block, G[V1 +
     u_i] in the easy case and G[V2 + {a, b}] per cut pair, gives one edge per
     class (p, q) between its two reduced vertices, read from one projection
-    of its table.  Parallel edges are merged and zero edges dropped.  Given
-    ``g_table``, g's colouring-weight table, the identity w'(vc') = sum_c
-    f_c * w(vc'(c)) is checked over the colourings either side has; None
-    skips the check.
+    of its table.  Parallel edges are merged and zero edges dropped.  With
+    ``check`` the identity w'(vc') = sum_c f_c * w(vc'(c)) is checked over
+    the colourings either side has.
     """
     universe = sorted(g.colour_universe)
     one, zero = g.one, g.zero
@@ -180,16 +179,16 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, g_table: dic
     reduced = drop_zero_edges(merge_parallel_edges(
         Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
     ))
-    reduced_table = colouring_weight_table(reduced)
-    if g_table is not None:
-        lifted = _project(g_table, [pos.get(x) for x in range(g.n)], factors, zero)
+    if check:
+        reduced_table = colouring_weight_table(reduced)
+        lifted = _project(colouring_weight_table(g), [pos.get(x) for x in range(g.n)], factors, zero)
         for vc_r in sorted(lifted.keys() | reduced_table.keys()):
             if reduced_table.get(vc_r, zero) != lifted.get(vc_r, zero):
                 raise InvariantViolation(
                     f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
                     f"reduced {reduced_table.get(vc_r, zero)} vs {lifted.get(vc_r, zero)}"
                 )
-    return reduced, reduced_table
+    return reduced
 
 
 def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
@@ -200,7 +199,7 @@ def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if cls.c1:
         raise WrongCaseError(f"easy case inapplicable: C1 = {sorted(cls.c1)} is non-empty")
-    return _reduce(g, cut, cls, colouring_weight_table(g) if check else None)[0]
+    return _reduce(g, cut, cls, check)
 
 
 def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
@@ -211,7 +210,7 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if not cls.c1:
         raise WrongCaseError("hard case inapplicable: C1 is empty")
-    return _reduce(g, cut, cls, colouring_weight_table(g) if check else None)[0]
+    return _reduce(g, cut, cls, check)
 
 
 class ReductionReport(
@@ -241,11 +240,10 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     """Shrink g across a size-3 cut with an odd block.
 
     The first such cut is used (all of them when ``all_cuts``, keeping the
-    smallest result); a graph without one is rejected.  g's colouring-weight
-    table is built once, for the input verdict and every identity check.
-    Reports carry kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the
-    input is g-GHZ the report also carries a float rescaling of the result
-    to a strict GHZ graph, and the dimension never decreases.  The identity
+    smallest result); a graph without one is rejected.  Reports carry
+    kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the input is
+    g-GHZ the report also carries a float rescaling of the result to a
+    strict GHZ graph, and the dimension never decreases.  The identity
     check and the g-GHZ and dimension checks run on every cut reduced, but
     only the returned graph is rescaled: with ``all_cuts`` a discarded cut
     whose reduced graph cannot be rescaled raises nothing.
@@ -264,19 +262,18 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         raise ValueError("reduction needs more than four vertices")
     if not g.is_exact:
         raise ValueError("reduction expects an exact-weighted graph")
-    g_table = colouring_weight_table(g)
-    input_verdict = _classify(g, g_table, DEFAULT_EPSILON)
+    input_verdict = verify(g)
 
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
-    best = None  # (cut, classification, reduced graph, its table, output verdict)
+    best = None  # (cut, classification, reduced graph, output verdict)
     for cut in iter_cuts(g, 3):
         any_cut = True
         if cut.parity != "odd":
             continue
         cls = classify_colours(g, cut)
-        reduced, reduced_table = _reduce(g, cut, cls, g_table if check else None)
-        output_verdict = _classify(reduced, reduced_table, DEFAULT_EPSILON)
+        reduced = _reduce(g, cut, cls, check)
+        output_verdict = verify(reduced)
         if input_verdict.is_g_ghz:
             if not output_verdict.is_g_ghz:
                 raise InvariantViolation("reduction broke the g-GHZ property")
@@ -285,14 +282,14 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
                     f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
                 )
         if best is None or (reduced.n, len(reduced.edges)) < (best[2].n, len(best[2].edges)):
-            best = (cut, cls, reduced, reduced_table, output_verdict)
+            best = (cut, cls, reduced, output_verdict)
         if not all_cuts:
             break
     if best is None:
         if any_cut:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
-    cut, cls, reduced, reduced_table, output_verdict = best
+    cut, cls, reduced, output_verdict = best
     kappa = vertex_connectivity(g)
     return ReductionReport(
         case="hard" if cls.c1 else "easy",
@@ -302,8 +299,7 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         cut=cut,
         classification=cls,
         graph=reduced,
-        scaled=(_scale_to_ghz(reduced, reduced_table, output_verdict, DEFAULT_EPSILON)
-                if input_verdict.is_g_ghz else None),
+        scaled=scale_to_ghz(reduced) if input_verdict.is_g_ghz else None,
         vertex_map=_vertex_map(cut, cls),
         output_verdict=output_verdict,
     )

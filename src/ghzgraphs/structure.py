@@ -276,13 +276,6 @@ def _block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()) -> object
     return colouring_weight(sub, tuple(colour_of(x) for x in kept))
 
 
-def _check_two_cut(g: Multigraph, u: int, v: int, a_side, b_side) -> tuple[set, set]:
-    if u == v:
-        raise ValueError("cut vertices must be distinct")
-    cut = make_cut(g, (u, v), a_side, b_side)
-    return set(cut.v1), set(cut.v2)
-
-
 def square_decomposition_odd(
     g: Multigraph, u: int, v: int, a_side, b_side, colours: tuple[Colour, Colour, Colour, Colour]
 ) -> SquareDecomposition:
@@ -293,7 +286,7 @@ def square_decomposition_odd(
     and total = H_top*H_bottom + V_left*V_right equals the weight of the
     square colouring on g.
     """
-    a, b = _check_two_cut(g, u, v, a_side, b_side)
+    _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2 == 0:
         raise ValueError("odd-case decomposition needs odd-size sides")
     i, j, k, l = colours
@@ -319,7 +312,7 @@ def square_decomposition_even(
     direct u-v edges, H_bottom = w(i_A) on G[A]; total again reproduces the
     square colouring's weight on g.
     """
-    a, b = _check_two_cut(g, u, v, a_side, b_side)
+    _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2:
         raise ValueError("even-case decomposition needs even-size sides")
     i, j, k = colours

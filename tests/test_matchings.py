@@ -6,18 +6,24 @@ from fractions import Fraction
 
 import pytest
 
+import ghzgraphs.matchings
 from ghzgraphs import (
     GaussianRational,
     build_graph,
     cancelling_square,
     colouring_weight,
     colouring_weight_table,
+    complete_ghz_k4,
+    dimension,
     enumerate_perfect_matchings,
     filter_graph,
     graph_weight,
     induced_colouring,
     is_feasible,
     matching_weight,
+    mono_weights,
+    scale_to_ghz,
+    verify,
 )
 
 from conftest import (
@@ -341,3 +347,57 @@ def test_kernel_edge_cases():
     assert colouring_weight_table(isolated) == {}
     assert graph_weight(isolated) == GaussianRational(0)
     assert not is_feasible(isolated, (0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# one table per graph object
+
+
+def counting_kernel(monkeypatch) -> list:
+    """Record every graph the table kernel runs on from now on."""
+    real = ghzgraphs.matchings._weight_table
+    built = []
+
+    def counting(h):
+        built.append(h)
+        return real(h)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "_weight_table", counting)
+    return built
+
+
+def test_the_table_is_memoised_per_graph_object_not_per_value(monkeypatch):
+    built = counting_kernel(monkeypatch)
+    g, twin = cancelling_square(), cancelling_square()
+    assert g == twin and g is not twin
+    table = colouring_weight_table(g)
+    assert colouring_weight_table(g) is table
+    assert len(built) == 1 and built[0] is g
+    twin_table = colouring_weight_table(twin)
+    assert twin_table is not table and twin_table == table
+    assert len(built) == 2 and built[1] is twin
+
+
+def test_the_returned_table_is_read_only():
+    g = cancelling_square()
+    table = colouring_weight_table(g)
+    with pytest.raises(TypeError):
+        table[(1, 1, 1, 1)] = GaussianRational(1)
+    with pytest.raises(TypeError):
+        del table[(0, 0, 0, 0)]
+    assert colouring_weight_table(g) == slow_table(g)
+
+
+@pytest.mark.parametrize("extra_colours", [0, 1])
+def test_verdict_dimension_mono_weights_and_scaling_build_one_table(monkeypatch, extra_colours):
+    """With an extra colour on no edge the scaling looks for live colours in
+    the graph without zero edges, which is the graph itself."""
+    k4 = complete_ghz_k4()
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in k4.edges]
+    g = build_graph(4, specs, colours=range(3 + extra_colours))
+    built = counting_kernel(monkeypatch)
+    verify(g)
+    dimension(g)
+    mono_weights(g)
+    scale_to_ghz(g)
+    assert sum(h is g for h in built) == 1

@@ -27,6 +27,7 @@ from ghzgraphs import (
     SquareDecomposition,
     TypeWeights,
     Violation,
+    colouring_weight_table,
 )
 
 
@@ -158,6 +159,18 @@ def test_records_copy_and_pickle(name, round_trip):
     make, text, _ = RECORDS[name]
     twin = round_trip(make())
     assert type(twin).__name__ == name and twin == make() and repr(twin) == text
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+def test_a_graph_copy_carries_no_memoised_table(round_trip):
+    g = graph()
+    table = colouring_weight_table(g)
+    twin = round_trip(g)
+    fresh = graph()
+    for h in (g, twin):  # the memo changes neither value nor text
+        assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    twin_table = colouring_weight_table(twin)
+    assert twin_table is not table and twin_table == table
 
 
 @pytest.mark.parametrize("make", [edge, graph])

@@ -1,6 +1,7 @@
 """Type weights at a 3-cut, colour classification, both reductions and the
 pipeline around them."""
 
+import copy
 import itertools
 import random
 
@@ -552,12 +553,11 @@ def test_dense_cases_cover_both_cases():
 def test_projected_reduction_matches_the_lookup_reduction(case):
     g, cut = PROJECTION_CASES[case]
     cls = classify_colours(g, cut)
-    g_table = colouring_weight_table(g)
-    expected, expected_table = slow_reduce(g, cut, cls, g_table)
-    for table in (g_table, None):
-        got, got_table = ghzgraphs.reduction._reduce(g, cut, cls, table)
+    expected, expected_table = slow_reduce(g, cut, cls, colouring_weight_table(g))
+    for check in (True, False):
+        got = ghzgraphs.reduction._reduce(g, cut, cls, check)
         # same edges in the same order, exact weights of the same type
-        assert got == expected and got_table == expected_table
+        assert got == expected and colouring_weight_table(got) == expected_table
         assert [type(e.weight) for e in got.edges] == [type(e.weight) for e in expected.edges]
 
 
@@ -592,26 +592,23 @@ def test_identity_check_reports_the_first_mismatch_of_the_enumeration(monkeypatc
     cls = classify_colours(g, cut)
     reduced, reduced_table = slow_reduce(g, cut, cls, None)
     vc_r, lift = unlifted_colouring(g, cut, cls, reduced_table)
-    g_table = dict(colouring_weight_table(g))
     real = ghzgraphs.reduction.colouring_weight_table
+    target, key = (g, lift) if side == "g" else (reduced, vc_r)
 
     def perturbed(h):
         table = dict(real(h))
-        if h == reduced:
-            table[vc_r] = g.one
+        if h == target:
+            table[key] = g.one
         return table
 
-    if side == "g":
-        g_table[lift] = g.one
-    else:
-        monkeypatch.setattr(ghzgraphs.reduction, "colouring_weight_table", perturbed)
+    monkeypatch.setattr(ghzgraphs.reduction, "colouring_weight_table", perturbed)
     with pytest.raises(InvariantViolation) as slow:
-        slow_reduce(g, cut, cls, g_table, ghzgraphs.reduction.colouring_weight_table)
+        slow_reduce(g, cut, cls, perturbed(g), perturbed)
     with pytest.raises(InvariantViolation) as fast:
-        ghzgraphs.reduction._reduce(g, cut, cls, g_table)
+        ghzgraphs.reduction._reduce(g, cut, cls, True)
     assert str(fast.value) == str(slow.value)
     assert f"identity failed at {vc_r}:" in str(fast.value)
-    ghzgraphs.reduction._reduce(g, cut, cls, None)
+    ghzgraphs.reduction._reduce(g, cut, cls, False)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +756,7 @@ COMPUTE_ONCE_CASES = (
 @pytest.mark.parametrize("all_cuts", [False, True])
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, case, all_cuts):
-    g = COMPUTE_ONCE_CASES[case]
+    g = copy.copy(COMPUTE_ONCE_CASES[case])  # a copy carries no memoised table
     real_table = ghzgraphs.matchings._weight_table
     real_classify = ghzgraphs.reduction.classify_colours
     tables_of_g, classified = [], []
@@ -786,14 +783,14 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_scales_only_the_graph_it_returns(monkeypatch, case, all_cuts):
     g = COMPUTE_ONCE_CASES[case]
-    real_scale = ghzgraphs.reduction._scale_to_ghz
+    real_scale = ghzgraphs.reduction.scale_to_ghz
     scaled = []
 
     def counting_scale(h, *args):
         scaled.append(h)
         return real_scale(h, *args)
 
-    monkeypatch.setattr(ghzgraphs.reduction, "_scale_to_ghz", counting_scale)
+    monkeypatch.setattr(ghzgraphs.reduction, "scale_to_ghz", counting_scale)
     report = reduce(g, all_cuts=all_cuts)
     if report.input_verdict.is_g_ghz:
         assert len(scaled) == 1 and scaled[0] is report.graph
@@ -805,9 +802,9 @@ def test_reduce_scales_only_the_graph_it_returns(monkeypatch, case, all_cuts):
 @pytest.mark.parametrize("all_cuts", [False, True])
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_builds_one_table_of_the_graph_it_returns(monkeypatch, case, all_cuts):
-    """The rescaling reads the reduced graph's table and verdict from the
-    reduction, so no table of the returned graph, or of an equal copy such
-    as the one without zero edges, is built twice."""
+    """The rescaling reads the table kept on the reduced graph, so no table
+    of the returned graph, or of an equal copy such as the one without zero
+    edges, is built twice."""
     g = COMPUTE_ONCE_CASES[case]
     real_table = ghzgraphs.matchings._weight_table
     seen = []

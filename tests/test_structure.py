@@ -310,7 +310,7 @@ def test_square_decompositions_reject_a_repeated_cut_vertex():
     with pytest.raises(ValueError, match="partition"):
         make_cut(g, (2, 2), [0, 1], [3, 4])
     for decomposition, colours in SQUARE_DECOMPOSITIONS:
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="partition"):
             decomposition(g, 2, 2, [0, 1], [3, 4], colours)
 
 
