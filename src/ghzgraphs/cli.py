@@ -25,7 +25,7 @@ from .ghz import (
 )
 from .graphs import Multigraph, drop_zero_edges, merge_parallel_edges
 from .io import graph_to_document, load_graph, weight_to_strings
-from .matchings import colouring_weight_table, filter_graph, induced_colouring
+from .matchings import colouring_weight_table, filter_graph, graph_weight, induced_colouring
 from .search import SearchProblem, exactify, search
 
 # `structure` and `reduction` are imported by the handlers that use them, so
@@ -96,7 +96,7 @@ def _cmd_weights(args) -> int:
     table = colouring_weight_table(g)
     _print(
         {
-            "graph_weight": weight_to_strings(sum(table.values(), g.zero)),
+            "graph_weight": weight_to_strings(graph_weight(g)),
             "table": [
                 {"colouring": list(vc), "weight": weight_to_strings(w)}
                 for vc, w in table.items()

@@ -128,7 +128,8 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     the colours of g's table without its zero edges, cancelled keys
     included; no matching is listed.  A dead colour whose all-i colouring
     is feasible is unscalable too: scaling keeps that weight 0, and GHZ
-    needs it to be 1.
+    needs it to be 1.  Those are the colours of the verdict's "mono_zero"
+    violations, as exact weights are compared exactly.
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
@@ -148,8 +149,7 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
                 f"unscalable colour {bad[0]}: zero monochromatic weight but "
                 f"present in a non-zero-weight perfect matching"
             )
-        table = colouring_weight_table(g)
-        stuck = [c for c in sorted(dead) if mono_colouring(g.n, c) in table]
+        stuck = [v.colouring[0] for v in verdict.violations if v.kind == MONO_ZERO]
         if stuck:
             raise UnscalableColourError(
                 f"unscalable colour {stuck[0]}: its monochromatic colouring is "

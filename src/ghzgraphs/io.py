@@ -22,6 +22,7 @@ error code and the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import DocumentError
 from .exact import GaussianRational
@@ -63,9 +64,12 @@ def _parse_weight(w, path: str):
         if not isinstance(w[k], str):
             _fail("BAD_WEIGHT", f"{path}[{k}]", "expected a decimal string")
         try:
-            parts.append(float(w[k]))
+            part = float(w[k])
         except ValueError:
             _fail("BAD_WEIGHT", f"{path}[{k}]", f"not a decimal float: {w[k]!r}")
+        if not math.isfinite(part):
+            _fail("BAD_WEIGHT", f"{path}[{k}]", f"not a finite float: {w[k]!r}")
+        parts.append(part)
     return complex(parts[0], parts[1])
 
 

@@ -181,7 +181,7 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
 
 def graph_weight(g: Multigraph):
     """Sum of all perfect-matching weights; 1 for the empty graph, 0 if none."""
-    return sum(_weight_table(g).values(), g.zero)
+    return sum(colouring_weight_table(g).values(), g.zero)
 
 
 def colouring_weight(g: Multigraph, vc: VertexColouring):

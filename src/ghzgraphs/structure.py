@@ -54,21 +54,20 @@ def mcg(g: Multigraph) -> Multigraph:
 
 
 def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (s, t non-adjacent)."""
-    n = len(adj)
-    # split vertex x into x_in = 2x and x_out = 2x + 1
-    INF = n * n + 1
-    cap: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        cap[(2 * x, 2 * x + 1)] = 1 if x not in (s, t) else INF
-        cap[(2 * x + 1, 2 * x)] = 0
-    for x in range(n):
-        for y in adj[x]:
-            cap[(2 * x + 1, 2 * y)] = INF
-            cap[(2 * y, 2 * x + 1)] = cap.get((2 * y, 2 * x + 1), 0)
-    out: list[list[int]] = [[] for _ in range(2 * n)]
-    for (a, b) in cap:
-        out[a].append(b)
+    """Max number of internally vertex-disjoint s-t paths (s, t non-adjacent).
+
+    A unit-capacity max flow from s_out to t_in on the split graph: vertex x
+    is the arc x_in -> x_out (nodes 2x and 2x + 1), edge xy the two arcs
+    x_out -> y_in and y_out -> x_in.  One unit per arc is enough: an in-node
+    other than t_in has one outgoing arc, so at most one unit passes it, and
+    t_in is entered only from out-nodes of vertices other than s (s and t are
+    non-adjacent), each fed by one in-node.  No arc has a reverse twin, so
+    the residual graph is one set of arc heads per node, and an augmenting
+    path flips every arc it uses: b leaves res[a] and a joins res[b].
+    """
+    res: list[set[int]] = []
+    for x, ys in enumerate(adj):
+        res += ({2 * x + 1}, {2 * y for y in ys})  # x_in's one arc, then x_out's arcs
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while True:
@@ -76,8 +75,8 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
         queue = deque([source])
         while queue and sink not in parent:
             a = queue.popleft()
-            for b in out[a]:
-                if b not in parent and cap[(a, b)] > 0:
+            for b in res[a]:
+                if b not in parent:
                     parent[b] = a
                     queue.append(b)
         if sink not in parent:
@@ -85,8 +84,8 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
         b = sink
         while b != source:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            res[a].remove(b)
+            res[b].add(a)
             b = a
         flow += 1
 

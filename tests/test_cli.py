@@ -240,6 +240,16 @@ def test_document_errors_surface_code_and_path(files, capsys, tmp_path):
     assert blob["error"]["path"] == "$.edges[0].w[1]"
 
 
+def test_a_nan_weight_is_a_document_error(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"version": 1, "n": 2, "colour_universe": [0], "edges": [{"u": 0, "v": 1, "cu": 0, "cv": 0, "w": ["nan", "0"]}]}')
+    code, out, err = run(["verify", str(bad)], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["code"] == "BAD_WEIGHT"
+    assert blob["error"]["path"] == "$.edges[0].w[0]"
+
+
 def test_missing_file_is_a_domain_error(capsys):
     code, out, err = run(["verify", "/definitely/not/here.json"], capsys)
     assert code == 1 and out == ""

@@ -127,6 +127,17 @@ def test_error_codes_and_paths():
         assert value.path == path, value
 
 
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_float_weights_are_refused(bad, slot):
+    w = ["0.5", "0.0"]
+    w[slot] = bad
+    value = err(doc(edges=[{"u": 0, "v": 1, "cu": 0, "cv": 0, "w": w}]))
+    assert value.code == "BAD_WEIGHT"
+    assert value.path == f"$.edges[0].w[{slot}]"
+    assert repr(bad) in str(value)
+
+
 def test_mixing_weight_kinds_is_rejected():
     bad = doc(edges=[
         {"u": 0, "v": 1, "cu": 0, "cv": 0, "w": ["1", "1", "0", "1"]},

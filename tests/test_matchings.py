@@ -401,3 +401,11 @@ def test_verdict_dimension_mono_weights_and_scaling_build_one_table(monkeypatch,
     mono_weights(g)
     scale_to_ghz(g)
     assert sum(h is g for h in built) == 1
+
+
+def test_verdict_and_graph_weight_build_one_table(monkeypatch):
+    g = complete_ghz_k4()
+    built = counting_kernel(monkeypatch)
+    verify(g)
+    assert graph_weight(g) == sum(colouring_weight_table(g).values(), g.zero)
+    assert len(built) == 1 and built[0] is g

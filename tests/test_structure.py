@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ import ghzgraphs.structure
 from ghzgraphs import (
     CutSpec,
     Multigraph,
+    adjacency_sets,
     build_graph,
     colouring_weight,
     colouring_weight_table,
@@ -33,6 +35,7 @@ from conftest import (
     enumeration_corpus,
     oracle_connectivity,
     planted_matching_graph,
+    random_corpus,
     small_rational,
 )
 
@@ -150,6 +153,95 @@ def test_low_connectivity_leaves_an_odd_three_cut(g):
 def test_connectivity_ignores_parallel_edges():
     g = build_graph(3, [(0, 1, 0, 0, 1), (0, 1, 1, 1, 1), (1, 2, 0, 0, 1)], colours=range(2))
     assert vertex_connectivity(g) == 1
+
+
+def slow_local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths (s, t non-adjacent)."""
+    n = len(adj)
+    # split vertex x into x_in = 2x and x_out = 2x + 1
+    INF = n * n + 1
+    cap: dict[tuple[int, int], int] = {}
+    for x in range(n):
+        cap[(2 * x, 2 * x + 1)] = 1 if x not in (s, t) else INF
+        cap[(2 * x + 1, 2 * x)] = 0
+    for x in range(n):
+        for y in adj[x]:
+            cap[(2 * x + 1, 2 * y)] = INF
+            cap[(2 * y, 2 * x + 1)] = cap.get((2 * y, 2 * x + 1), 0)
+    out: list[list[int]] = [[] for _ in range(2 * n)]
+    for (a, b) in cap:
+        out[a].append(b)
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b in out[a]:
+                if b not in parent and cap[(a, b)] > 0:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return flow
+        b = sink
+        while b != source:
+            a = parent[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+
+
+def plain_graph(n, pairs):
+    return build_graph(n, [(u, v, 0, 0, 1) for u, v in pairs])
+
+
+def shuffled_cycle(n):
+    label = list(range(n))
+    random.Random(f"labels-{n}").shuffle(label)
+    return plain_graph(n, [(label[x], label[(x + 1) % n]) for x in range(n)])
+
+
+def grid(rows, cols):
+    at = lambda r, c: r * cols + c
+    pairs = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return plain_graph(rows * cols, pairs)
+
+
+def complete_minus_matching(n):
+    """K_n without the matching {0, 1}, {2, 3}, ... (perfect for even n): connectivity n - 2."""
+    pairs = itertools.combinations(range(n), 2)
+    return plain_graph(n, [(u, v) for u, v in pairs if v != u + 1 or u % 2])
+
+
+def flow_corpus():
+    yield from (skeleton(g) for g in random_corpus())
+    yield from (shuffled_cycle(n) for n in range(4, 41))
+    yield octahedron()
+    yield from (grid(rows, cols) for rows, cols in [(2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (6, 6)])
+    yield from (complete_minus_matching(n) for n in range(6, 21))
+
+
+def test_local_connectivity_matches_the_capacity_table_flow():
+    pairs = 0
+    for g in flow_corpus():
+        adj = adjacency_sets(g)
+        for s, t in itertools.combinations(range(g.n), 2):
+            if t in adj[s]:
+                continue
+            expected = slow_local_connectivity(adj, s, t)
+            assert ghzgraphs.structure._local_connectivity(adj, s, t) == expected, (g, s, t)
+            pairs += 1
+    assert pairs > 10_000
+
+
+def test_connectivity_of_flow_corpus_families():
+    for n in range(6, 21):
+        assert vertex_connectivity(complete_minus_matching(n)) == n - 2
+    assert vertex_connectivity(grid(6, 6)) == 2
+    assert vertex_connectivity(shuffled_cycle(40)) == 2
 
 
 # ---------------------------------------------------------------------------
