@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GhzGraphError, ValueError, OSError) as exc:
+    except (GhzGraphError, ValueError, OSError, RecursionError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = getattr(exc, "code", None)
         if code is not None:

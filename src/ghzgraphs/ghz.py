@@ -21,8 +21,8 @@ from .errors import BogdanovHypothesisError, InvariantViolation, NotGhzError, Un
 from .graphs import Colour, Edge, Multigraph, VertexColouring, drop_zero_edges, mono_colouring
 from .matchings import (
     PerfectMatching,
+    _iter_perfect_matchings,
     colouring_weight_table,
-    enumerate_perfect_matchings,
     induced_colouring,
     is_feasible,
 )
@@ -114,6 +114,17 @@ def mono_weights(g: Multigraph) -> dict[Colour, object]:
     }
 
 
+def _to_complex(w, what: str, which) -> complex:
+    """complex(w), refusing a weight that overflows a float or underflows to 0."""
+    try:
+        z = complex(w)
+    except OverflowError:
+        z = 0j  # refused below, since w is not 0
+    if w and not z:
+        raise ValueError(f"the {what} {which} lies outside the complex float range")
+    return z
+
+
 def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     """Rescale a g-GHZ graph's weights so it becomes GHZ, in complex floats.
 
@@ -129,7 +140,9 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
     included; no matching is listed.  A dead colour whose all-i colouring
     is feasible is unscalable too: scaling keeps that weight 0, and GHZ
     needs it to be 1.  Those are the colours of the verdict's "mono_zero"
-    violations, as exact weights are compared exactly.
+    violations, as exact weights are compared exactly.  A weight that a
+    complex float cannot hold (it overflows, or it is non-zero and underflows
+    to 0) raises ``ValueError`` naming that weight.
     """
     if not g.is_exact:
         raise ValueError("scaling expects an exact-weighted graph")
@@ -161,11 +174,13 @@ def scale_to_ghz(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> Multigraph:
         if w == g.zero:
             scale[colour] = 1.0 + 0.0j
         else:
-            scale[colour] = cmath.exp(-cmath.log(complex(w)) / g.n)
+            z = _to_complex(w, "monochromatic weight of colour", colour)
+            scale[colour] = cmath.exp(-cmath.log(z) / g.n)
 
     edges = tuple(
-        Edge(e.u, e.v, e.cu, e.cv, complex(e.weight) * scale[e.cu] * scale[e.cv])
-        for e in g.edges
+        Edge(e.u, e.v, e.cu, e.cv,
+             _to_complex(e.weight, "weight of edge", k) * scale[e.cu] * scale[e.cv])
+        for k, e in enumerate(g.edges)
     )
     scaled = Multigraph(g.n, edges, g.colour_universe)
     check = verify(scaled, epsilon)
@@ -186,7 +201,8 @@ def find_bogdanov_witness(g: Multigraph) -> PerfectMatching:
     perfect matching then necessarily exists.  Weights play no role here.
     The mono colours are counted by feasibility checks, so a failing
     hypothesis is reported without listing matchings; the witness is the
-    first non-mono matching in enumeration order.
+    first non-mono matching in enumeration order, and the search stops
+    there without listing the matchings after it.
     """
     if g.n <= 4:
         raise BogdanovHypothesisError("hypothesis needs more than four vertices")
@@ -196,7 +212,7 @@ def find_bogdanov_witness(g: Multigraph) -> PerfectMatching:
             f"hypothesis needs monochromatic perfect matchings of three distinct "
             f"colours, found {mono_count}"
         )
-    for m in enumerate_perfect_matchings(g):
+    for m in _iter_perfect_matchings(g):
         if not _is_mono(induced_colouring(g, m)):
             return m
     raise InvariantViolation("no non-monochromatic perfect matching found")

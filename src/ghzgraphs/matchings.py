@@ -12,13 +12,14 @@ listing the matchings.  Exact and float weights run through the same lines;
 a ``GaussianRational`` is a Gaussian integer over an int denominator that
 arithmetic never reduces, so the DP does no normalisation, and its table
 entries are put in lowest terms only when they are read.
-``enumerate_perfect_matchings`` lists matchings one by one, for callers that
-need single matchings.
+``_iter_perfect_matchings`` yields the matchings one at a time by a search of
+the same shape, so a caller can stop at the one it wants (the Bogdanov
+witness does); ``enumerate_perfect_matchings`` lists them all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
 from .graphs import Multigraph, VertexColouring
@@ -30,41 +31,39 @@ def enumerate_perfect_matchings(g: Multigraph) -> list[PerfectMatching]:
     """All perfect matchings, in deterministic search order.
 
     The search always branches on the lowest-index uncovered vertex, trying
-    its incident edges in storage order.  Each returned matching is the
-    sorted tuple of its edge indices.
+    the edges to its higher partners (the lower ones are all covered) in
+    storage order.  Each returned matching is the sorted tuple of its edge
+    indices.
     """
-    if g.n % 2:
-        return []
-    if g.n == 0:
-        return [()]
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, e in enumerate(g.edges):
-        incident[e.u].append(i)
-        incident[e.v].append(i)
-    if any(not lst for lst in incident):
-        return []
+    return list(_iter_perfect_matchings(g))
 
-    full = (1 << g.n) - 1
-    edges = g.edges
-    out: list[PerfectMatching] = []
+
+def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
+    """``enumerate_perfect_matchings`` one at a time, edges under their lower endpoint."""
+    n = g.n
+    below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    touched = 0
+    for i, e in enumerate(g.edges):
+        below[e.u].append((i, 1 << e.v))
+        touched |= 1 << e.u | 1 << e.v
+    full = (1 << n) - 1
+    if n % 2 or touched != full:
+        return  # odd, or an isolated vertex
     chosen: list[int] = []
 
-    def extend(covered: int) -> None:
+    def extend(covered: int) -> Iterator[PerfectMatching]:
         if covered == full:
-            out.append(tuple(sorted(chosen)))
+            yield tuple(sorted(chosen))
             return
-        v = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered vertex
-        for i in incident[v]:
-            e = edges[i]
-            other = e.v if e.u == v else e.u
-            if covered >> other & 1:
+        low = ~covered & (covered + 1)  # bit of the lowest uncovered vertex
+        for i, bit in below[low.bit_length() - 1]:
+            if covered & bit:
                 continue
             chosen.append(i)
-            extend(covered | 1 << v | 1 << other)
+            yield from extend(covered | low | bit)
             chosen.pop()
 
-    extend(0)
-    return out
+    yield from extend(0)
 
 
 def _check_matching(g: Multigraph, m: PerfectMatching) -> None:
@@ -135,22 +134,20 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
     entries are left unreduced, as all ``GaussianRational`` arithmetic is.
     """
     n = g.n
-    if n % 2:
-        return {}
-    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
-    place = [base ** (n - 1 - v) for v in range(n)]
     merged: dict[tuple[int, int, int, int], object] = {}
+    touched = 0
     for e in g.edges:
         edge_class = (e.u, e.v, e.cu, e.cv)
         merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
+        touched |= 1 << e.u | 1 << e.v
+    full = (1 << n) - 1
+    if n % 2 or touched != full:
+        return {}  # odd, or an isolated vertex: before the digit places' O(n^2) bits
+    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
+    place = [base ** (n - 1 - v) for v in range(n)]
     below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
-    touched = 0
     for (u, v, cu, cv), w in merged.items():
         below[u].append((1 << v, cu * place[u] + cv * place[v], w))
-        touched |= 1 << u | 1 << v
-    full = (1 << n) - 1
-    if touched != full:
-        return {}  # an isolated vertex
     memo: dict[int, dict[int, object]] = {full: {0: g.one}}
 
     def solve(covered: int) -> dict[int, object]:

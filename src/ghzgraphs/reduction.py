@@ -152,12 +152,11 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool)
     Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
     In the hard case the edges touching V1 are copied.  Every block, G[V1 +
     u_i] in the easy case and G[V2 + {a, b}] per cut pair, gives one edge per
-    class (p, q) between its two reduced vertices, read from one projection
-    of its table.  Parallel edges are merged and zero edges dropped.  With
+    class (p, q) of one projection of its table, between its two reduced
+    vertices.  Parallel edges are merged and zero edges dropped.  With
     ``check`` the identity w'(vc') = sum_c f_c * w(vc'(c)) is checked over
     the colourings either side has.
     """
-    universe = sorted(g.colour_universe)
     one, zero = g.one, g.zero
     factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
                for c, w in cls.v2_mono_weights.items()}
@@ -173,8 +172,7 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool)
         owner = [pos.get(x) for x in kept]
         weights = _project(colouring_weight_table(sub), owner, factors, zero)
         ra, rb = sorted(set(owner) - {None})
-        for p, q in itertools.product(universe, repeat=2):
-            edges.append(Edge(ra, rb, p, q, weights.get((p, q), zero)))
+        edges += [Edge(ra, rb, p, q, w) for (p, q), w in sorted(weights.items())]
 
     reduced = drop_zero_edges(merge_parallel_edges(
         Multigraph(len(vertex_map), tuple(edges), g.colour_universe)

@@ -141,6 +141,35 @@ def test_scale_command(files, capsys):
     assert verify(scaled).dimension == 2
 
 
+def matching_document(n, weight):
+    """n vertices paired 0-1, 2-3, ... by edges of colour 0 with the given weight strings."""
+    edges = [{"u": u, "v": u + 1, "cu": 0, "cv": 0, "w": weight} for u in range(0, n, 2)]
+    return json.dumps({"version": 1, "n": n, "colour_universe": [0], "edges": edges})
+
+
+@pytest.mark.parametrize("weight", [
+    ["1" + "0" * 400, "1", "0", "1"],  # overflows a float
+    ["1", "1" + "0" * 400, "0", "1"],  # non-zero, underflows to 0
+])
+def test_scale_refuses_a_weight_outside_the_float_range(tmp_path, capsys, weight):
+    path = tmp_path / "g.json"
+    path.write_text(matching_document(2, weight))
+    code, out, err = run(["scale", str(path)], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"]["type"] == "ValueError"
+    assert "monochromatic weight of colour 0" in blob["error"]["message"]
+
+
+def test_a_recursion_too_deep_is_reported_as_json(tmp_path, capsys):
+    """The weight kernel recurses once per matched pair: 1,100 levels here."""
+    path = tmp_path / "g.json"
+    path.write_text(matching_document(2200, ["1", "1", "0", "1"]))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "RecursionError"
+
+
 def test_bogdanov_command(files, capsys):
     code, out, _ = run(["bogdanov", files["bog"]], capsys)
     assert code == 0

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -401,10 +402,61 @@ def test_yes_no_checks_list_no_matchings(monkeypatch):
     def refuse(g):
         raise AssertionError("perfect matchings enumerated for a yes/no check")
 
-    monkeypatch.setattr(ghzgraphs.ghz, "enumerate_perfect_matchings", refuse)
+    monkeypatch.setattr(ghzgraphs.ghz, "_iter_perfect_matchings", refuse)
     with pytest.raises(UnscalableColourError):
         scale_to_ghz(cancelling_square())
     base = cycle_ghz(6)
     scale_to_ghz(Multigraph(base.n, base.edges, base.colour_universe | {5}))
     with pytest.raises(BogdanovHypothesisError):
         find_bogdanov_witness(cycle_ghz(6))
+
+
+def test_the_witness_stops_at_the_first_non_mono_matching(monkeypatch):
+    """K8 with every colour class of three colours has 688,905 perfect
+    matchings; the first is monochromatic and the second is the witness."""
+    g = build_graph(8, [(u, v, a, b, 1) for u in range(8) for v in range(u + 1, 8)
+                        for a in range(3) for b in range(3)], colours=range(3))
+    real = ghzgraphs.ghz._iter_perfect_matchings
+    drawn = []
+
+    def counting(h):
+        for m in real(h):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(ghzgraphs.ghz, "_iter_perfect_matchings", counting)
+    assert find_bogdanov_witness(g) == (0, 117, 198, 244)
+    assert len(drawn) <= 2
+
+
+# ---------------------------------------------------------------------------
+# weights a complex float cannot hold
+
+
+def one_edge(weight):
+    return build_graph(2, [(0, 1, 0, 0, weight)])
+
+
+@pytest.mark.parametrize("weight", [
+    GaussianRational(10**400),
+    GaussianRational(0, -(10**400)),
+    GaussianRational(Fraction(1, 10**400)),
+])
+def test_scaling_refuses_a_mono_weight_outside_the_float_range(weight):
+    with pytest.raises(ValueError, match="monochromatic weight of colour 0"):
+        scale_to_ghz(one_edge(weight))
+
+
+def test_scaling_refuses_an_edge_weight_outside_the_float_range():
+    """Two parallel edges whose sum, the mono weight, is 1."""
+    huge = GaussianRational(10**400)
+    g = build_graph(2, [(0, 1, 0, 0, huge), (0, 1, 0, 0, GaussianRational(1) - huge)])
+    assert mono_weights(g) == {0: GaussianRational(1)}
+    with pytest.raises(ValueError, match="weight of edge 0 "):
+        scale_to_ghz(g)
+
+
+def test_scaling_keeps_weights_that_only_partly_underflow():
+    tiny = GaussianRational(Fraction(1, 10**400), 1)  # the real part underflows, i survives
+    scaled = scale_to_ghz(one_edge(tiny))
+    assert verify(scaled).is_ghz

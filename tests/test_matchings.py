@@ -1,7 +1,9 @@
 """Matching enumeration and the weight bookkeeping, against brute force."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import ghzgraphs.matchings
 from ghzgraphs import (
     GaussianRational,
+    Multigraph,
+    PerfectMatching,
     build_graph,
     cancelling_square,
     colouring_weight,
@@ -27,6 +31,7 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    enumeration_corpus,
     hard_family,
     oracle_colouring_weight,
     oracle_graph_weight,
@@ -65,6 +70,71 @@ def test_matchings_are_sorted_unique_and_valid():
             assert m == tuple(sorted(m))
             covered = sorted(x for i in m for x in (g.edges[i].u, g.edges[i].v))
             assert covered == list(range(g.n))
+
+
+# ---------------------------------------------------------------------------
+# the lazy search against the list-building search it replaced
+
+
+def slow_enumerate_perfect_matchings(g: Multigraph) -> list[PerfectMatching]:
+    """All perfect matchings, in deterministic search order.
+
+    The search always branches on the lowest-index uncovered vertex, trying
+    its incident edges in storage order.  Each returned matching is the
+    sorted tuple of its edge indices.
+    """
+    if g.n % 2:
+        return []
+    if g.n == 0:
+        return [()]
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, e in enumerate(g.edges):
+        incident[e.u].append(i)
+        incident[e.v].append(i)
+    if any(not lst for lst in incident):
+        return []
+
+    full = (1 << g.n) - 1
+    edges = g.edges
+    out: list[PerfectMatching] = []
+    chosen: list[int] = []
+
+    def extend(covered: int) -> None:
+        if covered == full:
+            out.append(tuple(sorted(chosen)))
+            return
+        v = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered vertex
+        for i in incident[v]:
+            e = edges[i]
+            other = e.v if e.u == v else e.u
+            if covered >> other & 1:
+                continue
+            chosen.append(i)
+            extend(covered | 1 << v | 1 << other)
+            chosen.pop()
+
+    extend(0)
+    return out
+
+
+def test_enumeration_is_the_slow_enumeration_list_for_list():
+    """enumeration_corpus holds the random and bogdanov corpora, n = 0, odd n
+    and an isolated vertex; the dense graphs are K_n with every colour class."""
+    for g in enumeration_corpus() + [dense_graph(n, d, 0) for n in range(9) for d in (1, 2)]:
+        assert enumerate_perfect_matchings(g) == slow_enumerate_perfect_matchings(g)
+
+
+def test_the_search_builds_each_matching_only_when_it_is_drawn(monkeypatch):
+    built = []
+
+    def counting_sorted(chosen):
+        built.append(chosen)
+        return sorted(chosen)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "sorted", counting_sorted, raising=False)
+    search = ghzgraphs.matchings._iter_perfect_matchings(dense_graph(8, 3, 0))  # 688,905 matchings
+    assert list(itertools.islice(search, 2)) == [(0, 117, 198, 243), (0, 117, 198, 244)]
+    assert len(built) == 2
 
 
 def test_matching_weight_is_the_product():
@@ -347,6 +417,20 @@ def test_kernel_edge_cases():
     assert colouring_weight_table(isolated) == {}
     assert graph_weight(isolated) == GaussianRational(0)
     assert not is_feasible(isolated, (0, 0, 0, 0))
+
+
+def test_an_unmatchable_sparse_graph_builds_no_digit_places():
+    """20,000 vertices and one edge: the isolated vertices are found before
+    the kernel builds its n digit places, which would hold O(n^2) bits."""
+    g = build_graph(20_000, [(0, 1, 1, 1, 1)], colours=range(2))
+    tracemalloc.start()
+    try:
+        verdict = verify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_ghz and verdict.dimension == 0
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------
