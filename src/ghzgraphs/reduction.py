@@ -41,6 +41,7 @@ from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import scale_to_ghz, verify
 from .graphs import (
     Edge,
+    InducedSubgraph,
     Multigraph,
     VertexColouring,
     drop_zero_edges,
@@ -101,10 +102,30 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     non-zero.
     """
     _check_three_cut(g, cut)
+    return _classify(g, cut, {})
+
+
+def _block(blocks: dict, g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
+    """``_cut_block(g, vertices, cut_vertices)``, built once per ``blocks``.
+
+    The key is all the block depends on, its vertex set and the cut vertices
+    inside it, so every cut that asks for a block gets the one built first,
+    and with it the table memoised on it.
+    """
+    vertices = frozenset(vertices)
+    key = (vertices, vertices.intersection(cut_vertices))
+    block = blocks.get(key)
+    if block is None:
+        block = blocks[key] = _cut_block(g, vertices, cut_vertices)
+    return block
+
+
+def _classify(g: Multigraph, cut: CutSpec, blocks: dict) -> ColourClassification:
+    """``classify_colours`` of a valid 3-cut, its blocks taken from ``blocks``."""
     zero = g.zero
-    h0 = _cut_block(g, set(cut.v1) | set(cut.s), cut.s).graph
+    h0 = _block(blocks, g, set(cut.v1) | set(cut.s), cut.s).graph
     has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
-    v2 = _cut_block(g, cut.v2).graph
+    v2 = _block(blocks, g, cut.v2).graph
     v2_weights = {
         colour: colouring_weight(v2, (colour,) * v2.n)
         for colour in sorted(g.colour_universe)
@@ -146,16 +167,16 @@ def _vertex_map(cut: CutSpec, cls: ColourClassification) -> tuple:
     return tuple(sorted(set(cut.v1) | set(cut.s)))
 
 
-def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool) -> Multigraph:
+def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool, blocks: dict) -> Multigraph:
     """The reduced graph of either case.
 
     Reduced vertex r stands for the original vertices ``_vertex_map(...)[r]``.
     In the hard case the edges touching V1 are copied.  Every block, G[V1 +
     u_i] in the easy case and G[V2 + {a, b}] per cut pair, gives one edge per
     class (p, q) of one projection of its table, between its two reduced
-    vertices.  Parallel edges are merged and zero edges dropped.  With
-    ``check`` the identity w'(vc') = sum_c f_c * w(vc'(c)) is checked over
-    the colourings either side has.
+    vertices; the blocks come from ``blocks``.  Parallel edges are merged
+    and zero edges dropped.  With ``check`` the identity w'(vc') = sum_c f_c
+    * w(vc'(c)) is checked over the colourings either side has.
     """
     one, zero = g.one, g.zero
     factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
@@ -166,9 +187,9 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool)
     v1_set, v2_set = set(cut.v1), set(cut.v2)
     edges = [Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight)
              for e in g.edges if e.u in v1_set or e.v in v1_set] if cls.c1 else []
-    blocks = [] if cls.c1 else [v1_set | {u} for u in cut.s]
-    for block in blocks + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
-        sub, kept = _cut_block(g, block)
+    sides = [] if cls.c1 else [v1_set | {u} for u in cut.s]
+    for side in sides + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
+        sub, kept = _block(blocks, g, side)
         owner = [pos.get(x) for x in kept]
         weights = _project(colouring_weight_table(sub), owner, factors, zero)
         ra, rb = sorted(set(owner) - {None})
@@ -197,7 +218,7 @@ def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if cls.c1:
         raise WrongCaseError(f"easy case inapplicable: C1 = {sorted(cls.c1)} is non-empty")
-    return _reduce(g, cut, cls, check)
+    return _reduce(g, cut, cls, check, {})
 
 
 def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
@@ -208,7 +229,7 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
     cls = classify_colours(g, cut)
     if not cls.c1:
         raise WrongCaseError("hard case inapplicable: C1 is empty")
-    return _reduce(g, cut, cls, check)
+    return _reduce(g, cut, cls, check, {})
 
 
 class ReductionReport(
@@ -244,7 +265,9 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     strict GHZ graph, and the dimension never decreases.  The identity
     check and the g-GHZ and dimension checks run on every cut reduced, but
     only the returned graph is rescaled: with ``all_cuts`` a discarded cut
-    whose reduced graph cannot be rescaled raises nothing.
+    whose reduced graph cannot be rescaled raises nothing.  The cuts of one
+    call share their blocks: a block asked for by several cuts, and the
+    table memoised on it, is built once and freed when the call returns.
 
     kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
     component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j
@@ -264,13 +287,14 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
 
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
+    blocks: dict = {}  # every cut's blocks, shared across the cuts of this call
     best = None  # (cut, classification, reduced graph, output verdict)
     for cut in iter_cuts(g, 3):
         any_cut = True
         if cut.parity != "odd":
             continue
-        cls = classify_colours(g, cut)
-        reduced = _reduce(g, cut, cls, check)
+        cls = _classify(g, cut, blocks)
+        reduced = _reduce(g, cut, cls, check, blocks)
         output_verdict = verify(reduced)
         if input_verdict.is_g_ghz:
             if not output_verdict.is_g_ghz:

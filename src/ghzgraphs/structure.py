@@ -53,8 +53,9 @@ def mcg(g: Multigraph) -> Multigraph:
 # vertex connectivity (Menger via unit-capacity max flow on the split graph)
 
 
-def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (s, t non-adjacent).
+def _local_connectivity(adj: list[set[int]], s: int, t: int, cap: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths (s, t non-adjacent),
+    or ``cap`` if there are at least that many.
 
     A unit-capacity max flow from s_out to t_in on the split graph: vertex x
     is the arc x_in -> x_out (nodes 2x and 2x + 1), edge xy the two arcs
@@ -63,14 +64,16 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
     t_in is entered only from out-nodes of vertices other than s (s and t are
     non-adjacent), each fed by one in-node.  No arc has a reverse twin, so
     the residual graph is one set of arc heads per node, and an augmenting
-    path flips every arc it uses: b leaves res[a] and a joins res[b].
+    path flips every arc it uses: b leaves res[a] and a joins res[b].  Once
+    the flow reaches ``cap`` no further path is searched for, which saves
+    the last search, a failing one over the whole residual graph.
     """
     res: list[set[int]] = []
     for x, ys in enumerate(adj):
         res += ({2 * x + 1}, {2 * y for y in ys})  # x_in's one arc, then x_out's arcs
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while True:
+    while flow < cap:
         parent = {source: source}
         queue = deque([source])
         while queue and sink not in parent:
@@ -88,34 +91,35 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int) -> int:
             res[b].add(a)
             b = a
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Multigraph) -> int:
     """Connectivity of the underlying simple graph.
 
     0 for disconnected (or trivially small) graphs, n - 1 for complete ones,
-    otherwise the minimum over non-adjacent pairs of the max-flow bound.
-    Only pairs whose lower vertex s is at most kappa need a flow (Even,
-    SIAM J. Comput. 4, 1975): the lowest vertex s outside a minimum
-    separator S is among 0..kappa, and every vertex in another component
-    of G - S is higher than s.
+    otherwise min(delta, the flows below), after Esfahanian and Hakimi
+    (Networks 14, 1984).  Take v of minimum degree delta.  A minimum
+    separator S either misses v, and then separates v from a non-neighbour,
+    or contains v, and then, being minimal, leaves neighbours of v in two
+    components of G - S, which it separates.  So flows run only from v to
+    its non-neighbours and between non-adjacent neighbours of v, each
+    capped at the best found so far.
     """
     n = g.n
     if n <= 1:
         return 0
     adj = adjacency_sets(g)
-    if all(len(adj[x]) == n - 1 for x in range(n)):
-        return n - 1
-    best = n - 2  # the other n - 2 vertices separate any non-adjacent pair
-    for s in range(n):
-        if s > best:
+    v = min(range(n), key=lambda x: len(adj[x]))
+    best = len(adj[v])
+    if best == n - 1:
+        return best
+    pairs = [(v, t) for t in range(n) if t != v and t not in adj[v]]
+    pairs += [(x, y) for x, y in itertools.combinations(sorted(adj[v]), 2) if y not in adj[x]]
+    for s, t in pairs:
+        if best == 0:
             break
-        for t in range(s + 1, n):
-            if t in adj[s]:
-                continue
-            best = min(best, _local_connectivity(adj, s, t))
-            if best == 0:
-                return 0
+        best = _local_connectivity(adj, s, t, best)
     return best
 
 

@@ -4,6 +4,7 @@ pipeline around them."""
 import copy
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ from ghzgraphs import (
     CutSpec,
     Edge,
     GaussianRational,
+    GhzGraphError,
     InvariantViolation,
     IrreducibleError,
     Multigraph,
@@ -41,6 +43,7 @@ from ghzgraphs import (
 
 from conftest import (
     HARD_ORDER,
+    hard_family,
     hard_family_member,
     planted_cut_corpus,
     planted_cut_instance,
@@ -558,7 +561,7 @@ def test_projected_reduction_matches_the_lookup_reduction(case):
     cls = classify_colours(g, cut)
     expected, expected_table = slow_reduce(g, cut, cls, colouring_weight_table(g))
     for check in (True, False):
-        got = ghzgraphs.reduction._reduce(g, cut, cls, check)
+        got = ghzgraphs.reduction._reduce(g, cut, cls, check, {})
         # same edges in the same order, exact weights of the same type
         assert got == expected and colouring_weight_table(got) == expected_table
         assert [type(e.weight) for e in got.edges] == [type(e.weight) for e in expected.edges]
@@ -608,10 +611,10 @@ def test_identity_check_reports_the_first_mismatch_of_the_enumeration(monkeypatc
     with pytest.raises(InvariantViolation) as slow:
         slow_reduce(g, cut, cls, perturbed(g), perturbed)
     with pytest.raises(InvariantViolation) as fast:
-        ghzgraphs.reduction._reduce(g, cut, cls, True)
+        ghzgraphs.reduction._reduce(g, cut, cls, True, {})
     assert str(fast.value) == str(slow.value)
     assert f"identity failed at {vc_r}:" in str(fast.value)
-    ghzgraphs.reduction._reduce(g, cut, cls, False)
+    ghzgraphs.reduction._reduce(g, cut, cls, False, {})
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +764,7 @@ COMPUTE_ONCE_CASES = (
 def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, case, all_cuts):
     g = copy.copy(COMPUTE_ONCE_CASES[case])  # a copy carries no memoised table
     real_table = ghzgraphs.matchings._weight_table
-    real_classify = ghzgraphs.reduction.classify_colours
+    real_classify = ghzgraphs.reduction._classify  # classify_colours goes through it too
     tables_of_g, classified = [], []
 
     def counting_table(h):
@@ -769,12 +772,12 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
             tables_of_g.append(h)
         return real_table(h)
 
-    def counting_classify(h, cut):
+    def counting_classify(h, cut, blocks):
         classified.append(cut)
-        return real_classify(h, cut)
+        return real_classify(h, cut, blocks)
 
     monkeypatch.setattr(ghzgraphs.matchings, "_weight_table", counting_table)
-    monkeypatch.setattr(ghzgraphs.reduction, "classify_colours", counting_classify)
+    monkeypatch.setattr(ghzgraphs.reduction, "_classify", counting_classify)
     report = reduce(g, all_cuts=all_cuts)
     odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
     assert len(tables_of_g) == 1
@@ -839,3 +842,65 @@ def test_reduce_computes_kappa_only_for_a_report(monkeypatch):
     assert seen == []
     c8 = cycle_ghz(8)
     assert reduce(c8).kappa == 2 and seen == [c8]
+
+
+# ---------------------------------------------------------------------------
+# one block per vertex set per reduce() call, against blocks built per cut
+
+
+def slow_unshared_reduce(g, all_cuts=False, check=True):
+    """reduce() as it was: every cut builds its own blocks and their tables."""
+    def unshared(blocks, h, vertices, cut_vertices=()):
+        return ghzgraphs.reduction._cut_block(h, vertices, cut_vertices)
+
+    with mock.patch.object(ghzgraphs.reduction, "_block", unshared):
+        return reduce(g, all_cuts=all_cuts, check=check)
+
+
+def all_cuts_outcome(fn, g, check):
+    try:
+        return fn(g, all_cuts=True, check=check)
+    except (GhzGraphError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SHARED_BLOCK_CASES = (
+    [g for g, _ in hard_family()]
+    + [g for g, _ in planted_cut_corpus(50)]
+    + [cycle_ghz(n) for n in range(6, 13, 2)]
+    + [octahedron(), only_even_cuts()]
+)
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("case", range(len(SHARED_BLOCK_CASES)))
+def test_shared_blocks_match_the_blocks_built_per_cut(case, check):
+    g = SHARED_BLOCK_CASES[case]
+    assert all_cuts_outcome(reduce, g, check) == all_cuts_outcome(slow_unshared_reduce, g, check)
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+@pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
+def test_reduce_builds_each_block_once(monkeypatch, case, all_cuts):
+    g = COMPUTE_ONCE_CASES[case]
+    real_build, real_block = ghzgraphs.reduction._cut_block, ghzgraphs.reduction._block
+    built, asked = [], []
+
+    def key(vertices, cut_vertices):
+        vertices = frozenset(vertices)
+        return vertices, vertices & frozenset(cut_vertices)
+
+    def counting_build(h, vertices, cut_vertices=()):
+        built.append(key(vertices, cut_vertices))
+        return real_build(h, vertices, cut_vertices)
+
+    def counting_block(blocks, h, vertices, cut_vertices=()):
+        asked.append(key(vertices, cut_vertices))
+        return real_block(blocks, h, vertices, cut_vertices)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "_cut_block", counting_build)
+    monkeypatch.setattr(ghzgraphs.reduction, "_block", counting_block)
+    reduce(g, all_cuts=all_cuts)
+    assert len(built) == len(set(built)) and set(built) == set(asked)
+    if all_cuts:  # every case has odd cuts that ask for the same block
+        assert len(asked) > len(built)

@@ -114,32 +114,37 @@ def simple_graphs(max_n=7, min_n=1, max_edges=18):
 @settings(max_examples=200, deadline=None)
 @given(simple_graphs(max_n=11, max_edges=45))
 def test_connectivity_matches_brute_force(g):
-    assert vertex_connectivity(g) == oracle_connectivity(g)
+    assert_connectivity_matches(g)  # the oracle and Even's scan
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_connectivity_of_dense_random_graphs(seed):
-    # dense enough that kappa reaches 3 to 8, where the scan stops early
+    # dense enough that kappa reaches 3 to 8, where the flows are capped early
     rng = random.Random(f"kappa-{seed}")
     n = rng.randint(5, 11)
     p = rng.uniform(0.5, 0.95)
     pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
     g = build_graph(n, [(u, v, 0, 0, 1) for u, v in pairs])
-    assert vertex_connectivity(g) == oracle_connectivity(g)
+    assert_connectivity_matches(g)
 
 
 def test_connectivity_of_a_long_cycle(monkeypatch):
-    # Even's bound: flows start only from the first kappa + 1 vertices
+    # Esfahanian-Hakimi: flows start only at a minimum-degree vertex v or at
+    # a neighbour of v, at most n - 1 - delta + (non-adjacent neighbour pairs)
+    # of them; Even's scan ran 110 on C40
     real = ghzgraphs.structure._local_connectivity
-    sources = []
+    flows = []
 
-    def counting(adj, s, t):
-        sources.append(s)
-        return real(adj, s, t)
+    def counting(adj, s, t, cap):
+        flows.append((s, t))
+        return real(adj, s, t, cap)
 
     monkeypatch.setattr(ghzgraphs.structure, "_local_connectivity", counting)
-    assert vertex_connectivity(cycle_ghz(40)) == 2
-    assert set(sources) == {0, 1, 2}
+    g = cycle_ghz(40)
+    assert vertex_connectivity(g) == 2
+    adj = adjacency_sets(g)
+    assert any(all(s == v or s in adj[v] for s, _ in flows) for v in range(g.n))
+    assert len(flows) <= 40 - 1 - 2 + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,6 +230,7 @@ def flow_corpus():
 
 
 def test_local_connectivity_matches_the_capacity_table_flow():
+    local = ghzgraphs.structure._local_connectivity
     pairs = 0
     for g in flow_corpus():
         adj = adjacency_sets(g)
@@ -232,7 +238,10 @@ def test_local_connectivity_matches_the_capacity_table_flow():
             if t in adj[s]:
                 continue
             expected = slow_local_connectivity(adj, s, t)
-            assert ghzgraphs.structure._local_connectivity(adj, s, t) == expected, (g, s, t)
+            assert local(adj, s, t, g.n) == expected, (g, s, t)
+            # a capped flow stops at its cap
+            for cap in range(1, expected + 2):
+                assert local(adj, s, t, cap) == min(cap, expected), (g, s, t, cap)
             pairs += 1
     assert pairs > 10_000
 
@@ -242,6 +251,98 @@ def test_connectivity_of_flow_corpus_families():
         assert vertex_connectivity(complete_minus_matching(n)) == n - 2
     assert vertex_connectivity(grid(6, 6)) == 2
     assert vertex_connectivity(shuffled_cycle(40)) == 2
+
+
+# ---------------------------------------------------------------------------
+# Esfahanian-Hakimi pairs against Even's scan
+
+
+def slow_vertex_connectivity(g):
+    """vertex_connectivity as Even's scan (SIAM J. Comput. 4, 1975): flows
+    from each s in 0..kappa to every higher non-neighbour, uncapped."""
+    n = g.n
+    if n <= 1:
+        return 0
+    adj = adjacency_sets(g)
+    if all(len(adj[x]) == n - 1 for x in range(n)):
+        return n - 1
+    best = n - 2
+    for s in range(n):
+        if s > best:
+            break
+        for t in range(s + 1, n):
+            if t not in adj[s]:
+                best = min(best, slow_local_connectivity(adj, s, t))
+    return best
+
+
+def complete(n):
+    return plain_graph(n, itertools.combinations(range(n), 2))
+
+
+def complete_bipartite(k):
+    return plain_graph(2 * k, [(u, k + v) for u in range(k) for v in range(k)])
+
+
+def separator_through_the_minimum_degree_vertex(seed):
+    """Two K6 joined by one edge and by a vertex of degree 4: every 2-cut
+    holds that vertex, so only a flow between two of its neighbours sees kappa."""
+    pairs = [(u, v) for block in (range(1, 7), range(7, 13)) for u, v in itertools.combinations(block, 2)]
+    pairs += [(0, 1), (0, 2), (0, 7), (0, 8), (6, 12)]
+    label = list(range(13))
+    random.Random(f"through-v-{seed}").shuffle(label)
+    return plain_graph(13, [(label[u], label[v]) for u, v in pairs])
+
+
+def assert_connectivity_matches(g):
+    expected = slow_vertex_connectivity(g)
+    assert vertex_connectivity(g) == expected, g
+    if g.n <= 12 or expected <= 2:  # the oracle enumerates every set of up to kappa vertices
+        assert oracle_connectivity(g) == expected, g
+
+
+EVENS_SCAN_CASES = (
+    list(flow_corpus())
+    + [build_graph(n, []) for n in range(3)]
+    + [plain_graph(2, [(0, 1)])]
+    + [plain_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])]  # vertex 4 isolated
+    + [plain_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]  # two triangles
+    + [complete(n) for n in range(1, 9)]
+    # every neighbour pair of a vertex is non-adjacent: the most pairs
+    + [complete_bipartite(k) for k in range(2, 7)]
+    + [complete_minus_matching(n) for n in range(4, 13, 2)]
+    + [separator_through_the_minimum_degree_vertex(seed) for seed in range(4)]
+)
+
+
+def test_connectivity_matches_evens_scan_on_families():
+    for g in EVENS_SCAN_CASES:
+        assert_connectivity_matches(g)
+    assert {vertex_connectivity(g) for g in EVENS_SCAN_CASES} >= set(range(11))
+
+
+def test_connectivity_of_named_families():
+    for k in range(2, 7):
+        assert vertex_connectivity(complete_bipartite(k)) == k
+    assert vertex_connectivity(separator_through_the_minimum_degree_vertex(0)) == 2
+    for n in range(1, 9):
+        assert vertex_connectivity(complete(n)) == n - 1
+    assert [vertex_connectivity(build_graph(n, [])) for n in range(3)] == [0, 0, 0]
+
+
+def test_an_isolated_vertex_stops_every_flow_at_cap_zero(monkeypatch):
+    real = ghzgraphs.structure._local_connectivity
+    flows = []
+
+    def recording(adj, s, t, cap):
+        flows.append(cap)
+        return real(adj, s, t, cap)
+
+    monkeypatch.setattr(ghzgraphs.structure, "_local_connectivity", recording)
+    # vertex 5 is isolated; the other five form a 2-connected graph
+    g = plain_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    assert vertex_connectivity(g) == 0
+    assert all(cap == 0 for cap in flows)
 
 
 # ---------------------------------------------------------------------------
