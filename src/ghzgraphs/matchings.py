@@ -8,10 +8,12 @@ for scaled ones.
 
 Those sums come from one kernel, ``_weight_table``: a subset DP over the
 covered vertices that adds up matching weights per induced colouring without
-listing the matchings.  Exact and float weights run through the same lines;
-a ``GaussianRational`` is a Gaussian integer over an int denominator that
-arithmetic never reduces, so the DP does no normalisation, and its table
-entries are put in lowest terms only when they are read.
+listing the matchings; its vertex and cut masks give a cut block's table,
+G[X] without the edges inside a cut, with no copy of the graph.  Exact and
+float weights run through the same lines; a ``GaussianRational`` is a
+Gaussian integer over an int denominator that arithmetic never reduces, so
+the DP does no normalisation, and its table entries are put in lowest terms
+only when they are read.
 ``_iter_perfect_matchings`` yields the matchings one at a time by a search of
 the same shape, so a caller can stop at the one it wants (the Bogdanov
 witness does); ``enumerate_perfect_matchings`` lists them all.
@@ -115,36 +117,48 @@ def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
     return Multigraph(g.n, kept, g.colour_universe)
 
 
-def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
-    """Total matching weight per induced colouring, by a subset DP.
+def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[VertexColouring, object]:
+    """Total matching weight per induced colouring of G[vertices] without the
+    edges joining two vertices of ``cut``, by a subset DP on g in place.
 
-    Parallel edges of one colour class are merged by summing their weights;
-    a merged edge whose weights cancel to 0 is kept, so its colourings stay
-    feasible with weight 0.  A state is the set of covered vertices; it
-    branches on its lowest uncovered vertex, whose partners are all higher,
-    so each edge is listed under its lower endpoint only.  A state's table
-    is keyed by the colours of its uncovered vertices, held as the digits of
-    one integer in base (largest colour + 1) with vertex 0 most significant:
-    an edge's two half-colours are spliced in by adding their digits, and
-    integer order is the order of the colour tuples.  The values are the
-    enumeration's sums, regrouped: identical in exact mode.
+    ``vertices`` and ``cut`` are bit masks, bit v for vertex v; the defaults
+    keep every vertex and edge, so a whole-graph call is unchanged by them.
+    Vertices outside ``vertices`` start covered, edges touching them or
+    joining two cut vertices are skipped, and keys are the colours of the
+    kept vertices in increasing order.  Parallel edges of one colour class
+    are merged by summing their weights; a merged edge whose weights cancel
+    to 0 is kept, so its colourings stay feasible with weight 0.  A state is
+    the set of covered vertices; it branches on its lowest uncovered vertex,
+    whose partners are all higher, so each edge is listed under its lower
+    endpoint only.  A state's table is keyed by the colours of its uncovered
+    vertices, held as the digits of one integer in base (largest colour + 1)
+    with the lowest kept vertex most significant: an edge's two half-colours
+    are spliced in by adding their digits, and integer order is the order of
+    the colour tuples.  The values are the enumeration's sums, regrouped:
+    identical in exact mode.
 
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
     entries are left unreduced, as all ``GaussianRational`` arithmetic is.
     """
     n = g.n
+    full = (1 << n) - 1
+    outside = full & ~vertices
     merged: dict[tuple[int, int, int, int], object] = {}
-    touched = 0
+    touched = outside
     for e in g.edges:
+        ends = 1 << e.u | 1 << e.v
+        if ends & outside or ends & cut == ends:
+            continue
         edge_class = (e.u, e.v, e.cu, e.cv)
         merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
-        touched |= 1 << e.u | 1 << e.v
-    full = (1 << n) - 1
-    if n % 2 or touched != full:
+        touched |= ends
+    if (full & vertices).bit_count() % 2 or touched != full:
         return {}  # odd, or an isolated vertex: before the digit places' O(n^2) bits
-    base = 1 + max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
-    place = [base ** (n - 1 - v) for v in range(n)]
+    base = 1 + max((c for _, _, cu, cv in merged for c in (cu, cv)), default=0)
+    kept = [v for v in range(n) if vertices >> v & 1]
+    places = [base**i for i in range(len(kept) - 1, -1, -1)]
+    place = dict(zip(kept, places))
     below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
     for (u, v, cu, cv), w in merged.items():
         below[u].append((1 << v, cu * place[u] + cv * place[v], w))
@@ -167,9 +181,9 @@ def _weight_table(g: Multigraph) -> dict[VertexColouring, object]:
         return table
 
     out: dict[VertexColouring, object] = {}
-    for key, w in sorted(solve(0).items()):
+    for key, w in sorted(solve(outside).items()):
         colours = []
-        for p in place:
+        for p in places:
             c, key = divmod(key, p)
             colours.append(c)
         out[tuple(colours)] = w

@@ -26,9 +26,12 @@ W(c_V2) the all-c weight of G[V2], every colouring vc' of the result obeys
     w'(vc') = sum_c  f_c * w(vc'(c)),
 
 where vc'(c) paints V2 in c and every other vertex as vc' paints the
-reduced vertex standing for it.  In the easy case every f_c is 1.  Every
-block and the input are read through one projection of their tables onto
-the reduced vertices, and unless disabled the identity is re-checked on it.
+reduced vertex standing for it.  In the easy case every f_c is 1.  A block
+is a vertex set, not a graph: the weight kernel reads its table on the input
+in place, through a vertex mask and a cut mask, and the cuts of one
+``reduce`` call share each block's table.  Every block and the input are
+read through one projection of their tables onto the reduced vertices, and
+unless disabled the identity is re-checked on it.
 """
 
 from __future__ import annotations
@@ -39,16 +42,9 @@ from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import scale_to_ghz, verify
-from .graphs import (
-    Edge,
-    InducedSubgraph,
-    Multigraph,
-    VertexColouring,
-    drop_zero_edges,
-    merge_parallel_edges,
-)
-from .matchings import colouring_weight, colouring_weight_table
-from .structure import CutSpec, _block_weight, _cut_block, iter_cuts, make_cut, vertex_connectivity
+from .graphs import Edge, Multigraph, VertexColouring, drop_zero_edges, merge_parallel_edges
+from .matchings import _weight_table, colouring_weight_table
+from .structure import CutSpec, _bits, _block_weight, iter_cuts, make_cut, vertex_connectivity
 
 
 class TypeWeights(namedtuple("TypeWeights", "v1_side v2_side")):
@@ -105,31 +101,29 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     return _classify(g, cut, {})
 
 
-def _block(blocks: dict, g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
-    """``_cut_block(g, vertices, cut_vertices)``, built once per ``blocks``.
+def _block(blocks: dict, g: Multigraph, vertices, cut_vertices=()) -> tuple:
+    """The sorted vertices and the weight table of G[vertices] without the
+    edges joining two vertices of ``cut_vertices``, built once per ``blocks``.
 
     The key is all the block depends on, its vertex set and the cut vertices
-    inside it, so every cut that asks for a block gets the one built first,
-    and with it the table memoised on it.
+    inside it, so every cut that asks for a block gets the table built first.
     """
     vertices = frozenset(vertices)
     key = (vertices, vertices.intersection(cut_vertices))
     block = blocks.get(key)
     if block is None:
-        block = blocks[key] = _cut_block(g, vertices, cut_vertices)
+        table = _weight_table(g, _bits(vertices), _bits(cut_vertices))
+        block = blocks[key] = (tuple(sorted(vertices)), table)
     return block
 
 
 def _classify(g: Multigraph, cut: CutSpec, blocks: dict) -> ColourClassification:
     """``classify_colours`` of a valid 3-cut, its blocks taken from ``blocks``."""
     zero = g.zero
-    h0 = _block(blocks, g, set(cut.v1) | set(cut.s), cut.s).graph
-    has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
-    v2 = _block(blocks, g, cut.v2).graph
-    v2_weights = {
-        colour: colouring_weight(v2, (colour,) * v2.n)
-        for colour in sorted(g.colour_universe)
-    }
+    _, h0 = _block(blocks, g, set(cut.v1) | set(cut.s), cut.s)
+    has_type0 = any(w != zero for w in h0.values())
+    _, v2 = _block(blocks, g, cut.v2)
+    v2_weights = {c: v2.get((c,) * len(cut.v2), zero) for c in sorted(g.colour_universe)}
     if has_type0:
         c1 = frozenset(c for c, w in v2_weights.items() if w != zero)
     else:
@@ -189,9 +183,9 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
              for e in g.edges if e.u in v1_set or e.v in v1_set] if cls.c1 else []
     sides = [] if cls.c1 else [v1_set | {u} for u in cut.s]
     for side in sides + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
-        sub, kept = _block(blocks, g, side)
+        kept, table = _block(blocks, g, side)
         owner = [pos.get(x) for x in kept]
-        weights = _project(colouring_weight_table(sub), owner, factors, zero)
+        weights = _project(table, owner, factors, zero)
         ra, rb = sorted(set(owner) - {None})
         edges += [Edge(ra, rb, p, q, w) for (p, q), w in sorted(weights.items())]
 
@@ -266,8 +260,9 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     check and the g-GHZ and dimension checks run on every cut reduced, but
     only the returned graph is rescaled: with ``all_cuts`` a discarded cut
     whose reduced graph cannot be rescaled raises nothing.  The cuts of one
-    call share their blocks: a block asked for by several cuts, and the
-    table memoised on it, is built once and freed when the call returns.
+    call share their blocks: a block is a weight table read on g in place,
+    built once per call for its vertex set and the cut vertices inside it,
+    and freed when the call returns.
 
     kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
     component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j

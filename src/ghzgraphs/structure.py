@@ -14,15 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 
-from .graphs import (
-    Colour,
-    InducedSubgraph,
-    Multigraph,
-    adjacency_sets,
-    induced_subgraph,
-    skeleton,
-)
-from .matchings import colouring_weight, colouring_weight_table
+from .graphs import Colour, Multigraph, adjacency_sets, skeleton
+from .matchings import _weight_table, filter_graph
 
 # ---------------------------------------------------------------------------
 # matching-covered graph
@@ -35,16 +28,12 @@ def mcg(g: Multigraph) -> Multigraph:
     are unchanged; the result is a fixpoint of the operation.  If g has no
     perfect matching the result has no edges.  An edge u-v lies in some
     perfect matching iff G - u - v has one, which the weight kernel answers
-    on the skeleton without listing matchings; parallel edges can stand in
-    for each other, so one check per vertex pair decides them all.
+    on the skeleton with u and v masked out, without listing matchings;
+    parallel edges can stand in for each other, so one check per vertex
+    pair decides them all.
     """
     base = skeleton(g)
-    vertices = set(range(g.n))
-    live = {
-        (e.u, e.v)
-        for e in base.edges
-        if colouring_weight_table(induced_subgraph(base, vertices - {e.u, e.v}).graph)
-    }
+    live = {(e.u, e.v) for e in base.edges if _weight_table(base, ~(1 << e.u | 1 << e.v))}
     kept = tuple(e for e in g.edges if (e.u, e.v) in live)
     return Multigraph(g.n, kept, g.colour_universe)
 
@@ -257,26 +246,20 @@ class SquareDecomposition(namedtuple("SquareDecomposition", "v_left v_right h_to
         return all(w != zero for w in (self.v_left, self.v_right, self.h_top, self.h_bottom))
 
 
-def _cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
-    """G[vertices] without the edges joining two vertices of ``cut_vertices``.
-
-    Relabelled and returned with its original labels as by
-    ``induced_subgraph``.  Every block of the 2-cut squares and of the 3-cut
-    type decomposition is formed here.
-    """
-    sub, kept = induced_subgraph(g, vertices)
-    inner = {r for r, x in enumerate(kept) if x in cut_vertices}
-    if len(inner) < 2:
-        return InducedSubgraph(sub, kept)
-    edges = tuple(e for e in sub.edges if e.u not in inner or e.v not in inner)
-    return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
+def _bits(vertices) -> int:
+    """The bit mask of a vertex set, bit v for vertex v."""
+    return sum(1 << x for x in vertices)
 
 
 def _block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()) -> object:
-    """The weight on ``_cut_block(g, vertices, cut_vertices)`` of the
-    colouring that paints each original vertex x with ``colour_of(x)``."""
-    sub, kept = _cut_block(g, vertices, cut_vertices)
-    return colouring_weight(sub, tuple(colour_of(x) for x in kept))
+    """The weight on G[vertices], without the edges joining two vertices of
+    ``cut_vertices``, of the colouring that paints each vertex x with
+    ``colour_of(x)``.  Every block of the 2-cut squares and of the 3-cut type
+    decomposition is weighed here, by the kernel on g in place."""
+    vc = tuple(colour_of(x) for x in range(g.n))
+    kept = sorted(vertices)
+    table = _weight_table(filter_graph(g, vc), _bits(kept), _bits(cut_vertices))
+    return table.get(tuple(vc[x] for x in kept), g.zero)
 
 
 def square_decomposition_odd(

@@ -22,11 +22,13 @@ import pytest
 
 from ghzgraphs import (
     GaussianRational,
+    InducedSubgraph,
     Multigraph,
     build_graph,
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
+    induced_subgraph,
     make_cut,
     parallel_ghz_k2,
 )
@@ -371,6 +373,23 @@ def enumeration_corpus() -> list[Multigraph]:
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def bits(vertices) -> int:
+    """The bit mask of a vertex set, as the weight kernel takes it."""
+    return sum(1 << x for x in vertices)
+
+
+def slow_cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
+    """G[vertices] without the edges joining two vertices of ``cut_vertices``,
+    as a relabelled copy: how every cut block was formed before the weight
+    kernel read blocks in place through its vertex and cut masks."""
+    sub, kept = induced_subgraph(g, vertices)
+    inner = {r for r, x in enumerate(kept) if x in cut_vertices}
+    if len(inner) < 2:
+        return InducedSubgraph(sub, kept)
+    edges = tuple(e for e in sub.edges if e.u not in inner or e.v not in inner)
+    return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
 
 
 def brute_pairings(n: int):

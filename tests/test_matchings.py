@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,13 @@ from ghzgraphs import (
     colouring_weight,
     colouring_weight_table,
     complete_ghz_k4,
+    cycle_ghz,
     dimension,
     enumerate_perfect_matchings,
     filter_graph,
     graph_weight,
     induced_colouring,
+    induced_subgraph,
     is_feasible,
     matching_weight,
     mono_weights,
@@ -31,6 +34,7 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    bits,
     enumeration_corpus,
     hard_family,
     oracle_colouring_weight,
@@ -38,6 +42,7 @@ from conftest import (
     planted_cut_corpus,
     random_corpus,
     random_multigraph,
+    slow_cut_block,
     small_rational,
 )
 
@@ -431,6 +436,59 @@ def test_an_unmatchable_sparse_graph_builds_no_digit_places():
         tracemalloc.stop()
     assert verdict.is_ghz and verdict.dimension == 0
     assert peak < 5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the kernel's vertex and cut masks, against the block copies they replaced
+
+
+def block_cases(g, rng):
+    """(subset, cut set) pairs: every vertex subset of a graph with up to 8
+    vertices, 64 seeded ones of a larger graph.  Cut sets have 0 to 3
+    vertices, drawn from the subset for every other subset and from the whole
+    graph otherwise, so they lie inside it or partly outside it."""
+    n = g.n
+    if n <= 8:
+        subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+    else:
+        subsets = [tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(64)]
+    for k, subset in enumerate(subsets):
+        pool = subset if k % 2 else range(n)
+        yield subset, rng.sample(pool, min((k // 2) % 4, len(pool)))
+
+
+def test_masked_kernel_is_the_kernel_on_the_block_copy():
+    kernel = ghzgraphs.matchings._weight_table
+    rng = random.Random("masked-kernel")
+    reached = Counter()
+    for g in kernel_corpus() + [cycle_ghz(10), cycle_ghz(12), dense_graph(10, 2, 0)]:
+        whole = kernel(g)
+        assert list(kernel(g, (1 << g.n) - 1).items()) == list(whole.items())
+        assert list(kernel(slow_cut_block(g, range(g.n)).graph).items()) == list(whole.items())
+        gf = as_float(g)
+        for subset, cut in block_cases(g, rng):
+            block = slow_cut_block(g, subset, cut).graph
+            fast, slow = kernel(g, bits(subset), bits(cut)), kernel(block)
+            assert list(fast.items()) == list(slow.items())
+            assert [type(w) for w in fast.values()] == [type(w) for w in slow.values()]
+            if subset:  # an empty copy has no edges, so it reads as exact
+                float_slow = kernel(slow_cut_block(gf, subset, cut).graph)
+                assert list(kernel(gf, bits(subset), bits(cut)).items()) == list(float_slow.items())
+            inside = set(cut) & set(subset)
+            degrees = Counter(x for e in block.edges for x in (e.u, e.v))
+            reached.update({
+                "empty": not subset,
+                "odd": len(subset) % 2,
+                "isolated vertex": len(subset) % 2 == 0 and len(degrees) < len(subset),
+                "edges inside the cut dropped": len(block.edges) < len(induced_subgraph(g, subset).graph.edges),
+                "cut partly outside": bool(inside) and len(inside) < len(cut),
+                "non-empty table": bool(fast),
+                "sampled subset": g.n > 8,
+            })
+    assert all(reached[name] for name in (
+        "empty", "odd", "isolated vertex", "edges inside the cut dropped",
+        "cut partly outside", "non-empty table", "sampled subset",
+    )), reached
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ from unittest import mock
 
 import pytest
 
+import ghzgraphs.matchings
 import ghzgraphs.reduction
+import ghzgraphs.structure
 from ghzgraphs import (
+    ColourClassification,
     CutSpec,
     Edge,
     GaussianRational,
@@ -43,10 +46,12 @@ from ghzgraphs import (
 
 from conftest import (
     HARD_ORDER,
+    bits,
     hard_family,
     hard_family_member,
     planted_cut_corpus,
     planted_cut_instance,
+    slow_cut_block,
     small_rational,
 )
 
@@ -845,13 +850,15 @@ def test_reduce_computes_kappa_only_for_a_report(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one block per vertex set per reduce() call, against blocks built per cut
+# one block per vertex set per reduce() call, read on g in place, against
+# block copies built per cut
 
 
 def slow_unshared_reduce(g, all_cuts=False, check=True):
-    """reduce() as it was: every cut builds its own blocks and their tables."""
+    """reduce() as it was: every cut builds its own block copies and their tables."""
     def unshared(blocks, h, vertices, cut_vertices=()):
-        return ghzgraphs.reduction._cut_block(h, vertices, cut_vertices)
+        sub, kept = slow_cut_block(h, vertices, cut_vertices)
+        return kept, colouring_weight_table(sub)
 
     with mock.patch.object(ghzgraphs.reduction, "_block", unshared):
         return reduce(g, all_cuts=all_cuts, check=check)
@@ -882,25 +889,90 @@ def test_shared_blocks_match_the_blocks_built_per_cut(case, check):
 @pytest.mark.parametrize("all_cuts", [False, True])
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_builds_each_block_once(monkeypatch, case, all_cuts):
+    """Every block is one masked kernel run on g itself, one per block key."""
     g = COMPUTE_ONCE_CASES[case]
-    real_build, real_block = ghzgraphs.reduction._cut_block, ghzgraphs.reduction._block
+    real_kernel, real_block = ghzgraphs.reduction._weight_table, ghzgraphs.reduction._block
     built, asked = [], []
 
-    def key(vertices, cut_vertices):
-        vertices = frozenset(vertices)
-        return vertices, vertices & frozenset(cut_vertices)
-
-    def counting_build(h, vertices, cut_vertices=()):
-        built.append(key(vertices, cut_vertices))
-        return real_build(h, vertices, cut_vertices)
+    def counting_kernel(h, vertices=-1, cut=0):
+        assert h is g
+        built.append((vertices, vertices & cut))
+        return real_kernel(h, vertices, cut)
 
     def counting_block(blocks, h, vertices, cut_vertices=()):
-        asked.append(key(vertices, cut_vertices))
+        asked.append((bits(vertices), bits(set(vertices) & set(cut_vertices))))
         return real_block(blocks, h, vertices, cut_vertices)
 
-    monkeypatch.setattr(ghzgraphs.reduction, "_cut_block", counting_build)
+    monkeypatch.setattr(ghzgraphs.reduction, "_weight_table", counting_kernel)
     monkeypatch.setattr(ghzgraphs.reduction, "_block", counting_block)
     reduce(g, all_cuts=all_cuts)
     assert len(built) == len(set(built)) and set(built) == set(asked)
     if all_cuts:  # every case has odd cuts that ask for the same block
         assert len(asked) > len(built)
+
+
+# ---------------------------------------------------------------------------
+# G[V2]'s monochromatic weights read from its block table, against one
+# filtered copy and lookup per colour
+
+
+def slow_classify(g, cut):
+    """classify_colours as it was: block copies, and G[V2]'s all-c weights by
+    ``colouring_weight`` on the copy, one filtered graph per colour."""
+    zero = g.zero
+    h0 = slow_cut_block(g, set(cut.v1) | set(cut.s), cut.s).graph
+    has_type0 = any(w != zero for w in colouring_weight_table(h0).values())
+    v2 = slow_cut_block(g, cut.v2).graph
+    v2_weights = {c: colouring_weight(v2, (c,) * v2.n) for c in sorted(g.colour_universe)}
+    c1 = frozenset(c for c, w in v2_weights.items() if w != zero) if has_type0 else frozenset()
+    return ColourClassification(c1, frozenset(g.colour_universe) - c1, has_type0, v2_weights)
+
+
+CLASSIFY_CASES = (
+    [g for g, _ in hard_family()]
+    + [g for g, _ in planted_cut_corpus(50)]
+    + [cycle_ghz(n) for n in range(6, 13, 2)]
+)
+
+
+@pytest.mark.parametrize("case", range(len(CLASSIFY_CASES)))
+def test_classification_matches_the_per_colour_lookups_on_block_copies(case):
+    g = CLASSIFY_CASES[case]
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    assert odd
+    for cut in odd:
+        fast, slow = classify_colours(g, cut), slow_classify(g, cut)
+        assert fast == slow
+        assert list(fast.v2_mono_weights.items()) == list(slow.v2_mono_weights.items())
+        assert [type(w) for w in fast.v2_mono_weights.values()] == [
+            type(w) for w in slow.v2_mono_weights.values()
+        ]
+
+
+def test_classify_cases_reach_both_cases():
+    splits = {bool(classify_colours(g, cut).c1)
+              for g in CLASSIFY_CASES for cut in iter_cuts(g, 3) if cut.parity == "odd"}
+    assert splits == {False, True}
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+def test_reduce_filters_no_graph(monkeypatch, all_cuts):
+    filtered = []
+
+    def counting(module):
+        real = module.filter_graph
+
+        def filter_graph(h, vc):
+            filtered.append(h)
+            return real(h, vc)
+
+        monkeypatch.setattr(module, "filter_graph", filter_graph)
+
+    for module in (ghzgraphs.matchings, ghzgraphs.structure):
+        counting(module)
+    for g in COMPUTE_ONCE_CASES:
+        reduce(g, all_cuts=all_cuts)
+    assert filtered == []
+    g, cut = eight_vertex_ladder()
+    type_weights(g, cut, (0,) * g.n)  # the counting wrappers do see the block lookups
+    assert filtered

@@ -1,0 +1,134 @@
+"""Check that the test suite still kills the known mutants of the fast paths.
+
+Each mutant is one source edit, an exact old text replaced by a new one,
+together with the test that must fail once it is applied.  The script copies
+``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, runs
+every mutant's test on the unmutated copy (each must pass there), then
+applies the mutants one at a time, never in parallel: it edits the copy, runs
+that mutant's test and restores the file.  It exits with status 1 if a test
+fails on the unmutated copy, if a mutant's old text does not occur exactly
+once, or if a mutant survives.
+
+    python3 tools/mutants.py
+
+``tests/test_mutants.py`` checks, within the tier-1 suite, that each old
+text still occurs exactly once, so a refactor that moves the code updates
+this list in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new test")
+
+MUTANTS = (
+    Mutant(
+        "the local flow never adds reverse arcs",
+        "src/ghzgraphs/structure.py",
+        "            res[b].add(a)\n",
+        "",
+        "tests/test_structure.py::test_local_connectivity_matches_the_capacity_table_flow",
+    ),
+    Mutant(
+        "vertex_connectivity without the neighbour pairs",
+        "src/ghzgraphs/structure.py",
+        "    pairs += [(x, y) for x, y in itertools.combinations(sorted(adj[v]), 2) if y not in adj[x]]\n",
+        "",
+        "tests/test_structure.py::test_connectivity_of_named_families",
+    ),
+    Mutant(
+        "_reduce emits the block edges unsorted",
+        "src/ghzgraphs/reduction.py",
+        "for (p, q), w in sorted(weights.items())]",
+        "for (p, q), w in weights.items()]",
+        "tests/test_reduction.py::test_projected_reduction_matches_the_lookup_reduction",
+    ),
+    Mutant(
+        "_iter_perfect_matchings lists every matching before the first",
+        "src/ghzgraphs/matchings.py",
+        "    yield from extend(0)\n",
+        "    yield from list(extend(0))\n",
+        "tests/test_matchings.py::test_the_search_builds_each_matching_only_when_it_is_drawn",
+    ),
+    Mutant(
+        "_block keyed by its vertex set alone",
+        "src/ghzgraphs/reduction.py",
+        "    key = (vertices, vertices.intersection(cut_vertices))\n",
+        "    key = vertices\n",
+        "tests/test_reduction.py::test_shared_blocks_match_the_blocks_built_per_cut",
+    ),
+    Mutant(
+        "the weight kernel ignores its cut mask",
+        "src/ghzgraphs/matchings.py",
+        "        if ends & outside or ends & cut == ends:\n",
+        "        if ends & outside:\n",
+        "tests/test_structure.py::test_even_square_total_reproduces_the_colouring_weight",
+    ),
+    Mutant(
+        "the weight kernel starts with no vertex covered",
+        "src/ghzgraphs/matchings.py",
+        "    for key, w in sorted(solve(outside).items()):\n",
+        "    for key, w in sorted(solve(0).items()):\n",
+        "tests/test_matchings.py::test_masked_kernel_is_the_kernel_on_the_block_copy",
+    ),
+)
+
+
+def run_test(copy: Path, test: str) -> int:
+    """pytest's exit status for one test node, run in ``copy`` on its own src."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="ghzgraphs-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+        for test in sorted({m.test for m in MUTANTS}):
+            status = run_test(copy, test)
+            print(f"unmutated  {test}: exit {status}", flush=True)
+            if status != 0:
+                failures.append(f"{test} fails on the unmutated source")
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
+            return 1
+
+        for m in MUTANTS:
+            path = copy / m.path
+            source = path.read_text()
+            if source.count(m.old) != 1:
+                failures.append(f"{m.name}: old text occurs {source.count(m.old)} times in {m.path}")
+                continue
+            path.write_text(source.replace(m.old, m.new))
+            try:
+                status = run_test(copy, m.test)
+            finally:
+                path.write_text(source)
+            verdict = "killed" if status == 1 else "SURVIVED" if status == 0 else f"error (exit {status})"
+            print(f"{verdict:<10} {m.name}: {m.test}", flush=True)
+            if status != 1:
+                failures.append(f"{m.name}: {verdict} under {m.test}")
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
