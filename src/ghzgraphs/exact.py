@@ -82,17 +82,26 @@ class GaussianRational:
 
     # -- arithmetic --------------------------------------------------------
 
+    # + and * are the weight kernel's inner loop: they read a GaussianRational
+    # operand's parts directly and build the result without helper calls.
+
     def __add__(self, other):
-        other = _parts(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is GaussianRational:
+            c, d, q = other._v
+        else:
+            other = _parts(other)
+            if other is None:
+                return NotImplemented
+            c, d, q = other
         a, b, p = self._v
-        c, d, q = other
+        out = _new(GaussianRational)
         if p == q:
-            return _make((a + c, b + d, p))
-        k = gcd(p, q)
-        s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
-        return _make((a * s + c * t, b * s + d * t, p * s))
+            _set_v(out, (a + c, b + d, p))
+        else:
+            k = gcd(p, q)
+            s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
+            _set_v(out, (a * s + c * t, b * s + d * t, p * s))
+        return out
 
     __radd__ = __add__
 
@@ -114,12 +123,17 @@ class GaussianRational:
         return _make(other) + -self
 
     def __mul__(self, other):
-        other = _parts(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is GaussianRational:
+            c, d, q = other._v
+        else:
+            other = _parts(other)
+            if other is None:
+                return NotImplemented
+            c, d, q = other
         a, b, p = self._v
-        c, d, q = other
-        return _make((a * c - b * d, a * d + b * c, p * q))
+        out = _new(GaussianRational)
+        _set_v(out, (a * c - b * d, a * d + b * c, p * q))
+        return out
 
     __rmul__ = __mul__
 

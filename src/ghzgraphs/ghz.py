@@ -70,28 +70,34 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
             return w == target
         return abs(w - target) <= epsilon
 
-    violations: list[Violation] = []
+    # the mono keys of the table; () is mono and is the only key when n = 0,
+    # even with an empty universe, and no key when n > 0
+    monos = {()}
+    mono_violations: list[Violation] = []
     dimension = 0
-    for vc, w in table.items():
-        if _is_mono(vc):
-            continue
-        if not near(w, zero):
-            violations.append(Violation(vc, w, NON_MONO_NONZERO))
     for colour in sorted(g.colour_universe):
         vc = mono_colouring(g.n, colour)
         if vc not in table:
             continue  # infeasible mono colouring: no constraint
+        monos.add(vc)
         w = table[vc]
         if near(w, zero):
-            violations.append(Violation(vc, w, MONO_ZERO))
+            mono_violations.append(Violation(vc, w, MONO_ZERO))
             continue
         dimension += 1
         if not near(w, one):
-            violations.append(Violation(vc, w, MONO_NOT_ONE))
-    is_g_ghz = not any(v.kind == NON_MONO_NONZERO for v in violations)
+            mono_violations.append(Violation(vc, w, MONO_NOT_ONE))
+    # one pass over the table, "non-zero" tested inline; a NaN is non-zero
+    if exact:
+        non_mono = [Violation(vc, w, NON_MONO_NONZERO) for vc, w in table.items()
+                    if w and vc not in monos]
+    else:
+        non_mono = [Violation(vc, w, NON_MONO_NONZERO) for vc, w in table.items()
+                    if not abs(w) <= epsilon and vc not in monos]
+    violations = non_mono + mono_violations
     return GhzVerdict(
         is_ghz=not violations,
-        is_g_ghz=is_g_ghz,
+        is_g_ghz=not non_mono,
         dimension=dimension,
         violations=tuple(violations),
     )

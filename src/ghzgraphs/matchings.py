@@ -131,11 +131,11 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     the set of covered vertices; it branches on its lowest uncovered vertex,
     whose partners are all higher, so each edge is listed under its lower
     endpoint only.  A state's table is keyed by the colours of its uncovered
-    vertices, held as the digits of one integer in base (largest colour + 1)
-    with the lowest kept vertex most significant: an edge's two half-colours
-    are spliced in by adding their digits, and integer order is the order of
-    the colour tuples.  The values are the enumeration's sums, regrouped:
-    identical in exact mode.
+    vertices, held as the digits of one integer in base (largest colour of
+    the universe + 1) with the lowest kept vertex most significant: an edge's
+    two half-colours are spliced in by adding their digits, and integer order
+    is the order of the colour tuples.  The values are the enumeration's
+    sums, regrouped: identical in exact mode.
 
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
@@ -155,7 +155,7 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
         touched |= ends
     if (full & vertices).bit_count() % 2 or touched != full:
         return {}  # odd, or an isolated vertex: before the digit places' O(n^2) bits
-    base = 1 + max((c for _, _, cu, cv in merged for c in (cu, cv)), default=0)
+    base = 1 + max(g.colour_universe, default=0)  # above every edge colour
     kept = [v for v in range(n) if vertices >> v & 1]
     places = [base**i for i in range(len(kept) - 1, -1, -1)]
     place = dict(zip(kept, places))
@@ -180,14 +180,32 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
         memo[covered] = table
         return table
 
+    # A key is read as two halves of equal length (kept vertices are even in
+    # number): a table's keys share few distinct halves, so each is decoded
+    # once and then looked up.
+    half_places = places[len(places) // 2:]
+    split = base ** len(half_places)
+    halves: dict[int, VertexColouring] = {}
     out: dict[VertexColouring, object] = {}
     for key, w in sorted(solve(outside).items()):
-        colours = []
-        for p in places:
-            c, key = divmod(key, p)
-            colours.append(c)
-        out[tuple(colours)] = w
+        high, low = divmod(key, split)
+        head = halves.get(high)
+        if head is None:
+            head = halves[high] = _digits(high, half_places)
+        tail = halves.get(low)
+        if tail is None:
+            tail = halves[low] = _digits(low, half_places)
+        out[head + tail] = w
     return out
+
+
+def _digits(key: int, places: list[int]) -> VertexColouring:
+    """The digits of key at the given place values, most significant first."""
+    colours = []
+    for p in places:
+        c, key = divmod(key, p)
+        colours.append(c)
+    return tuple(colours)
 
 
 def graph_weight(g: Multigraph):

@@ -28,11 +28,14 @@ complex-multiply reduce loop forms them, so they equal
 multiply would not: numpy's SIMD loop fuses multiplies and adds, which moves
 the last digits and with them every residual.  The gradient reuses the
 gather and the colourings' differences.  Its prefix and suffix products are
-element-wise complex multiplies, whose bits do not depend on the strides,
-and its terms are copied back to monomial-major order, so the bincount sums
-add in the order of the ``np.add.at`` scatter they replaced and the iterates
-are bit-identical.  The line search keeps the accepted candidate's
-evaluation, so the next gradient needs no new one.
+element-wise complex multiplies on contiguous rows of shape (width, M), and
+they must stay on such rows: the multiply's bits depend on the strides
+(written into a column of an (M, width) array, the prefix products of 464
+of K6 d=2's 960 monomials change in their last bits).  Its terms are copied
+back to monomial-major order, so the bincount sums add in the order of the
+``np.add.at`` scatter they replaced and the iterates are bit-identical.
+The line search keeps the accepted candidate's evaluation, so the next
+gradient needs no new one.
 
 numpy is imported inside the functions that use it, not at module level: it
 is loaded the first time a search problem is built or evaluated, so the rest
@@ -285,12 +288,17 @@ class Exactification(namedtuple("Exactification", "graph verdict mode epsilon"))
 def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> Exactification:
     """Certify an assignment exactly when possible, numerically otherwise.
 
-    The rounding is fixed: when every weight lies within 1e-9 of the
-    nearest Gaussian rational with denominators up to 10**6, the rounded
-    weights are re-verified with exact arithmetic, and if that confirms a
-    GHZ graph of full dimension the verdict is exact.  Anything else falls
-    back to a float verdict at ``epsilon``, by default a tolerance
-    reflecting the achieved residual.
+    The rounding is fixed: each weight goes to the nearest Gaussian
+    rational with denominators up to 10**6, and when every weight lies
+    within 1e-9 of its rounding, the rounded weights are re-verified with
+    exact arithmetic; if that confirms a GHZ graph of full dimension the
+    verdict is exact.  Anything else falls back to a float verdict at
+    ``epsilon``, by default a tolerance reflecting the achieved residual.
+
+    The 1e-9 test hardly ever fails: denominators up to 10**6 bring 99.9%
+    of uniform random points of [-2, 2] x [-2, 2] to within 1e-9, so the
+    exact re-verify runs on almost every call, whether or not the weights
+    are near a rational GHZ assignment.
     """
     x = _check_weights(problem, weights)
     rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]

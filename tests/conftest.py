@@ -21,10 +21,14 @@ from pathlib import Path
 import pytest
 
 from ghzgraphs import (
+    DEFAULT_EPSILON,
     GaussianRational,
+    GhzVerdict,
     InducedSubgraph,
     Multigraph,
+    Violation,
     build_graph,
+    colouring_weight_table,
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
@@ -32,6 +36,7 @@ from ghzgraphs import (
     make_cut,
     parallel_ghz_k2,
 )
+from ghzgraphs.ghz import MONO_NOT_ONE, MONO_ZERO, NON_MONO_NONZERO
 
 # ---------------------------------------------------------------------------
 # a fresh interpreter
@@ -343,6 +348,12 @@ def with_cancelling_pairs(g: Multigraph, seed) -> Multigraph:
     return build_graph(g.n, specs, colours=set(colours) | g.colour_universe)
 
 
+def as_float(g: Multigraph) -> Multigraph:
+    """g with every weight converted to a complex float."""
+    specs = [(e.u, e.v, e.cu, e.cv, complex(e.weight)) for e in g.edges]
+    return build_graph(g.n, specs, colours=g.colour_universe)
+
+
 def enumeration_corpus() -> list[Multigraph]:
     """The conftest corpora, their perturbed copies and the small edge cases.
 
@@ -390,6 +401,92 @@ def slow_cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
         return InducedSubgraph(sub, kept)
     edges = tuple(e for e in sub.edges if e.u not in inner or e.v not in inner)
     return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
+
+
+def slow_weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict:
+    """The weight kernel as it was before keys were decoded by halves: the
+    same subset DP, then one divmod per kept vertex for every key."""
+    n = g.n
+    full = (1 << n) - 1
+    outside = full & ~vertices
+    merged = {}
+    touched = outside
+    for e in g.edges:
+        ends = 1 << e.u | 1 << e.v
+        if ends & outside or ends & cut == ends:
+            continue
+        edge_class = (e.u, e.v, e.cu, e.cv)
+        merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
+        touched |= ends
+    if (full & vertices).bit_count() % 2 or touched != full:
+        return {}
+    base = 1 + max((c for _, _, cu, cv in merged for c in (cu, cv)), default=0)
+    kept = [v for v in range(n) if vertices >> v & 1]
+    places = [base**i for i in range(len(kept) - 1, -1, -1)]
+    place = dict(zip(kept, places))
+    below = [[] for _ in range(n)]
+    for (u, v, cu, cv), w in merged.items():
+        below[u].append((1 << v, cu * place[u] + cv * place[v], w))
+    memo = {full: {0: g.one}}
+
+    def solve(covered):
+        table = memo.get(covered)
+        if table is not None:
+            return table
+        low = ~covered & (covered + 1)
+        table = {}
+        for bit, digits, w in below[low.bit_length() - 1]:
+            if covered & bit:
+                continue
+            for key, sub in solve(covered | low | bit).items():
+                key += digits
+                prev = table.get(key)
+                table[key] = w * sub if prev is None else prev + w * sub
+        memo[covered] = table
+        return table
+
+    out = {}
+    for key, w in sorted(solve(outside).items()):
+        colours = []
+        for p in places:
+            c, key = divmod(key, p)
+            colours.append(c)
+        out[tuple(colours)] = w
+    return out
+
+
+def slow_verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
+    """``verify`` as it was before its one-pass loop: a set per entry for the
+    mono test and a closure call per entry for the zero test."""
+    table = colouring_weight_table(g)
+    exact = g.is_exact
+    zero, one = g.zero, g.one
+
+    def near(w, target) -> bool:
+        if exact:
+            return w == target
+        return abs(w - target) <= epsilon
+
+    violations = []
+    dimension = 0
+    for vc, w in table.items():
+        if len(set(vc)) <= 1:
+            continue
+        if not near(w, zero):
+            violations.append(Violation(vc, w, NON_MONO_NONZERO))
+    for colour in sorted(g.colour_universe):
+        vc = (colour,) * g.n
+        if vc not in table:
+            continue
+        w = table[vc]
+        if near(w, zero):
+            violations.append(Violation(vc, w, MONO_ZERO))
+            continue
+        dimension += 1
+        if not near(w, one):
+            violations.append(Violation(vc, w, MONO_NOT_ONE))
+    is_g_ghz = not any(v.kind == NON_MONO_NONZERO for v in violations)
+    return GhzVerdict(not violations, is_g_ghz, dimension, tuple(violations))
 
 
 def brute_pairings(n: int):

@@ -314,3 +314,37 @@ def test_readings_do_not_depend_on_the_path(x, y):
         for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             agree(w, A)
             assert hash(w) == hash(A)
+
+
+class SubclassedRational(GaussianRational):
+    """An operand that is a GaussianRational but not of that exact type."""
+
+    __slots__ = ()
+
+
+@given(both(), both())
+def test_sum_and_product_agree_with_fraction_pairs_for_every_operand_type(x, y):
+    """+ and * read a GaussianRational operand's parts directly and any other
+    exact operand through its numerator and denominator; each kind, on either
+    side, gives the Fraction pairs' result as a GaussianRational."""
+    (a, A), (b, B) = x, y
+    sub = object.__new__(SubclassedRational)
+    GaussianRational._v.__set__(sub, b._v)  # b's own parts, often unreduced
+    assert sub == b
+    operands = [(b, B), (sub, B), (B.re, B.re), (B.re.numerator, B.re.numerator)]
+    for o, O in operands:
+        for left, right, Left, Right in ((a, o, A, O), (o, a, O, A)):
+            agree(left + right, Left + Right)
+            agree(left * right, Left * Right)
+    agree(sub + sub, B + B)
+    agree(sub * sub, B * B)
+
+
+@pytest.mark.parametrize("other", [1.5, -0.0, float("nan"), 2j, complex(1, 0)])
+def test_sum_and_product_leave_floats_and_complexes_to_the_other_operand(other):
+    a = GaussianRational(Fraction(1, 2), 3)
+    for method in (a.__add__, a.__radd__, a.__mul__, a.__rmul__):
+        assert method(other) is NotImplemented
+    for op in (lambda: a + other, lambda: other + a, lambda: a * other, lambda: other * a):
+        with pytest.raises(TypeError):
+            op()

@@ -2,13 +2,16 @@
 
 import cmath
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import ghzgraphs.ghz
 from ghzgraphs import (
+    DEFAULT_EPSILON,
     BogdanovHypothesisError,
     GaussianRational,
     Edge,
@@ -35,11 +38,14 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    as_float,
     bogdanov_corpus,
     brute_pairings,
     enumeration_corpus,
     ghz_corpus,
+    scale_corpus,
     scaled_ghz_instance,
+    slow_verify,
     small_rational,
     weighted_cycle,
 )
@@ -124,6 +130,49 @@ def test_out_of_range_epsilon_is_refused(epsilon):
 def test_zero_epsilon_compares_floats_exactly():
     assert verify(build_graph(2, [(0, 1, 0, 0, 1.0)]), 0.0).is_ghz
     assert not verify(build_graph(2, [(0, 1, 0, 0, 1.0 + 1e-12j)]), 0.0).is_ghz
+
+
+def test_verify_on_the_empty_graph():
+    """n = 0 has one colouring, (), mono in every colour of the universe: GHZ
+    of dimension 0 with no colour, of dimension 2 with two."""
+    for g, dim in ((build_graph(0, []), 0), (Multigraph(0, (), frozenset({0, 1})), 2)):
+        assert verify(g) == (True, True, dim, ())
+        assert verify(g) == slow_verify(g)
+
+
+VERIFY_EPSILONS = (0.0, 1e-12, DEFAULT_EPSILON, 1e-3, 0.5, 1.0, 4.0, math.inf)
+
+
+def test_one_pass_verify_is_the_per_entry_verify():
+    """The verdict, exact and float, at several epsilons, is the per-entry
+    loop's: same flags, dimension and violations in the same order, each
+    carrying the table's own weight object."""
+    exact = (
+        enumeration_corpus()
+        + [g for _, g in ghz_corpus()]
+        + [g for _, g in scale_corpus()]
+        + [cancelling_square(), Multigraph(0, (), frozenset({0, 1})), build_graph(0, [])]
+    )
+    floats = [as_float(g) for g in exact] + [scale_to_ghz(g) for _, g in ghz_corpus()] + [
+        build_graph(2, [(0, 1, 0, 1, 1e-3), (0, 1, 1, 1, 1.0)]),  # non-mono weight at epsilon 1e-3
+        build_graph(2, [(0, 1, 0, 1, complex("nan")), (0, 1, 0, 0, complex("nan+1j"))]),
+        build_graph(4, [(0, 1, 0, 0, 1.0), (2, 3, 0, 0, complex("inf")), (0, 1, 1, 0, 1.0)]),
+    ]
+    reached = Counter()
+    for g in exact + floats:
+        verdicts = set()
+        for epsilon in VERIFY_EPSILONS:
+            fast, slow = verify(g, epsilon), slow_verify(g, epsilon)
+            assert fast == slow
+            assert all(a.weight is b.weight for a, b in zip(fast.violations, slow.violations))
+            verdicts.add(fast)
+            reached.update(v.kind for v in fast.violations)
+            reached["nan"] += any(w != w for w in colouring_weight_table(g).values())
+        reached["epsilon moves the verdict"] += len(verdicts) > 1
+    assert all(reached[name] for name in (
+        ghzgraphs.ghz.NON_MONO_NONZERO, ghzgraphs.ghz.MONO_ZERO, ghzgraphs.ghz.MONO_NOT_ONE,
+        "nan", "epsilon moves the verdict",
+    )), reached
 
 
 def test_scaling_a_ghz_graph_is_identity_like():

@@ -34,6 +34,7 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    as_float,
     bits,
     enumeration_corpus,
     hard_family,
@@ -43,6 +44,7 @@ from conftest import (
     random_corpus,
     random_multigraph,
     slow_cut_block,
+    slow_weight_table,
     small_rational,
 )
 
@@ -258,11 +260,6 @@ def dense_graph(n, d, seed, weight=small_rational):
 def recoloured(g, colour_map):
     specs = [(e.u, e.v, colour_map[e.cu], colour_map[e.cv], e.weight) for e in g.edges]
     return build_graph(g.n, specs, colours=[colour_map[c] for c in g.colour_universe])
-
-
-def as_float(g):
-    specs = [(e.u, e.v, e.cu, e.cv, complex(e.weight)) for e in g.edges]
-    return build_graph(g.n, specs, colours=g.colour_universe)
 
 
 def differential_corpus():
@@ -488,6 +485,46 @@ def test_masked_kernel_is_the_kernel_on_the_block_copy():
     assert all(reached[name] for name in (
         "empty", "odd", "isolated vertex", "edges inside the cut dropped",
         "cut partly outside", "non-empty table", "sampled subset",
+    )), reached
+
+
+def test_keys_decoded_by_halves_are_the_per_digit_keys():
+    """The kernel reads each key as two halves, each decoded once per call,
+    in a base taken from the colour universe; the per-digit decode in the
+    base of the edge colours it replaced gives the same keys in the same
+    order, with the same values, for whole graphs and for masked blocks."""
+    kernel = ghzgraphs.matchings._weight_table
+    rng = random.Random("halves")
+    corpus = enumeration_corpus() + [
+        cycle_ghz(12),
+        dense_graph(10, 2, 0),
+        recoloured(random_multigraph(3), {0: 7, 1: 1, 2: 4}),
+    ]
+    reached = Counter()
+    for g in corpus:
+        top = max((c for e in g.edges for c in (e.cu, e.cv)), default=0)
+        masks = [(-1, 0)] + [
+            (bits(rng.sample(range(g.n), rng.randint(0, g.n))), bits(rng.sample(range(g.n), min(g.n, 3))))
+            for _ in range(3)
+        ]
+        for h in (g, as_float(g)):
+            for vertices, cut in masks:
+                fast, slow = kernel(h, vertices, cut), slow_weight_table(h, vertices, cut)
+                assert list(fast.items()) == list(slow.items())
+                assert [type(w) for w in fast.values()] == [type(w) for w in slow.values()]
+                colours = {c for vc in fast for c in vc}
+                reached.update({
+                    "n = 0": g.n == 0 and bool(fast),
+                    "one colour": colours == {0},
+                    "base at least 3": max(colours, default=0) >= 2,
+                    "vertex mask": bool(fast) and vertices not in (-1, (1 << g.n) - 1),
+                    "cut mask": bool(fast) and (cut & vertices).bit_count() >= 2,
+                    "1,024 entries": len(fast) >= 1024,
+                    "universe above the edge colours": bool(fast) and max(g.colour_universe, default=0) > top,
+                })
+    assert all(reached[name] for name in (
+        "n = 0", "one colour", "base at least 3", "vertex mask", "cut mask", "1,024 entries",
+        "universe above the edge colours",
     )), reached
 
 

@@ -80,6 +80,27 @@ MUTANTS = (
         "    for key, w in sorted(solve(0).items()):\n",
         "tests/test_matchings.py::test_masked_kernel_is_the_kernel_on_the_block_copy",
     ),
+    Mutant(
+        "the weight kernel swaps a key's halves",
+        "src/ghzgraphs/matchings.py",
+        "        out[head + tail] = w\n",
+        "        out[tail + head] = w\n",
+        "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
+    ),
+    Mutant(
+        "verify reports mono colourings as non-mono",
+        "src/ghzgraphs/ghz.py",
+        "                    if w and vc not in monos]\n",
+        "                    if w]\n",
+        "tests/test_ghz.py::test_one_pass_verify_is_the_per_entry_verify",
+    ),
+    Mutant(
+        "verify forgets that () is mono",
+        "src/ghzgraphs/ghz.py",
+        "    monos = {()}\n",
+        "    monos = set()\n",
+        "tests/test_ghz.py::test_verify_on_the_empty_graph",
+    ),
 )
 
 
