@@ -9,7 +9,9 @@ for scaled ones.
 Those sums come from one kernel, ``_weight_table``: a subset DP over the
 covered vertices that adds up matching weights per induced colouring without
 listing the matchings; its vertex and cut masks give a cut block's table,
-G[X] without the edges inside a cut, with no copy of the graph.  Exact and
+G[X] without the edges inside a cut, with no copy of the graph, and
+``_block_weights`` reads one colouring's weight on several such blocks from
+one filtered copy: the 2-cut squares and the 3-cut type weights.  Exact and
 float weights run through the same lines; a ``GaussianRational`` is a
 Gaussian integer over an int denominator that arithmetic never reduces, so
 the DP does no normalisation, and its table entries are put in lowest terms
@@ -197,6 +199,23 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
             tail = halves[low] = _digits(low, half_places)
         out[head + tail] = w
     return out
+
+
+def _bits(vertices) -> int:
+    """The bit mask of a vertex set, bit v for vertex v."""
+    return sum(1 << x for x in vertices)
+
+
+def _block_weights(g: Multigraph, vc: VertexColouring, blocks) -> tuple:
+    """The weight of vc on each block (vertices, cut vertices), G[vertices]
+    without the edges joining two cut vertices, read on g filtered once by vc:
+    there a block's table has at most one entry.  A block without one weighs
+    g's zero, not the filtered copy's, which is exact when no edge survives.
+    """
+    h = filter_graph(g, vc)
+    zero = g.zero
+    return tuple(next(iter(_weight_table(h, _bits(vertices), _bits(cut)).values()), zero)
+                 for vertices, cut in blocks)
 
 
 def _digits(key: int, places: list[int]) -> VertexColouring:

@@ -43,8 +43,8 @@ from operator import itemgetter
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import scale_to_ghz, verify
 from .graphs import Edge, Multigraph, VertexColouring, drop_zero_edges, merge_parallel_edges
-from .matchings import _weight_table, colouring_weight_table
-from .structure import CutSpec, _bits, _block_weight, iter_cuts, make_cut, vertex_connectivity
+from .matchings import _bits, _block_weights, _weight_table, colouring_weight_table
+from .structure import CutSpec, iter_cuts, make_cut, vertex_connectivity
 
 
 class TypeWeights(namedtuple("TypeWeights", "v1_side v2_side")):
@@ -77,17 +77,16 @@ def _check_three_cut(g: Multigraph, cut: CutSpec) -> None:
 
 
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:
-    """The eight block weights of vc at the cut; ``.total`` equals w(vc)."""
+    """The eight block weights of vc at the cut, read from g filtered once
+    by vc; ``.total`` equals w(vc)."""
     _check_three_cut(g, cut)
-    if len(vc) != g.n:
-        raise ValueError(f"colouring has {len(vc)} entries for {g.n} vertices")
-    v1, v2, s, paint = set(cut.v1), set(cut.v2), set(cut.s), vc.__getitem__
-    return TypeWeights(
-        (_block_weight(g, v1 | s, paint, s),)
-        + tuple(_block_weight(g, v1 | {u}, paint) for u in cut.s),
-        (_block_weight(g, v2, paint),)
-        + tuple(_block_weight(g, v2 | (s - {u}), paint) for u in cut.s),
+    v1, v2, s = set(cut.v1), set(cut.v2), set(cut.s)
+    weights = _block_weights(
+        g, vc,
+        [(v1 | s, s)] + [(v1 | {u}, ()) for u in cut.s]
+        + [(v2, ())] + [(v2 | (s - {u}), ()) for u in cut.s],
     )
+    return TypeWeights(weights[:4], weights[4:])
 
 
 def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:

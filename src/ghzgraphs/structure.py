@@ -15,7 +15,7 @@ import itertools
 from collections import deque, namedtuple
 
 from .graphs import Colour, Multigraph, adjacency_sets, skeleton
-from .matchings import _weight_table, filter_graph
+from .matchings import _block_weights, _weight_table
 
 # ---------------------------------------------------------------------------
 # matching-covered graph
@@ -246,22 +246,6 @@ class SquareDecomposition(namedtuple("SquareDecomposition", "v_left v_right h_to
         return all(w != zero for w in (self.v_left, self.v_right, self.h_top, self.h_bottom))
 
 
-def _bits(vertices) -> int:
-    """The bit mask of a vertex set, bit v for vertex v."""
-    return sum(1 << x for x in vertices)
-
-
-def _block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()) -> object:
-    """The weight on G[vertices], without the edges joining two vertices of
-    ``cut_vertices``, of the colouring that paints each vertex x with
-    ``colour_of(x)``.  Every block of the 2-cut squares and of the 3-cut type
-    decomposition is weighed here, by the kernel on g in place."""
-    vc = tuple(colour_of(x) for x in range(g.n))
-    kept = sorted(vertices)
-    table = _weight_table(filter_graph(g, vc), _bits(kept), _bits(cut_vertices))
-    return table.get(tuple(vc[x] for x in kept), g.zero)
-
-
 def square_decomposition_odd(
     g: Multigraph, u: int, v: int, a_side, b_side, colours: tuple[Colour, Colour, Colour, Colour]
 ) -> SquareDecomposition:
@@ -270,22 +254,16 @@ def square_decomposition_odd(
     V_left = w(i_A k_u) on G[A + u],   V_right = w(j_B l_v) on G[B + v],
     H_top  = w(j_B k_u) on G[B + u],   H_bottom = w(i_A l_v) on G[A + v],
     and total = H_top*H_bottom + V_left*V_right equals the weight of the
-    square colouring on g.
+    square colouring on g, filtered once by it for all four blocks.
     """
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2 == 0:
         raise ValueError("odd-case decomposition needs odd-size sides")
     i, j, k, l = colours
-
-    def paint(side: set, side_colour: Colour, cut_colour: Colour):
-        return lambda x: side_colour if x in side else cut_colour
-
-    return SquareDecomposition(
-        v_left=_block_weight(g, a | {u}, paint(a, i, k)),
-        v_right=_block_weight(g, b | {v}, paint(b, j, l)),
-        h_top=_block_weight(g, b | {u}, paint(b, j, k)),
-        h_bottom=_block_weight(g, a | {v}, paint(a, i, l)),
-    )
+    vc = tuple(i if x in a else j if x in b else k if x == u else l for x in range(g.n))
+    return SquareDecomposition(*_block_weights(
+        g, vc, [(a | {u}, ()), (b | {v}, ()), (b | {u}, ()), (a | {v}, ())]
+    ))
 
 
 def square_decomposition_even(
@@ -296,20 +274,14 @@ def square_decomposition_even(
     V_left = w(i_A k_U) on G[A + u + v] without the direct u-v edges,
     V_right = w(j_B) on G[B], H_top = w(j_B k_U) on G[B + u + v] with the
     direct u-v edges, H_bottom = w(i_A) on G[A]; total again reproduces the
-    square colouring's weight on g.
+    square colouring's weight on g, filtered once by it for all four blocks.
     """
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2:
         raise ValueError("even-case decomposition needs even-size sides")
     i, j, k = colours
     cut = {u, v}
-
-    def paint(side_colour: Colour):
-        return lambda x: k if x in cut else side_colour
-
-    return SquareDecomposition(
-        v_left=_block_weight(g, a | cut, paint(i), cut),
-        v_right=_block_weight(g, b, paint(j)),
-        h_top=_block_weight(g, b | cut, paint(j)),
-        h_bottom=_block_weight(g, a, paint(i)),
-    )
+    vc = tuple(i if x in a else j if x in b else k for x in range(g.n))
+    return SquareDecomposition(*_block_weights(
+        g, vc, [(a | cut, cut), (b, ()), (b | cut, ()), (a, ())]
+    ))

@@ -32,11 +32,13 @@ from ghzgraphs import (
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
+    filter_graph,
     induced_subgraph,
     make_cut,
     parallel_ghz_k2,
 )
 from ghzgraphs.ghz import MONO_NOT_ONE, MONO_ZERO, NON_MONO_NONZERO
+from ghzgraphs.matchings import _weight_table
 
 # ---------------------------------------------------------------------------
 # a fresh interpreter
@@ -258,6 +260,12 @@ def hard_family(count: int = 12):
     return [hard_family_member(seed, split=seed % 3 == 2) for seed in range(count)]
 
 
+def cycle_cases():
+    """Plain and weighted 6-, 8- and 10-cycles: every non-adjacent pair is a
+    2-cut and every three pairwise non-adjacent vertices a 3-cut."""
+    return [g for n in (6, 8, 10) for g in (cycle_ghz(n), weighted_cycle(f"cycle-{n}", range(n)))]
+
+
 # ---------------------------------------------------------------------------
 # g-GHZ corpus: GHZ graphs times a non-zero rational per colour class
 
@@ -401,6 +409,26 @@ def slow_cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
         return InducedSubgraph(sub, kept)
     edges = tuple(e for e in sub.edges if e.u not in inner or e.v not in inner)
     return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
+
+
+def slow_block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()):
+    """The weight on G[vertices], without the edges joining two vertices of
+    ``cut_vertices``, of the colouring that paints each vertex x with
+    ``colour_of(x)``: how the squares and the 3-cut type weights read each
+    block before one filtered copy of g served all of a colouring's blocks,
+    with a whole colouring and a filtered copy per block."""
+    vc = tuple(colour_of(x) for x in range(g.n))
+    kept = sorted(vertices)
+    table = _weight_table(filter_graph(g, vc), bits(kept), bits(cut_vertices))
+    return table.get(tuple(vc[x] for x in kept), g.zero)
+
+
+def weight_bits(w):
+    """A weight's type and exact parts: a ``GaussianRational``'s unreduced
+    integers, a complex float's real and imaginary parts in hex."""
+    if isinstance(w, GaussianRational):
+        return type(w), w._v
+    return type(w), w.real.hex(), w.imag.hex()
 
 
 def slow_weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict:

@@ -94,6 +94,15 @@ def test_filter_emits_a_graph_document(files, capsys):
     assert len(g.edges) == 3  # the even-position cycle edges
 
 
+@pytest.mark.parametrize("command", ["weights", "filter"])
+def test_a_colouring_of_the_wrong_length_is_a_value_error(files, capsys, command):
+    code, out, err = run([command, "--colouring", "0,0", files["c6"]], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": {"type": "ValueError", "message": "colouring has 2 entries for 6 vertices"}
+    }
+
+
 def test_structural_commands(files, capsys):
     code, out, _ = run(["connectivity", files["c6"]], capsys)
     assert code == 0 and json.loads(out) == {"kappa": 2}

@@ -10,7 +10,6 @@ import pytest
 
 import ghzgraphs.matchings
 import ghzgraphs.reduction
-import ghzgraphs.structure
 from ghzgraphs import (
     ColourClassification,
     CutSpec,
@@ -20,6 +19,7 @@ from ghzgraphs import (
     InvariantViolation,
     IrreducibleError,
     Multigraph,
+    TypeWeights,
     UnscalableColourError,
     WrongCaseError,
     build_graph,
@@ -46,13 +46,17 @@ from ghzgraphs import (
 
 from conftest import (
     HARD_ORDER,
+    as_float,
     bits,
+    cycle_cases,
     hard_family,
     hard_family_member,
     planted_cut_corpus,
     planted_cut_instance,
+    slow_block_weight,
     slow_cut_block,
     small_rational,
+    weight_bits,
 )
 
 
@@ -100,6 +104,49 @@ def test_four_term_split_for_arbitrary_colourings(seed):
     for _ in range(12):
         vc = tuple(rng.choice(universe) for _ in range(g.n))
         assert type_weights(g, cut, vc).total == colouring_weight(g, vc)
+
+
+def slow_type_weights(g, cut, vc):
+    """``type_weights`` as it was before one filtered copy of g served its
+    eight blocks: each block read by ``slow_block_weight``."""
+    v1, v2, s, paint = set(cut.v1), set(cut.v2), set(cut.s), vc.__getitem__
+    return TypeWeights(
+        (slow_block_weight(g, v1 | s, paint, s),)
+        + tuple(slow_block_weight(g, v1 | {u}, paint) for u in cut.s),
+        (slow_block_weight(g, v2, paint),)
+        + tuple(slow_block_weight(g, v2 | (s - {u}), paint) for u in cut.s),
+    )
+
+
+TYPE_WEIGHT_CASES = hard_family() + planted_cut_corpus() + [
+    (g, cut) for g in cycle_cases() for cut in iter_cuts(g, 3) if cut.parity == "odd"
+]
+
+
+@pytest.mark.parametrize("convert", [lambda g: g, as_float], ids=["exact", "float"])
+def test_type_weights_are_the_per_block_reads(convert):
+    for k, (g, cut) in enumerate(TYPE_WEIGHT_CASES):
+        g = convert(g)
+        rng = random.Random(f"type-weights-{k}")
+        universe = sorted(g.colour_universe)
+        colourings = [(c,) * g.n for c in universe]
+        colourings += [tuple(rng.choice(universe) for _ in range(g.n)) for _ in range(2)]
+        for vc in colourings:
+            fast, slow = type_weights(g, cut, vc), slow_type_weights(g, cut, vc)
+            assert type(fast.v1_side) is type(fast.v2_side) is tuple
+            assert list(map(weight_bits, fast.v1_side + fast.v2_side)) == list(
+                map(weight_bits, slow.v1_side + slow.v2_side)
+            )
+
+
+def test_type_weights_where_no_edge_agrees_are_the_graphs_zeros():
+    # no edge of the alternately coloured 6-cycle agrees with the alternating
+    # colouring, so the filtered copy is edgeless and exact: its zero is not g's
+    g, vc = as_float(cycle_ghz(6)), (0, 1, 0, 1, 0, 1)
+    tw = type_weights(g, CutSpec((0, 1, 3), (2,), (4, 5)), vc)
+    assert [(type(w), w) for w in tw.v1_side + tw.v2_side] == [(complex, 0j)] * 8
+    assert type(tw.total) is complex
+    assert tw.total == colouring_weight(g, vc)
 
 
 def test_type_weights_rejects_bad_cuts():
@@ -958,21 +1005,16 @@ def test_classify_cases_reach_both_cases():
 @pytest.mark.parametrize("all_cuts", [False, True])
 def test_reduce_filters_no_graph(monkeypatch, all_cuts):
     filtered = []
+    real = ghzgraphs.matchings.filter_graph
 
-    def counting(module):
-        real = module.filter_graph
+    def filter_graph(h, vc):
+        filtered.append(h)
+        return real(h, vc)
 
-        def filter_graph(h, vc):
-            filtered.append(h)
-            return real(h, vc)
-
-        monkeypatch.setattr(module, "filter_graph", filter_graph)
-
-    for module in (ghzgraphs.matchings, ghzgraphs.structure):
-        counting(module)
+    monkeypatch.setattr(ghzgraphs.matchings, "filter_graph", filter_graph)
     for g in COMPUTE_ONCE_CASES:
         reduce(g, all_cuts=all_cuts)
     assert filtered == []
     g, cut = eight_vertex_ladder()
-    type_weights(g, cut, (0,) * g.n)  # the counting wrappers do see the block lookups
+    type_weights(g, cut, (0,) * g.n)  # the counting wrapper does see the block lookups
     assert filtered

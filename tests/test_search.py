@@ -182,6 +182,19 @@ def test_exactify_falls_back_to_numeric():
     assert cert.verdict.is_ghz
 
 
+@pytest.mark.parametrize("epsilon, is_ghz", [(1e-9, False), (1e-3, True)])
+def test_exactify_gives_a_numeric_verdict_at_the_epsilon_it_is_given(epsilon, is_ghz):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    x = np.zeros(4, dtype=np.complex128)
+    x[prob.variable_index(0, 0, 0)] = 1.0 + 2e-5   # too far from any target
+    x[prob.variable_index(0, 1, 1)] = 1.0
+    cert = exactify(prob, x, epsilon=epsilon)
+    assert cert.mode == "numeric"
+    assert cert.epsilon == epsilon
+    assert cert.verdict == verify(assignment_graph(prob, x), epsilon)
+    assert cert.verdict.is_ghz is is_ghz
+
+
 def test_exactify_after_a_tight_search_is_exact():
     prob = SearchProblem(parallel_ghz_k2(5), 5)
     res = search(prob, seed=0, restarts=5, max_iters=20000, tol=1e-24)

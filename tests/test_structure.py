@@ -12,6 +12,7 @@ import ghzgraphs.structure
 from ghzgraphs import (
     CutSpec,
     Multigraph,
+    SquareDecomposition,
     adjacency_sets,
     build_graph,
     colouring_weight,
@@ -32,11 +33,17 @@ from ghzgraphs import (
 )
 
 from conftest import (
+    as_float,
+    cycle_cases,
     enumeration_corpus,
+    hard_family,
     oracle_connectivity,
+    planted_cut_corpus,
     planted_matching_graph,
     random_corpus,
+    slow_block_weight,
     small_rational,
+    weight_bits,
 )
 
 
@@ -479,6 +486,73 @@ def test_even_square_total_reproduces_the_colouring_weight(seed):
             for x in range(g.n)
         )
         assert sq.total == colouring_weight(g, vc)
+
+
+def slow_square_decomposition_odd(g, u, v, a_side, b_side, colours):
+    """The odd square as it was before one square colouring served its four
+    blocks: a colouring per block, each block read by ``slow_block_weight``."""
+    a, b = set(a_side), set(b_side)
+    i, j, k, l = colours
+
+    def paint(side, side_colour, cut_colour):
+        return lambda x: side_colour if x in side else cut_colour
+
+    return SquareDecomposition(
+        v_left=slow_block_weight(g, a | {u}, paint(a, i, k)),
+        v_right=slow_block_weight(g, b | {v}, paint(b, j, l)),
+        h_top=slow_block_weight(g, b | {u}, paint(b, j, k)),
+        h_bottom=slow_block_weight(g, a | {v}, paint(a, i, l)),
+    )
+
+
+def slow_square_decomposition_even(g, u, v, a_side, b_side, colours):
+    """The even square as it was, read as ``slow_square_decomposition_odd``."""
+    a, b = set(a_side), set(b_side)
+    i, j, k = colours
+    cut = {u, v}
+
+    def paint(side_colour):
+        return lambda x: k if x in cut else side_colour
+
+    return SquareDecomposition(
+        v_left=slow_block_weight(g, a | cut, paint(i), cut),
+        v_right=slow_block_weight(g, b, paint(j)),
+        h_top=slow_block_weight(g, b | cut, paint(j)),
+        h_bottom=slow_block_weight(g, a, paint(i)),
+    )
+
+
+# the planted two-cuts, the first 2-cut of each 3-cut corpus graph and every 2-cut of the cycles
+SQUARE_CASES = [planted_two_cut(seed, odd) for seed in range(15) for odd in (True, False)] + [
+    (g, *cut.s, cut.v1, cut.v2)
+    for g, cuts in [(g, [find_cut(g, 2)]) for g, _ in hard_family() + planted_cut_corpus()]
+    + [(g, iter_cuts(g, 2)) for g in cycle_cases()]
+    for cut in cuts
+]
+
+
+@pytest.mark.parametrize("convert", [lambda g: g, as_float], ids=["exact", "float"])
+def test_squares_are_the_per_block_reads(convert):
+    for g, u, v, a_side, b_side in SQUARE_CASES:
+        g = convert(g)
+        if len(a_side) % 2:
+            fast, slow, arity = square_decomposition_odd, slow_square_decomposition_odd, 4
+        else:
+            fast, slow, arity = square_decomposition_even, slow_square_decomposition_even, 3
+        for colours in itertools.product(sorted(g.colour_universe), repeat=arity):
+            assert list(map(weight_bits, fast(g, u, v, a_side, b_side, colours))) == list(
+                map(weight_bits, slow(g, u, v, a_side, b_side, colours))
+            )
+
+
+def test_a_square_where_no_edge_agrees_is_the_graphs_zeros():
+    # the square colouring (0, 1, 0, 1) of the alternately coloured 4-cycle
+    # leaves no edge, so the filtered copy is exact: its zero is not g's
+    g = as_float(cycle_ghz(4))
+    sq = square_decomposition_odd(g, 0, 2, [1], [3], (1, 1, 0, 0))
+    assert [(type(w), w) for w in sq] == [(complex, 0j)] * 4
+    assert type(sq.total) is complex
+    assert sq.total == colouring_weight(g, (0, 1, 0, 1))
 
 
 def test_square_parity_checks():

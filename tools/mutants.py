@@ -88,6 +88,20 @@ MUTANTS = (
         "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
     ),
     Mutant(
+        "_block_weights returns the filtered copy's zero",
+        "src/ghzgraphs/matchings.py",
+        "    zero = g.zero\n",
+        "    zero = h.zero\n",
+        "tests/test_reduction.py::test_type_weights_where_no_edge_agrees_are_the_graphs_zeros",
+    ),
+    Mutant(
+        "the odd square paints v with u's colour",
+        "src/ghzgraphs/structure.py",
+        " else k if x == u else l for x in range(g.n))",
+        " else k for x in range(g.n))",
+        "tests/test_structure.py::test_odd_square_total_reproduces_the_colouring_weight",
+    ),
+    Mutant(
         "verify reports mono colourings as non-mono",
         "src/ghzgraphs/ghz.py",
         "                    if w and vc not in monos]\n",
