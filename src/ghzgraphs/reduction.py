@@ -30,8 +30,10 @@ reduced vertex standing for it.  In the easy case every f_c is 1.  A block
 is a vertex set, not a graph: the weight kernel reads its table on the input
 in place, through a vertex mask and a cut mask, and the cuts of one
 ``reduce`` call share each block's table.  Every block and the input are
-read through one projection of their tables onto the reduced vertices, and
-unless disabled the identity is re-checked on it.
+read through one projection of their tables onto the reduced vertices, one
+pass over each table.  One more pass sums the resulting edges, parallel ones
+merged and exact zeros dropped, into the reduced graph, and unless disabled
+the identity is re-checked on it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import scale_to_ghz, verify
-from .graphs import Edge, Multigraph, VertexColouring, drop_zero_edges, merge_parallel_edges
+from .graphs import Edge, Multigraph, VertexColouring
 from .matchings import _bits, _block_weights, _weight_table, colouring_weight_table
 from .structure import CutSpec, iter_cuts, make_cut, vertex_connectivity
 
@@ -131,25 +133,32 @@ def _classify(g: Multigraph, cut: CutSpec, blocks: dict) -> ColourClassification
     return ColourClassification(c1, c2, has_type0, v2_weights)
 
 
-def _project(table: dict, owner: list, factors: dict, zero) -> dict:
+def _project(table: dict, owner: list, factors: dict) -> dict:
     """sum_c f_c * w over the entries of ``table`` whose V2 part is all c.
 
     ``owner[j]`` is the reduced vertex standing for table vertex j, or None
     for a vertex of V2; ``factors`` maps c to f_c, and a table without V2
     vertices is summed unweighted.  Entries in which two vertices of one
     reduced vertex differ are skipped.  Sums are keyed by the colours of the
-    reduced vertices, in increasing order.
+    reduced vertices, in increasing order, and start at a key's first entry,
+    so an empty table gives {} and no sum adds a zero.
     """
-    first = {r: owner.index(r) for r in set(owner)}
+    if not table:
+        return {}
+    first: dict = {}
+    for j, r in enumerate(owner):
+        first.setdefault(r, j)
     # both getters read two or more positions, so they return tuples
-    spread = itemgetter(*(first[r] for r in owner))
-    key_of = itemgetter(*(first[r] for r in sorted(first.keys() - {None})))
-    v2 = first.get(None)
+    spread = itemgetter(*[first[r] for r in owner])
+    v2 = first.pop(None, None)
+    key_of = itemgetter(*[first[r] for r in sorted(first)])
     sums: dict = {}
     for vc, w in table.items():
         if spread(vc) == vc:
             key = key_of(vc)
-            sums[key] = sums.get(key, zero) + (w if v2 is None else w * factors[vc[v2]])
+            if v2 is not None:
+                w = w * factors[vc[v2]]
+            sums[key] = sums[key] + w if key in sums else w
     return sums
 
 
@@ -167,9 +176,11 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
     In the hard case the edges touching V1 are copied.  Every block, G[V1 +
     u_i] in the easy case and G[V2 + {a, b}] per cut pair, gives one edge per
     class (p, q) of one projection of its table, between its two reduced
-    vertices; the blocks come from ``blocks``.  Parallel edges are merged
-    and zero edges dropped.  With ``check`` the identity w'(vc') = sum_c f_c
-    * w(vc'(c)) is checked over the colourings either side has.
+    vertices; the blocks come from ``blocks``.  One pass sums parallel
+    edges in first-occurrence order and drops exact zeros, as
+    ``drop_zero_edges(merge_parallel_edges(...))`` would, and builds one
+    graph.  With ``check`` the identity w'(vc') = sum_c f_c * w(vc'(c)) is
+    checked over the colourings either side has.
     """
     one, zero = g.one, g.zero
     factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
@@ -178,22 +189,26 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
     pos = {x: r for r, orig in enumerate(vertex_map)
            for x in (orig if isinstance(orig, tuple) else (orig,))}
     v1_set, v2_set = set(cut.v1), set(cut.v2)
-    edges = [Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight)
+    # (u, v, cu, cv) and weight of each edge; vertex_map is sorted in the
+    # hard case, so pos keeps u < v on the copied edges, as on the block edges
+    parts = [((pos[e.u], pos[e.v], e.cu, e.cv), e.weight)
              for e in g.edges if e.u in v1_set or e.v in v1_set] if cls.c1 else []
     sides = [] if cls.c1 else [v1_set | {u} for u in cut.s]
     for side in sides + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
         kept, table = _block(blocks, g, side)
         owner = [pos.get(x) for x in kept]
-        weights = _project(table, owner, factors, zero)
+        weights = _project(table, owner, factors)
         ra, rb = sorted(set(owner) - {None})
-        edges += [Edge(ra, rb, p, q, w) for (p, q), w in sorted(weights.items())]
-
-    reduced = drop_zero_edges(merge_parallel_edges(
-        Multigraph(len(vertex_map), tuple(edges), g.colour_universe)
-    ))
+        parts += [((ra, rb, p, q), w) for (p, q), w in sorted(weights.items())]
+    sums: dict = {}  # parallel edges merged in first-occurrence order
+    for key, w in parts:
+        sums[key] = sums[key] + w if key in sums else w
+    reduced = Multigraph(
+        len(vertex_map), [Edge(*key, w) for key, w in sums.items() if w != zero], g.colour_universe
+    )
     if check:
         reduced_table = colouring_weight_table(reduced)
-        lifted = _project(colouring_weight_table(g), [pos.get(x) for x in range(g.n)], factors, zero)
+        lifted = _project(colouring_weight_table(g), [pos.get(x) for x in range(g.n)], factors)
         for vc_r in sorted(lifted.keys() | reduced_table.keys()):
             if reduced_table.get(vc_r, zero) != lifted.get(vc_r, zero):
                 raise InvariantViolation(

@@ -39,7 +39,8 @@ def mcg(g: Multigraph) -> Multigraph:
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity (Menger via unit-capacity max flow on the split graph)
+# vertex connectivity (a depth-first search below 3, else Menger via
+# unit-capacity max flow on the split graph)
 
 
 def _local_connectivity(adj: list[set[int]], s: int, t: int, cap: int) -> int:
@@ -83,11 +84,51 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int, cap: int) -> int:
     return flow
 
 
+def _biconnectivity(adj: list[set[int]]) -> int:
+    """0 if the graph is disconnected, 1 if it has a cut vertex, else 2.
+
+    One iterative depth-first search from vertex 0 (Hopcroft and Tarjan,
+    CACM 16, 1973).  ``low[x]`` is the earliest discovery time reachable
+    from x's subtree by one back edge; a vertex p other than the root cuts
+    when a child x of it has ``low[x] >= disc[p]`` (the edge back to p
+    itself counts, so that is ``==``), and the root cuts when it has two
+    children.
+    """
+    n = len(adj)
+    disc, low = [0] * n, [0] * n  # discovery times from 1; 0 is unvisited
+    disc[0] = low[0] = time = 1
+    cut, root_children = False, 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        x, ys = stack[-1]
+        for y in ys:
+            if not disc[y]:
+                time += 1
+                disc[y] = low[y] = time
+                stack.append((y, iter(adj[y])))
+                break
+            if disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if p == 0:
+                    root_children += 1
+                elif low[x] >= disc[p]:
+                    cut = True
+                if low[x] < low[p]:
+                    low[p] = low[x]
+    return 0 if time < n else 1 if cut or root_children > 1 else 2
+
+
 def vertex_connectivity(g: Multigraph) -> int:
     """Connectivity of the underlying simple graph.
 
-    0 for disconnected (or trivially small) graphs, n - 1 for complete ones,
-    otherwise min(delta, the flows below), after Esfahanian and Hakimi
+    0 for disconnected (or trivially small) graphs, n - 1 for complete ones.
+    When the minimum degree delta is at most 2, kappa is 0, 1 or 2, and it
+    is min(delta, ``_biconnectivity``): one depth-first search, no flow.
+    Otherwise it is min(delta, the flows below), after Esfahanian and Hakimi
     (Networks 14, 1984).  Take v of minimum degree delta.  A minimum
     separator S either misses v, and then separates v from a non-neighbour,
     or contains v, and then, being minimal, leaves neighbours of v in two
@@ -103,6 +144,8 @@ def vertex_connectivity(g: Multigraph) -> int:
     best = len(adj[v])
     if best == n - 1:
         return best
+    if best <= 2:
+        return min(best, _biconnectivity(adj))
     pairs = [(v, t) for t in range(n) if t != v and t not in adj[v]]
     pairs += [(x, y) for x, y in itertools.combinations(sorted(adj[v]), 2) if y not in adj[x]]
     for s, t in pairs:

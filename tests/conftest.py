@@ -16,6 +16,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,22 @@ def slow_block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()):
     kept = sorted(vertices)
     table = _weight_table(filter_graph(g, vc), bits(kept), bits(cut_vertices))
     return table.get(tuple(vc[x] for x in kept), g.zero)
+
+
+def slow_project(table: dict, owner: list, factors: dict, zero) -> dict:
+    """``reduction._project`` as it was before it skipped empty tables and
+    started each sum at its first entry: the positions of the reduced
+    vertices by ``owner.index`` and every sum started at ``zero``."""
+    first = {r: owner.index(r) for r in set(owner)}
+    spread = itemgetter(*(first[r] for r in owner))
+    key_of = itemgetter(*(first[r] for r in sorted(first.keys() - {None})))
+    v2 = first.get(None)
+    sums: dict = {}
+    for vc, w in table.items():
+        if spread(vc) == vc:
+            key = key_of(vc)
+            sums[key] = sums.get(key, zero) + (w if v2 is None else w * factors[vc[v2]])
+    return sums
 
 
 def weight_bits(w):

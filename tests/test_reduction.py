@@ -43,6 +43,7 @@ from ghzgraphs import (
     type_weights,
     verify,
 )
+from ghzgraphs.matchings import _weight_table
 
 from conftest import (
     HARD_ORDER,
@@ -55,8 +56,10 @@ from conftest import (
     planted_cut_instance,
     slow_block_weight,
     slow_cut_block,
+    slow_project,
     small_rational,
     weight_bits,
+    weighted_cycle,
 )
 
 
@@ -617,6 +620,124 @@ def test_projected_reduction_matches_the_lookup_reduction(case):
         # same edges in the same order, exact weights of the same type
         assert got == expected and colouring_weight_table(got) == expected_table
         assert [type(e.weight) for e in got.edges] == [type(e.weight) for e in expected.edges]
+
+
+# ---------------------------------------------------------------------------
+# one pass per projection and per reduced graph, against the slow paths
+
+
+def factors_and_positions(g, cut, cls):
+    """The f_c of the reduction at the cut, and each original vertex's reduced vertex."""
+    one = g.one
+    factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
+               for c, w in cls.v2_mono_weights.items()}
+    vertex_map = ghzgraphs.reduction._vertex_map(cut, cls)
+    pos = {x: r for r, orig in enumerate(vertex_map)
+           for x in (orig if isinstance(orig, tuple) else (orig,))}
+    return factors, pos
+
+
+def block_sides(cut, easy):
+    """The blocks _reduce projects: G[V1 + u_i] in the easy case, then G[V2 + {a, b}]."""
+    sides = [set(cut.v1) | {u} for u in cut.s] if easy else []
+    return sides + [set(cut.v2) | {a, b} for a, b in itertools.combinations(cut.s, 2)]
+
+
+def every_odd_three_cut(graphs):
+    return [(g, cut) for g in graphs for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+
+
+ONE_PASS_PROJECTION_CASES = every_odd_three_cut(
+    [g for g, _ in hard_family()] + [g for g, _ in planted_cut_corpus()]
+    + cycle_cases() + [cycle_ghz(12), weighted_cycle("cycle-12", range(12))]
+)
+
+
+def test_one_pass_projection_is_the_slow_projection():
+    project = ghzgraphs.reduction._project
+    seen = {"easy": 0, "hard": 0, "empty": 0, "summed": 0}
+    for g, cut in ONE_PASS_PROJECTION_CASES:
+        cls = classify_colours(g, cut)
+        factors, pos = factors_and_positions(g, cut, cls)
+        seen["hard" if cls.c1 else "easy"] += 1
+        # every block of either case, and g's whole table as the identity check reads it
+        tables = [(_weight_table(g, bits(side)), sorted(side)) for side in block_sides(cut, True)]
+        tables.append((colouring_weight_table(g), range(g.n)))
+        for table, kept in tables:
+            owner = [pos.get(x) for x in kept]
+            fast = project(table, owner, factors)
+            slow = slow_project(table, owner, factors, g.zero)
+            # same keys in the same order, exact values of the same type
+            assert [(k, weight_bits(w)) for k, w in fast.items()] == \
+                [(k, weight_bits(w)) for k, w in slow.items()], (g, cut, kept)
+            seen["empty" if not table else "summed"] += 1
+    assert all(seen.values()), seen
+
+
+def v1_parallel_and_cancelling(seed):
+    """A hard-family member with one V1 edge split into two parallel edges
+    and a pair w, -w of a colour class new to another V1 edge's ends:
+    tables and C1 are unchanged."""
+    g, cut = hard_family_member(seed)
+    rng = random.Random(f"v1-parallel-{seed}")
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    touching = [k for k, e in enumerate(g.edges) if set(cut.v1) & {e.u, e.v}]
+    split, beside = rng.sample(touching, 2)
+    u, v, cu, cv, w = specs[split]
+    a = small_rational(rng)
+    specs[split] = (u, v, cu, cv, a)
+    specs.append((u, v, cu, cv, w - a))
+    u, v, cu, cv, _ = specs[beside]
+    b = small_rational(rng)
+    specs += [(u, v, cu, 1 - cv, b), (u, v, cu, 1 - cv, -b)]
+    g = build_graph(g.n, specs, colours=g.colour_universe)
+    return g, make_cut(g, cut.s, cut.v1, cut.v2)
+
+
+def reduced_edge_list(g, cut, cls):
+    """The edges _reduce sums, in its order, as Edge objects: the copied V1
+    edges in the hard case, then each block's projected edges in key order."""
+    factors, pos = factors_and_positions(g, cut, cls)
+    v1 = set(cut.v1)
+    edges = [Edge(pos[e.u], pos[e.v], e.cu, e.cv, e.weight)
+             for e in g.edges if {e.u, e.v} & v1] if cls.c1 else []
+    for side in block_sides(cut, not cls.c1):
+        kept = sorted(side)
+        owner = [pos.get(x) for x in kept]
+        weights = slow_project(_weight_table(g, bits(kept)), owner, factors, g.zero)
+        ra, rb = sorted(set(owner) - {None})
+        edges += [Edge(ra, rb, p, q, w) for (p, q), w in sorted(weights.items())]
+    return edges
+
+
+REDUCED_GRAPH_CASES = (
+    [v1_parallel_and_cancelling(seed) for seed in range(8)]
+    + [hard_family_member(seed, split) for seed in range(6) for split in (False, True)]
+    + planted_cut_corpus(30)
+    + odd_three_cuts(cycle_ghz(8))
+    + [DENSE_EASY, DENSE_HARD]
+)
+
+
+def test_one_pass_reduced_graph_is_the_merged_and_filtered_edge_list():
+    merged_v1 = cancelled_v1 = 0
+    for g, cut in REDUCED_GRAPH_CASES:
+        cls = classify_colours(g, cut)
+        edges = reduced_edge_list(g, cut, cls)
+        n = len(ghzgraphs.reduction._vertex_map(cut, cls))
+        expected = drop_zero_edges(merge_parallel_edges(Multigraph(n, edges, g.colour_universe)))
+        for check in (True, False):
+            got = ghzgraphs.reduction._reduce(g, cut, cls, check, {})
+            # same edges in the same order, exact weights of the same type
+            assert got == expected, (g, cut)
+            assert [weight_bits(e.weight) for e in got.edges] == \
+                [weight_bits(e.weight) for e in expected.edges]
+        # the cases hold parallel copied V1 edges, some of them summing to 0
+        copied = sum(1 for e in g.edges if set(cut.v1) & {e.u, e.v}) if cls.c1 else 0
+        merged = merge_parallel_edges(Multigraph(n, edges[:copied], g.colour_universe))
+        merged_v1 += len(merged.edges) < copied
+        cancelled_v1 += any(e.weight == g.zero for e in merged.edges)
+    assert merged_v1 and cancelled_v1
 
 
 def unlifted_colouring(g, cut, cls, reduced_table):

@@ -135,10 +135,8 @@ def test_connectivity_of_dense_random_graphs(seed):
     assert_connectivity_matches(g)
 
 
-def test_connectivity_of_a_long_cycle(monkeypatch):
-    # Esfahanian-Hakimi: flows start only at a minimum-degree vertex v or at
-    # a neighbour of v, at most n - 1 - delta + (non-adjacent neighbour pairs)
-    # of them; Even's scan ran 110 on C40
+def count_flows(monkeypatch):
+    """Record the (s, t) of every local flow that vertex_connectivity runs."""
     real = ghzgraphs.structure._local_connectivity
     flows = []
 
@@ -147,11 +145,35 @@ def test_connectivity_of_a_long_cycle(monkeypatch):
         return real(adj, s, t, cap)
 
     monkeypatch.setattr(ghzgraphs.structure, "_local_connectivity", counting)
-    g = cycle_ghz(40)
-    assert vertex_connectivity(g) == 2
+    return flows
+
+
+def test_connectivity_of_a_long_cycle(monkeypatch):
+    # minimum degree 2: one depth-first search and no flow, where Even's scan
+    # ran 110 flows and the Esfahanian-Hakimi pairs 38
+    flows = count_flows(monkeypatch)
+    assert vertex_connectivity(cycle_ghz(40)) == 2
+    assert flows == []
+
+
+def test_esfahanian_hakimi_pairs_on_a_circulant(monkeypatch):
+    # flows start only at a minimum-degree vertex v or at a neighbour of v,
+    # at most n - 1 - delta + (non-adjacent neighbour pairs) of them; C40(1, 2)
+    # has delta = 4 and three non-adjacent pairs among each vertex's neighbours
+    flows = count_flows(monkeypatch)
+    g = circulant(40, (1, 2))
+    assert vertex_connectivity(g) == 4
     adj = adjacency_sets(g)
     assert any(all(s == v or s in adj[v] for s, _ in flows) for v in range(g.n))
-    assert len(flows) <= 40 - 1 - 2 + 1
+    assert 0 < len(flows) <= 40 - 1 - 4 + 3
+
+
+def test_a_triangular_prism_runs_the_flows(monkeypatch):
+    # minimum degree 3 is past the depth-first search, which would answer 2
+    flows = count_flows(monkeypatch)
+    g = prism(3)
+    assert vertex_connectivity(g) == oracle_connectivity(g) == 3
+    assert flows
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,6 +309,16 @@ def complete(n):
     return plain_graph(n, itertools.combinations(range(n), 2))
 
 
+def circulant(n, steps):
+    return plain_graph(n, [(x, (x + k) % n) for x in range(n) for k in steps])
+
+
+def prism(k):
+    """Two k-cycles 0..k-1 and k..2k-1 joined by the rungs x - (x + k): connectivity 3."""
+    pairs = [(x, (x + 1) % k) for x in range(k)] + [(k + x, k + (x + 1) % k) for x in range(k)]
+    return plain_graph(2 * k, pairs + [(x, x + k) for x in range(k)])
+
+
 def complete_bipartite(k):
     return plain_graph(2 * k, [(u, k + v) for u in range(k) for v in range(k)])
 
@@ -337,19 +369,63 @@ def test_connectivity_of_named_families():
     assert [vertex_connectivity(build_graph(n, [])) for n in range(3)] == [0, 0, 0]
 
 
+# ---------------------------------------------------------------------------
+# the depth-first search below minimum degree 3, against both oracles
+
+
+def relabelled(g, seed):
+    label = list(range(g.n))
+    random.Random(f"relabel-{seed}").shuffle(label)
+    return plain_graph(g.n, [(label[e.u], label[e.v]) for e in g.edges])
+
+
+def all_simple_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, r):
+            yield plain_graph(n, chosen)
+
+
+BOWTIE = plain_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])  # cut vertex 0, the root
+CYCLES_AT_A_VERTEX = plain_graph(10, [(x, (x + 1) % 5) for x in range(5)]
+                                 + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 4)])
+LOW_DEGREE_CASES = (
+    [BOWTIE] + [relabelled(BOWTIE, seed) for seed in range(6)]
+    + [CYCLES_AT_A_VERTEX] + [relabelled(CYCLES_AT_A_VERTEX, seed) for seed in range(6)]
+    + [plain_graph(n, [(x, x + 1) for x in range(n - 1)]) for n in range(3, 9)]  # paths
+    + [plain_graph(k + 1, [(0, x) for x in range(1, k + 1)]) for k in range(2, 7)]  # stars
+    + [relabelled(plain_graph(6, [(0, x) for x in range(1, 6)]), seed) for seed in range(3)]
+    + [grid(6, 6), grid(2, 5), shuffled_cycle(40)]
+    + [plain_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])]  # vertex 5 isolated
+    + [plain_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]  # two triangles
+    + [g for n in range(4) for g in all_simple_graphs(n)]
+)
+
+
+def test_connectivity_below_minimum_degree_three_matches_both_oracles(monkeypatch):
+    flows = count_flows(monkeypatch)
+    kappas = set()
+    for g in LOW_DEGREE_CASES:
+        adj = adjacency_sets(g)
+        assert min(map(len, adj), default=0) <= 2, g
+        kappa = oracle_connectivity(g)
+        assert vertex_connectivity(g) == slow_vertex_connectivity(g) == kappa, g
+        if g.n >= 3:
+            # the search alone, where a minimum degree of 1 would hide it
+            assert ghzgraphs.structure._biconnectivity(adj) == min(kappa, 2), g
+        kappas.add(kappa)
+    assert flows == []
+    assert kappas == {0, 1, 2}
+    assert vertex_connectivity(BOWTIE) == 1
+
+
 def test_an_isolated_vertex_stops_every_flow_at_cap_zero(monkeypatch):
-    real = ghzgraphs.structure._local_connectivity
-    flows = []
-
-    def recording(adj, s, t, cap):
-        flows.append(cap)
-        return real(adj, s, t, cap)
-
-    monkeypatch.setattr(ghzgraphs.structure, "_local_connectivity", recording)
-    # vertex 5 is isolated; the other five form a 2-connected graph
+    flows = count_flows(monkeypatch)
+    # vertex 5 is isolated; the other five form a 2-connected graph.  With
+    # minimum degree 0 no flow runs at all, at cap zero or any other
     g = plain_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
     assert vertex_connectivity(g) == 0
-    assert all(cap == 0 for cap in flows)
+    assert flows == []
 
 
 # ---------------------------------------------------------------------------

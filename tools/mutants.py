@@ -46,6 +46,20 @@ MUTANTS = (
         "tests/test_structure.py::test_connectivity_of_named_families",
     ),
     Mutant(
+        "the depth-first search ignores the root's child count",
+        "src/ghzgraphs/structure.py",
+        "1 if cut or root_children > 1 else 2",
+        "1 if cut else 2",
+        "tests/test_structure.py::test_connectivity_below_minimum_degree_three_matches_both_oracles",
+    ),
+    Mutant(
+        "vertex_connectivity skips the flows at minimum degree 3",
+        "src/ghzgraphs/structure.py",
+        "    if best <= 2:\n",
+        "    if best <= 3:\n",
+        "tests/test_structure.py::test_a_triangular_prism_runs_the_flows",
+    ),
+    Mutant(
         "_reduce emits the block edges unsorted",
         "src/ghzgraphs/reduction.py",
         "for (p, q), w in sorted(weights.items())]",
