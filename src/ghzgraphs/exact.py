@@ -82,8 +82,10 @@ class GaussianRational:
 
     # -- arithmetic --------------------------------------------------------
 
-    # + and * are the weight kernel's inner loop: they read a GaussianRational
-    # operand's parts directly and build the result without helper calls.
+    # + and * read a GaussianRational operand's parts directly and build the
+    # result without helper calls.  The weight kernel's DP writes these two
+    # rules out on raw triples; their hot callers are reduction._project and
+    # the sums over table values.
 
     def __add__(self, other):
         if type(other) is GaussianRational:

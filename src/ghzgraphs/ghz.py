@@ -87,12 +87,15 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
         dimension += 1
         if not near(w, one):
             mono_violations.append(Violation(vc, w, MONO_NOT_ONE))
-    # one pass over the table, "non-zero" tested inline; a NaN is non-zero
+    # one pass over the table, "non-zero" tested inline; a NaN is non-zero.
+    # Each Violation is built by tuple.__new__, past the namedtuple's
+    # Python-level __new__: the same object for less.
+    new = tuple.__new__
     if exact:
-        non_mono = [Violation(vc, w, NON_MONO_NONZERO) for vc, w in table.items()
+        non_mono = [new(Violation, (vc, w, NON_MONO_NONZERO)) for vc, w in table.items()
                     if w and vc not in monos]
     else:
-        non_mono = [Violation(vc, w, NON_MONO_NONZERO) for vc, w in table.items()
+        non_mono = [new(Violation, (vc, w, NON_MONO_NONZERO)) for vc, w in table.items()
                     if not abs(w) <= epsilon and vc not in monos]
     violations = non_mono + mono_violations
     return GhzVerdict(

@@ -11,9 +11,11 @@ covered vertices that adds up matching weights per induced colouring without
 listing the matchings; its vertex and cut masks give a cut block's table,
 G[X] without the edges inside a cut, with no copy of the graph, and
 ``_block_weights`` reads one colouring's weight on several such blocks from
-one filtered copy: the 2-cut squares and the 3-cut type weights.  Exact and
-float weights run through the same lines; a ``GaussianRational`` is a
-Gaussian integer over an int denominator that arithmetic never reduces, so
+one filtered copy: the 2-cut squares and the 3-cut type weights.  Float
+weights go through the DP as complex numbers; exact weights as the raw
+(re, im, den) int triples of ``GaussianRational``, with its product and sum
+written out in the loop, so an exact entry becomes a ``GaussianRational``
+only once, when the table is read out.  Arithmetic never reduces a value, so
 the DP does no normalisation, and its table entries are put in lowest terms
 only when they are read.
 ``_iter_perfect_matchings`` yields the matchings one at a time by a search of
@@ -24,8 +26,10 @@ witness does); ``enumerate_perfect_matchings`` lists them all.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from math import gcd
 from types import MappingProxyType
 
+from .exact import _make
 from .graphs import Multigraph, VertexColouring
 
 PerfectMatching = tuple[int, ...]
@@ -142,6 +146,14 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
     entries are left unreduced, as all ``GaussianRational`` arithmetic is.
+    For exact graphs ``solve`` runs on each value's (re, im, den) triple with
+    ``GaussianRational``'s own * and + rules written inline: the same
+    integers in the same order, so the same unreduced entries, each wrapped
+    once at read-out.  This second ``solve`` exists because operator
+    dispatch, not the DP, was the cost: a Python-level call and a new object
+    per product and per sum took more of an exact table's time than the
+    DP's own bookkeeping.  Float graphs keep the ``solve`` on complex
+    numbers.
     """
     n = g.n
     full = (1 << n) - 1
@@ -161,26 +173,55 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     kept = [v for v in range(n) if vertices >> v & 1]
     places = [base**i for i in range(len(kept) - 1, -1, -1)]
     place = dict(zip(kept, places))
+    exact = g.is_exact
     below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
     for (u, v, cu, cv), w in merged.items():
-        below[u].append((1 << v, cu * place[u] + cv * place[v], w))
-    memo: dict[int, dict[int, object]] = {full: {0: g.one}}
+        below[u].append((1 << v, cu * place[u] + cv * place[v], w._v if exact else w))
+    one = g.one
+    memo: dict[int, dict[int, object]] = {full: {0: one._v if exact else one}}
 
-    def solve(covered: int) -> dict[int, object]:
-        table = memo.get(covered)
-        if table is not None:
+    if exact:
+        def solve(covered: int) -> dict[int, tuple[int, int, int]]:
+            table = memo.get(covered)
+            if table is not None:
+                return table
+            low = ~covered & (covered + 1)
+            table = {}
+            for bit, digits, (a, b, p) in below[low.bit_length() - 1]:
+                if covered & bit:
+                    continue
+                for key, (c, d, q) in solve(covered | low | bit).items():
+                    key += digits
+                    prev = table.get(key)
+                    if prev is None:
+                        table[key] = (a * c - b * d, a * d + b * c, p * q)
+                        continue
+                    e, f, r = prev
+                    q *= p
+                    if r == q:
+                        table[key] = (e + a * c - b * d, f + a * d + b * c, r)
+                    else:
+                        k = gcd(r, q)
+                        s, t = q // k, r // k  # r * s == q * t == lcm(r, q)
+                        table[key] = (e * s + (a * c - b * d) * t, f * s + (a * d + b * c) * t, r * s)
+            memo[covered] = table
             return table
-        low = ~covered & (covered + 1)  # bit of the lowest uncovered vertex
-        table = {}
-        for bit, digits, w in below[low.bit_length() - 1]:
-            if covered & bit:
-                continue
-            for key, sub in solve(covered | low | bit).items():
-                key += digits
-                prev = table.get(key)
-                table[key] = w * sub if prev is None else prev + w * sub
-        memo[covered] = table
-        return table
+    else:
+        def solve(covered: int) -> dict[int, object]:
+            table = memo.get(covered)
+            if table is not None:
+                return table
+            low = ~covered & (covered + 1)  # bit of the lowest uncovered vertex
+            table = {}
+            for bit, digits, w in below[low.bit_length() - 1]:
+                if covered & bit:
+                    continue
+                for key, sub in solve(covered | low | bit).items():
+                    key += digits
+                    prev = table.get(key)
+                    table[key] = w * sub if prev is None else prev + w * sub
+            memo[covered] = table
+            return table
 
     # A key is read as two halves of equal length (kept vertices are even in
     # number): a table's keys share few distinct halves, so each is decoded
@@ -198,6 +239,9 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
         if tail is None:
             tail = halves[low] = _digits(low, half_places)
         out[head + tail] = w
+    if exact:  # each entry becomes a GaussianRational once, here
+        for vc, w in out.items():
+            out[vc] = _make(w)
     return out
 
 

@@ -449,8 +449,10 @@ def weight_bits(w):
 
 
 def slow_weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict:
-    """The weight kernel as it was before keys were decoded by halves: the
-    same subset DP, then one divmod per kept vertex for every key."""
+    """The weight kernel as it was before keys were decoded by halves and
+    before exact weights ran through the DP as int triples: one subset DP
+    on the weights' own + and *, exact and float, then one divmod per kept
+    vertex for every key."""
     n = g.n
     full = (1 << n) - 1
     outside = full & ~vertices

@@ -46,6 +46,7 @@ from conftest import (
     slow_cut_block,
     slow_weight_table,
     small_rational,
+    weight_bits,
 )
 
 
@@ -526,6 +527,71 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
         "n = 0", "one colour", "base at least 3", "vertex mask", "cut mask", "1,024 entries",
         "universe above the edge colours",
     )), reached
+
+
+def test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit(monkeypatch):
+    """The exact DP runs on (re, im, den) triples with GaussianRational's *
+    and + written inline; the operator DP of ``slow_weight_table`` gives the
+    same keys in the same order and values with the same unreduced parts,
+    exact and float, for whole graphs, empty vertex masks and masked blocks.
+    The triple loop takes its gcd/lcm branch exactly as often as the
+    operator DP's sums meet two different denominators."""
+    kernel = ghzgraphs.matchings._weight_table
+    real_add, real_gcd = GaussianRational.__add__, math.gcd
+    sums, lcms = [], []  # (denominators equal, sum is 0) per sum; one entry per gcd
+
+    def add(x, y):
+        total = real_add(x, y)
+        sums.append((x._v[2] == y._v[2], not total))
+        return total
+
+    def gcd(x, y):
+        lcms.append((x, y))
+        return real_gcd(x, y)
+
+    def table_bits(table):
+        return [(vc, weight_bits(w)) for vc, w in table.items()]
+
+    monkeypatch.setattr(GaussianRational, "__add__", add)
+    monkeypatch.setattr(ghzgraphs.matchings, "gcd", gcd)
+    rng = random.Random("triples")
+    reached = Counter()
+    for g in kernel_corpus():
+        gf = as_float(g)
+        masks = [(-1, 0), (0, 0)] + [
+            (bits(rng.sample(range(g.n), rng.randint(0, g.n))), bits(rng.sample(range(g.n), min(g.n, 3))))
+            for _ in range(3)
+        ]
+        for vertices, cut in masks:
+            del sums[:], lcms[:]
+            fast = kernel(g, vertices, cut)
+            merges = sums[:]  # the kernel's own sums are its parallel-edge merges
+            slow = slow_weight_table(g, vertices, cut)
+            dp_sums = sums[2 * len(merges):]  # after the operator DP's same merges
+            assert table_bits(fast) == table_bits(slow)
+            assert len(lcms) == sum(not equal for equal, _ in dp_sums)
+            assert table_bits(kernel(gf, vertices, cut)) == table_bits(slow_weight_table(gf, vertices, cut))
+            reached.update({
+                "equal denominators": sum(equal for equal, _ in dp_sums),
+                "gcd/lcm": len(lcms),
+                "n = 0": g.n == 0 and bool(fast),
+                "vertex mask": bool(fast) and vertices not in (-1, 0, (1 << g.n) - 1),
+                "cut mask": bool(fast) and (cut & vertices).bit_count() >= 2,
+                "parallel edges cancelling to 0": bool(fast) and any(zero for _, zero in merges),
+            })
+        # an empty vertex mask, and a whole graph on no vertices, read one
+        # GaussianRational 1 with the parts of g.one, never a raw triple
+        one_bits = [((), weight_bits(GaussianRational(1)))]
+        assert table_bits(kernel(g, 0)) == one_bits
+        if g.n == 0:
+            assert table_bits(kernel(g)) == one_bits
+    assert all(reached[name] for name in (
+        "equal denominators", "gcd/lcm", "n = 0", "vertex mask", "cut mask",
+        "parallel edges cancelling to 0",
+    )), reached
+    del lcms[:]
+    kernel(exact_weight_cases()["rationalised K6 d=2"])
+    assert lcms
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,20 @@ MUTANTS = (
         "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
     ),
     Mutant(
+        "the exact weight kernel scales a sum's first term by t, not s",
+        "src/ghzgraphs/matchings.py",
+        "(e * s + (a * c - b * d) * t, f * s + (a * d + b * c) * t, r * s)",
+        "(e * t + (a * c - b * d) * t, f * s + (a * d + b * c) * t, r * s)",
+        "tests/test_matchings.py::test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit",
+    ),
+    Mutant(
+        "the exact weight kernel's product drops its - b * d",
+        "src/ghzgraphs/matchings.py",
+        "table[key] = (a * c - b * d, a * d + b * c, p * q)",
+        "table[key] = (a * c, a * d + b * c, p * q)",
+        "tests/test_matchings.py::test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit",
+    ),
+    Mutant(
         "_block_weights returns the filtered copy's zero",
         "src/ghzgraphs/matchings.py",
         "    zero = g.zero\n",
