@@ -7,16 +7,18 @@ monochromatic colouring weighs 1, everything else 0), how to rescale and
 reduce such graphs across small vertex cuts, and how to search numerically
 for GHZ weight assignments on a fixed skeleton.
 
-``structure``, ``reduction`` and ``instances`` load on first use, since a
-command such as ``verify`` needs none of them and every CLI run is a new
-process.  The module ``__getattr__`` below (PEP 562) resolves their names.
-It reads the submodule's attribute on every lookup and stores nothing
-here, so a name that a test or a tracer rebinds in its submodule, and
-later puts back, is seen the same way through the package.  ``search``
-stays eager: the package's ``search`` is the function, and when the import
-system first loads the submodule ``ghzgraphs.search`` it binds the package
-attribute ``search`` to that module; loaded lazily, it would replace the
-function.  numpy, which only ``search`` uses, loads inside it on first use.
+``structure``, ``reduction``, ``instances`` and ``search`` load on first
+use, since a command such as ``verify`` needs none of them and every CLI run
+is a new process.  The module ``__getattr__`` below (PEP 562) resolves their
+names.  It reads the submodule's attribute on every lookup and stores nothing
+here, so a name that a test or a tracer rebinds in its submodule, and later
+puts back, is seen the same way through the package.  The package's
+``search`` is the function, not the submodule of that name: when the import
+system first loads ``ghzgraphs.search`` it binds the package attribute
+``search`` to the module, so the package's module class, ``_Package``,
+ignores that one binding.  The module stays in
+``sys.modules["ghzgraphs.search"]``.  numpy, which only ``search`` uses,
+loads inside it on first use.
 
 For the same reason the package imports neither ``dataclasses`` (which
 brings in ``inspect``) nor ``typing``.  ``Edge`` and ``Multigraph`` are
@@ -24,6 +26,7 @@ slotted classes with hand-written validating constructors; every other
 record is an immutable ``collections.namedtuple`` subclass.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
@@ -73,17 +76,6 @@ from .ghz import (
     scale_to_ghz,
     verify,
 )
-from .search import (
-    Exactification,
-    Residual,
-    SearchProblem,
-    SearchResult,
-    assignment_graph,
-    exactify,
-    gradient,
-    residual,
-    search,
-)
 from .io import (
     document_to_graph,
     graph_to_document,
@@ -92,12 +84,10 @@ from .io import (
     serialize_graph,
 )
 
-# re-exported name -> the submodule that defines it, imported on first use;
-# each submodule's own name maps to itself
+# re-exported name -> the submodule that defines it, imported on first use
 _LAZY = {
     **dict.fromkeys(
         (
-            "structure",
             "CutSpec",
             "SquareDecomposition",
             "find_cut",
@@ -112,7 +102,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "reduction",
             "ColourClassification",
             "ReductionReport",
             "TypeWeights",
@@ -126,7 +115,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "instances",
             "cancelling_square",
             "complete_ghz_k4",
             "cycle_ghz",
@@ -136,24 +124,53 @@ _LAZY = {
         ),
         "instances",
     ),
+    **dict.fromkeys(
+        (
+            "Exactification",
+            "Residual",
+            "SearchProblem",
+            "SearchResult",
+            "assignment_graph",
+            "exactify",
+            "gradient",
+            "residual",
+            "search",
+        ),
+        "search",
+    ),
 }
+
+# submodules loaded on first use; not `search`, whose name is the function's
+_SUBMODULES = ("structure", "reduction", "instances")
 
 __all__ = sorted(
     [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
-    + [name for name, module in _LAZY.items() if name != module]
+    + list(_LAZY)
 )
 
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    submodule = _import_module(f"{__name__}.{module}")
-    return submodule if name == module else getattr(submodule, name)
+    return getattr(_import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
 
+
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule on its parent; the package's
+        # `search` is the function, which __getattr__ reads from the module
+        if name == "search" and isinstance(value, _ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"

@@ -26,10 +26,11 @@ from .ghz import (
 from .graphs import drop_zero_edges, merge_parallel_edges
 from .io import graph_to_document, load_graph, weight_to_strings
 from .matchings import colouring_weight_table, filter_graph, graph_weight, induced_colouring
-from .search import SearchProblem, exactify, search
 
-# `structure` and `reduction` are imported by the handlers that use them, so
-# the other commands start without loading them
+# Handlers import what only they use: `mcg`, `connectivity` and `cut` import
+# `structure`, `reduce` imports `reduction` (and with it `structure`), and
+# `search` imports `search` (and numpy on its first call).  The other commands
+# start without loading any of them.
 
 
 def _print(obj) -> None:
@@ -182,6 +183,8 @@ def _cmd_bogdanov(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchProblem, exactify, search
+
     g = load_graph(args.skeleton)
     problem = SearchProblem(g, args.dim)
     result = search(

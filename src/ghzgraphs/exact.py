@@ -10,28 +10,68 @@ so that every rationalization step is explicit.
 A value is one Gaussian integer over one positive int denominator,
 (re + im*i) / den, never reduced by arithmetic: a product multiplies parts
 and denominators, a sum over different denominators rescales both to their
-lcm.  Lowest terms appear only when a value is read (``re``, ``im``, ``str``,
-``repr``, ``hash``, pickling), through ``Fraction(re, den)``.
-Equality cross-multiplies, and ``complex()`` divides ints, which rounds
-correctly, so neither depends on the denominator a value carries.
+lcm.  Lowest terms appear only where a value is built from a ratio or read.
+``from_parts`` and ``io.weight_to_strings`` reduce the ints with
+``math.gcd``; ``re``, ``im``, ``str``, ``repr``, ``hash`` and pickling go
+through ``Fraction(re, den)``.  Equality cross-multiplies, and ``complex()``
+divides ints, which rounds correctly, so neither depends on the denominator
+a value carries.
+
+``fractions`` (with ``decimal`` and ``numbers``) loads on the first of those
+``Fraction`` readers, ``from_float`` or string argument, so a CLI command
+that only parses, computes and prints exact weights never imports it.  An
+argument is tested for ``Fraction`` only once ``fractions`` is loaded: no
+instance can exist before.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd
 
 _HASH_IMAG = sys.hash_info.imag
 _MAX_DENOMINATOR = 10**6  # from_float's bound, the rounding exactify certifies with
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"expected int, str or Fraction, got {type(x).__name__}")
+def _Fraction(*args):
+    """``fractions.Fraction(*args)``.  The first call imports ``fractions`` and
+    rebinds this name to the class, so later calls cost no import."""
+    global _Fraction
+    from fractions import Fraction as _Fraction
+
+    return _Fraction(*args)
+
+
+def _is_fraction(x) -> bool:
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator > 0), in lowest terms."""
+    if isinstance(x, int):
+        return x.numerator, 1
+    if isinstance(x, str):
+        x = _Fraction(x)
+    elif not _is_fraction(x):
+        raise TypeError(f"expected int, str or Fraction, got {type(x).__name__}")
+    return x.numerator, x.denominator
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with den > 0, as ``Fraction(num, den)`` gives."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _over(a: int, p: int, b: int, q: int) -> tuple[int, int, int]:
+    """The triple of a/p + (b/q)*i on the lcm of p and q."""
+    den = p // gcd(p, q) * q
+    return a * (den // p), b * (den // q), den
 
 
 class GaussianRational:
@@ -40,10 +80,7 @@ class GaussianRational:
     __slots__ = ("_v",)
 
     def __init__(self, re=0, im=0):
-        re, im = _as_fraction(re), _as_fraction(im)
-        p, q = re.denominator, im.denominator
-        den = p // gcd(p, q) * q
-        _set_v(self, (re.numerator * (den // p), im.numerator * (den // q), den))
+        _set_v(self, _over(*_ratio(re), *_ratio(im)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
@@ -58,27 +95,27 @@ class GaussianRational:
     @classmethod
     def from_parts(cls, re_num: int, re_den: int, im_num: int = 0, im_den: int = 1):
         """Build from four integers (numerators and denominators)."""
-        return cls(Fraction(re_num, re_den), Fraction(im_num, im_den))
+        return _make(_over(*_lowest(re_num, re_den), *_lowest(im_num, im_den)))
 
     @classmethod
     def from_float(cls, re: float, im: float = 0.0):
         """Nearest Gaussian rational with denominators up to 10**6."""
         return cls(
-            Fraction(re).limit_denominator(_MAX_DENOMINATOR),
-            Fraction(im).limit_denominator(_MAX_DENOMINATOR),
+            _Fraction(re).limit_denominator(_MAX_DENOMINATOR),
+            _Fraction(im).limit_denominator(_MAX_DENOMINATOR),
         )
 
-    # -- field accessors, in lowest terms ----------------------------------
+    # -- field accessors, as Fractions in lowest terms ---------------------
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
         re, _, den = self._v
-        return Fraction(re, den)
+        return _Fraction(re, den)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
         _, im, den = self._v
-        return Fraction(im, den)
+        return _Fraction(im, den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,6 +260,6 @@ def _parts(x):
     """x as (re, im, den), or None when x is not an exact number."""
     if isinstance(x, GaussianRational):
         return x._v
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return (x.numerator, 0, x.denominator)
     return None

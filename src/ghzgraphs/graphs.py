@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 from operator import attrgetter
 
-from .exact import GaussianRational
+from .exact import GaussianRational, _is_fraction
 
 Colour = int
 VertexColouring = tuple[Colour, ...]
@@ -33,7 +32,7 @@ _FLOAT_ZERO, _FLOAT_ONE = complex(0), complex(1)
 def _as_weight(w):
     if isinstance(w, (GaussianRational, complex)):
         return w
-    if isinstance(w, (int, Fraction)):
+    if isinstance(w, int) or _is_fraction(w):
         return GaussianRational(w)
     if isinstance(w, float):
         return complex(w)

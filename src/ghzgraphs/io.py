@@ -147,8 +147,9 @@ def load_graph(path) -> Multigraph:
 def weight_to_strings(w) -> list[str]:
     """Serialize one weight: 4 strings exact, 2 strings float."""
     if isinstance(w, GaussianRational):
-        re, im = w.re, w.im
-        return [str(re.numerator), str(re.denominator), str(im.numerator), str(im.denominator)]
+        re, im, den = w._v  # den > 0, so each gcd is positive
+        g, h = math.gcd(re, den), math.gcd(im, den)
+        return [str(re // g), str(den // g), str(im // h), str(den // h)]
     return [repr(w.real), repr(w.imag)]
 
 

@@ -10,6 +10,7 @@ so the two routes can disagree when one of them is wrong.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import shlex
@@ -38,6 +39,7 @@ from ghzgraphs import (
     make_cut,
     parallel_ghz_k2,
 )
+from ghzgraphs.exact import _make
 from ghzgraphs.ghz import MONO_NOT_ONE, MONO_ZERO, NON_MONO_NONZERO
 from ghzgraphs.matchings import _weight_table
 
@@ -446,6 +448,24 @@ def weight_bits(w):
     if isinstance(w, GaussianRational):
         return type(w), w._v
     return type(w), w.real.hex(), w.imag.hex()
+
+
+def slow_from_parts(re_num: int, re_den: int, im_num: int = 0, im_den: int = 1) -> GaussianRational:
+    """``GaussianRational.from_parts`` as it was before lowest terms came from
+    ``math.gcd``: each part reduced by ``Fraction``, both put over the lcm of
+    their denominators."""
+    re, im = Fraction(re_num, re_den), Fraction(im_num, im_den)
+    den = math.lcm(re.denominator, im.denominator)
+    return _make((re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den))
+
+
+def slow_weight_to_strings(w) -> list[str]:
+    """``io.weight_to_strings`` as it was, reading an exact weight's parts as
+    ``Fraction``s in lowest terms."""
+    if isinstance(w, GaussianRational):
+        re, im = w.re, w.im
+        return [str(re.numerator), str(re.denominator), str(im.numerator), str(im.denominator)]
+    return [repr(w.real), repr(w.imag)]
 
 
 def slow_weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict:

@@ -84,16 +84,31 @@ def test_every_re_exported_name_resolves_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
-SEARCH_SUBMODULE_FIRST = textwrap.dedent("""
-    import types
-    import ghzgraphs.search
+# each way the submodule `ghzgraphs.search` can be loaded first
+SEARCH_LOADED_FIRST_BY = {
+    "import-submodule": "import ghzgraphs.search",
+    # as bench/tracer.py loads each layer
+    "import_module-after-the-package": (
+        "import ghzgraphs, importlib; importlib.import_module('ghzgraphs.search')"
+    ),
+    "from-submodule-import-before-the-package": "from ghzgraphs.search import SearchProblem",
+    "star-import": "from ghzgraphs import *",
+}
+
+SEARCH_STAYS_THE_FUNCTION = textwrap.dedent("""
+    import sys, types
+    exec(sys.argv[1], {})
     import ghzgraphs
     assert isinstance(ghzgraphs.search, types.FunctionType), ghzgraphs.search
+    module = sys.modules["ghzgraphs.search"]
+    assert isinstance(module, types.ModuleType), module
+    assert module.search is ghzgraphs.search
 """)
 
 
-def test_search_is_the_function_after_importing_its_submodule_first():
-    proc = fresh_interpreter(SEARCH_SUBMODULE_FIRST)
+@pytest.mark.parametrize("first", SEARCH_LOADED_FIRST_BY.values(), ids=SEARCH_LOADED_FIRST_BY)
+def test_search_is_the_function_after_importing_its_submodule_first(first):
+    proc = fresh_interpreter(SEARCH_STAYS_THE_FUNCTION, first)
     assert proc.returncode == 0, proc.stderr
 
 

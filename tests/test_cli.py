@@ -356,6 +356,7 @@ COLD_START = textwrap.dedent("""
         assert ghzgraphs.cli.main(["verify", c6]) == 0
         assert ghzgraphs.cli.main(["reduce", c6]) == 0
     assert "numpy" not in sys.modules
+    assert "fractions" not in sys.modules
     with contextlib.redirect_stdout(io.StringIO()):
         assert ghzgraphs.cli.main(
             ["search", "--skeleton", k2skel, "--dim", "2", "--restarts", "3"]
@@ -383,10 +384,12 @@ LOADED_BY = textwrap.dedent("""
     print(json.dumps({"code": code, "modules": sorted(set(sys.modules) - before)}))
 """)
 
-ON_FIRST_USE = {"ghzgraphs.structure", "ghzgraphs.reduction", "ghzgraphs.instances", "numpy"}
+ON_FIRST_USE = {
+    "ghzgraphs.structure", "ghzgraphs.reduction", "ghzgraphs.instances", "ghzgraphs.search", "numpy",
+}
 
-#: only `search` may load these, through numpy
-SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing"}
+#: only `search` may load these, through numpy or `GaussianRational.from_float`
+SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("command, loaded", [

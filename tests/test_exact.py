@@ -3,13 +3,17 @@
 import copy
 import pickle
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzgraphs import GaussianRational
+from ghzgraphs.exact import _parts
+
+from conftest import fresh_interpreter, slow_from_parts, weight_bits
 
 
 def gaussians(nonzero=False):
@@ -348,3 +352,60 @@ def test_sum_and_product_leave_floats_and_complexes_to_the_other_operand(other):
     for op in (lambda: a + other, lambda: other + a, lambda: a * other, lambda: other * a):
         with pytest.raises(TypeError):
             op()
+
+
+# ---------------------------------------------------------------------------
+# differential: lowest terms from math.gcd against the Fraction path
+
+ints = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
+
+
+@given(ints, ints.filter(bool), ints, ints.filter(bool))
+@example(0, -7, 10**40 + 1, -3)
+@example(-(10**40), -(10**20), 0, 10**40)
+@example(6, 4, -6, -4)
+def test_from_parts_and_int_parts_match_the_fraction_path(a, p, b, q):
+    want = weight_bits(slow_from_parts(a, p, b, q))
+    assert weight_bits(GaussianRational.from_parts(a, p, b, q)) == want
+    assert weight_bits(GaussianRational(Fraction(a, p), Fraction(b, q))) == want
+    assert weight_bits(GaussianRational.from_parts(a, p)) == weight_bits(slow_from_parts(a, p))
+    assert weight_bits(GaussianRational(a, b)) == weight_bits(slow_from_parts(a, 1, b, 1))
+    assert weight_bits(GaussianRational(a)) == weight_bits(slow_from_parts(a, 1))
+
+
+@pytest.mark.parametrize("args", [(1, 0), (0, 0), (-5, 0, 1, 2), (1, 2, 3, 0), (0, 1, 0, 0)])
+def test_a_zero_denominator_raises_as_the_fraction_path_did(args):
+    with pytest.raises(ZeroDivisionError) as want:
+        slow_from_parts(*args)
+    with pytest.raises(ZeroDivisionError) as got:
+        GaussianRational.from_parts(*args)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_parts_accepts_ints_and_fractions_and_refuses_floats_and_strings():
+    assert _parts(3) == (3, 0, 1)
+    assert _parts(True) == (1, 0, 1)
+    assert _parts(Fraction(6, -4)) == (-3, 0, 2)
+    for x in (1.5, "1", 2j, None):
+        assert _parts(x) is None
+
+
+FRACTIONS_ON_FIRST_USE = textwrap.dedent("""
+    import sys
+    from ghzgraphs import GaussianRational, build_graph
+    from ghzgraphs.io import weight_to_strings
+    w = GaussianRational.from_parts(6, -4) + GaussianRational(2, 3)
+    assert weight_to_strings(w) == ["1", "2", "3", "1"]
+    assert "fractions" not in sys.modules
+    assert str(w) == "1/2 + 3*i" and hash(w) == hash(GaussianRational("1/2", 3))
+    assert "fractions" in sys.modules
+    from fractions import Fraction
+    assert w - Fraction(1, 2) == GaussianRational(0, 3) == Fraction(1, 2) * GaussianRational(0, 6)
+    assert GaussianRational(Fraction(1, 2)) == w.re
+    assert build_graph(2, [(0, 1, 0, 0, Fraction(1, 2))]).edges[0].weight == w.re
+""")
+
+
+def test_fractions_load_on_first_use_and_are_accepted_after():
+    proc = fresh_interpreter(FRACTIONS_ON_FIRST_USE)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Graph construction, canonicalization and the structural helpers."""
 
+from fractions import Fraction
+
 import pytest
 
 from ghzgraphs import (
@@ -39,10 +41,12 @@ def test_edge_rejects_self_loops_and_negatives():
 
 def test_weight_coercion():
     assert isinstance(Edge(0, 1, 0, 0, 3).weight, GaussianRational)
+    assert Edge(0, 1, 0, 0, Fraction(6, -4)).weight._v == (-3, 0, 2)
     assert isinstance(Edge(0, 1, 0, 0, 0.5).weight, complex)
     assert Edge(0, 1, 0, 0, 0.5).weight == 0.5 + 0j
-    with pytest.raises(TypeError):
-        Edge(0, 1, 0, 0, "nope")
+    for refused in ("nope", "1/2"):
+        with pytest.raises(TypeError):
+            Edge(0, 1, 0, 0, refused)
 
 
 def test_multigraph_validation():

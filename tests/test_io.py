@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ghzgraphs import (
     DocumentError,
@@ -17,7 +19,10 @@ from ghzgraphs import (
     serialize_graph,
 )
 
-from conftest import ghz_corpus, random_corpus
+from ghzgraphs.exact import _make
+from ghzgraphs.io import weight_to_strings
+
+from conftest import ghz_corpus, random_corpus, slow_weight_to_strings
 
 
 def doc(**overrides):
@@ -159,3 +164,16 @@ def test_document_error_carries_fields():
     assert e.code == "BAD_WEIGHT"
     assert e.path == "$.edges[3].w"
     assert "whatever" in str(e)
+
+
+ints = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
+
+
+@given(ints, ints, st.one_of(st.integers(1, 60), st.integers(1, 10**40)))
+@example(0, 0, 10**40)
+@example(-12, 18, 6)
+def test_weight_to_strings_matches_the_fraction_path(re, im, den):
+    w = _make((re, im, den))  # often far from lowest terms
+    assert weight_to_strings(w) == slow_weight_to_strings(w)
+    z = complex(re, im) / den
+    assert weight_to_strings(z) == slow_weight_to_strings(z)

@@ -143,6 +143,27 @@ MUTANTS = (
         "    monos = set()\n",
         "tests/test_ghz.py::test_verify_on_the_empty_graph",
     ),
+    Mutant(
+        "the package lets the submodule rebind `search`",
+        "src/ghzgraphs/__init__.py",
+        '        if name == "search" and isinstance(value, _ModuleType):\n            return\n',
+        "",
+        "tests/test_api.py::test_search_is_the_function_after_importing_its_submodule_first",
+    ),
+    Mutant(
+        "from_parts keeps a negative denominator",
+        "src/ghzgraphs/exact.py",
+        "    if den < 0:\n        g = -g\n",
+        "",
+        "tests/test_exact.py::test_from_parts_and_int_parts_match_the_fraction_path",
+    ),
+    Mutant(
+        "weight_to_strings writes the parts unreduced",
+        "src/ghzgraphs/io.py",
+        "        g, h = math.gcd(re, den), math.gcd(im, den)\n",
+        "        g = h = 1\n",
+        "tests/test_io.py::test_weight_to_strings_matches_the_fraction_path",
+    ),
 )
 
 
