@@ -16,8 +16,11 @@ puts back, is seen the same way through the package.  The package's
 ``search`` is the function, not the submodule of that name: when the import
 system first loads ``ghzgraphs.search`` it binds the package attribute
 ``search`` to the module, so the package's module class, ``_Package``,
-ignores that one binding.  The module stays in
-``sys.modules["ghzgraphs.search"]``.  numpy, which only ``search`` uses,
+ignores that one binding.  So ``import ghzgraphs.search as m`` binds ``m``
+to the function as well: CPython resolves ``import a.b as m`` through the
+package attribute ``b``.  The module is reached as
+``sys.modules["ghzgraphs.search"]``, and its names with
+``from ghzgraphs.search import ...``.  numpy, which only ``search`` uses,
 loads inside it on first use.
 
 For the same reason the package imports neither ``dataclasses`` (which

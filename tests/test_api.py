@@ -87,6 +87,8 @@ def test_every_re_exported_name_resolves_in_a_fresh_interpreter():
 # each way the submodule `ghzgraphs.search` can be loaded first
 SEARCH_LOADED_FIRST_BY = {
     "import-submodule": "import ghzgraphs.search",
+    # binds m through the package attribute: m is the function too
+    "import-submodule-as": "import ghzgraphs.search as m; import types; assert isinstance(m, types.FunctionType), m",
     # as bench/tracer.py loads each layer
     "import_module-after-the-package": (
         "import ghzgraphs, importlib; importlib.import_module('ghzgraphs.search')"

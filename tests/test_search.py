@@ -5,21 +5,29 @@ import math
 import numpy as np
 import pytest
 
+from conftest import weight_bits
 from ghzgraphs import (
+    DEFAULT_EPSILON,
     Edge,
+    Exactification,
+    GaussianRational,
     Multigraph,
     SearchProblem,
     assignment_graph,
     complete_ghz_k4,
     cycle_ghz,
+    cycle_ghz_on,
+    enumerate_perfect_matchings,
     exactify,
     gradient,
+    induced_colouring,
     parallel_ghz_k2,
     residual,
     search,
+    skeleton,
     verify,
 )
-from ghzgraphs.search import _products
+from ghzgraphs.search import _check_weights, _coloured_graph, _evaluate, _products, _refutes
 
 
 def k4_solution_vector(problem):
@@ -465,3 +473,205 @@ def test_degenerate_shapes_search_as_before(name):
         assert not res.converged and res.residual.value == 2.0
     else:
         assert res.converged
+
+
+# ---------------------------------------------------------------------------
+# The problem build and exactify as they were before colourings were read
+# from the variable layout and before the one-colouring refutation: each
+# matching's colouring from induced_colouring, which checks the matching
+# first, and every weight rounded and re-verified whenever all lie within
+# 1e-9 of their roundings.  The fast paths must give the same fields and
+# the same Exactification, weight for weight.
+
+
+def slow_problem(g, d):
+    """(monomials, monomial_group, colourings) of the checked build."""
+    base = skeleton(g)
+    pairs = [(e.u, e.v) for e in base.edges]
+    expanded = Multigraph(
+        base.n,
+        tuple(Edge(u, v, p, q, 1) for u, v in pairs for p in range(d) for q in range(d)),
+        frozenset(range(d)),
+    )
+    matchings = enumerate_perfect_matchings(expanded)
+    induced = [induced_colouring(expanded, m) for m in matchings]
+    ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
+    ordered += sorted(set(induced).difference(ordered))
+    index = {vc: k for k, vc in enumerate(ordered)}
+    monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), base.n // 2)
+    return monomials, np.array([index[vc] for vc in induced], dtype=np.int64), tuple(ordered)
+
+
+def rounded_graph(problem, x):
+    """The assignment with every weight rounded as exactify rounds it."""
+    return _coloured_graph(
+        problem, [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
+    )
+
+
+def slow_exactify(problem, weights, epsilon=None):
+    x = _check_weights(problem, weights)
+    rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
+    err = max((abs(complex(r) - z) for r, z in zip(rounded, x)), default=0.0)
+    if err <= 1e-9:
+        exact_graph = _coloured_graph(problem, rounded)
+        verdict = verify(exact_graph)
+        if verdict.is_ghz and verdict.dimension == problem.d:
+            return Exactification(exact_graph, verdict, "exact", 0.0)
+    float_graph = assignment_graph(problem, x)
+    _, _, achieved = _evaluate(problem, x)
+    eps = epsilon if epsilon is not None else max(DEFAULT_EPSILON, 2.0 * math.sqrt(achieved))
+    return Exactification(float_graph, verify(float_graph, eps), "numeric", eps)
+
+
+def exactification_bits(cert):
+    g, verdict = cert.graph, cert.verdict
+    return (
+        g.n,
+        g.colour_universe,
+        [(e.u, e.v, e.cu, e.cv, weight_bits(e.weight)) for e in g.edges],
+        (verdict.is_ghz, verdict.is_g_ghz, verdict.dimension),
+        [(v.colouring, weight_bits(v.weight), v.kind) for v in verdict.violations],
+        cert.mode,
+        cert.epsilon.hex(),
+    )
+
+
+def assert_same_exactification(problem, x, epsilon=None):
+    cert = exactify(problem, x, epsilon)
+    assert exactification_bits(cert) == exactification_bits(slow_exactify(problem, x, epsilon))
+    return cert
+
+
+def planted_vector(problem, g):
+    """The variable vector of a graph whose pairs are among the problem's."""
+    x = np.zeros(problem.n_vars, dtype=np.complex128)
+    pair_index = {pair: e for e, pair in enumerate(problem.pairs)}
+    for e in g.edges:
+        x[problem.variable_index(pair_index[(e.u, e.v)], e.cu, e.cv)] += complex(e.weight)
+    return x
+
+
+SHAPES = {
+    "C6.d2": (lambda: cycle_ghz(6), 2),
+    "C8.d2": (lambda: cycle_ghz(8), 2),
+    "C10.d2": (lambda: cycle_ghz(10), 2),
+    "K4.d3": (complete_ghz_k4, 3),
+    "K6.d2": (lambda: complete_skeleton(6), 2),
+}
+
+#: (problem shape, GHZ graph of full dimension on a subgraph of its skeleton)
+PLANTED = {
+    "K2.d2": ((lambda: parallel_ghz_k2(2), 2), lambda: parallel_ghz_k2(2)),
+    "K2.d3": ((lambda: parallel_ghz_k2(3), 3), lambda: parallel_ghz_k2(3)),
+    "C6.d2": (SHAPES["C6.d2"], lambda: cycle_ghz_on(range(6), [2.0, 0.25, 0.5, -4.0, 1.0, -1.0])),
+    "C8.d2": (SHAPES["C8.d2"], lambda: cycle_ghz(8)),
+    "C10.d2": (SHAPES["C10.d2"], lambda: cycle_ghz(10)),
+    "K4.d3": (SHAPES["K4.d3"], complete_ghz_k4),
+    "K6.d2": (SHAPES["K6.d2"], lambda: cycle_ghz(6)),
+}
+
+
+@pytest.mark.parametrize(
+    "build, d",
+    list(SHAPES.values()) + [
+        (lambda: Multigraph(0, (), frozenset({0})), 2),
+        (lambda: parallel_ghz_k2(1), 3),
+        (lambda: simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2),
+        (complete_ghz_k4, 2),
+        (lambda: complete_skeleton(6), 1),
+        (lambda: simple_skeleton(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]), 3),
+    ],
+    ids=list(SHAPES) + ["empty.d2", "K2.d3", "star.d2", "K4.d2", "K6.d1", "C6chord.d3"],
+)
+def test_problem_build_is_the_checked_build(build, d):
+    prob = SearchProblem(build(), d)
+    monomials, groups, colourings = slow_problem(build(), d)
+    assert prob.monomials.dtype == monomials.dtype and np.array_equal(prob.monomials, monomials)
+    assert prob.monomial_group.dtype == groups.dtype and np.array_equal(prob.monomial_group, groups)
+    assert prob.colourings == colourings
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_exactify_after_short_searches_is_the_full_rounding_exactify(shape):
+    build, d = shape
+    prob = SearchProblem(build(), d)
+    for seed in (0, 1):
+        res = search(prob, seed=seed, restarts=2, max_iters=60)
+        assert assert_same_exactification(prob, res.weights).mode == "numeric"
+        assert_same_exactification(prob, res.weights, epsilon=1e-3)
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
+    assert_same_exactification(prob, x)
+
+
+@pytest.mark.parametrize("case", PLANTED.values(), ids=PLANTED)
+def test_exactify_is_the_full_rounding_exactify_at_planted_points(case):
+    (build, d), planted = case
+    prob = SearchProblem(build(), d)
+    x = planted_vector(prob, planted())
+    assert residual(prob, x).value == 0.0
+    for shift in (0.0, 1e-12, -1e-12, 1e-12j, -1e-12j):
+        assert assert_same_exactification(prob, x + shift).mode == "exact"
+    # one weight far enough off that the rounding moves it
+    x[np.flatnonzero(x)[0]] += 1e-6
+    assert assert_same_exactification(prob, x).mode == "numeric"
+
+
+def test_exactify_on_the_empty_skeleton_is_the_full_rounding_exactify():
+    prob = SearchProblem(Multigraph(0, (), frozenset({0})), 2)
+    x = np.zeros(0, dtype=np.complex128)
+    assert assert_same_exactification(prob, x).mode == "exact"  # () weighs 1
+    assert_same_exactification(prob, x, epsilon=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_exactify_on_a_weight_that_is_not_finite_raises_as_before(bad):
+    prob = SearchProblem(complete_ghz_k4(), 3)
+    x = k4_solution_vector(prob)
+    x[-1] = bad  # a variable off every solution edge
+    with pytest.raises(Exception) as slow:
+        slow_exactify(prob, x)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(slow.type, match=str(slow.value)):
+        exactify(prob, x)
+
+
+def test_exactify_where_the_weights_sum_past_the_float_range_is_the_full_rounding_exactify():
+    prob = SearchProblem(complete_ghz_k4(), 3)
+    x = k4_solution_vector(prob)
+    x[-2:] = 1.5e308  # each finite, their sum not
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert assert_same_exactification(prob, x).mode == "numeric"
+
+
+def test_a_refuted_certificate_fails_the_full_exact_verify():
+    seen = {True: 0, False: 0}
+    for name, ((build, d), planted) in PLANTED.items():
+        prob = SearchProblem(build(), d)
+        rng = np.random.default_rng(len(name))
+        base = planted_vector(prob, planted())
+        points = [base + scale * (rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars))
+                  for scale in (0.0, 1e-12, 1e-7, 1e-3, 1.0)]
+        points.append(search(prob, seed=0, restarts=1, max_iters=40).weights)
+        points.append(np.round(points[-1], 1))  # on a coarse rational grid
+        for x in points:
+            _, diff, _ = _evaluate(prob, x)
+            refuted = _refutes(prob, x, diff)
+            seen[refuted] += 1
+            if refuted:
+                verdict = verify(rounded_graph(prob, x))
+                assert not (verdict.is_ghz and verdict.dimension == d)
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_search_never_converges_to_dimension_3_on_a_cycle(n):
+    """A GHZ graph on more than 4 vertices with vertex connectivity at most 2
+    has dimension at most 2 (the paper's theorem), and every graph on a cycle
+    skeleton has connectivity at most 2, so no assignment on C6 or C8 has
+    residual 0 at d = 3.  A bounded search there never reports convergence.
+    Only that is asserted: the numeric verdict ``exactify`` gives such a
+    point is not."""
+    prob = SearchProblem(cycle_ghz(n), 3)
+    for seed in (0, 1):
+        assert not search(prob, seed=seed, restarts=2, max_iters=200).converged

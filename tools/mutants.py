@@ -164,6 +164,27 @@ MUTANTS = (
         "        g = h = 1\n",
         "tests/test_io.py::test_weight_to_strings_matches_the_fraction_path",
     ),
+    Mutant(
+        "the refutation swaps the mono and non-mono targets",
+        "src/ghzgraphs/search.py",
+        "    target = 1 if worst < d else 0  # the monos come first\n",
+        "    target = 0 if worst < d else 1  # the monos come first\n",
+        "tests/test_search.py::test_exactify_is_the_full_rounding_exactify_at_planted_points",
+    ),
+    Mutant(
+        "the refutation always rejects",
+        "src/ghzgraphs/search.py",
+        "    return colouring_weight(rounded, vc) != target\n",
+        "    return True\n",
+        "tests/test_search.py::test_exactify_is_the_full_rounding_exactify_at_planted_points",
+    ),
+    Mutant(
+        "the problem build reads a variable's colours swapped",
+        "src/ghzgraphs/search.py",
+        "                colours[u] = p\n                colours[v] = q\n",
+        "                colours[u] = q\n                colours[v] = p\n",
+        "tests/test_search.py::test_problem_build_is_the_checked_build",
+    ),
 )
 
 
