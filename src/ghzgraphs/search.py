@@ -21,21 +21,17 @@ with D_k,vc the sum over matchings through k of the leave-one-out products.
 Each point is evaluated once (``_evaluate``): one gather x[columns], where
 ``columns`` is the monomial table transposed to contiguous rows of shape
 (width, M), the monomial products, and the per-colouring sums as
-``np.bincount`` over the real and imaginary parts.  The products
-(``_products``) are formed in real arithmetic exactly as numpy's scalar
-complex-multiply reduce loop forms them, so they equal
-``np.prod(x[monomials], axis=1)`` bit for bit.  An element-wise complex
-multiply would not: numpy's SIMD loop fuses multiplies and adds, which moves
-the last digits and with them every residual.  The gradient reuses the
-gather and the colourings' differences.  Its prefix and suffix products are
-element-wise complex multiplies on contiguous rows of shape (width, M), and
-they must stay on such rows: the multiply's bits depend on the strides
-(written into a column of an (M, width) array, the prefix products of 464
-of K6 d=2's 960 monomials change in their last bits).  Its terms are copied
-back to monomial-major order, so the bincount sums add in the order of the
-``np.add.at`` scatter they replaced and the iterates are bit-identical.
-The line search keeps the accepted candidate's evaluation, so the next
-gradient needs no new one.
+``np.bincount`` over the real and imaginary parts.  Every product in the
+search, the evaluation's and the gradient's prefix and suffix products
+alike, is a running element-wise complex multiply from 1 down contiguous
+rows of shape (width, M).  They must stay on such rows: the multiply's bits
+depend on the strides (written into a column of an (M, width) array, the
+prefix products of 464 of K6 d=2's 960 monomials change in their last
+bits).  The gradient reuses the gather and the colourings' differences.
+Its terms are copied back to monomial-major order, so the bincount sums add
+in the order of the ``np.add.at`` scatter they replaced and the iterates
+are bit-identical.  The line search keeps the accepted candidate's
+evaluation, so the next gradient needs no new one.
 
 numpy is imported inside the functions that use it, not at module level: it
 is loaded the first time a search problem is built or evaluated, so the rest
@@ -125,27 +121,15 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (problem.n_vars,):
         raise ValueError(f"expected {problem.n_vars} weights, got shape {x.shape}")
+    # x * 0 sums to 0 exactly when every weight is finite, with loops the
+    # search runs anyway (a first call of np.isfinite adds about 0.35 MB of
+    # resident memory)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN
+        zeroed = x * 0
+    if np.add.reduce(zeroed) != 0:
+        k = int(np.flatnonzero(zeroed != 0)[0])
+        raise ValueError(f"weight {k} is not finite: {complex(x[k])}")
     return x
-
-
-def _products(vals: np.ndarray):
-    """(real, imag) of the products down the columns of vals, shape (width, M):
-    ``np.multiply.reduce(vals.T, axis=1)`` bit for bit, up to the sign of a NaN.
-
-    That reduce runs numpy's scalar complex-multiply loop, a running product
-    from 1 + 0j with each real operation rounded on its own; its first step is
-    written here without the multiplications by 1.
-    """
-    import numpy as np
-
-    if not len(vals):  # n = 0: the one empty matching weighs 1
-        return np.ones(vals.shape[1]), np.zeros(vals.shape[1])
-    re, im = vals.real, vals.imag
-    pr = re[0] - 0.0 * im[0]
-    pi = im[0] + 0.0 * re[0]
-    for j in range(1, len(vals)):
-        pr, pi = pr * re[j] - pi * im[j], pr * im[j] + pi * re[j]
-    return pr, pi
 
 
 def _evaluate(problem: SearchProblem, x: np.ndarray):
@@ -154,11 +138,13 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
     import numpy as np
 
     vals = x[problem._columns]  # (width, M)
-    pr, pi = _products(vals)
+    prod = np.ones(vals.shape[1], dtype=np.complex128)
+    for row in vals:  # none when n = 0: the one empty matching weighs 1
+        np.multiply(prod, row, out=prod)
     groups = len(problem.targets)
     w = np.empty(groups, dtype=np.complex128)
-    w.real = np.bincount(problem.monomial_group, pr, minlength=groups)
-    w.imag = np.bincount(problem.monomial_group, pi, minlength=groups)
+    w.real = np.bincount(problem.monomial_group, prod.real, minlength=groups)
+    w.imag = np.bincount(problem.monomial_group, prod.imag, minlength=groups)
     diff = w - problem.targets
     return vals, diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
 
@@ -304,18 +290,13 @@ def _refutes(problem: SearchProblem, x: np.ndarray, diff: np.ndarray) -> bool:
 
     If so, the fully rounded graph is not GHZ of dimension d: a mono
     colouring off 1 is infeasible (it adds no dimension), weighs 0 or weighs
-    something else, and a non-mono colouring off 0 is a violation.  A point
-    whose parts do not sum to a finite number (a weight that is not finite,
-    or a sum that overflows) is never refuted here, so the full rounding
-    raises on a weight that is not finite as it always has.  The finiteness
-    test and the argmax's |diff|² reuse loops the evaluation runs, rather
-    than np.isfinite and np.abs: calling those two here for the first time
-    raised the search workload's peak resident memory by about 0.35 MB.
+    something else, and a non-mono colouring off 0 is a violation.  The
+    argmax's |diff|² reuses loops the evaluation runs, rather than np.abs:
+    calling np.abs and np.isfinite here for the first time raised the search
+    workload's peak resident memory by about 0.35 MB.
     """
     import numpy as np
 
-    if not math.isfinite(np.add.reduce(x.real) + np.add.reduce(x.imag)):
-        return False
     worst = int(np.argmax(diff.real**2 + diff.imag**2))
     vc = problem.colourings[worst]
     d = problem.d

@@ -318,6 +318,20 @@ def test_every_option_is_read_by_its_handler():
     assert len(commands.choices) == 13 and unread == []
 
 
+def test_search_defaults_are_the_librarys():
+    """The CLI's search budget and tolerance are the library's defaults, so a
+    change to either is made in both modules."""
+    from ghzgraphs import search
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands.choices["search"]
+    parameters = inspect.signature(search).parameters
+    for option, name in (("seed", "seed"), ("restarts", "restarts"), ("iters", "max_iters"), ("tol", "tol")):
+        default = command.get_default(option)
+        assert (type(default), default) == (type(parameters[name].default), parameters[name].default)
+
+
 def test_output_is_byte_deterministic(files, capsys):
     outputs = []
     for _ in range(2):

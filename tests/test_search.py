@@ -1,6 +1,9 @@
 """The numerical search: monomial structure, gradient, descent, exactify."""
 
+import copy
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from ghzgraphs import (
     skeleton,
     verify,
 )
-from ghzgraphs.search import _check_weights, _coloured_graph, _evaluate, _products, _refutes
+from ghzgraphs.search import _check_weights, _coloured_graph, _evaluate, _refutes
 
 
 def k4_solution_vector(problem):
@@ -228,14 +231,18 @@ def test_assignment_graph_layout():
 
 # ---------------------------------------------------------------------------
 # The evaluation as it was before bincount sums and reused evaluations: one
-# np.add.at scatter per sum and a fresh gather per call.  The fast path must
-# agree with it bit for bit, not within a tolerance.
+# np.add.at scatter per sum and a fresh gather per call.  Its products are
+# the search's one product rule, a running element-wise complex multiply
+# from 1 over the monomial table's columns, each gathered on its own.  The
+# fast path must agree with it bit for bit, not within a tolerance.
 
 
 def slow_group_weights(problem, x):
     w = np.zeros(len(problem.targets), dtype=np.complex128)
     if len(problem.monomials):
-        products = np.prod(x[problem.monomials], axis=1)
+        products = np.ones(len(problem.monomials), dtype=np.complex128)
+        for j in range(problem.monomials.shape[1]):
+            products = products * x[problem.monomials[:, j]]
         np.add.at(w, problem.monomial_group, products)
     return w
 
@@ -407,10 +414,20 @@ def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
     ],
     ids=["width0", "width1", "width2", "width3", "width4", "width5"],
 )
-def test_products_are_numpys_product_reduce_bit_for_bit(build, d):
+def test_evaluated_products_are_the_reference_and_numpys_product(build, d):
+    """The group weights ``_evaluate`` sums equal the reference's bit for bit,
+    and each monomial's product is within a few ulps of numpy's own product
+    reduce, measured against the product of the factors' moduli."""
     prob = SearchProblem(build(), d)
-    width = prob.monomials.shape[1]
-    assert prob._columns.shape == (width, len(prob.monomials))
+    count, width = prob.monomials.shape
+    assert prob._columns.shape == (width, count)
+    # with every target 0, the evaluation's differences are its group weights
+    # bit for bit; with one group per monomial, they are its products
+    weights = copy.copy(prob)
+    weights.targets = np.zeros_like(prob.targets)
+    products = copy.copy(prob)
+    products.monomial_group = np.arange(count)
+    products.targets = np.zeros(count, dtype=np.complex128)
     rng = np.random.default_rng(width)
     points = [rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
               for _ in range(3)]
@@ -418,10 +435,11 @@ def test_products_are_numpys_product_reduce_bit_for_bit(build, d):
                np.full(prob.n_vars, -0.0 - 0.0j)]
     points += [signed_zero_mix(rng, prob.n_vars) for _ in range(10)]
     for x in points:
-        expected = np.multiply.reduce(x[prob.monomials], axis=1)
-        real, imag = _products(x[prob._columns])
-        assert_same_bits(real, expected.real)
-        assert_same_bits(imag, expected.imag)
+        assert_same_bits(_evaluate(weights, x)[1], slow_group_weights(prob, x))
+        expected = np.prod(x[prob.monomials], axis=1)
+        moduli = np.prod(np.abs(x[prob.monomials]), axis=1)
+        error = np.abs(_evaluate(products, x)[1] - expected)
+        assert np.all(error <= 4 * width * np.finfo(float).eps * moduli)
 
 
 @pytest.mark.parametrize("name", ["empty", "k2", "star"])
@@ -627,13 +645,18 @@ def test_exactify_on_the_empty_skeleton_is_the_full_rounding_exactify():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_exactify_on_a_weight_that_is_not_finite_raises_as_before(bad):
+    """A weight that is not finite is refused with one domain error, by
+    exactify and every other function that takes an assignment, and
+    without a numpy warning."""
     prob = SearchProblem(complete_ghz_k4(), 3)
     x = k4_solution_vector(prob)
     x[-1] = bad  # a variable off every solution edge
-    with pytest.raises(Exception) as slow:
-        slow_exactify(prob, x)
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(slow.type, match=str(slow.value)):
-        exactify(prob, x)
+    message = re.escape(f"weight {prob.n_vars - 1} is not finite: {complex(bad)}")
+    for function in (exactify, residual, gradient, assignment_graph):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                function(prob, x)
 
 
 def test_exactify_where_the_weights_sum_past_the_float_range_is_the_full_rounding_exactify():

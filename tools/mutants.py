@@ -179,6 +179,13 @@ MUTANTS = (
         "tests/test_search.py::test_exactify_is_the_full_rounding_exactify_at_planted_points",
     ),
     Mutant(
+        "the evaluation's product skips a row",
+        "src/ghzgraphs/search.py",
+        "    for row in vals:",
+        "    for row in vals[1:]:",
+        "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
+    ),
+    Mutant(
         "the problem build reads a variable's colours swapped",
         "src/ghzgraphs/search.py",
         "                colours[u] = p\n                colours[v] = q\n",
