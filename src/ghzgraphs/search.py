@@ -20,18 +20,26 @@ with D_k,vc the sum over matchings through k of the leave-one-out products.
 
 Each point is evaluated once (``_evaluate``): one gather x[columns], where
 ``columns`` is the monomial table transposed to contiguous rows of shape
-(width, M), the monomial products, and the per-colouring sums as
-``np.bincount`` over the real and imaginary parts.  Every product in the
-search, the evaluation's and the gradient's prefix and suffix products
-alike, is a running element-wise complex multiply from 1 down contiguous
-rows of shape (width, M).  They must stay on such rows: the multiply's bits
-depend on the strides (written into a column of an (M, width) array, the
-prefix products of 464 of K6 d=2's 960 monomials change in their last
-bits).  The gradient reuses the gather and the colourings' differences.
-Its terms are copied back to monomial-major order, so the bincount sums add
-in the order of the ``np.add.at`` scatter they replaced and the iterates
-are bit-identical.  The line search keeps the accepted candidate's
-evaluation, so the next gradient needs no new one.
+(width, M), then the running products from 1, written into the rows of one
+(width + 1, M) prefix buffer (row j holds the product of the first j
+factors, the last row the monomial products), then the per-colouring sums
+as one ``np.bincount`` over the products' float view, real and imaginary
+parts interleaved, with bin 2g taking group g's real parts and bin 2g + 1
+its imaginary parts.  Every product in the search, the evaluation's
+prefixes and the gradient's suffixes alike, is a running element-wise
+complex multiply from 1 down contiguous rows of shape (width, M).  They
+must stay on such rows: the multiply's bits depend on the strides (written
+into a column of an (M, width) array, the prefix products of 464 of K6
+d=2's 960 monomials change in their last bits).  The gradient reuses the
+gather, the prefix rows and the colourings' differences, and forms only the
+suffix products.  Its terms are copied back to monomial-major order in one
+contiguous copy, so the bincount sums add in the order of the ``np.add.at``
+scatter they replaced and the iterates are bit-identical.  The line search
+keeps the accepted candidate's evaluation, prefix buffer included, so the
+next gradient needs no new one, and frees a rejected candidate's before it
+evaluates the next.  All of this path (the monomial table, the prefix
+buffer and the bin index) would go if the residual and its gradient were
+computed by an inside-outside pass over the weight kernel instead.
 
 numpy is imported inside the functions that use it, not at module level: it
 is loaded the first time a search problem is built or evaluated, so the rest
@@ -41,6 +49,7 @@ of the library and every CLI command but ``search`` run without it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 from .exact import GaussianRational
@@ -90,16 +99,27 @@ class SearchProblem:
         self.monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), width)
         self._columns = np.ascontiguousarray(self.monomials.T)
         self.monomial_group = np.array([index[vc] for vc in induced], dtype=np.int64)
+        self._bins = _interleaved_bins(self.monomial_group)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
         self.targets = targets
 
     def variable_index(self, pair: int, p: int, q: int) -> int:
+        for name, value in (("pair index", pair), ("colour", p), ("colour", q)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 <= pair < len(self.pairs):
             raise ValueError(f"pair index {pair} out of range")
         if not (0 <= p < self.d and 0 <= q < self.d):
             raise ValueError(f"colours ({p}, {q}) outside 0..{self.d - 1}")
         return pair * self.d * self.d + p * self.d + q
+
+
+def _interleaved_bins(group: np.ndarray) -> np.ndarray:
+    """The bins of a complex array's float view, real and imaginary parts
+    interleaved: group g's real parts go to bin 2g, its imaginary parts to
+    bin 2g + 1."""
+    return (2 * group[:, None] + (0, 1)).ravel()
 
 
 class Residual(namedtuple("Residual", "value per_colouring")):
@@ -133,38 +153,36 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(problem: SearchProblem, x: np.ndarray):
-    """(vals, diff, f) at x: vals[j, m] = x[monomials[m, j]],
-    diff[vc] = w_vc - t_vc and f the residual."""
+    """(factors, diff, f) at x: factors = (vals, pre) with vals[j, m] =
+    x[monomials[m, j]] and pre[j] the running product of rows 0..j-1 of vals
+    (pre[0] = 1, pre[-1] the monomial products), diff[vc] = w_vc - t_vc and
+    f the residual."""
     import numpy as np
 
     vals = x[problem._columns]  # (width, M)
-    prod = np.ones(vals.shape[1], dtype=np.complex128)
-    for row in vals:  # none when n = 0: the one empty matching weighs 1
-        np.multiply(prod, row, out=prod)
-    groups = len(problem.targets)
-    w = np.empty(groups, dtype=np.complex128)
-    w.real = np.bincount(problem.monomial_group, prod.real, minlength=groups)
-    w.imag = np.bincount(problem.monomial_group, prod.imag, minlength=groups)
-    diff = w - problem.targets
-    return vals, diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
+    pre = np.empty((len(vals) + 1, vals.shape[1]), dtype=np.complex128)
+    pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
+    for j, row in enumerate(vals):
+        np.multiply(pre[j], row, out=pre[j + 1])
+    sums = np.bincount(problem._bins, pre[-1].view(np.float64), minlength=2 * len(problem.targets))
+    diff = sums.view(np.complex128) - problem.targets
+    return (vals, pre), diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
 
 
-def _gradient(problem: SearchProblem, vals: np.ndarray, diff: np.ndarray) -> np.ndarray:
+def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
     """The complex-packed gradient from a point's ``_evaluate`` output."""
     import numpy as np
 
+    vals, pre = factors
     width = len(vals)
-    pre = np.empty_like(vals)
     suf = np.empty_like(vals)
-    pre[:1] = 1  # slices, not rows: width is 0 when n = 0
-    suf[-1:] = 1
+    suf[-1:] = 1  # a slice, not a row: width is 0 when n = 0
     for j in range(1, width):
-        np.multiply(pre[j - 1], vals[j - 1], out=pre[j])
         np.multiply(suf[width - j], vals[width - j], out=suf[width - 1 - j])
-    leave_one_out = np.multiply(pre, suf, out=pre)
+    leave_one_out = np.multiply(pre[:-1], suf, out=suf)
     np.conjugate(leave_one_out, out=leave_one_out)
     np.multiply(leave_one_out, diff[problem.monomial_group], out=leave_one_out)
-    terms = leave_one_out.T.ravel()  # monomial-major, the order the sums add in
+    terms = np.ascontiguousarray(leave_one_out.T).ravel()  # monomial-major, the order the sums add in
     index = problem.monomials.ravel()
     grad = np.empty(problem.n_vars, dtype=np.complex128)
     grad.real = np.bincount(index, terms.real, minlength=problem.n_vars)
@@ -182,31 +200,32 @@ def residual(problem: SearchProblem, weights) -> Residual:
 
 def gradient(problem: SearchProblem, weights) -> np.ndarray:
     """Complex-packed gradient: (d/dRe x_k) + i (d/dIm x_k) of the residual."""
-    vals, diff, _ = _evaluate(problem, _check_weights(problem, weights))
-    return _gradient(problem, vals, diff)
+    factors, diff, _ = _evaluate(problem, _check_weights(problem, weights))
+    return _gradient(problem, factors, diff)
 
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
     """Backtracking gradient descent from one starting point."""
     import numpy as np
 
-    vals, diff, f = _evaluate(problem, x)
+    factors, diff, f = _evaluate(problem, x)
     step = 0.1
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if f <= tol:
             break
-        g = _gradient(problem, vals, diff)
+        g = _gradient(problem, factors, diff)
         gnorm2 = float(np.add.reduce(g.real**2 + g.imag**2))
         if gnorm2 < 1e-24:
             break
         while step > 1e-18:
             candidate = x - step * g
-            c_vals, c_diff, f_new = _evaluate(problem, candidate)
+            c_factors, c_diff, f_new = _evaluate(problem, candidate)
             if f_new <= f - 1e-4 * step * gnorm2:
-                x, vals, diff, f = candidate, c_vals, c_diff, f_new
+                x, factors, diff, f = candidate, c_factors, c_diff, f_new
                 step *= 2.0
                 break
+            del c_factors  # free a rejected candidate's buffers before the next evaluation
             step *= 0.5
         else:
             break
@@ -234,7 +253,7 @@ def search(
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
-    if not tol >= 0:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     best_x = None
     best_f = math.inf

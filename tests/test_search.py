@@ -30,7 +30,13 @@ from ghzgraphs import (
     skeleton,
     verify,
 )
-from ghzgraphs.search import _check_weights, _coloured_graph, _evaluate, _refutes
+from ghzgraphs.search import (
+    _check_weights,
+    _coloured_graph,
+    _evaluate,
+    _interleaved_bins,
+    _refutes,
+)
 
 
 def k4_solution_vector(problem):
@@ -73,6 +79,18 @@ def test_variable_index_bounds():
         prob.variable_index(1, 0, 0)
     with pytest.raises(ValueError):
         prob.variable_index(0, 2, 0)
+
+
+@pytest.mark.parametrize("args, name, bad", [
+    ((0, 0.5, 0), "colour", 0.5), ((1.5, 0, 0), "pair index", 1.5), ((0, 1, True), "colour", True),
+    ((True, 0, 0), "pair index", True), ((0, 1.0, 0), "colour", 1.0), ((0, 0, "1"), "colour", "1"),
+    ((np.int64(0), 0, 0), "pair index", np.int64(0)), ((None, 0, 0), "pair index", None),
+], ids=["p=0.5", "pair=1.5", "q=True", "pair=True", "p=1.0", "q='1'", "pair=int64", "pair=None"])
+def test_variable_index_refuses_indices_that_are_not_ints(args, name, bad):
+    prob = SearchProblem(cycle_ghz(4), 2)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+        prob.variable_index(*args)
+    assert prob.variable_index(1, 1, 0) == 6
 
 
 def test_residual_vanishes_at_the_planted_solution():
@@ -158,6 +176,20 @@ def test_search_rejects_a_tolerance_below_0_or_nan(tol):
     with pytest.raises(ValueError, match="tol"):
         search(prob, tol=tol)
     assert search(prob, max_iters=5, tol=0.0).iterations == 5
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-3", None, 1e-3j, [1e-3], np.bool_(True)])
+def test_search_refuses_a_tolerance_that_is_not_a_real_number(tol):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a non-negative number, got {tol!r}")):
+        search(prob, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, 1, np.float64(1e-10), np.float32(1e-3), np.int64(0)])
+def test_search_takes_ints_and_numpy_reals_as_a_tolerance(tol):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    res = search(prob, seed=2, restarts=1, max_iters=50, tol=tol)
+    assert res.converged == (res.residual.value <= tol)
 
 
 def test_search_converges_on_small_problems():
@@ -427,6 +459,7 @@ def test_evaluated_products_are_the_reference_and_numpys_product(build, d):
     weights.targets = np.zeros_like(prob.targets)
     products = copy.copy(prob)
     products.monomial_group = np.arange(count)
+    products._bins = _interleaved_bins(products.monomial_group)  # the sums' bins follow the groups
     products.targets = np.zeros(count, dtype=np.complex128)
     rng = np.random.default_rng(width)
     points = [rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
@@ -473,8 +506,11 @@ def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
         (lambda: cycle_ghz(10), 2, 60),
         (lambda: complete_skeleton(6), 2, 60),
         (lambda: complete_ghz_k4(), 3, 150),
+        # as in the evaluation test: the one whose gradient sums need their
+        # terms put back in monomial-major order
+        (lambda: complete_skeleton(8), 1, 150),
     ],
-    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3"],
+    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K8.d1"],
 )
 def test_search_is_the_scatter_add_search_exactly(build, d, max_iters):
     prob = SearchProblem(build(), d)

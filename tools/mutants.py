@@ -181,8 +181,8 @@ MUTANTS = (
     Mutant(
         "the evaluation's product skips a row",
         "src/ghzgraphs/search.py",
-        "    for row in vals:",
-        "    for row in vals[1:]:",
+        "np.multiply(pre[j], row, out=pre[j + 1])",
+        "np.multiply(pre[j], row if j else 1, out=pre[j + 1])",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
@@ -191,6 +191,20 @@ MUTANTS = (
         "                colours[u] = p\n                colours[v] = q\n",
         "                colours[u] = q\n                colours[v] = p\n",
         "tests/test_search.py::test_problem_build_is_the_checked_build",
+    ),
+    Mutant(
+        "the gradient reads the prefix rows one row off",
+        "src/ghzgraphs/search.py",
+        "np.multiply(pre[:-1], suf, out=suf)",
+        "np.multiply(pre[1:], suf, out=suf)",
+        "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
+    ),
+    Mutant(
+        "the group bins swap the real and imaginary parts",
+        "src/ghzgraphs/search.py",
+        "    return (2 * group[:, None] + (0, 1)).ravel()\n",
+        "    return (2 * group[:, None] + (1, 0)).ravel()\n",
+        "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
 )
 
