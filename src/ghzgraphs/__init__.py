@@ -21,7 +21,7 @@ to the function as well: CPython resolves ``import a.b as m`` through the
 package attribute ``b``.  The module is reached as
 ``sys.modules["ghzgraphs.search"]``, and its names with
 ``from ghzgraphs.search import ...``.  numpy, which only ``search`` uses,
-loads inside it on first use.
+loads with that module.
 
 For the same reason the package imports neither ``dataclasses`` (which
 brings in ``inspect``) nor ``typing``.  ``Edge`` and ``Multigraph`` are

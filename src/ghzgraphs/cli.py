@@ -29,8 +29,8 @@ from .matchings import colouring_weight_table, filter_graph, graph_weight, induc
 
 # Handlers import what only they use: `mcg`, `connectivity` and `cut` import
 # `structure`, `reduce` imports `reduction` (and with it `structure`), and
-# `search` imports `search` (and numpy on its first call).  The other commands
-# start without loading any of them.
+# `search` reads its skeleton, then imports `search` and with it numpy.  The
+# other commands start without loading any of them.
 
 
 def _print(obj) -> None:
@@ -183,9 +183,9 @@ def _cmd_bogdanov(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    g = load_graph(args.skeleton)  # before numpy loads, so a bad document fails fast
     from .search import SearchProblem, exactify, search
 
-    g = load_graph(args.skeleton)
     problem = SearchProblem(g, args.dim)
     result = search(
         problem,

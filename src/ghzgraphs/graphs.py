@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .exact import GaussianRational, _is_fraction
 
@@ -37,6 +37,24 @@ def _as_weight(w):
     if isinstance(w, float):
         return complex(w)
     raise TypeError(f"unsupported weight type {type(w).__name__}")
+
+
+def _as_index(value, name: str) -> int:
+    """value as a plain int, for a vertex index or count: numpy's integers
+    convert, while a bool or a value without ``__index__`` (a float) is
+    refused, as a graph document refuses them."""
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: a bool colour would serialise
+    as true, which a graph document refuses."""
+    return isinstance(value, int) and value.__class__ is not bool
 
 
 class _Record:
@@ -86,11 +104,13 @@ class Edge(_Record):
     __slots__ = _fields = ("u", "v", "cu", "cv", "weight")
 
     def __init__(self, u: int, v: int, cu: Colour, cv: Colour, weight):
+        if u.__class__ is not int or v.__class__ is not int:  # plain ints need no call
+            u, v = _as_index(u, "vertex index"), _as_index(v, "vertex index")
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
         if u < 0 or v < 0:
             raise ValueError("vertex indices must be non-negative")
-        if not isinstance(cu, int) or not isinstance(cv, int):
+        if not (cu.__class__ is cv.__class__ is int or _is_int(cu) and _is_int(cv)):
             raise TypeError("colours must be ints")
         if cu < 0 or cv < 0:
             raise ValueError("colours must be non-negative")
@@ -115,10 +135,12 @@ class Multigraph(_Record):
     def __init__(self, n: int, edges: Iterable[Edge], colour_universe: Iterable[Colour]):
         edges = tuple(edges)
         colour_universe = frozenset(colour_universe)
+        if n.__class__ is not int:
+            n = _as_index(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for c in colour_universe:
-            if not isinstance(c, int) or c < 0:
+            if c.__class__ is not int and not _is_int(c) or c < 0:
                 raise ValueError(f"colour universe entry {c!r} is not a non-negative int")
         exact = None
         for e in edges:

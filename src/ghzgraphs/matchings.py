@@ -278,7 +278,7 @@ def graph_weight(g: Multigraph):
 
 def colouring_weight(g: Multigraph, vc: VertexColouring):
     """Weight of the subgraph surviving the colouring filter; g's zero if none."""
-    return _weight_table(filter_graph(g, vc)).get(vc, g.zero)
+    return _weight_table(filter_graph(g, vc)).get(tuple(vc), g.zero)
 
 
 def is_feasible(g: Multigraph, vc: VertexColouring) -> bool:

@@ -19,31 +19,28 @@ complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
 
 Each point is evaluated once (``_evaluate``): one gather x[columns], where
-``columns`` is the monomial table transposed to contiguous rows of shape
-(width, M), then the running products from 1, written into the rows of one
-(width + 1, M) prefix buffer (row j holds the product of the first j
-factors, the last row the monomial products), then the per-colouring sums
-as one ``np.bincount`` over the products' float view, real and imaginary
-parts interleaved, with bin 2g taking group g's real parts and bin 2g + 1
-its imaginary parts.  Every product in the search, the evaluation's
-prefixes and the gradient's suffixes alike, is a running element-wise
-complex multiply from 1 down contiguous rows of shape (width, M).  They
-must stay on such rows: the multiply's bits depend on the strides (written
-into a column of an (M, width) array, the prefix products of 464 of K6
-d=2's 960 monomials change in their last bits).  The gradient reuses the
-gather, the prefix rows and the colourings' differences, and forms only the
-suffix products.  Its terms are copied back to monomial-major order in one
-contiguous copy, so the bincount sums add in the order of the ``np.add.at``
-scatter they replaced and the iterates are bit-identical.  The line search
-keeps the accepted candidate's evaluation, prefix buffer included, so the
-next gradient needs no new one, and frees a rejected candidate's before it
-evaluates the next.  All of this path (the monomial table, the prefix
-buffer and the bin index) would go if the residual and its gradient were
-computed by an inside-outside pass over the weight kernel instead.
-
-numpy is imported inside the functions that use it, not at module level: it
-is loaded the first time a search problem is built or evaluated, so the rest
-of the library and every CLI command but ``search`` run without it.
+``columns`` is the monomial table, stored once as contiguous rows of shape
+(width, M) (``monomials`` is its (M, width) transposed view), then the
+running products from 1, written into the rows of one (width + 1, M) prefix
+buffer (row j holds the product of the first j factors, the last row the
+monomial products), then the per-colouring sums as one ``np.bincount`` over
+the products' float view, real and imaginary parts interleaved, with bin 2g
+taking group g's real parts and bin 2g + 1 its imaginary parts.  Every
+product in the search, the evaluation's prefixes and the gradient's
+suffixes alike, is a running element-wise complex multiply from 1 down
+contiguous rows of shape (width, M).  They must stay on such rows: the
+multiply's bits depend on the strides (written into a column of an
+(M, width) array, the prefix products of 464 of K6 d=2's 960 monomials
+change in their last bits).  The gradient reuses the gather, the prefix
+rows and the colourings' differences, and forms only the suffix products.
+Its terms stay in the gather's width-major order, and one ``np.bincount``
+over the flattened rows of ``columns`` adds each variable's terms in that
+order.  The line search keeps the accepted candidate's evaluation, prefix
+buffer included, so the next gradient needs no new one, and frees a
+rejected candidate's before it evaluates the next.  All of this path (the
+monomial table, the prefix buffer and the bin index) would go if the
+residual and its gradient were computed by an inside-outside pass over the
+weight kernel instead.
 """
 
 from __future__ import annotations
@@ -51,6 +48,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
+
+import numpy as np
 
 from .exact import GaussianRational
 from .ghz import DEFAULT_EPSILON, verify
@@ -62,8 +61,6 @@ class SearchProblem:
     """Monomial structure of the residual for one skeleton and dimension."""
 
     def __init__(self, g: Multigraph, d: int):
-        import numpy as np
-
         if isinstance(d, bool) or not isinstance(d, int):
             raise ValueError(f"dimension must be an int, got {d!r}")
         if d < 1:
@@ -95,9 +92,11 @@ class SearchProblem:
         self.colourings: tuple[tuple, ...] = tuple(ordered)
         index = {vc: k for k, vc in enumerate(ordered)}
 
-        width = base.n // 2
-        self.monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), width)
-        self._columns = np.ascontiguousarray(self.monomials.T)
+        # the monomial table, stored once as the contiguous (width, M) rows the
+        # evaluation gathers from; monomials is its (M, width) transposed view
+        table = np.array(matchings, dtype=np.int64).reshape(len(matchings), base.n // 2)
+        self._columns = table.T.copy()
+        self.monomials = self._columns.T
         self.monomial_group = np.array([index[vc] for vc in induced], dtype=np.int64)
         self._bins = _interleaved_bins(self.monomial_group)
         targets = np.zeros(len(ordered), dtype=np.complex128)
@@ -136,8 +135,6 @@ class SearchResult(namedtuple("SearchResult", "weights residual converged restar
 
 
 def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (problem.n_vars,):
         raise ValueError(f"expected {problem.n_vars} weights, got shape {x.shape}")
@@ -157,8 +154,6 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
     x[monomials[m, j]] and pre[j] the running product of rows 0..j-1 of vals
     (pre[0] = 1, pre[-1] the monomial products), diff[vc] = w_vc - t_vc and
     f the residual."""
-    import numpy as np
-
     vals = x[problem._columns]  # (width, M)
     pre = np.empty((len(vals) + 1, vals.shape[1]), dtype=np.complex128)
     pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
@@ -171,8 +166,6 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
 
 def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
     """The complex-packed gradient from a point's ``_evaluate`` output."""
-    import numpy as np
-
     vals, pre = factors
     width = len(vals)
     suf = np.empty_like(vals)
@@ -182,8 +175,8 @@ def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
     leave_one_out = np.multiply(pre[:-1], suf, out=suf)
     np.conjugate(leave_one_out, out=leave_one_out)
     np.multiply(leave_one_out, diff[problem.monomial_group], out=leave_one_out)
-    terms = np.ascontiguousarray(leave_one_out.T).ravel()  # monomial-major, the order the sums add in
-    index = problem.monomials.ravel()
+    terms = leave_one_out.ravel()  # width-major, the order of the gathered rows
+    index = problem._columns.ravel()
     grad = np.empty(problem.n_vars, dtype=np.complex128)
     grad.real = np.bincount(index, terms.real, minlength=problem.n_vars)
     grad.imag = np.bincount(index, terms.imag, minlength=problem.n_vars)
@@ -206,8 +199,6 @@ def gradient(problem: SearchProblem, weights) -> np.ndarray:
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
     """Backtracking gradient descent from one starting point."""
-    import numpy as np
-
     factors, diff, f = _evaluate(problem, x)
     step = 0.1
     iterations = 0
@@ -246,8 +237,6 @@ def search(
     reach ``tol`` wins outright; otherwise the lowest residual does, earlier
     restarts breaking ties.
     """
-    import numpy as np
-
     for name, value, low in (("seed", seed, 0), ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -314,8 +303,6 @@ def _refutes(problem: SearchProblem, x: np.ndarray, diff: np.ndarray) -> bool:
     calling np.abs and np.isfinite here for the first time raised the search
     workload's peak resident memory by about 0.35 MB.
     """
-    import numpy as np
-
     worst = int(np.argmax(diff.real**2 + diff.imag**2))
     vc = problem.colourings[worst]
     d = problem.d

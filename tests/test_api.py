@@ -150,10 +150,8 @@ def defined_in(module):
                     yield func
 
 
-# `search` is left out: numpy loads inside its functions, so the module has no
-# `np` to resolve its `np.ndarray` annotations against
 @pytest.mark.parametrize("module", ["ghzgraphs", "ghzgraphs.cli"] + [
-    f"ghzgraphs.{name}" for name in EXPORTS if name != "search"
+    f"ghzgraphs.{name}" for name in EXPORTS
 ])
 def test_every_annotation_resolves(module):
     source = importlib.import_module(module)

@@ -387,6 +387,24 @@ def test_only_search_loads_numpy(files):
     assert proc.returncode == 0, proc.stderr
 
 
+SEARCH_A_MALFORMED_SKELETON = textwrap.dedent("""
+    import sys
+    import ghzgraphs.cli
+    code = ghzgraphs.cli.main(["search", "--skeleton", sys.argv[1], "--dim", "2"])
+    print("numpy" in sys.modules)
+    sys.exit(code)
+""")
+
+
+def test_search_reports_a_malformed_skeleton_before_numpy_loads(files):
+    bad = files["dir"] / "bad.json"
+    bad.write_text("{not json")
+    proc = fresh_interpreter(SEARCH_A_MALFORMED_SKELETON, str(bad))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"]["code"] == "MALFORMED_JSON"
+    assert proc.stdout == "False\n"
+
+
 # the modules a command adds, counted from before `import ghzgraphs`: site may
 # load some of them first (typing, through a .pth file)
 LOADED_BY = textwrap.dedent("""

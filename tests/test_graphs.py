@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghzgraphs import (
@@ -11,6 +12,7 @@ from ghzgraphs import (
     adjacency_sets,
     build_graph,
     colouring_weight_table,
+    dimension,
     drop_zero_edges,
     induced_subgraph,
     merge_parallel_edges,
@@ -37,6 +39,41 @@ def test_edge_rejects_self_loops_and_negatives():
         Edge(0, 1, -1, 0, 1)
     with pytest.raises(TypeError):
         Edge(0, 1, 0.5, 0, 1)
+
+
+def test_numpy_vertex_indices_and_counts_become_ints():
+    # 1 << np.int64(70) overflows to 0 in the weight kernel, which then lost
+    # every matching of this graph
+    g = Multigraph(
+        np.int64(70),
+        (Edge(np.int64(2 * k), np.int64(2 * k + 1), 0, 0, 1) for k in range(35)),
+        frozenset({0}),
+    )
+    assert g.n.__class__ is int
+    assert all(e.u.__class__ is int and e.v.__class__ is int for e in g.edges)
+    assert dimension(g) == 1
+
+
+@pytest.mark.parametrize("u, v", [(0.0, 1), (0, 1.0), (0.5, 1), (True, 2), (0, False)])
+def test_edge_refuses_vertex_indices_that_are_not_ints(u, v):
+    with pytest.raises(TypeError, match="vertex index must be an int"):
+        Edge(u, v, 0, 0, 1)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_multigraph_refuses_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(TypeError, match="vertex count must be an int"):
+        Multigraph(n, (), frozenset({0}))
+
+
+def test_bool_colours_are_refused():
+    # a bool colour would serialise as true, which parse_document refuses
+    with pytest.raises(TypeError):
+        Edge(0, 1, True, 0, 1)
+    with pytest.raises(TypeError):
+        Edge(0, 1, 0, False, 1)
+    with pytest.raises(ValueError):
+        Multigraph(2, (), frozenset({True}))
 
 
 def test_weight_coercion():

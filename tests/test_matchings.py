@@ -205,6 +205,8 @@ def test_table_agrees_with_filtering_per_colouring():
         for vc, w in table.items():
             assert is_feasible(g, vc)
             assert colouring_weight(g, vc) == w
+            # a colouring given as a list, as filter_graph and is_feasible take it
+            assert is_feasible(g, list(vc)) and colouring_weight(g, list(vc)) == w
 
 
 def test_infeasible_colourings_weigh_zero():

@@ -305,7 +305,8 @@ def slow_gradient(problem, x):
     leave_one_out = pre * suf
     diff = slow_group_weights(problem, x) - problem.targets
     coeff = diff[problem.monomial_group][:, None]
-    np.add.at(grad, problem.monomials, np.conj(leave_one_out) * coeff)
+    # width-major, the order in which the search adds each variable's terms
+    np.add.at(grad, problem.monomials.T, (np.conj(leave_one_out) * coeff).T)
     return 2.0 * grad
 
 
@@ -415,7 +416,7 @@ def assert_same_evaluation(prob, x):
         # K8 is the smallest complete skeleton where a variable's column in
         # the monomial table can fall as the monomial index rises, so it is
         # the one where the gradient's sums would add in another order if
-        # its terms were not put back in monomial-major order
+        # its terms were scattered in monomial-major order
         (lambda: complete_skeleton(8), 1),
     ],
     ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3", "K8.d1"],
@@ -506,8 +507,8 @@ def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
         (lambda: cycle_ghz(10), 2, 60),
         (lambda: complete_skeleton(6), 2, 60),
         (lambda: complete_ghz_k4(), 3, 150),
-        # as in the evaluation test: the one whose gradient sums need their
-        # terms put back in monomial-major order
+        # as in the evaluation test: the one whose gradient sums change if
+        # its terms are scattered in monomial-major order
         (lambda: complete_skeleton(8), 1, 150),
     ],
     ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K8.d1"],
@@ -642,6 +643,8 @@ def test_problem_build_is_the_checked_build(build, d):
     prob = SearchProblem(build(), d)
     monomials, groups, colourings = slow_problem(build(), d)
     assert prob.monomials.dtype == monomials.dtype and np.array_equal(prob.monomials, monomials)
+    # one table: monomials is a view of the contiguous rows the evaluation gathers from
+    assert prob.monomials.base is prob._columns and prob._columns.flags.c_contiguous
     assert prob.monomial_group.dtype == groups.dtype and np.array_equal(prob.monomial_group, groups)
     assert prob.colourings == colourings
 

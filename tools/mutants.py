@@ -206,6 +206,13 @@ MUTANTS = (
         "    return (2 * group[:, None] + (1, 0)).ravel()\n",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
+    Mutant(
+        "the gradient scatters with the monomial-major index",
+        "src/ghzgraphs/search.py",
+        "    index = problem._columns.ravel()\n",
+        "    index = problem.monomials.ravel()\n",
+        "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
+    ),
 )
 
 
