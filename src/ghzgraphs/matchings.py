@@ -17,7 +17,10 @@ weights go through the DP as complex numbers; exact weights as the raw
 written out in the loop, so an exact entry becomes a ``GaussianRational``
 only once, when the table is read out.  Arithmetic never reduces a value, so
 the DP does no normalisation, and its table entries are put in lowest terms
-only when they are read.
+only when they are read.  Most of ``reduce``'s blocks have tables of no or
+one entry, so the kernel's fixed cost per call is kept to what the block
+needs: digit places and edge lists for the kept vertices only, one decode
+for a table of one entry, and no reference cycle left for the collector.
 ``_iter_perfect_matchings`` yields the matchings one at a time by a search of
 the same shape, so a caller can stop at the one it wants (the Bogdanov
 witness does); ``enumerate_perfect_matchings`` lists them all.
@@ -30,7 +33,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .exact import _make
-from .graphs import Multigraph, VertexColouring
+from .graphs import _EXACT_ONE, _FLOAT_ONE, Multigraph, VertexColouring
 
 PerfectMatching = tuple[int, ...]
 
@@ -141,7 +144,15 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     the universe + 1) with the lowest kept vertex most significant: an edge's
     two half-colours are spliced in by adding their digits, and integer order
     is the order of the colour tuples.  The values are the enumeration's
-    sums, regrouped: identical in exact mode.
+    sums, regrouped: identical in exact mode.  Digit places and edge lists
+    exist for the kept vertices only, so a small block of a large graph
+    pays for its own vertices; only the scan of g's edges is per graph.
+
+    A table of at most one entry is read with one decode of its key.  A
+    larger table is sorted and each key read as two halves, each distinct
+    half decoded once.  ``solve`` refers to itself, so it is deleted once
+    it has run: the call then leaves no reference cycle, and its memo is
+    freed when it returns instead of at the next cyclic collection.
 
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
@@ -167,18 +178,28 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
         edge_class = (e.u, e.v, e.cu, e.cv)
         merged[edge_class] = merged[edge_class] + e.weight if edge_class in merged else e.weight
         touched |= ends
-    if (full & vertices).bit_count() % 2 or touched != full:
+    count = (full & vertices).bit_count()
+    if count % 2 or touched != full:
         return {}  # odd, or an isolated vertex: before the digit places' O(n^2) bits
     base = 1 + max(g.colour_universe, default=0)  # above every edge colour
-    kept = [v for v in range(n) if vertices >> v & 1]
-    places = [base**i for i in range(len(kept) - 1, -1, -1)]
-    place = dict(zip(kept, places))
+    # each kept vertex, lowest first, gets its digit place (the lowest vertex
+    # the most significant) and the list of the edges under it, keyed by its bit
+    places: list[int] = []
+    place: dict[int, int] = {}
+    below: dict[int, list[tuple[int, int, object]]] = {}
+    power = base**count
+    rest = full & vertices
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        power //= base
+        places.append(power)
+        place[low.bit_length() - 1] = power
+        below[low] = []
     exact = g.is_exact
-    below: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
     for (u, v, cu, cv), w in merged.items():
-        below[u].append((1 << v, cu * place[u] + cv * place[v], w._v if exact else w))
-    one = g.one
-    memo: dict[int, dict[int, object]] = {full: {0: one._v if exact else one}}
+        below[1 << u].append((1 << v, cu * place[u] + cv * place[v], w._v if exact else w))
+    memo: dict[int, dict[int, object]] = {full: {0: _EXACT_ONE._v if exact else _FLOAT_ONE}}
 
     if exact:
         def solve(covered: int) -> dict[int, tuple[int, int, int]]:
@@ -187,7 +208,7 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
                 return table
             low = ~covered & (covered + 1)
             table = {}
-            for bit, digits, (a, b, p) in below[low.bit_length() - 1]:
+            for bit, digits, (a, b, p) in below[low]:
                 if covered & bit:
                     continue
                 for key, (c, d, q) in solve(covered | low | bit).items():
@@ -213,7 +234,7 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
                 return table
             low = ~covered & (covered + 1)  # bit of the lowest uncovered vertex
             table = {}
-            for bit, digits, w in below[low.bit_length() - 1]:
+            for bit, digits, w in below[low]:
                 if covered & bit:
                     continue
                 for key, sub in solve(covered | low | bit).items():
@@ -223,6 +244,12 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
             memo[covered] = table
             return table
 
+    table = solve(outside)
+    del solve  # it refers to itself: a cycle the collector would have to free
+    if len(table) < 2:  # no halves to share: one decode at most
+        for key, w in table.items():
+            return {_digits(key, places): _make(w) if exact else w}
+        return {}
     # A key is read as two halves of equal length (kept vertices are even in
     # number): a table's keys share few distinct halves, so each is decoded
     # once and then looked up.
@@ -230,7 +257,7 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     split = base ** len(half_places)
     halves: dict[int, VertexColouring] = {}
     out: dict[VertexColouring, object] = {}
-    for key, w in sorted(solve(outside).items()):
+    for key, w in sorted(table.items()):
         high, low = divmod(key, split)
         head = halves.get(high)
         if head is None:

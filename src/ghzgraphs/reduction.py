@@ -106,15 +106,16 @@ def _block(blocks: dict, g: Multigraph, vertices, cut_vertices=()) -> tuple:
     """The sorted vertices and the weight table of G[vertices] without the
     edges joining two vertices of ``cut_vertices``, built once per ``blocks``.
 
-    The key is all the block depends on, its vertex set and the cut vertices
-    inside it, so every cut that asks for a block gets the table built first.
+    The key is all the block depends on, the kernel's two bit masks: its
+    vertex set and the cut vertices inside it, so every cut that asks for a
+    block gets the table built first.
     """
-    vertices = frozenset(vertices)
-    key = (vertices, vertices.intersection(cut_vertices))
+    v = _bits(vertices)
+    c = v & _bits(cut_vertices)
+    key = v, c
     block = blocks.get(key)
     if block is None:
-        table = _weight_table(g, _bits(vertices), _bits(cut_vertices))
-        block = blocks[key] = (tuple(sorted(vertices)), table)
+        block = blocks[key] = (tuple(sorted(vertices)), _weight_table(g, v, c))
     return block
 
 
@@ -146,10 +147,11 @@ def _project(table: dict, owner: list, factors: dict) -> dict:
     if not table:
         return {}
     first: dict = {}
+    firsts = []  # the first position of each position's reduced vertex
     for j, r in enumerate(owner):
-        first.setdefault(r, j)
+        firsts.append(first.setdefault(r, j))
     # both getters read two or more positions, so they return tuples
-    spread = itemgetter(*[first[r] for r in owner])
+    spread = itemgetter(*firsts)
     v2 = first.pop(None, None)
     key_of = itemgetter(*[first[r] for r in sorted(first)])
     sums: dict = {}
@@ -209,12 +211,14 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
     if check:
         reduced_table = colouring_weight_table(reduced)
         lifted = _project(colouring_weight_table(g), [pos.get(x) for x in range(g.n)], factors)
-        for vc_r in sorted(lifted.keys() | reduced_table.keys()):
-            if reduced_table.get(vc_r, zero) != lifted.get(vc_r, zero):
-                raise InvariantViolation(
-                    f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
-                    f"reduced {reduced_table.get(vc_r, zero)} vs {lifted.get(vc_r, zero)}"
-                )
+        wrong = [vc_r for vc_r in lifted.keys() | reduced_table.keys()
+                 if reduced_table.get(vc_r, zero) != lifted.get(vc_r, zero)]
+        if wrong:  # named by the smallest, the first a sorted scan would meet
+            vc_r = min(wrong)
+            raise InvariantViolation(
+                f"{'hard' if cls.c1 else 'easy'}-case identity failed at {vc_r}: "
+                f"reduced {reduced_table.get(vc_r, zero)} vs {lifted.get(vc_r, zero)}"
+            )
     return reduced
 
 

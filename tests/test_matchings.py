@@ -1,5 +1,6 @@
 """Matching enumeration and the weight bookkeeping, against brute force."""
 
+import gc
 import itertools
 import math
 import random
@@ -531,6 +532,82 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
     )), reached
 
 
+def table_bits(table) -> list:
+    """A table's keys in order, each with its value's type and exact parts."""
+    return [(vc, weight_bits(w)) for vc, w in table.items()]
+
+
+def has_isolated_vertex(g, vertices, cut) -> bool:
+    """Whether a kept vertex has no kept edge once the cut's inner edges go."""
+    kept = vertices & ((1 << g.n) - 1)
+    touched = 0
+    for e in g.edges:
+        ends = 1 << e.u | 1 << e.v
+        if ends & kept == ends and ends & cut != ends:
+            touched |= ends
+    return touched != kept
+
+
+def test_masked_tables_of_every_size_are_the_slow_tables_bit_for_bit():
+    """Masked kernel calls whose tables have no entry, one entry (read out
+    with one decode, without the halves) or several give the keys, key order
+    and value bits of ``slow_weight_table``, exact and float.  Each graph is
+    read whole and through copies filtered by its colourings, where every
+    table has at most one entry, under empty, whole, odd and seeded vertex
+    masks, with cut masks inside and partly outside the block."""
+    kernel = ghzgraphs.matchings._weight_table
+    rng = random.Random("tables-of-every-size")
+    reached = Counter()
+    for g in kernel_corpus() + [cycle_ghz(10), dense_graph(10, 2, 0)]:
+        whole = kernel(g)
+        filtered = [filter_graph(g, vc) for vc in list(whole)[:: 1 + len(whole) // 2]]
+        for h in [g] + filtered:
+            cases = list(block_cases(h, rng))
+            masks = [(-1, 0), (0, 0), (0, -1)] + [
+                (bits(subset), bits(cut)) for subset, cut in rng.sample(cases, min(8, len(cases)))
+            ]
+            for k in (h, as_float(h)):
+                for vertices, cut in masks:
+                    fast = kernel(k, vertices, cut)
+                    assert table_bits(fast) == table_bits(slow_weight_table(k, vertices, cut))
+                    size = "no entry" if not fast else "one entry" if len(fast) == 1 else "several entries"
+                    kept = vertices & ((1 << k.n) - 1)
+                    reached.update({
+                        (size, k.is_exact): True,
+                        "empty vertex mask": kept == 0 and k.n > 0,
+                        "odd vertex mask": kept.bit_count() % 2,
+                        "isolated vertex": kept.bit_count() % 2 == 0 and has_isolated_vertex(k, kept, cut),
+                        "one entry with a cut mask": len(fast) == 1 and (cut & kept).bit_count() >= 2,
+                        "several entries with a cut mask": len(fast) > 1 and (cut & kept).bit_count() >= 2,
+                        "one entry of a proper block": len(fast) == 1 and 0 < kept < (1 << k.n) - 1,
+                    })
+    assert all(reached[(size, exact)] for size in ("no entry", "one entry", "several entries")
+               for exact in (True, False)), reached
+    assert all(reached[name] for name in (
+        "empty vertex mask", "odd vertex mask", "isolated vertex", "one entry with a cut mask",
+        "several entries with a cut mask", "one entry of a proper block",
+    )), reached
+
+
+def test_the_kernel_leaves_no_garbage_for_the_cycle_collector():
+    """Every object a kernel call makes is freed by reference counting when
+    the call returns, so calls made in bulk, as ``reduce`` makes them, give
+    the cyclic collector nothing to find."""
+    kernel = ghzgraphs.matchings._weight_table
+    graphs = [cycle_ghz(8), dense_graph(6, 2, 0), exact_weight_cases()["path on 3"]]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for g in graphs + [as_float(g) for g in graphs]:
+            for vertices, cut in ((-1, 0), (0b1111, 0b111), (0b110110, 0), (0, 0)):
+                kernel(g, vertices, cut)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit(monkeypatch):
     """The exact DP runs on (re, im, den) triples with GaussianRational's *
     and + written inline; the operator DP of ``slow_weight_table`` gives the
@@ -550,9 +627,6 @@ def test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit(monkeypat
     def gcd(x, y):
         lcms.append((x, y))
         return real_gcd(x, y)
-
-    def table_bits(table):
-        return [(vc, weight_bits(w)) for vc, w in table.items()]
 
     monkeypatch.setattr(GaussianRational, "__add__", add)
     monkeypatch.setattr(ghzgraphs.matchings, "gcd", gcd)

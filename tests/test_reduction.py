@@ -790,6 +790,42 @@ def test_identity_check_reports_the_first_mismatch_of_the_enumeration(monkeypatc
     ghzgraphs.reduction._reduce(g, cut, cls, False, {})
 
 
+@pytest.mark.parametrize("case", range(len(IDENTITY_CASES)))
+def test_identity_check_names_the_smallest_of_several_planted_mismatches(monkeypatch, case):
+    """Plant mismatches at several colourings, on both sides, inside and
+    outside the tables: the check, which sorts nothing unless it fails,
+    raises the message of the check over every colouring in sorted order,
+    naming the smallest mismatching colouring."""
+    g, cut = IDENTITY_CASES[case]
+    cls = classify_colours(g, cut)
+    reduced, reduced_table = slow_reduce(g, cut, cls, None)
+    vertex_map = ghzgraphs.reduction._vertex_map(cut, cls)
+    pos = {x: r for r, orig in enumerate(vertex_map)
+           for x in (orig if isinstance(orig, tuple) else (orig,))}
+    universe = sorted(g.colour_universe)
+    colourings = list(itertools.product(universe, repeat=reduced.n))
+    rng = random.Random(f"planted-mismatches-{case}")
+    outside = [vc for vc in colourings if vc not in reduced_table]
+    planted = rng.sample(sorted(reduced_table), 2) + rng.sample(outside, 4)
+    on_reduced, on_g = planted[::2], planted[1::2]
+    lifts = [tuple(vc_r[pos[x]] if x in pos else universe[0] for x in range(g.n)) for vc_r in on_g]
+    real = ghzgraphs.reduction.colouring_weight_table
+
+    def perturbed(h):
+        table = dict(real(h))
+        for key in on_reduced if h == reduced else lifts if h == g else ():
+            table[key] = table.get(key, g.zero) + g.one
+        return table
+
+    monkeypatch.setattr(ghzgraphs.reduction, "colouring_weight_table", perturbed)
+    with pytest.raises(InvariantViolation) as slow:
+        slow_reduce(g, cut, cls, perturbed(g), perturbed)
+    with pytest.raises(InvariantViolation) as fast:
+        ghzgraphs.reduction._reduce(g, cut, cls, True, {})
+    assert str(fast.value) == str(slow.value)
+    assert f"identity failed at {min(planted)}:" in str(fast.value)
+
+
 # ---------------------------------------------------------------------------
 # the lazy cut scan in reduce(), against the list-then-filter scan it replaced
 

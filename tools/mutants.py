@@ -76,9 +76,23 @@ MUTANTS = (
     Mutant(
         "_block keyed by its vertex set alone",
         "src/ghzgraphs/reduction.py",
-        "    key = (vertices, vertices.intersection(cut_vertices))\n",
-        "    key = vertices\n",
+        "    key = v, c\n",
+        "    key = v\n",
         "tests/test_reduction.py::test_shared_blocks_match_the_blocks_built_per_cut",
+    ),
+    Mutant(
+        "the mask-keyed block drops its cut part",
+        "src/ghzgraphs/reduction.py",
+        "    c = v & _bits(cut_vertices)\n",
+        "    c = 0\n",
+        "tests/test_reduction.py::test_shared_blocks_match_the_blocks_built_per_cut",
+    ),
+    Mutant(
+        "the identity check names the largest mismatch",
+        "src/ghzgraphs/reduction.py",
+        "            vc_r = min(wrong)\n",
+        "            vc_r = max(wrong)\n",
+        "tests/test_reduction.py::test_identity_check_names_the_smallest_of_several_planted_mismatches",
     ),
     Mutant(
         "the weight kernel ignores its cut mask",
@@ -90,9 +104,23 @@ MUTANTS = (
     Mutant(
         "the weight kernel starts with no vertex covered",
         "src/ghzgraphs/matchings.py",
-        "    for key, w in sorted(solve(outside).items()):\n",
-        "    for key, w in sorted(solve(0).items()):\n",
+        "    table = solve(outside)\n",
+        "    table = solve(0)\n",
         "tests/test_matchings.py::test_masked_kernel_is_the_kernel_on_the_block_copy",
+    ),
+    Mutant(
+        "the one-entry read-out decodes with the wrong place values",
+        "src/ghzgraphs/matchings.py",
+        "            return {_digits(key, places): _make(w) if exact else w}\n",
+        "            return {_digits(key, places[::-1]): _make(w) if exact else w}\n",
+        "tests/test_matchings.py::test_masked_tables_of_every_size_are_the_slow_tables_bit_for_bit",
+    ),
+    Mutant(
+        "the weight kernel keeps its solver's reference cycle",
+        "src/ghzgraphs/matchings.py",
+        "    del solve  # it refers to itself: a cycle the collector would have to free\n",
+        "",
+        "tests/test_matchings.py::test_the_kernel_leaves_no_garbage_for_the_cycle_collector",
     ),
     Mutant(
         "the weight kernel swaps a key's halves",
