@@ -74,7 +74,10 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
             yield from extend(covered | low | bit)
             chosen.pop()
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        del extend  # it refers to itself: a cycle the collector would have to free
 
 
 def _check_matching(g: Multigraph, m: PerfectMatching) -> None:

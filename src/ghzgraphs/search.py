@@ -18,36 +18,51 @@ the real residual with respect to (Re x_k, Im x_k) is packed into one
 complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
 
-Each point is evaluated once (``_evaluate``): one gather x[columns], where
-``columns`` is the monomial table, stored once as contiguous rows of shape
-(width, M) (``monomials`` is its (M, width) transposed view), then the
-running products from 1, written into the rows of one (width + 1, M) prefix
-buffer (row j holds the product of the first j factors, the last row the
-monomial products), then the per-colouring sums as one ``np.bincount`` over
-the products' float view, real and imaginary parts interleaved, with bin 2g
-taking group g's real parts and bin 2g + 1 its imaginary parts.  Every
-product in the search, the evaluation's prefixes and the gradient's
-suffixes alike, is a running element-wise complex multiply from 1 down
-contiguous rows of shape (width, M).  They must stay on such rows: the
-multiply's bits depend on the strides (written into a column of an
-(M, width) array, the prefix products of 464 of K6 d=2's 960 monomials
-change in their last bits).  The gradient reuses the gather, the prefix
-rows and the colourings' differences, and forms only the suffix products.
-Its terms stay in the gather's width-major order, and one ``np.bincount``
-over the flattened rows of ``columns`` adds each variable's terms in that
-order.  The line search keeps the accepted candidate's evaluation, prefix
-buffer included, so the next gradient needs no new one, and frees a
+Every colouring of the expanded multigraph takes exactly one monomial from
+each perfect matching of the skeleton, so the monomial table is a regular
+grid: column [j, pm, c] is the variable of the skeleton matching pm's j-th
+pair (matchings as sorted tuples of pair indices, in lexicographic order),
+coloured as colouring c colours its ends.  The build enumerates the
+skeleton's matchings (15 for K6, 2 for a cycle), not the expanded graph's,
+and forms the grid by broadcasting, stored once as contiguous rows of shape
+(width, M), M = n_pm * n_col, matching-major (``monomials`` is its (M,
+width) transposed view).
+
+Each point is evaluated once (``_evaluate``): one gather x[columns], then
+the running products from 1, written into the rows of one (width + 1, M)
+prefix buffer (row j holds the product of the first j factors, the last row
+the monomial products), then each colouring's sum as one axis-0 reduction
+over the (n_pm, n_col) products, matchings added in order from 0: the order
+of the monomials of one colouring in the sorted table.  Every product in the
+search, the evaluation's prefixes and the gradient's suffixes alike, is a
+running element-wise complex multiply from 1 down contiguous rows of shape
+(width, M).  They must stay on such rows: the multiply's bits depend on the
+strides (written into a column of an (M, width) array, the prefix products
+of 464 of K6 d=2's 960 monomials change in their last bits).
+
+The gradient reuses the gather, the prefix rows and the colourings'
+differences, forms only the suffix products and multiplies in the
+differences by broadcasting over the matchings.  One gather of its terms
+through ``_gather``, (c_max, n_vars), and one axis-0 reduction then add
+each variable's terms in the order a scatter over the lexicographically
+sorted table would: row j first, then the monomial's rank.  Shorter columns
+of ``_gather`` end in a slot held at 0.  The reductions run on float views,
+whose inner axis is never of length 1: an axis-0 reduction adds its rows in
+sequence only while the inner length is above 1, and pairs them up
+otherwise.  The line search keeps the accepted candidate's evaluation,
+prefix buffer included, so the next gradient needs no new one, and frees a
 rejected candidate's before it evaluates the next.  All of this path (the
-monomial table, the prefix buffer and the bin index) would go if the
-residual and its gradient were computed by an inside-outside pass over the
-weight kernel instead.
+monomial grid, the prefix buffer and the gather) would go if the residual
+and its gradient were computed by an inside-outside pass over the weight
+kernel instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -71,34 +86,33 @@ class SearchProblem:
         self.pairs: tuple[tuple[int, int], ...] = tuple((e.u, e.v) for e in base.edges)
         self.n_vars = len(self.pairs) * d * d
 
-        # edge k of the expanded graph is variable k: pair k // d², colours
-        # divmod(k % d², d).  Each matching's colouring is read from that
-        # layout; the matchings come from the search and need no check.
-        expanded = _coloured_graph(self, [1] * self.n_vars)
-        matchings = enumerate_perfect_matchings(expanded)
-        dd = d * d
-        stamps = [self.pairs[k // dd] + divmod(k % dd, d) for k in range(self.n_vars)]
-        induced = []
-        for m in matchings:
-            colours = [0] * base.n
-            for k in m:
-                u, v, p, q = stamps[k]
-                colours[u] = p
-                colours[v] = q
-            induced.append(tuple(colours))
-        # monos first (one entry when n = 0), then the rest sorted for stable reporting
+        # every colouring of the expanded graph takes one monomial from each
+        # perfect matching of the skeleton, so the monomial table is a grid:
+        # the matchings (sorted tuples of pair indices, in lexicographic
+        # order) major, the colourings minor
+        matchings = sorted(enumerate_perfect_matchings(base))
+        # monos first (one entry when n = 0), then, if there is a perfect
+        # matching, every other colouring in lexicographic order
         ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
-        ordered += sorted(set(induced).difference(ordered))
+        if matchings:
+            ordered += [vc for vc in itertools.product(range(d), repeat=base.n) if len(set(vc)) > 1]
         self.colourings: tuple[tuple, ...] = tuple(ordered)
-        index = {vc: k for k, vc in enumerate(ordered)}
 
-        # the monomial table, stored once as the contiguous (width, M) rows the
-        # evaluation gathers from; monomials is its (M, width) transposed view
-        table = np.array(matchings, dtype=np.int64).reshape(len(matchings), base.n // 2)
-        self._columns = table.T.copy()
+        # column [j, pm, c] is the variable of matching pm's j-th pair coloured
+        # as colouring c colours its ends; the table is stored once, as the
+        # contiguous (width, M) rows the evaluation gathers from, and
+        # monomials is its (M, width) transposed view
+        width = base.n // 2
+        dd = d * d
+        chosen = np.array(matchings, dtype=np.int64).reshape(len(matchings), width).T
+        ends = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        colour = np.array(ordered, dtype=np.int64).reshape(len(ordered), base.n).T
+        pair_colours = colour[ends[chosen, 0]] * d + colour[ends[chosen, 1]]  # (width, n_pm, n_col)
+        grid = np.ascontiguousarray(pair_colours + (chosen * dd)[:, :, None])
+        self._columns = grid.reshape(width, len(matchings) * len(ordered))
         self.monomials = self._columns.T
-        self.monomial_group = np.array([index[vc] for vc in induced], dtype=np.int64)
-        self._bins = _interleaved_bins(self.monomial_group)
+        self._matching_count = len(matchings)
+        self._gather = _gather_index(matchings, grid, self.n_vars, dd)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
         self.targets = targets
@@ -114,11 +128,79 @@ class SearchProblem:
         return pair * self.d * self.d + p * self.d + q
 
 
-def _interleaved_bins(group: np.ndarray) -> np.ndarray:
-    """The bins of a complex array's float view, real and imaginary parts
-    interleaved: group g's real parts go to bin 2g, its imaginary parts to
-    bin 2g + 1."""
-    return (2 * group[:, None] + (0, 1)).ravel()
+def _gather_index(matchings, grid: np.ndarray, n_vars: int, dd: int) -> np.ndarray:
+    """The gradient's (c_max, n_vars) gather.  Column k lists variable k's
+    terms, as positions in the flattened (width, M) table, in the order a
+    scatter over the table sorted lexicographically adds them: row j first,
+    then the monomial's rank.  Shorter columns end in the index of a slot
+    one past the table, which the gradient holds at 0.
+
+    A monomial's variables are pair * dd + colour pair, with the colour pair
+    below dd, so the sorted table orders monomials as the sequences (pair_0,
+    a_0, pair_1, a_1, ...) of their pairs and colour pairs.  The terms of
+    variable k at row j all share pair_j and a_j, so their order is that of
+    the sequences with row j left out.  Over the matchings that hold k's
+    pair at row j, every such sequence occurs once for each choice of the
+    other rows' colour pairs, and its rank among them is a per-matching
+    offset plus each other row's colour pair times a per-matching weight
+    (``_rank_terms``).  So the index is built by broadcasting, without a
+    sort.
+    """
+    width, n_pm, n_col = grid.shape
+    pair_colours = grid % dd
+    per_matching = n_col // dd  # a variable's terms in a matching that holds its pair
+    held = Counter()  # the matchings holding each pair at the rows before j
+    order = np.empty_like(grid)
+    for j in range(width):
+        rows = {}
+        for pm, m in enumerate(matchings):
+            rows.setdefault(m[j], []).append(pm)
+        offset = np.empty(n_pm, dtype=np.int64)
+        weights = np.zeros((width, n_pm), dtype=np.int64)
+        for e, members in rows.items():
+            reduced = [matchings[pm][:j] + matchings[pm][j + 1:] for pm in members]
+            for pm, (base, w) in zip(members, _rank_terms(reduced, dd)):
+                offset[pm] = held[e] * per_matching + base
+                weights[:j, pm] = w[:j]
+                weights[j + 1:, pm] = w[j:]
+            held[e] += len(members)
+        rank = order[j]
+        rank[...] = offset[:, None]
+        for i in range(width):
+            if i != j:
+                rank += weights[i][:, None] * pair_colours[i]
+    c_max = max(held.values(), default=0) * per_matching
+    gather = np.full((c_max, n_vars), grid.size, dtype=np.int64)
+    gather[order.ravel(), grid.ravel()] = np.arange(grid.size)
+    return gather
+
+
+def _rank_terms(rows, dd: int) -> list:
+    """(base, weights) for each of ``rows``, distinct tuples of one length
+    in sorted order: among all sequences (row[0], a[0], row[1], a[1], ...)
+    with every a[l] in range(dd), the one of a row and a has the
+    lexicographic rank base + sum(a[l] * weights[l]).
+
+    The rank counts the smaller sequences by the first place they differ
+    at.  At row[l]: every row that shares row[:l] and has a smaller row[l],
+    with each of its dd**(depth - l) colour choices from a[l] on.  At a[l]:
+    the rows that share row[:l + 1], times the a[l] smaller colour pairs,
+    times the dd**(depth - 1 - l) colour choices after a[l].
+    """
+    depth = len(rows[0])
+    first = {}  # the position of the first row with each prefix
+    size = Counter()  # the rows with each prefix
+    for position, row in enumerate(rows):
+        for l in range(depth + 1):
+            first.setdefault(row[:l], position)
+            size[row[:l]] += 1
+    return [
+        (
+            sum((first[row[:l + 1]] - first[row[:l]]) * dd ** (depth - l) for l in range(depth)),
+            [size[row[:l + 1]] * dd ** (depth - 1 - l) for l in range(depth)],
+        )
+        for row in rows
+    ]
 
 
 class Residual(namedtuple("Residual", "value per_colouring")):
@@ -159,7 +241,11 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
     pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
     for j, row in enumerate(vals):
         np.multiply(pre[j], row, out=pre[j + 1])
-    sums = np.bincount(problem._bins, pre[-1].view(np.float64), minlength=2 * len(problem.targets))
+    # each colouring's products, one per matching, added from 0 in matching
+    # order; on the float view, so the inner axis is never of length 1 (d = 1),
+    # where the reduction would sum pairwise
+    products = pre[-1].view(np.float64).reshape(problem._matching_count, 2 * len(problem.targets))
+    sums = np.add.reduce(products, axis=0, initial=0.0)
     diff = sums.view(np.complex128) - problem.targets
     return (vals, pre), diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
 
@@ -167,20 +253,20 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
 def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
     """The complex-packed gradient from a point's ``_evaluate`` output."""
     vals, pre = factors
-    width = len(vals)
-    suf = np.empty_like(vals)
+    width, count = vals.shape
+    slots = np.empty(width * count + 1, dtype=np.complex128)
+    suf = slots[:-1].reshape(width, count)
     suf[-1:] = 1  # a slice, not a row: width is 0 when n = 0
     for j in range(1, width):
         np.multiply(suf[width - j], vals[width - j], out=suf[width - 1 - j])
     leave_one_out = np.multiply(pre[:-1], suf, out=suf)
     np.conjugate(leave_one_out, out=leave_one_out)
-    np.multiply(leave_one_out, diff[problem.monomial_group], out=leave_one_out)
-    terms = leave_one_out.ravel()  # width-major, the order of the gathered rows
-    index = problem._columns.ravel()
-    grad = np.empty(problem.n_vars, dtype=np.complex128)
-    grad.real = np.bincount(index, terms.real, minlength=problem.n_vars)
-    grad.imag = np.bincount(index, terms.imag, minlength=problem.n_vars)
-    return 2.0 * grad
+    by_colouring = leave_one_out.reshape(width, problem._matching_count, len(diff))
+    np.multiply(by_colouring, diff, out=by_colouring)
+    slots[-1] = 0  # the gather's padding
+    # each variable's terms, gathered in the scatter's order and added from 0
+    terms = slots[problem._gather].view(np.float64)
+    return 2.0 * np.add.reduce(terms, axis=0, initial=0.0).view(np.complex128)
 
 
 def residual(problem: SearchProblem, weights) -> Residual:

@@ -24,6 +24,7 @@ from ghzgraphs import (
     dimension,
     enumerate_perfect_matchings,
     filter_graph,
+    find_bogdanov_witness,
     graph_weight,
     induced_colouring,
     induced_subgraph,
@@ -37,6 +38,7 @@ from ghzgraphs import (
 from conftest import (
     as_float,
     bits,
+    bogdanov_instance,
     enumeration_corpus,
     hard_family,
     oracle_colouring_weight,
@@ -603,6 +605,27 @@ def test_the_kernel_leaves_no_garbage_for_the_cycle_collector():
             for vertices, cut in ((-1, 0), (0b1111, 0b111), (0b110110, 0), (0, 0)):
                 kernel(g, vertices, cut)
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_matching_search_leaves_no_garbage_for_the_cycle_collector():
+    """The lazy matching search frees its recursive helper by reference
+    counting both when it runs out and when its caller stops early, as the
+    Bogdanov witness does, so matchings listed or drawn in bulk give the
+    cyclic collector nothing to find."""
+    search = ghzgraphs.matchings._iter_perfect_matchings
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(enumerate_perfect_matchings(dense_graph(6, 2, 0))) == 960
+        assert gc.collect() == 0
+        assert next(search(dense_graph(8, 3, 0))) == (0, 117, 198, 243)  # 1 of 688,905
+        assert gc.collect() == 0
+        witnesses = [find_bogdanov_witness(bogdanov_instance(seed)) for seed in range(5)]
+        assert all(witnesses) and gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

@@ -4,6 +4,7 @@ import copy
 import math
 import re
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from ghzgraphs.search import (
     _check_weights,
     _coloured_graph,
     _evaluate,
-    _interleaved_bins,
     _refutes,
 )
 
@@ -262,40 +262,73 @@ def test_assignment_graph_layout():
 
 
 # ---------------------------------------------------------------------------
-# The evaluation as it was before bincount sums and reused evaluations: one
-# np.add.at scatter per sum and a fresh gather per call.  Its products are
-# the search's one product rule, a running element-wise complex multiply
-# from 1 over the monomial table's columns, each gathered on its own.  The
-# fast path must agree with it bit for bit, not within a tolerance.
+# The problem and its evaluation as they were before the monomial grid,
+# bincount sums and reused evaluations: the monomial table listed matching by
+# matching from the expanded multigraph, in the search's lexicographic order,
+# each matching's colouring from induced_colouring, which checks the matching
+# first; one np.add.at scatter per sum and a fresh gather per call.  Its
+# products are the search's one product rule, a running element-wise complex
+# multiply from 1 over the table's columns, each gathered on its own.  The
+# fast path must agree with it bit for bit, not within a tolerance, and these
+# helpers read nothing of its layout.
+
+SlowProblem = namedtuple("SlowProblem", "monomials group colourings targets n_vars")
 
 
-def slow_group_weights(problem, x):
-    w = np.zeros(len(problem.targets), dtype=np.complex128)
-    if len(problem.monomials):
-        products = np.ones(len(problem.monomials), dtype=np.complex128)
-        for j in range(problem.monomials.shape[1]):
-            products = products * x[problem.monomials[:, j]]
-        np.add.at(w, problem.monomial_group, products)
+def slow_problem(g, d):
+    """The checked build: every perfect matching of the expanded multigraph,
+    its colouring and that colouring's place among the sorted colourings."""
+    base = skeleton(g)
+    pairs = [(e.u, e.v) for e in base.edges]
+    expanded = Multigraph(
+        base.n,
+        tuple(Edge(u, v, p, q, 1) for u, v in pairs for p in range(d) for q in range(d)),
+        frozenset(range(d)),
+    )
+    matchings = enumerate_perfect_matchings(expanded)
+    induced = [induced_colouring(expanded, m) for m in matchings]
+    ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
+    ordered += sorted(set(induced).difference(ordered))
+    index = {vc: k for k, vc in enumerate(ordered)}
+    monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), base.n // 2)
+    targets = np.zeros(len(ordered), dtype=np.complex128)
+    targets[:d] = 1.0
+    group = np.array([index[vc] for vc in induced], dtype=np.int64)
+    return SlowProblem(monomials, group, tuple(ordered), targets, len(expanded.edges))
+
+
+def both_problems(g, d):
+    """The problem and its checked build, for one skeleton and dimension."""
+    return SearchProblem(g, d), slow_problem(g, d)
+
+
+def slow_group_weights(slow, x):
+    w = np.zeros(len(slow.targets), dtype=np.complex128)
+    if len(slow.monomials):
+        products = np.ones(len(slow.monomials), dtype=np.complex128)
+        for j in range(slow.monomials.shape[1]):
+            products = products * x[slow.monomials[:, j]]
+        np.add.at(w, slow.group, products)
     return w
 
 
-def slow_value(problem, x):
-    diff = slow_group_weights(problem, x) - problem.targets
+def slow_value(slow, x):
+    diff = slow_group_weights(slow, x) - slow.targets
     return float(np.sum(diff.real**2 + diff.imag**2))
 
 
-def slow_residual(problem, x):
-    diff = slow_group_weights(problem, x) - problem.targets
+def slow_residual(slow, x):
+    diff = slow_group_weights(slow, x) - slow.targets
     contributions = diff.real**2 + diff.imag**2
-    per = {vc: float(c) for vc, c in zip(problem.colourings, contributions)}
+    per = {vc: float(c) for vc, c in zip(slow.colourings, contributions)}
     return float(np.sum(contributions)), per
 
 
-def slow_gradient(problem, x):
-    grad = np.zeros(problem.n_vars, dtype=np.complex128)
-    if not len(problem.monomials):
+def slow_gradient(slow, x):
+    grad = np.zeros(slow.n_vars, dtype=np.complex128)
+    if not len(slow.monomials):
         return grad
-    vals = x[problem.monomials]
+    vals = x[slow.monomials]
     width = vals.shape[1]
     pre = np.ones_like(vals)
     suf = np.ones_like(vals)
@@ -303,27 +336,27 @@ def slow_gradient(problem, x):
         pre[:, j] = pre[:, j - 1] * vals[:, j - 1]
         suf[:, width - 1 - j] = suf[:, width - j] * vals[:, width - j]
     leave_one_out = pre * suf
-    diff = slow_group_weights(problem, x) - problem.targets
-    coeff = diff[problem.monomial_group][:, None]
+    diff = slow_group_weights(slow, x) - slow.targets
+    coeff = diff[slow.group][:, None]
     # width-major, the order in which the search adds each variable's terms
-    np.add.at(grad, problem.monomials.T, (np.conj(leave_one_out) * coeff).T)
+    np.add.at(grad, slow.monomials.T, (np.conj(leave_one_out) * coeff).T)
     return 2.0 * grad
 
 
-def slow_descend(problem, x, max_iters, tol):
-    f = slow_value(problem, x)
+def slow_descend(slow, x, max_iters, tol):
+    f = slow_value(slow, x)
     step = 0.1
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if f <= tol:
             break
-        g = slow_gradient(problem, x)
+        g = slow_gradient(slow, x)
         gnorm2 = float(np.sum(g.real**2 + g.imag**2))
         if gnorm2 < 1e-24:
             break
         while step > 1e-18:
             candidate = x - step * g
-            f_new = slow_value(problem, candidate)
+            f_new = slow_value(slow, candidate)
             if f_new <= f - 1e-4 * step * gnorm2:
                 x, f = candidate, f_new
                 step *= 2.0
@@ -334,19 +367,19 @@ def slow_descend(problem, x, max_iters, tol):
     return x, f, iterations
 
 
-def slow_search(problem, seed, restarts, max_iters, tol=1e-10):
+def slow_search(slow, seed, restarts, max_iters, tol=1e-10):
     """(weights, residual value, per colouring, converged, restart, iterations)."""
     best_x, best_f, best_restart, best_iters = None, math.inf, 0, 0
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        radius = np.sqrt(rng.random(problem.n_vars))
-        angle = rng.random(problem.n_vars) * 2.0 * math.pi
-        x, f, iters = slow_descend(problem, radius * np.exp(1j * angle), max_iters, tol)
+        radius = np.sqrt(rng.random(slow.n_vars))
+        angle = rng.random(slow.n_vars) * 2.0 * math.pi
+        x, f, iters = slow_descend(slow, radius * np.exp(1j * angle), max_iters, tol)
         if f < best_f:
             best_x, best_f, best_restart, best_iters = x, f, r, iters
         if best_f <= tol:
             break
-    value, per = slow_residual(problem, best_x)
+    value, per = slow_residual(slow, best_x)
     return best_x, value, per, best_f <= tol, best_restart, best_iters
 
 
@@ -358,17 +391,28 @@ def complete_skeleton(n):
     return simple_skeleton(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def chorded_cycle():
+    """C6 with the chord 1-4: the chord lies on fewer perfect matchings than
+    the cycle's edges, so its variables have fewer gradient terms."""
+    return simple_skeleton(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+
+
+DEGENERATE = {
+    "empty": (lambda: Multigraph(0, (), frozenset({0})), 2),
+    "k2": (lambda: parallel_ghz_k2(1), 3),
+    "star": (lambda: simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2),
+}
+
+
 def degenerate_problems():
     """n = 0 (monomials of shape (1, 0)), K2 (width 1) and a star on four
-    vertices, which has no perfect matching (monomials of shape (0, 2))."""
-    empty = SearchProblem(Multigraph(0, (), frozenset({0})), 2)
-    k2 = SearchProblem(parallel_ghz_k2(1), 3)
-    star = SearchProblem(simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2)
-    return {"empty": empty, "k2": k2, "star": star}
+    vertices, which has no perfect matching (monomials of shape (0, 2)),
+    each with its checked build."""
+    return {name: both_problems(build(), d) for name, (build, d) in DEGENERATE.items()}
 
 
 def test_degenerate_problems_have_the_shapes_they_are_named_for():
-    probs = degenerate_problems()
+    probs = {name: prob for name, (prob, _) in degenerate_problems().items()}
     assert probs["empty"].monomials.shape == (1, 0) and probs["empty"].n_vars == 0
     assert probs["k2"].monomials.shape == (9, 1)
     assert probs["star"].monomials.shape == (0, 2)
@@ -394,13 +438,13 @@ def signed_zero_mix(rng, n):
     return x
 
 
-def assert_same_evaluation(prob, x):
-    value, per = slow_residual(prob, x)
+def assert_same_evaluation(prob, slow, x):
+    value, per = slow_residual(slow, x)
     r = residual(prob, x)
-    assert_same_bits([r.value, slow_value(prob, x)], [value, value])
+    assert_same_bits([r.value, slow_value(slow, x)], [value, value])
     assert list(r.per_colouring) == list(per)
     assert_same_bits(list(r.per_colouring.values()), list(per.values()))
-    assert_same_bits(gradient(prob, x), slow_gradient(prob, x))
+    assert_same_bits(gradient(prob, x), slow_gradient(slow, x))
 
 
 @pytest.mark.parametrize(
@@ -413,26 +457,26 @@ def assert_same_evaluation(prob, x):
         (lambda: complete_ghz_k4(), 3),
         (lambda: complete_ghz_k4(), 2),
         (lambda: parallel_ghz_k2(1), 3),
-        # K8 is the smallest complete skeleton where a variable's column in
-        # the monomial table can fall as the monomial index rises, so it is
-        # the one where the gradient's sums would add in another order if
-        # its terms were scattered in monomial-major order
+        # K8 at d = 1: one colouring, so each sum runs over all 105 matchings
+        # and no colouring order hides the matching order
         (lambda: complete_skeleton(8), 1),
+        # the one whose gradient gather is padded
+        (chorded_cycle, 3),
     ],
-    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3", "K8.d1"],
+    ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K4.d2", "K2.d3", "K8.d1", "C6chord.d3"],
 )
 def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
-    prob = SearchProblem(build(), d)
+    prob, slow = both_problems(build(), d)
     rng = np.random.default_rng(2024)
     for scale in (0.1, 1.0, 3.0):
         for _ in range(4):
             x = scale * (rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars))
-            assert_same_evaluation(prob, x)
+            assert_same_evaluation(prob, slow, x)
     # zeros and negative zeros: the sums must keep the scatter-add's signs of zero
-    assert_same_evaluation(prob, np.zeros(prob.n_vars, dtype=np.complex128))
-    assert_same_evaluation(prob, np.full(prob.n_vars, -0.0 - 0.0j))
+    assert_same_evaluation(prob, slow, np.zeros(prob.n_vars, dtype=np.complex128))
+    assert_same_evaluation(prob, slow, np.full(prob.n_vars, -0.0 - 0.0j))
     for _ in range(4):
-        assert_same_evaluation(prob, signed_zero_mix(rng, prob.n_vars))
+        assert_same_evaluation(prob, slow, signed_zero_mix(rng, prob.n_vars))
 
 
 @pytest.mark.parametrize(
@@ -448,20 +492,16 @@ def test_evaluation_is_the_scatter_add_evaluation_exactly(build, d):
     ids=["width0", "width1", "width2", "width3", "width4", "width5"],
 )
 def test_evaluated_products_are_the_reference_and_numpys_product(build, d):
-    """The group weights ``_evaluate`` sums equal the reference's bit for bit,
-    and each monomial's product is within a few ulps of numpy's own product
-    reduce, measured against the product of the factors' moduli."""
-    prob = SearchProblem(build(), d)
+    """The colouring weights ``_evaluate`` sums equal the reference's bit
+    for bit, and each monomial's product, the prefix buffer's last row, is
+    within a few ulps of numpy's own product reduce, measured against the
+    product of the factors' moduli."""
+    prob, slow = both_problems(build(), d)
     count, width = prob.monomials.shape
     assert prob._columns.shape == (width, count)
-    # with every target 0, the evaluation's differences are its group weights
-    # bit for bit; with one group per monomial, they are its products
+    # with every target 0, the evaluation's differences are its colouring weights
     weights = copy.copy(prob)
     weights.targets = np.zeros_like(prob.targets)
-    products = copy.copy(prob)
-    products.monomial_group = np.arange(count)
-    products._bins = _interleaved_bins(products.monomial_group)  # the sums' bins follow the groups
-    products.targets = np.zeros(count, dtype=np.complex128)
     rng = np.random.default_rng(width)
     points = [rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
               for _ in range(3)]
@@ -469,26 +509,27 @@ def test_evaluated_products_are_the_reference_and_numpys_product(build, d):
                np.full(prob.n_vars, -0.0 - 0.0j)]
     points += [signed_zero_mix(rng, prob.n_vars) for _ in range(10)]
     for x in points:
-        assert_same_bits(_evaluate(weights, x)[1], slow_group_weights(prob, x))
+        (_, pre), diff, _ = _evaluate(weights, x)
+        assert_same_bits(diff, slow_group_weights(slow, x))
         expected = np.prod(x[prob.monomials], axis=1)
         moduli = np.prod(np.abs(x[prob.monomials]), axis=1)
-        error = np.abs(_evaluate(products, x)[1] - expected)
+        error = np.abs(pre[-1] - expected)
         assert np.all(error <= 4 * width * np.finfo(float).eps * moduli)
 
 
 @pytest.mark.parametrize("name", ["empty", "k2", "star"])
 def test_degenerate_shapes_evaluate_as_before(name):
-    prob = degenerate_problems()[name]
+    prob, slow = degenerate_problems()[name]
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
-    assert_same_evaluation(prob, x)
+    assert_same_evaluation(prob, slow, x)
     assert gradient(prob, x).shape == (prob.n_vars,)
 
 
-def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
+def assert_same_search(prob, slow, seed, restarts, max_iters, tol=1e-10):
     res = search(prob, seed=seed, restarts=restarts, max_iters=max_iters, tol=tol)
     weights, value, per, converged, restart, iterations = slow_search(
-        prob, seed, restarts, max_iters, tol
+        slow, seed, restarts, max_iters, tol
     )
     assert_same_bits(res.weights, weights)
     assert_same_bits(res.residual.value, value)
@@ -507,22 +548,21 @@ def assert_same_search(prob, seed, restarts, max_iters, tol=1e-10):
         (lambda: cycle_ghz(10), 2, 60),
         (lambda: complete_skeleton(6), 2, 60),
         (lambda: complete_ghz_k4(), 3, 150),
-        # as in the evaluation test: the one whose gradient sums change if
-        # its terms are scattered in monomial-major order
+        # as in the evaluation test: every sum over all 105 matchings
         (lambda: complete_skeleton(8), 1, 150),
     ],
     ids=["C6.d2", "C8.d2", "C10.d2", "K6.d2", "K4.d3", "K8.d1"],
 )
 def test_search_is_the_scatter_add_search_exactly(build, d, max_iters):
-    prob = SearchProblem(build(), d)
+    prob, slow = both_problems(build(), d)
     for seed in (0, 1):
-        assert_same_search(prob, seed, restarts=2, max_iters=max_iters)
+        assert_same_search(prob, slow, seed, restarts=2, max_iters=max_iters)
 
 
 @pytest.mark.parametrize("name", ["empty", "k2", "star"])
 def test_degenerate_shapes_search_as_before(name):
-    prob = degenerate_problems()[name]
-    res = assert_same_search(prob, seed=4, restarts=2, max_iters=200)
+    prob, slow = degenerate_problems()[name]
+    res = assert_same_search(prob, slow, seed=4, restarts=2, max_iters=200)
     assert res.weights.shape == (prob.n_vars,)
     if name == "star":  # no perfect matching: every mono colouring misses by 1
         assert not res.converged and res.residual.value == 2.0
@@ -531,30 +571,11 @@ def test_degenerate_shapes_search_as_before(name):
 
 
 # ---------------------------------------------------------------------------
-# The problem build and exactify as they were before colourings were read
-# from the variable layout and before the one-colouring refutation: each
-# matching's colouring from induced_colouring, which checks the matching
-# first, and every weight rounded and re-verified whenever all lie within
-# 1e-9 of their roundings.  The fast paths must give the same fields and
-# the same Exactification, weight for weight.
-
-
-def slow_problem(g, d):
-    """(monomials, monomial_group, colourings) of the checked build."""
-    base = skeleton(g)
-    pairs = [(e.u, e.v) for e in base.edges]
-    expanded = Multigraph(
-        base.n,
-        tuple(Edge(u, v, p, q, 1) for u, v in pairs for p in range(d) for q in range(d)),
-        frozenset(range(d)),
-    )
-    matchings = enumerate_perfect_matchings(expanded)
-    induced = [induced_colouring(expanded, m) for m in matchings]
-    ordered = list(dict.fromkeys((colour,) * base.n for colour in range(d)))
-    ordered += sorted(set(induced).difference(ordered))
-    index = {vc: k for k, vc in enumerate(ordered)}
-    monomials = np.array(matchings, dtype=np.int64).reshape(len(matchings), base.n // 2)
-    return monomials, np.array([index[vc] for vc in induced], dtype=np.int64), tuple(ordered)
+# The problem build against the checked build, and exactify as it was before
+# the one-colouring refutation: every weight rounded and re-verified
+# whenever all lie within 1e-9 of their roundings.  The fast paths must give
+# the same table, colourings and gradient order, and the same
+# Exactification, weight for weight.
 
 
 def rounded_graph(problem, x):
@@ -564,7 +585,7 @@ def rounded_graph(problem, x):
     )
 
 
-def slow_exactify(problem, weights, epsilon=None):
+def slow_exactify(problem, slow, weights, epsilon=None):
     x = _check_weights(problem, weights)
     rounded = [GaussianRational.from_float(float(z.real), float(z.imag)) for z in x]
     err = max((abs(complex(r) - z) for r, z in zip(rounded, x)), default=0.0)
@@ -574,7 +595,7 @@ def slow_exactify(problem, weights, epsilon=None):
         if verdict.is_ghz and verdict.dimension == problem.d:
             return Exactification(exact_graph, verdict, "exact", 0.0)
     float_graph = assignment_graph(problem, x)
-    _, _, achieved = _evaluate(problem, x)
+    achieved = slow_value(slow, x)
     eps = epsilon if epsilon is not None else max(DEFAULT_EPSILON, 2.0 * math.sqrt(achieved))
     return Exactification(float_graph, verify(float_graph, eps), "numeric", eps)
 
@@ -592,9 +613,9 @@ def exactification_bits(cert):
     )
 
 
-def assert_same_exactification(problem, x, epsilon=None):
+def assert_same_exactification(problem, slow, x, epsilon=None):
     cert = exactify(problem, x, epsilon)
-    assert exactification_bits(cert) == exactification_bits(slow_exactify(problem, x, epsilon))
+    assert exactification_bits(cert) == exactification_bits(slow_exactify(problem, slow, x, epsilon))
     return cert
 
 
@@ -627,59 +648,112 @@ PLANTED = {
 }
 
 
-@pytest.mark.parametrize(
-    "build, d",
-    list(SHAPES.values()) + [
-        (lambda: Multigraph(0, (), frozenset({0})), 2),
-        (lambda: parallel_ghz_k2(1), 3),
-        (lambda: simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2),
-        (complete_ghz_k4, 2),
-        (lambda: complete_skeleton(6), 1),
-        (lambda: simple_skeleton(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]), 3),
-    ],
-    ids=list(SHAPES) + ["empty.d2", "K2.d3", "star.d2", "K4.d2", "K6.d1", "C6chord.d3"],
+BUILDS = dict(
+    SHAPES,
+    **{
+        "empty.d2": (lambda: Multigraph(0, (), frozenset({0})), 2),
+        "K2.d3": (lambda: parallel_ghz_k2(1), 3),
+        "star.d2": (lambda: simple_skeleton(4, [(0, 1), (0, 2), (0, 3)]), 2),
+        "K4.d2": (complete_ghz_k4, 2),
+        "K6.d1": (lambda: complete_skeleton(6), 1),
+        "C6chord.d3": (chorded_cycle, 3),
+    },
 )
-def test_problem_build_is_the_checked_build(build, d):
-    prob = SearchProblem(build(), d)
-    monomials, groups, colourings = slow_problem(build(), d)
-    assert prob.monomials.dtype == monomials.dtype and np.array_equal(prob.monomials, monomials)
+
+
+def lexicographic_order(table):
+    """The rows of a 2-D table in lexicographic order, as row indices."""
+    if not table.shape[1]:
+        return np.arange(len(table))
+    return np.lexsort(table.T[::-1])
+
+
+@pytest.mark.parametrize("shape", BUILDS.values(), ids=BUILDS)
+def test_problem_build_is_the_checked_build(shape):
+    """The grid's columns, sorted lexicographically, are the checked build's
+    table, and the colourings are its colourings.  Grid column pm * n_col + c
+    colours the graph as colouring c, and its pairs are the pm-th perfect
+    matching of the skeleton in lexicographic order."""
+    build, d = shape
+    prob, slow = both_problems(build(), d)
+    order = lexicographic_order(prob.monomials)
+    assert prob.monomials.dtype == slow.monomials.dtype
+    assert np.array_equal(prob.monomials[order], slow.monomials)
+    assert prob.colourings == slow.colourings
+    n_col = len(prob.colourings)
+    assert np.array_equal(order % n_col, slow.group)
+    count, width = prob.monomials.shape
+    pairs = (prob.monomials // (d * d)).reshape(count // n_col, n_col, width)
+    assert (pairs == pairs[:, :1]).all()
+    matchings = [tuple(block[0]) for block in pairs]
+    assert matchings == sorted(set(matchings))
     # one table: monomials is a view of the contiguous rows the evaluation gathers from
-    assert prob.monomials.base is prob._columns and prob._columns.flags.c_contiguous
-    assert prob.monomial_group.dtype == groups.dtype and np.array_equal(prob.monomial_group, groups)
-    assert prob.colourings == colourings
+    owner = [a if a.base is None else a.base for a in (prob.monomials, prob._columns)]
+    assert owner[0] is owner[1] and prob._columns.flags.c_contiguous
+    assert np.array_equal(prob.monomials.T, prob._columns)
+
+
+@pytest.mark.parametrize("shape", BUILDS.values(), ids=BUILDS)
+def test_gradient_gather_lists_each_variables_terms_in_the_scatter_order(shape):
+    """Column k of the gradient's gather lists variable k's terms in the
+    order the checked build's width-major scatter adds them, row j first and
+    then the monomial's place in the sorted table, as positions in the
+    grid's flattened (width, M) table; shorter columns end in the slot one
+    past the table."""
+    build, d = shape
+    prob, slow = both_problems(build(), d)
+    count, width = prob.monomials.shape
+    grid_column = lexicographic_order(prob.monomials)
+    columns = [[] for _ in range(prob.n_vars)]
+    for j in range(width):
+        for place, k in enumerate(slow.monomials[:, j]):
+            columns[k].append(j * count + grid_column[place])
+    depth = max(map(len, columns), default=0)
+    padded = [column + [width * count] * (depth - len(column)) for column in columns]
+    expected = np.array(padded, dtype=np.int64).reshape(prob.n_vars, depth).T
+    assert prob._gather.dtype == expected.dtype and np.array_equal(prob._gather, expected)
+
+
+def test_the_chorded_cycles_gather_is_padded():
+    """The chord lies on one of C6 + chord's three perfect matchings, some
+    cycle edges on two, so some gather columns are padded with the zero slot."""
+    prob = SearchProblem(chorded_cycle(), 3)
+    count, width = prob.monomials.shape
+    terms = (prob._gather != width * count).sum(axis=0)
+    assert sorted(set(terms)) == [81, 162] and len(prob._gather) == 162
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
 def test_exactify_after_short_searches_is_the_full_rounding_exactify(shape):
     build, d = shape
-    prob = SearchProblem(build(), d)
+    prob, slow = both_problems(build(), d)
     for seed in (0, 1):
         res = search(prob, seed=seed, restarts=2, max_iters=60)
-        assert assert_same_exactification(prob, res.weights).mode == "numeric"
-        assert_same_exactification(prob, res.weights, epsilon=1e-3)
+        assert assert_same_exactification(prob, slow, res.weights).mode == "numeric"
+        assert_same_exactification(prob, slow, res.weights, epsilon=1e-3)
     rng = np.random.default_rng(27)
     x = rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars)
-    assert_same_exactification(prob, x)
+    assert_same_exactification(prob, slow, x)
 
 
 @pytest.mark.parametrize("case", PLANTED.values(), ids=PLANTED)
 def test_exactify_is_the_full_rounding_exactify_at_planted_points(case):
     (build, d), planted = case
-    prob = SearchProblem(build(), d)
+    prob, slow = both_problems(build(), d)
     x = planted_vector(prob, planted())
     assert residual(prob, x).value == 0.0
     for shift in (0.0, 1e-12, -1e-12, 1e-12j, -1e-12j):
-        assert assert_same_exactification(prob, x + shift).mode == "exact"
+        assert assert_same_exactification(prob, slow, x + shift).mode == "exact"
     # one weight far enough off that the rounding moves it
     x[np.flatnonzero(x)[0]] += 1e-6
-    assert assert_same_exactification(prob, x).mode == "numeric"
+    assert assert_same_exactification(prob, slow, x).mode == "numeric"
 
 
 def test_exactify_on_the_empty_skeleton_is_the_full_rounding_exactify():
-    prob = SearchProblem(Multigraph(0, (), frozenset({0})), 2)
+    prob, slow = both_problems(Multigraph(0, (), frozenset({0})), 2)
     x = np.zeros(0, dtype=np.complex128)
-    assert assert_same_exactification(prob, x).mode == "exact"  # () weighs 1
-    assert_same_exactification(prob, x, epsilon=0.5)
+    assert assert_same_exactification(prob, slow, x).mode == "exact"  # () weighs 1
+    assert_same_exactification(prob, slow, x, epsilon=0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -699,11 +773,11 @@ def test_exactify_on_a_weight_that_is_not_finite_raises_as_before(bad):
 
 
 def test_exactify_where_the_weights_sum_past_the_float_range_is_the_full_rounding_exactify():
-    prob = SearchProblem(complete_ghz_k4(), 3)
+    prob, slow = both_problems(complete_ghz_k4(), 3)
     x = k4_solution_vector(prob)
     x[-2:] = 1.5e308  # each finite, their sum not
     with np.errstate(over="ignore", invalid="ignore"):
-        assert assert_same_exactification(prob, x).mode == "numeric"
+        assert assert_same_exactification(prob, slow, x).mode == "numeric"
 
 
 def test_a_refuted_certificate_fails_the_full_exact_verify():

@@ -123,6 +123,13 @@ MUTANTS = (
         "tests/test_matchings.py::test_the_kernel_leaves_no_garbage_for_the_cycle_collector",
     ),
     Mutant(
+        "the matching search keeps its helper's reference cycle",
+        "src/ghzgraphs/matchings.py",
+        "        del extend  # it refers to itself: a cycle the collector would have to free\n",
+        "        pass\n",
+        "tests/test_matchings.py::test_the_matching_search_leaves_no_garbage_for_the_cycle_collector",
+    ),
+    Mutant(
         "the weight kernel swaps a key's halves",
         "src/ghzgraphs/matchings.py",
         "        out[head + tail] = w\n",
@@ -214,10 +221,10 @@ MUTANTS = (
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
-        "the problem build reads a variable's colours swapped",
+        "a grid column reads the lower end's colour for the upper end",
         "src/ghzgraphs/search.py",
-        "                colours[u] = p\n                colours[v] = q\n",
-        "                colours[u] = q\n                colours[v] = p\n",
+        "colour[ends[chosen, 0]] * d + colour[ends[chosen, 1]]",
+        "colour[ends[chosen, 0]] * d + colour[ends[chosen, 0]]",
         "tests/test_search.py::test_problem_build_is_the_checked_build",
     ),
     Mutant(
@@ -228,17 +235,19 @@ MUTANTS = (
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
-        "the group bins swap the real and imaginary parts",
+        "the gradient's gather adds a variable's terms in grid order",
         "src/ghzgraphs/search.py",
-        "    return (2 * group[:, None] + (0, 1)).ravel()\n",
-        "    return (2 * group[:, None] + (1, 0)).ravel()\n",
+        "    gather[order.ravel(), grid.ravel()] = np.arange(grid.size)\n",
+        "    for k in range(n_vars):\n"
+        "        terms = np.flatnonzero(grid.ravel() == k)\n"
+        "        gather[: len(terms), k] = terms\n",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
-        "the gradient scatters with the monomial-major index",
+        "the gradient's padding slot is not zero",
         "src/ghzgraphs/search.py",
-        "    index = problem._columns.ravel()\n",
-        "    index = problem.monomials.ravel()\n",
+        "    slots[-1] = 0  # the gather's padding\n",
+        "    slots[-1] = 1  # the gather's padding\n",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
 )
