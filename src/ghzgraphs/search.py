@@ -32,29 +32,29 @@ Each point is evaluated once (``_evaluate``): one gather x[columns], then
 the running products from 1, written into the rows of one (width + 1, M)
 prefix buffer (row j holds the product of the first j factors, the last row
 the monomial products), then each colouring's sum as one axis-0 reduction
-over the (n_pm, n_col) products, matchings added in order from 0: the order
-of the monomials of one colouring in the sorted table.  Every product in the
-search, the evaluation's prefixes and the gradient's suffixes alike, is a
-running element-wise complex multiply from 1 down contiguous rows of shape
-(width, M).  They must stay on such rows: the multiply's bits depend on the
-strides (written into a column of an (M, width) array, the prefix products
-of 464 of K6 d=2's 960 monomials change in their last bits).
+over the (n_pm, n_col) products, matchings added in order from 0.  Every
+product in the search, the evaluation's prefixes and the gradient's
+suffixes alike, is a running element-wise complex multiply from 1 down
+contiguous rows of shape (width, M).  They must stay on such rows: the
+multiply's bits depend on the strides (written into a column of an (M,
+width) array, the prefix products of 464 of K6 d=2's 960 monomials change
+in their last bits).
 
 The gradient reuses the gather, the prefix rows and the colourings'
 differences, forms only the suffix products and multiplies in the
 differences by broadcasting over the matchings.  One gather of its terms
 through ``_gather``, (c_max, n_vars), and one axis-0 reduction then add
-each variable's terms in the order a scatter over the lexicographically
-sorted table would: row j first, then the monomial's rank.  Shorter columns
-of ``_gather`` end in a slot held at 0.  The reductions run on float views,
-whose inner axis is never of length 1: an axis-0 reduction adds its rows in
-sequence only while the inner length is above 1, and pairs them up
-otherwise.  The line search keeps the accepted candidate's evaluation,
-prefix buffer included, so the next gradient needs no new one, and frees a
-rejected candidate's before it evaluates the next.  All of this path (the
-monomial grid, the prefix buffer and the gather) would go if the residual
-and its gradient were computed by an inside-outside pass over the weight
-kernel instead.
+each variable's terms.  Every sum in the search adds its terms from 0 in
+the grid's one order: row j, then the matching, then the colouring.
+Shorter columns of ``_gather`` end in a slot held at 0.  The reductions run
+on float views, whose inner axis is never of length 1: an axis-0 reduction
+adds its rows in sequence only while the inner length is above 1, and
+pairs them up otherwise.  The line search keeps the accepted candidate's
+evaluation, prefix buffer included, so the next gradient needs no new one,
+and frees a rejected candidate's before it evaluates the next.  All of this
+path (the monomial grid, the prefix buffer and the gather) would go if the
+residual and its gradient were computed by an inside-outside pass over the
+weight kernel instead.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -107,12 +107,14 @@ class SearchProblem:
         chosen = np.array(matchings, dtype=np.int64).reshape(len(matchings), width).T
         ends = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
         colour = np.array(ordered, dtype=np.int64).reshape(len(ordered), base.n).T
-        pair_colours = colour[ends[chosen, 0]] * d + colour[ends[chosen, 1]]  # (width, n_pm, n_col)
-        grid = np.ascontiguousarray(pair_colours + (chosen * dd)[:, :, None])
+        # the colour pair each colouring puts on each pair's ends, (n_pairs, n_col)
+        classes = colour[ends[:, 0]] * d + colour[ends[:, 1]]
+        grid = np.ascontiguousarray(classes[chosen])
+        grid += (chosen * dd)[:, :, None]
         self._columns = grid.reshape(width, len(matchings) * len(ordered))
         self.monomials = self._columns.T
         self._matching_count = len(matchings)
-        self._gather = _gather_index(matchings, grid, self.n_vars, dd)
+        self._gather = _gather_index(chosen, classes, grid, dd)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
         self.targets = targets
@@ -128,79 +130,43 @@ class SearchProblem:
         return pair * self.d * self.d + p * self.d + q
 
 
-def _gather_index(matchings, grid: np.ndarray, n_vars: int, dd: int) -> np.ndarray:
+def _gather_index(chosen: np.ndarray, classes: np.ndarray, grid: np.ndarray, dd: int) -> np.ndarray:
     """The gradient's (c_max, n_vars) gather.  Column k lists variable k's
-    terms, as positions in the flattened (width, M) table, in the order a
-    scatter over the table sorted lexicographically adds them: row j first,
-    then the monomial's rank.  Shorter columns end in the index of a slot
-    one past the table, which the gradient holds at 0.
+    terms, as positions in the flattened (width, M) table, in the grid's
+    order: row j, then the matching, then the colouring.  Shorter columns
+    end in the index of a slot one past the table, which the gradient holds
+    at 0.
 
-    A monomial's variables are pair * dd + colour pair, with the colour pair
-    below dd, so the sorted table orders monomials as the sequences (pair_0,
-    a_0, pair_1, a_1, ...) of their pairs and colour pairs.  The terms of
-    variable k at row j all share pair_j and a_j, so their order is that of
-    the sequences with row j left out.  Over the matchings that hold k's
-    pair at row j, every such sequence occurs once for each choice of the
-    other rows' colour pairs, and its rank among them is a per-matching
-    offset plus each other row's colour pair times a per-matching weight
-    (``_rank_terms``).  So the index is built by broadcasting, without a
-    sort.
+    A (row, matching) that holds a pair holds each of the pair's variables
+    n_col / dd times, once for each colouring of the variable's colour
+    class.  So a term's slot is the number of earlier (row, matching)
+    holders of its pair times n_col / dd, plus the colouring's place in its
+    colour class, the colourings before it that colour the pair's ends as it
+    does.
     """
     width, n_pm, n_col = grid.shape
-    pair_colours = grid % dd
-    per_matching = n_col // dd  # a variable's terms in a matching that holds its pair
-    held = Counter()  # the matchings holding each pair at the rows before j
-    order = np.empty_like(grid)
-    for j in range(width):
-        rows = {}
-        for pm, m in enumerate(matchings):
-            rows.setdefault(m[j], []).append(pm)
-        offset = np.empty(n_pm, dtype=np.int64)
-        weights = np.zeros((width, n_pm), dtype=np.int64)
-        for e, members in rows.items():
-            reduced = [matchings[pm][:j] + matchings[pm][j + 1:] for pm in members]
-            for pm, (base, w) in zip(members, _rank_terms(reduced, dd)):
-                offset[pm] = held[e] * per_matching + base
-                weights[:j, pm] = w[:j]
-                weights[j + 1:, pm] = w[j:]
-            held[e] += len(members)
-        rank = order[j]
-        rank[...] = offset[:, None]
-        for i in range(width):
-            if i != j:
-                rank += weights[i][:, None] * pair_colours[i]
-    c_max = max(held.values(), default=0) * per_matching
-    gather = np.full((c_max, n_vars), grid.size, dtype=np.int64)
-    gather[order.ravel(), grid.ravel()] = np.arange(grid.size)
+    per_class = n_col // dd
+    # earlier[j * n_pm + pm]: the holders of (j, pm)'s pair before it, in grid order
+    held = [0] * len(classes)
+    earlier = []
+    for e in chosen.ravel().tolist():
+        earlier.append(held[e])
+        held[e] += 1
+    # place[e, c]: the colourings before c that colour pair e's ends as c does
+    place = np.empty_like(classes)
+    colourings = np.arange(n_col)
+    for e, cls in enumerate(classes):
+        before = np.zeros((n_col + 1, dd), dtype=np.int64)
+        before[colourings + 1, cls] = 1
+        np.add.accumulate(before, out=before)
+        place[e] = before[colourings, cls]
+    offset = np.array(earlier, dtype=np.int64).reshape(width, n_pm, 1) * per_class
+    gather = np.full((max(held, default=0) * per_class, len(classes) * dd), grid.size, dtype=np.int64)
+    for j in range(width):  # a row at a time, so the temporaries stay a row's size
+        slot = place[chosen[j]]
+        slot += offset[j]
+        gather[slot, grid[j]] = np.arange(j * n_pm * n_col, (j + 1) * n_pm * n_col).reshape(n_pm, n_col)
     return gather
-
-
-def _rank_terms(rows, dd: int) -> list:
-    """(base, weights) for each of ``rows``, distinct tuples of one length
-    in sorted order: among all sequences (row[0], a[0], row[1], a[1], ...)
-    with every a[l] in range(dd), the one of a row and a has the
-    lexicographic rank base + sum(a[l] * weights[l]).
-
-    The rank counts the smaller sequences by the first place they differ
-    at.  At row[l]: every row that shares row[:l] and has a smaller row[l],
-    with each of its dd**(depth - l) colour choices from a[l] on.  At a[l]:
-    the rows that share row[:l + 1], times the a[l] smaller colour pairs,
-    times the dd**(depth - 1 - l) colour choices after a[l].
-    """
-    depth = len(rows[0])
-    first = {}  # the position of the first row with each prefix
-    size = Counter()  # the rows with each prefix
-    for position, row in enumerate(rows):
-        for l in range(depth + 1):
-            first.setdefault(row[:l], position)
-            size[row[:l]] += 1
-    return [
-        (
-            sum((first[row[:l + 1]] - first[row[:l]]) * dd ** (depth - l) for l in range(depth)),
-            [size[row[:l + 1]] * dd ** (depth - 1 - l) for l in range(depth)],
-        )
-        for row in rows
-    ]
 
 
 class Residual(namedtuple("Residual", "value per_colouring")):

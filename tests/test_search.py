@@ -266,13 +266,15 @@ def test_assignment_graph_layout():
 # bincount sums and reused evaluations: the monomial table listed matching by
 # matching from the expanded multigraph, in the search's lexicographic order,
 # each matching's colouring from induced_colouring, which checks the matching
-# first; one np.add.at scatter per sum and a fresh gather per call.  Its
+# first; one np.add.at scatter per sum and a fresh gather per call.  The
+# gradient's scatter takes the rows by their matching's pairs, then their
+# colouring: the grid's order, in which the search adds every sum.  Its
 # products are the search's one product rule, a running element-wise complex
 # multiply from 1 over the table's columns, each gathered on its own.  The
 # fast path must agree with it bit for bit, not within a tolerance, and these
 # helpers read nothing of its layout.
 
-SlowProblem = namedtuple("SlowProblem", "monomials group colourings targets n_vars")
+SlowProblem = namedtuple("SlowProblem", "monomials group colourings targets n_vars d")
 
 
 def slow_problem(g, d):
@@ -294,7 +296,7 @@ def slow_problem(g, d):
     targets = np.zeros(len(ordered), dtype=np.complex128)
     targets[:d] = 1.0
     group = np.array([index[vc] for vc in induced], dtype=np.int64)
-    return SlowProblem(monomials, group, tuple(ordered), targets, len(expanded.edges))
+    return SlowProblem(monomials, group, tuple(ordered), targets, len(expanded.edges), d)
 
 
 def both_problems(g, d):
@@ -324,7 +326,17 @@ def slow_residual(slow, x):
     return float(np.sum(contributions)), per
 
 
-def slow_gradient(slow, x):
+def grid_rows(slow):
+    """The checked table's rows ordered by their matching's pairs, then their
+    colouring's index: the order of the grid's columns."""
+    pairs = slow.monomials // (slow.d * slow.d)
+    return np.lexsort((slow.group, *pairs.T[::-1]))
+
+
+def scatter_gradient(slow, x, rows):
+    """The gradient by a width-major scatter over the checked table's rows
+    taken in the order ``rows``: each variable's terms from row j first,
+    then in that order."""
     grad = np.zeros(slow.n_vars, dtype=np.complex128)
     if not len(slow.monomials):
         return grad
@@ -338,9 +350,14 @@ def slow_gradient(slow, x):
     leave_one_out = pre * suf
     diff = slow_group_weights(slow, x) - slow.targets
     coeff = diff[slow.group][:, None]
-    # width-major, the order in which the search adds each variable's terms
-    np.add.at(grad, slow.monomials.T, (np.conj(leave_one_out) * coeff).T)
+    np.add.at(grad, slow.monomials[rows].T, (np.conj(leave_one_out) * coeff)[rows].T)
     return 2.0 * grad
+
+
+def slow_gradient(slow, x):
+    """The gradient in the order the search adds each variable's terms:
+    row j, then the matching, then the colouring."""
+    return scatter_gradient(slow, x, grid_rows(slow))
 
 
 def slow_descend(slow, x, max_iters, tol):
@@ -693,25 +710,44 @@ def test_problem_build_is_the_checked_build(shape):
     assert np.array_equal(prob.monomials.T, prob._columns)
 
 
-@pytest.mark.parametrize("shape", BUILDS.values(), ids=BUILDS)
+#: K8 at d = 2 holds each pair at several rows across its 105 matchings
+GATHERS = dict(BUILDS, **{"K8.d2": (lambda: complete_skeleton(8), 2)})
+
+
+@pytest.mark.parametrize("shape", GATHERS.values(), ids=GATHERS)
 def test_gradient_gather_lists_each_variables_terms_in_the_scatter_order(shape):
     """Column k of the gradient's gather lists variable k's terms in the
-    order the checked build's width-major scatter adds them, row j first and
-    then the monomial's place in the sorted table, as positions in the
-    grid's flattened (width, M) table; shorter columns end in the slot one
-    past the table."""
+    order the reference's width-major scatter adds them, row j first, then
+    the matching, then the colouring, as positions in the grid's flattened
+    (width, M) table; shorter columns end in the slot one past the table."""
     build, d = shape
     prob, slow = both_problems(build(), d)
-    count, width = prob.monomials.shape
-    grid_column = lexicographic_order(prob.monomials)
-    columns = [[] for _ in range(prob.n_vars)]
+    count, width = slow.monomials.shape
+    rows = grid_rows(slow)
+    columns = [[] for _ in range(slow.n_vars)]
     for j in range(width):
-        for place, k in enumerate(slow.monomials[:, j]):
-            columns[k].append(j * count + grid_column[place])
+        for column, k in enumerate(slow.monomials[rows, j]):
+            columns[k].append(j * count + column)
     depth = max(map(len, columns), default=0)
     padded = [column + [width * count] * (depth - len(column)) for column in columns]
-    expected = np.array(padded, dtype=np.int64).reshape(prob.n_vars, depth).T
+    expected = np.array(padded, dtype=np.int64).reshape(slow.n_vars, depth).T
     assert prob._gather.dtype == expected.dtype and np.array_equal(prob._gather, expected)
+
+
+@pytest.mark.parametrize("shape", BUILDS.values(), ids=BUILDS)
+def test_the_gradient_is_the_sorted_tables_scatter_but_for_the_addition_order(shape):
+    """The width-major scatter over the checked build's lexicographically
+    sorted table adds each variable's terms in another order than the
+    search, so the two gradients agree within 1e-12 relative, not bit for
+    bit."""
+    build, d = shape
+    prob, slow = both_problems(build(), d)
+    rng = np.random.default_rng(34)
+    for scale in (0.1, 1.0, 3.0):
+        x = scale * (rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars))
+        sorted_order = scatter_gradient(slow, x, np.arange(len(slow.monomials)))
+        error = np.max(np.abs(gradient(prob, x) - sorted_order), initial=0.0)
+        assert error <= 1e-12 * np.max(np.abs(sorted_order), initial=0.0)
 
 
 def test_the_chorded_cycles_gather_is_padded():

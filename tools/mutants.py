@@ -223,8 +223,8 @@ MUTANTS = (
     Mutant(
         "a grid column reads the lower end's colour for the upper end",
         "src/ghzgraphs/search.py",
-        "colour[ends[chosen, 0]] * d + colour[ends[chosen, 1]]",
-        "colour[ends[chosen, 0]] * d + colour[ends[chosen, 0]]",
+        "colour[ends[:, 0]] * d + colour[ends[:, 1]]",
+        "colour[ends[:, 0]] * d + colour[ends[:, 0]]",
         "tests/test_search.py::test_problem_build_is_the_checked_build",
     ),
     Mutant(
@@ -235,13 +235,18 @@ MUTANTS = (
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
-        "the gradient's gather adds a variable's terms in grid order",
+        "the gather counts a pair's holders without regard to the pair",
         "src/ghzgraphs/search.py",
-        "    gather[order.ravel(), grid.ravel()] = np.arange(grid.size)\n",
-        "    for k in range(n_vars):\n"
-        "        terms = np.flatnonzero(grid.ravel() == k)\n"
-        "        gather[: len(terms), k] = terms\n",
-        "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
+        "        held[e] += 1\n",
+        "        held[:] = [h + 1 for h in held]\n",
+        "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
+    ),
+    Mutant(
+        "the gather counts a colouring's place across colour classes",
+        "src/ghzgraphs/search.py",
+        "        before[colourings + 1, cls] = 1\n",
+        "        before[colourings + 1] = 1\n",
+        "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
     ),
     Mutant(
         "the gradient's padding slot is not zero",
