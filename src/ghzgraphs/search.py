@@ -42,11 +42,12 @@ in their last bits).
 
 The gradient reuses the gather, the prefix rows and the colourings'
 differences, forms only the suffix products and multiplies in the
-differences by broadcasting over the matchings.  One gather of its terms
-through ``_gather``, (c_max, n_vars), and one axis-0 reduction then add
-each variable's terms.  Every sum in the search adds its terms from 0 in
-the grid's one order: row j, then the matching, then the colouring.
-Shorter columns of ``_gather`` end in a slot held at 0.  The reductions run
+differences by broadcasting over the matchings.  Every sum in the search
+adds its terms from 0 in the grid's one order: row j, then the matching,
+then the colouring.  So the gradient's gather, ``_gather``, is the stable
+sort of the flattened grid, one column per variable, shorter columns
+ending in a slot held at 0; one gather of the terms through it and one
+axis-0 reduction add each variable's terms.  The reductions run
 on float views, whose inner axis is never of length 1: an axis-0 reduction
 adds its rows in sequence only while the inner length is above 1, and
 pairs them up otherwise.  The line search keeps the accepted candidate's
@@ -114,7 +115,7 @@ class SearchProblem:
         self._columns = grid.reshape(width, len(matchings) * len(ordered))
         self.monomials = self._columns.T
         self._matching_count = len(matchings)
-        self._gather = _gather_index(chosen, classes, grid, dd)
+        self._gather = _gather_index(self._columns, self.n_vars)
         targets = np.zeros(len(ordered), dtype=np.complex128)
         targets[:d] = 1.0
         self.targets = targets
@@ -130,42 +131,20 @@ class SearchProblem:
         return pair * self.d * self.d + p * self.d + q
 
 
-def _gather_index(chosen: np.ndarray, classes: np.ndarray, grid: np.ndarray, dd: int) -> np.ndarray:
-    """The gradient's (c_max, n_vars) gather.  Column k lists variable k's
-    terms, as positions in the flattened (width, M) table, in the grid's
-    order: row j, then the matching, then the colouring.  Shorter columns
-    end in the index of a slot one past the table, which the gradient holds
-    at 0.
-
-    A (row, matching) that holds a pair holds each of the pair's variables
-    n_col / dd times, once for each colouring of the variable's colour
-    class.  So a term's slot is the number of earlier (row, matching)
-    holders of its pair times n_col / dd, plus the colouring's place in its
-    colour class, the colourings before it that colour the pair's ends as it
-    does.
-    """
-    width, n_pm, n_col = grid.shape
-    per_class = n_col // dd
-    # earlier[j * n_pm + pm]: the holders of (j, pm)'s pair before it, in grid order
-    held = [0] * len(classes)
-    earlier = []
-    for e in chosen.ravel().tolist():
-        earlier.append(held[e])
-        held[e] += 1
-    # place[e, c]: the colourings before c that colour pair e's ends as c does
-    place = np.empty_like(classes)
-    colourings = np.arange(n_col)
-    for e, cls in enumerate(classes):
-        before = np.zeros((n_col + 1, dd), dtype=np.int64)
-        before[colourings + 1, cls] = 1
-        np.add.accumulate(before, out=before)
-        place[e] = before[colourings, cls]
-    offset = np.array(earlier, dtype=np.int64).reshape(width, n_pm, 1) * per_class
-    gather = np.full((max(held, default=0) * per_class, len(classes) * dd), grid.size, dtype=np.int64)
-    for j in range(width):  # a row at a time, so the temporaries stay a row's size
-        slot = place[chosen[j]]
-        slot += offset[j]
-        gather[slot, grid[j]] = np.arange(j * n_pm * n_col, (j + 1) * n_pm * n_col).reshape(n_pm, n_col)
+def _gather_index(columns: np.ndarray, n_vars: int) -> np.ndarray:
+    """The gradient's (c_max, n_vars) gather: column k lists variable k's
+    positions in the flattened table in order, its run in the stable sort
+    of the entries, and shorter columns end in the index one past the
+    table."""
+    flat = columns.ravel()
+    order = np.argsort(flat, kind="stable")
+    keys = flat[order]
+    counts = np.bincount(flat, minlength=n_vars)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(flat.size)
+    rank -= starts[keys]  # each term's place in its variable's run, in place to spare a copy
+    gather = np.full((counts.max(initial=0), n_vars), flat.size, dtype=np.int64)
+    gather[rank, keys] = order
     return gather
 
 

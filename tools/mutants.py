@@ -235,17 +235,17 @@ MUTANTS = (
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
-        "the gather counts a pair's holders without regard to the pair",
+        "the gather's sort is not stable",
         "src/ghzgraphs/search.py",
-        "        held[e] += 1\n",
-        "        held[:] = [h + 1 for h in held]\n",
+        'np.argsort(flat, kind="stable")',
+        'np.argsort(flat, kind="quicksort")',
         "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
     ),
     Mutant(
-        "the gather counts a colouring's place across colour classes",
+        "the gather's runs start where they end",
         "src/ghzgraphs/search.py",
-        "        before[colourings + 1, cls] = 1\n",
-        "        before[colourings + 1] = 1\n",
+        "    starts = np.cumsum(counts) - counts\n",
+        "    starts = np.cumsum(counts)\n",
         "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
     ),
     Mutant(
