@@ -102,29 +102,29 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     return _classify(g, cut, {})
 
 
-def _block(blocks: dict, g: Multigraph, vertices, cut_vertices=()) -> tuple:
+def _block(blocks: dict, g: Multigraph, vertices: int, cut: int = 0) -> tuple:
     """The sorted vertices and the weight table of G[vertices] without the
-    edges joining two vertices of ``cut_vertices``, built once per ``blocks``.
+    edges joining two vertices of ``cut``, built once per ``blocks``.
 
-    The key is all the block depends on, the kernel's two bit masks: its
-    vertex set and the cut vertices inside it, so every cut that asks for a
-    block gets the table built first.
+    ``vertices`` and ``cut`` are the kernel's two bit masks, ``cut`` inside
+    ``vertices``.  They are all the block depends on and its key, so every
+    cut that asks for a block gets the table built first.
     """
-    v = _bits(vertices)
-    c = v & _bits(cut_vertices)
-    key = v, c
+    key = vertices, cut
     block = blocks.get(key)
     if block is None:
-        block = blocks[key] = (tuple(sorted(vertices)), _weight_table(g, v, c))
+        kept = tuple(x for x in range(g.n) if vertices >> x & 1)
+        block = blocks[key] = (kept, _weight_table(g, vertices, cut))
     return block
 
 
 def _classify(g: Multigraph, cut: CutSpec, blocks: dict) -> ColourClassification:
     """``classify_colours`` of a valid 3-cut, its blocks taken from ``blocks``."""
     zero = g.zero
-    _, h0 = _block(blocks, g, set(cut.v1) | set(cut.s), cut.s)
+    s = _bits(cut.s)
+    _, h0 = _block(blocks, g, _bits(cut.v1) | s, s)
     has_type0 = any(w != zero for w in h0.values())
-    _, v2 = _block(blocks, g, cut.v2)
+    _, v2 = _block(blocks, g, _bits(cut.v2))
     v2_weights = {c: v2.get((c,) * len(cut.v2), zero) for c in sorted(g.colour_universe)}
     if has_type0:
         c1 = frozenset(c for c, w in v2_weights.items() if w != zero)
@@ -190,13 +190,14 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
     vertex_map = _vertex_map(cut, cls)
     pos = {x: r for r, orig in enumerate(vertex_map)
            for x in (orig if isinstance(orig, tuple) else (orig,))}
-    v1_set, v2_set = set(cut.v1), set(cut.v2)
+    v1_set = set(cut.v1)
     # (u, v, cu, cv) and weight of each edge; vertex_map is sorted in the
     # hard case, so pos keeps u < v on the copied edges, as on the block edges
     parts = [((pos[e.u], pos[e.v], e.cu, e.cv), e.weight)
              for e in g.edges if e.u in v1_set or e.v in v1_set] if cls.c1 else []
-    sides = [] if cls.c1 else [v1_set | {u} for u in cut.s]
-    for side in sides + [v2_set | {a, b} for a, b in itertools.combinations(cut.s, 2)]:
+    v1, v2 = _bits(cut.v1), _bits(cut.v2)
+    sides = [] if cls.c1 else [v1 | 1 << u for u in cut.s]
+    for side in sides + [v2 | 1 << a | 1 << b for a, b in itertools.combinations(cut.s, 2)]:
         kept, table = _block(blocks, g, side)
         owner = [pos.get(x) for x in kept]
         weights = _project(table, owner, factors)
@@ -270,8 +271,13 @@ class ReductionReport(
 def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> ReductionReport:
     """Shrink g across a size-3 cut with an odd block.
 
-    The first such cut is used (all of them when ``all_cuts``, keeping the
-    smallest result); a graph without one is rejected.  Reports carry
+    The first such cut is used; with ``all_cuts`` every odd cut is
+    classified, and reduced and checked only if it can still be the result,
+    and the smallest result is kept: fewest vertices, then fewest edges, the
+    earlier cut on a tie.  A cut is classified before it is reduced, and the
+    classification fixes its reduced vertex count, so a cut that would give
+    more vertices than the best graph so far is not reduced.  A graph without
+    an odd 3-cut is rejected.  Reports carry
     kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the input is
     g-GHZ the report also carries a float rescaling of the result to a
     strict GHZ graph, and the dimension never decreases.  The identity
@@ -307,6 +313,9 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         if cut.parity != "odd":
             continue
         cls = _classify(g, cut, blocks)
+        # the reduced graph has len(vertex_map) vertices and loses to a smaller best
+        if best is not None and len(_vertex_map(cut, cls)) > best[2].n:
+            continue
         reduced = _reduce(g, cut, cls, check, blocks)
         output_verdict = verify(reduced)
         if input_verdict.is_g_ghz:

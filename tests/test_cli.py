@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 
+import ghzgraphs.reduction
 from ghzgraphs import (
     cancelling_square,
     complete_ghz_k4,
@@ -23,7 +24,7 @@ from ghzgraphs import (
 )
 from ghzgraphs.cli import build_parser, main
 
-from conftest import bogdanov_instance, fresh_interpreter
+from conftest import bogdanov_instance, fresh_interpreter, hard_family_member
 
 
 @pytest.fixture
@@ -133,6 +134,29 @@ def test_reduce_then_verify_end_to_end(files, capsys, tmp_path):
     # the float rescaling that ships in the same report also verifies
     scaled = parse_document(json.dumps(report["scaled"]))
     assert verify(scaled).is_ghz
+
+
+def test_reduce_all_cuts_prints_the_librarys_report_with_or_without_checks(monkeypatch, capsys, tmp_path):
+    g, _ = hard_family_member(0)
+    path = tmp_path / "hard.json"
+    path.write_text(serialize_graph(g))
+    expected = ghzgraphs.reduction.reduce(g, all_cuts=True)
+    real, calls = ghzgraphs.reduction.reduce, []
+
+    def recording(h, all_cuts=False, check=True):
+        calls.append((all_cuts, check))
+        return real(h, all_cuts, check)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "reduce", recording)
+    code, out, err = run(["reduce", "--all-cuts", str(path)], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    cut = expected.cut
+    assert report["cut"] == {"s": list(cut.s), "v1": list(cut.v1), "v2": list(cut.v2), "parity": cut.parity}
+    assert parse_document(json.dumps(report["graph"])) == expected.graph
+    code, unchecked, err = run(["reduce", "--all-cuts", "--no-check", str(path)], capsys)
+    assert code == 0 and err == "" and unchecked == out
+    assert calls == [(True, True), (True, False)]
 
 
 def test_reduce_irreducible_is_a_domain_error(files, capsys):

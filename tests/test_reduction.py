@@ -995,6 +995,33 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
 
 
 @pytest.mark.parametrize("all_cuts", [False, True])
+def test_all_cuts_reduces_only_the_cuts_that_can_still_win(monkeypatch, all_cuts):
+    """On the hard family the first odd cut is easy, so every later hard cut,
+    with its 6 reduced vertices against the best's 4, is classified but never
+    reduced; each easy cut can still tie on vertices and win on edges."""
+    g, _ = hard_family_member(0)
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    easy = [cut for cut in odd if not classify_colours(g, cut).c1]
+    assert (len(odd), len(easy)) == (80, 64) and easy[0] == odd[0]
+    real_classify, real_reduce = ghzgraphs.reduction._classify, ghzgraphs.reduction._reduce
+    classified, reduced = [], []
+
+    def counting_classify(h, cut, blocks):
+        classified.append(cut)
+        return real_classify(h, cut, blocks)
+
+    def counting_reduce(h, cut, cls, check, blocks):
+        reduced.append(cut)
+        return real_reduce(h, cut, cls, check, blocks)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "_classify", counting_classify)
+    monkeypatch.setattr(ghzgraphs.reduction, "_reduce", counting_reduce)
+    reduce(g, all_cuts=all_cuts)
+    assert classified == (odd if all_cuts else odd[:1])
+    assert reduced == (easy if all_cuts else odd[:1])
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
 @pytest.mark.parametrize("case", range(len(COMPUTE_ONCE_CASES)))
 def test_reduce_scales_only_the_graph_it_returns(monkeypatch, case, all_cuts):
     g = COMPUTE_ONCE_CASES[case]
@@ -1058,10 +1085,15 @@ def test_reduce_computes_kappa_only_for_a_report(monkeypatch):
 # block copies built per cut
 
 
+def vertices_of(mask):
+    """The vertices of a bit mask, in increasing order."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 def slow_unshared_reduce(g, all_cuts=False, check=True):
     """reduce() as it was: every cut builds its own block copies and their tables."""
-    def unshared(blocks, h, vertices, cut_vertices=()):
-        sub, kept = slow_cut_block(h, vertices, cut_vertices)
+    def unshared(blocks, h, vertices, cut=0):
+        sub, kept = slow_cut_block(h, vertices_of(vertices), vertices_of(cut))
         return kept, colouring_weight_table(sub)
 
     with mock.patch.object(ghzgraphs.reduction, "_block", unshared):
@@ -1103,9 +1135,9 @@ def test_reduce_builds_each_block_once(monkeypatch, case, all_cuts):
         built.append((vertices, vertices & cut))
         return real_kernel(h, vertices, cut)
 
-    def counting_block(blocks, h, vertices, cut_vertices=()):
-        asked.append((bits(vertices), bits(set(vertices) & set(cut_vertices))))
-        return real_block(blocks, h, vertices, cut_vertices)
+    def counting_block(blocks, h, vertices, cut=0):
+        asked.append((vertices, vertices & cut))
+        return real_block(blocks, h, vertices, cut)
 
     monkeypatch.setattr(ghzgraphs.reduction, "_weight_table", counting_kernel)
     monkeypatch.setattr(ghzgraphs.reduction, "_block", counting_block)

@@ -35,3 +35,10 @@ def test_search_recall_reports_each_field_of_one_case():
     for share in ("converged_share", "exact_share"):
         assert result[share] in (0.0, 1.0)
     assert result["worst_residual"] >= 0.0 and result["wall_s"] >= 0.0
+
+
+def test_kernel_calls_counts_and_digests_one_reduce_pass():
+    result = run_tool("kernel_calls.py", "--seed", "1", "--repeats", "1")
+    assert result["seed"] == 1 and result["repeats"] == 1
+    assert result["calls"] == result["empty"] + result["one_entry"] + result["more"]
+    assert len(result["digest"]) == 64 and set(result["digest"]) <= set("0123456789abcdef")

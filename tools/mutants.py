@@ -76,16 +76,30 @@ MUTANTS = (
     Mutant(
         "_block keyed by its vertex set alone",
         "src/ghzgraphs/reduction.py",
-        "    key = v, c\n",
-        "    key = v\n",
+        "    key = vertices, cut\n",
+        "    key = vertices\n",
         "tests/test_reduction.py::test_shared_blocks_match_the_blocks_built_per_cut",
     ),
     Mutant(
         "the mask-keyed block drops its cut part",
         "src/ghzgraphs/reduction.py",
-        "    c = v & _bits(cut_vertices)\n",
-        "    c = 0\n",
+        "_weight_table(g, vertices, cut))\n",
+        "_weight_table(g, vertices, 0))\n",
         "tests/test_reduction.py::test_shared_blocks_match_the_blocks_built_per_cut",
+    ),
+    Mutant(
+        "all_cuts skips cuts of the best's size",
+        "src/ghzgraphs/reduction.py",
+        "len(_vertex_map(cut, cls)) > best[2].n:",
+        "len(_vertex_map(cut, cls)) >= best[2].n:",
+        "tests/test_reduction.py::test_lazy_cut_scan_matches_the_listed_scan",
+    ),
+    Mutant(
+        "all_cuts reduces every cut",
+        "src/ghzgraphs/reduction.py",
+        "        if best is not None and len(_vertex_map(cut, cls)) > best[2].n:\n",
+        "        if False:\n",
+        "tests/test_reduction.py::test_all_cuts_reduces_only_the_cuts_that_can_still_win",
     ),
     Mutant(
         "the identity check names the largest mismatch",
