@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
     p.add_argument("file")
-    p.add_argument("--all-cuts", action="store_true", help="classify every odd cut, keep the smallest result")
+    p.add_argument("--all-cuts", action="store_true",
+                   help="scan the odd cuts for the smallest result, stopping once the best has "
+                        "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)")
     p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")
 
     p = add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one")

@@ -55,11 +55,16 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     """Classify every feasible colouring and every mono colouring of g.
 
     ``epsilon`` only matters for float-weighted graphs; exact graphs are
-    compared exactly, but a negative or NaN ``epsilon`` raises ``ValueError``
-    either way.  The dimension field counts monochromatic colourings with
-    non-zero weight regardless of the verdict flags.
+    compared exactly, but a negative or NaN ``epsilon``, a bool, or anything
+    that does not compare with 0 raises ``ValueError`` either way.  The
+    dimension field counts monochromatic colourings with non-zero weight
+    regardless of the verdict flags.
     """
-    if not epsilon >= 0:  # NaN compares false too
+    try:  # NaN compares false too
+        valid = not isinstance(epsilon, bool) and bool(epsilon >= 0)
+    except (TypeError, ValueError, ArithmeticError):  # None, str, complex; an array, a decimal NaN
+        valid = False
+    if not valid:
         raise ValueError(f"epsilon must be a non-negative number, got {epsilon}")
     table = colouring_weight_table(g)
     exact = g.is_exact

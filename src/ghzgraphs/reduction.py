@@ -34,6 +34,13 @@ read through one projection of their tables onto the reduced vertices, one
 pass over each table.  One more pass sums the resulting edges, parallel ones
 merged and exact zeros dropped, into the reduced graph, and unless disabled
 the identity is re-checked on it.
+
+A reduction of a g-GHZ graph of dimension k must keep that dimension, and
+each of its k colours needs a perfect matching of its own, so a reduced
+graph on n vertices has at least k * n / 2 edges, and every reduced graph
+has at least 4 vertices.  ``reduce`` with ``all_cuts`` reduces only the
+cuts whose least result could beat the best graph so far, and stops its
+scan once the best graph meets the least result of all, (4, 2k).
 """
 
 from __future__ import annotations
@@ -271,22 +278,29 @@ class ReductionReport(
 def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> ReductionReport:
     """Shrink g across a size-3 cut with an odd block.
 
-    The first such cut is used; with ``all_cuts`` every odd cut is
-    classified, and reduced and checked only if it can still be the result,
-    and the smallest result is kept: fewest vertices, then fewest edges, the
-    earlier cut on a tie.  A cut is classified before it is reduced, and the
-    classification fixes its reduced vertex count, so a cut that would give
-    more vertices than the best graph so far is not reduced.  A graph without
-    an odd 3-cut is rejected.  Reports carry
-    kappa, and ``mu_bound = 2`` whenever kappa <= 2.  When the input is
-    g-GHZ the report also carries a float rescaling of the result to a
-    strict GHZ graph, and the dimension never decreases.  The identity
-    check and the g-GHZ and dimension checks run on every cut reduced, but
-    only the returned graph is rescaled: with ``all_cuts`` a discarded cut
-    whose reduced graph cannot be rescaled raises nothing.  The cuts of one
-    call share their blocks: a block is a weight table read on g in place,
-    built once per call for its vertex set and the cut vertices inside it,
-    and freed when the call returns.
+    The first such cut is used; with ``all_cuts`` the smallest result is
+    kept: fewest vertices, then fewest edges, the earlier cut on a tie.  A
+    graph without an odd 3-cut is rejected.  Reports carry kappa, and
+    ``mu_bound = 2`` whenever kappa <= 2.  When the input is g-GHZ the
+    report also carries a float rescaling of the result to a strict GHZ
+    graph, and the dimension never decreases.
+
+    With ``all_cuts`` the scan skips what cannot win.  Let k be the input's
+    dimension if it is g-GHZ, and 0 otherwise.  A cut is classified before
+    it is reduced, and the classification fixes the reduced vertex count n,
+    which is even; a reduced graph of dimension k needs a perfect matching
+    per colour, so the cut gives at least k * n / 2 edges.  A cut is reduced
+    and checked only if (n, k * n / 2) is strictly below the best graph so
+    far, and as no cut gives fewer than 4 vertices, the scan stops, leaving
+    later cuts unclassified, once the best graph has 4 vertices and 2k
+    edges.  Neither rule can change the report.  The identity check and the
+    g-GHZ and dimension checks run on every cut reduced, but a cut that is
+    skipped or never reached raises nothing, ``InvariantViolation``
+    included, and only the returned graph is rescaled: a discarded cut
+    whose reduced graph cannot be rescaled raises nothing either.  The cuts
+    of one call share their blocks: a block is a weight table read on g in
+    place, built once per call for its vertex set and the cut vertices
+    inside it, and freed when the call returns.
 
     kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
     component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j
@@ -304,18 +318,20 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
         raise ValueError("reduction expects an exact-weighted graph")
     input_verdict = verify(g)
 
+    # a cut giving n vertices gives at least k * n / 2 edges (see above)
+    k = input_verdict.dimension if input_verdict.is_g_ghz else 0
     # any_cut tells "every 3-cut is even" from "no 3-cut" when no odd cut is found
     any_cut = False
     blocks: dict = {}  # every cut's blocks, shared across the cuts of this call
-    best = None  # (cut, classification, reduced graph, output verdict)
+    best = None  # ((vertices, edges), cut, classification, reduced graph, output verdict)
     for cut in iter_cuts(g, 3):
         any_cut = True
         if cut.parity != "odd":
             continue
         cls = _classify(g, cut, blocks)
-        # the reduced graph has len(vertex_map) vertices and loses to a smaller best
-        if best is not None and len(_vertex_map(cut, cls)) > best[2].n:
-            continue
+        n = len(_vertex_map(cut, cls))  # even, so k * n // 2 is exact
+        if best is not None and (n, k * n // 2) >= best[0]:
+            continue  # it cannot beat the best
         reduced = _reduce(g, cut, cls, check, blocks)
         output_verdict = verify(reduced)
         if input_verdict.is_g_ghz:
@@ -325,15 +341,16 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
                 raise InvariantViolation(
                     f"reduction lost dimension: {input_verdict.dimension} -> {output_verdict.dimension}"
                 )
-        if best is None or (reduced.n, len(reduced.edges)) < (best[2].n, len(best[2].edges)):
-            best = (cut, cls, reduced, output_verdict)
-        if not all_cuts:
+        size = reduced.n, len(reduced.edges)
+        if best is None or size < best[0]:
+            best = (size, cut, cls, reduced, output_verdict)
+        if not all_cuts or best[0] == (4, 2 * k):  # no cut gives fewer than 4 vertices
             break
     if best is None:
         if any_cut:
             raise ValueError("no size-3 cut admits an odd block; cannot reduce")
         raise IrreducibleError("irreducible: 4-connected (no vertex cut of size 3)")
-    cut, cls, reduced, output_verdict = best
+    _, cut, cls, reduced, output_verdict = best
     kappa = vertex_connectivity(g)
     return ReductionReport(
         case="hard" if cls.c1 else "easy",

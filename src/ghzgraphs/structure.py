@@ -223,8 +223,11 @@ def iter_cuts(g: Multigraph, size: int):
     the block containing the smallest remaining vertex versus the rest; for
     size 3 every bipartition with an odd first block is tried,
     lexicographically smallest odd block first (falling back to the
-    smallest-vertex grouping when no odd block exists).
+    smallest-vertex grouping when no odd block exists).  A size that is a
+    bool or not an int raises ``ValueError``.
     """
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ValueError(f"size must be an int, got {size!r}")
     if size < 0:
         raise ValueError(f"cut size must be at least 0, got {size}")
     if g.n < size + 2:

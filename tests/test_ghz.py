@@ -5,8 +5,10 @@ import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ghzgraphs.ghz
@@ -115,16 +117,28 @@ def test_float_graphs_verify_within_epsilon():
     assert not verify(g, epsilon=1e-15).is_ghz
 
 
-@pytest.mark.parametrize("epsilon", [-1.0, -1e-12, float("nan")])
+# a bool would pass as 0 or 1; None, str, complex, a decimal NaN and an
+# array of two do not compare with 0 to one bool
+@pytest.mark.parametrize("epsilon", [
+    -1.0, -1e-12, float("nan"),
+    True, False, None, "1e-9", 1j, 0.5 + 0j, Decimal("NaN"), np.array([0.1, 0.2]),
+])
 def test_out_of_range_epsilon_is_refused(epsilon):
     ghz = scale_to_ghz(cycle_ghz(6))
     assert verify(ghz).is_ghz and dimension(ghz) == 2
     for call in (verify, dimension):
         for g in (ghz, cycle_ghz(6)):
-            with pytest.raises(ValueError, match="epsilon"):
+            with pytest.raises(ValueError, match="epsilon must be a non-negative number"):
                 call(g, epsilon)
-    with pytest.raises(ValueError, match="epsilon"):
+    with pytest.raises(ValueError, match="epsilon must be a non-negative number"):
         scale_to_ghz(cycle_ghz(6), epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 10**9), np.float64(1e-9), np.float32(1e-6), np.int64(0)])
+def test_fraction_and_numpy_epsilons_are_accepted(epsilon):
+    g = build_graph(2, [(0, 1, 0, 0, 1.0 + 1e-12j)])
+    assert verify(g, epsilon).is_ghz == (epsilon > 1e-12)
+    assert dimension(scale_to_ghz(cycle_ghz(6), epsilon), epsilon) == 2
 
 
 def test_zero_epsilon_compares_floats_exactly():

@@ -7,6 +7,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghzgraphs.matchings
 import ghzgraphs.reduction
@@ -49,11 +51,16 @@ from conftest import (
     HARD_ORDER,
     as_float,
     bits,
+    bogdanov_corpus,
     cycle_cases,
+    enumeration_corpus,
+    ghz_corpus,
     hard_family,
     hard_family_member,
     planted_cut_corpus,
     planted_cut_instance,
+    random_corpus,
+    scale_corpus,
     slow_block_weight,
     slow_cut_block,
     slow_project,
@@ -827,6 +834,50 @@ def test_identity_check_names_the_smallest_of_several_planted_mismatches(monkeyp
 
 
 # ---------------------------------------------------------------------------
+# the bound of reduce(all_cuts=True): each colour with a non-zero all-c
+# colouring has a perfect matching of its own, coloured (c, c), so a graph
+# of dimension k on n vertices has k * n / 2 edges once parallel edges are
+# merged and zero ones dropped, as a reduced graph's are
+
+
+def edges_and_bound(g):
+    """2 * the merged non-zero edges of g, and its dimension times n."""
+    h = drop_zero_edges(merge_parallel_edges(g))
+    return 2 * len(h.edges), verify(g).dimension * g.n
+
+
+BOUND_CORPUS = (
+    random_corpus(100) + bogdanov_corpus(20) + enumeration_corpus() + cycle_cases()
+    + [g for _, g in ghz_corpus() + scale_corpus()]
+    + [g for g, _ in planted_cut_corpus(50) + hard_family()]
+)
+
+
+def test_corpus_graphs_have_at_least_dimension_times_n_over_2_edges():
+    pairs = [edges_and_bound(g) for g in BOUND_CORPUS]
+    assert all(edges >= bound for edges, bound in pairs)
+    assert any(edges == bound > 0 for edges, bound in pairs)  # C6, for one: the bound is met
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 6 vertices and 3 colours; weights -2..2, so zero edges and
+    parallel edges that cancel are common."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=3))
+    vertex, colour = st.integers(0, max(n - 1, 0)), st.integers(0, d - 1)
+    specs = draw(st.lists(st.tuples(vertex, vertex, colour, colour, st.integers(-2, 2)), max_size=18))
+    return build_graph(n, [spec for spec in specs if spec[0] != spec[1]], colours=range(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_random_multigraphs_have_at_least_dimension_times_n_over_2_edges(g):
+    edges, bound = edges_and_bound(g)
+    assert edges >= bound
+
+
+# ---------------------------------------------------------------------------
 # the lazy cut scan in reduce(), against the list-then-filter scan it replaced
 
 
@@ -896,6 +947,30 @@ def even_cut_first():
     return build_graph(7, [(u, v, 0, 0, 1) for u, v in pairs], colours=range(1))
 
 
+def c6_with_a_dead_chord():
+    """C6 with a chord 0-2 coloured (0, 1), in no perfect matching, so the
+    graph is g-GHZ of dimension 2 like C6.  Its first three odd cuts reduce
+    to 4 vertices and 5 edges, and its fourth to 4 vertices and 4 edges,
+    the least any cut can give."""
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in cycle_ghz(6).edges]
+    return build_graph(6, specs + [(0, 2, 0, 1, 1)], colours=range(2))
+
+
+def dimension_losing_cut():
+    """A 6-vertex graph that is not g-GHZ, of dimension 1, whose cuts mostly
+    reduce to 4 vertices and 2 or more edges.
+
+    Colour 0 has one matching, {01, 23, 45}.  Painting 0 and 1 in colour 1
+    and the rest in 0 gives {02, 13, 45} weight -1.  At the cut {2, 3, 4}
+    with V1 = {5} and V2 = {0, 1} the reduced pair 2-3 sums both, 1 - 1, so
+    its edge is dropped: 4 vertices, 1 edge and dimension 0.  A bound drawn
+    from the input's dimension would stop the scan at the earlier
+    (4, 2) of the cut {0, 2, 4}.
+    """
+    specs = [(4, 5, 0, 0, 1), (2, 3, 0, 0, 1), (0, 1, 0, 0, 1), (0, 2, 1, 0, -1), (1, 3, 1, 0, 1)]
+    return build_graph(6, specs, colours=range(2))
+
+
 def outcome(fn, g, all_cuts):
     # the identity check reads no cut list; it is left out where every cut is
     # reduced, which is where reduce() spends its time
@@ -909,6 +984,7 @@ SCAN_CASES = (
     [g for g, _ in planted_cut_corpus(50)]
     + [g for g, _ in (hard_family_member(seed, seed % 3 == 2) for seed in range(12))]
     + [cycle_ghz(6), cycle_ghz_on(HARD_ORDER), octahedron(), only_even_cuts(), even_cut_first()]
+    + [c6_with_a_dead_chord(), dimension_losing_cut()]
 )
 
 
@@ -990,19 +1066,18 @@ def test_reduce_builds_one_table_of_g_and_classifies_each_cut_once(monkeypatch, 
     report = reduce(g, all_cuts=all_cuts)
     odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
     assert len(tables_of_g) == 1
-    assert classified == (odd if all_cuts else odd[:1])
-    assert report.cut in classified
+    assert classified == odd[:len(classified)] and report.cut in classified
+    if not all_cuts:
+        assert classified == odd[:1]
+    elif classified != odd:  # a scan stops early only at the bound, on the cut that met it
+        verdict = report.input_verdict
+        k = verdict.dimension if verdict.is_g_ghz else 0
+        assert report.cut == classified[-1]
+        assert (report.graph.n, len(report.graph.edges)) == (4, 2 * k)
 
 
-@pytest.mark.parametrize("all_cuts", [False, True])
-def test_all_cuts_reduces_only_the_cuts_that_can_still_win(monkeypatch, all_cuts):
-    """On the hard family the first odd cut is easy, so every later hard cut,
-    with its 6 reduced vertices against the best's 4, is classified but never
-    reduced; each easy cut can still tie on vertices and win on edges."""
-    g, _ = hard_family_member(0)
-    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
-    easy = [cut for cut in odd if not classify_colours(g, cut).c1]
-    assert (len(odd), len(easy)) == (80, 64) and easy[0] == odd[0]
+def counting_scan(monkeypatch):
+    """The cuts ``reduce`` classifies and the cuts it reduces, in order."""
     real_classify, real_reduce = ghzgraphs.reduction._classify, ghzgraphs.reduction._reduce
     classified, reduced = [], []
 
@@ -1016,9 +1091,76 @@ def test_all_cuts_reduces_only_the_cuts_that_can_still_win(monkeypatch, all_cuts
 
     monkeypatch.setattr(ghzgraphs.reduction, "_classify", counting_classify)
     monkeypatch.setattr(ghzgraphs.reduction, "_reduce", counting_reduce)
-    reduce(g, all_cuts=all_cuts)
-    assert classified == (odd if all_cuts else odd[:1])
-    assert reduced == (easy if all_cuts else odd[:1])
+    return classified, reduced
+
+
+def test_all_cuts_stops_at_a_first_cut_that_meets_the_bound(monkeypatch):
+    """The hard family is g-GHZ of dimension 2, and its first odd cut is easy
+    and reduces to 4 vertices and 4 edges: no cut can give less."""
+    g, _ = hard_family_member(0)
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    classified, reduced = counting_scan(monkeypatch)
+    report = reduce(g, all_cuts=True)
+    assert classified == reduced == odd[:1] and len(odd) == 80
+    assert (report.graph.n, len(report.graph.edges), report.input_verdict.dimension) == (4, 4, 2)
+    assert report == list_then_filter_reduce(g, all_cuts=True)
+
+
+@pytest.mark.parametrize("all_cuts", [False, True])
+def test_all_cuts_reduces_only_the_cuts_that_can_still_win(monkeypatch, all_cuts):
+    """The hard family's 16 hard cuts, put first, each reduce to 6 vertices
+    and 6 edges, the least a cut of 6 vertices can give at dimension 2.  So
+    after the first only a cut of 4 vertices can still win: the other hard
+    cuts, which could at best tie, are classified but never reduced, and the
+    first easy cut is reduced, gives 4 vertices and 4 edges and stops the
+    scan."""
+    g, _ = hard_family_member(0)
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    hard = [cut for cut in odd if classify_colours(g, cut).c1]
+    easy = [cut for cut in odd if cut not in hard]
+    assert (len(odd), len(hard)) == (80, 16)
+    assert {(h.n, len(h.edges)) for h in (reduce_hard(g, cut) for cut in hard)} == {(6, 6)}
+    monkeypatch.setattr(ghzgraphs.reduction, "iter_cuts", lambda h, size: iter(hard + easy))
+    classified, reduced = counting_scan(monkeypatch)
+    report = reduce(g, all_cuts=all_cuts)
+    if all_cuts:
+        assert classified == hard + easy[:1]
+        assert reduced == [hard[0], easy[0]] and report.cut == easy[0]
+    else:
+        assert classified == reduced == hard[:1] and report.cut == hard[0]
+
+
+def test_all_cuts_scans_past_a_first_cut_above_the_bound(monkeypatch):
+    """C6 with a dead chord: the first three odd cuts give 4 vertices and 5
+    edges, more than the bound of 4 at dimension 2, so each later cut can
+    still win on edges and is reduced; the fourth meets the bound, wins and
+    stops the scan."""
+    g = c6_with_a_dead_chord()
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    classified, reduced = counting_scan(monkeypatch)
+    report = reduce(g, all_cuts=True)
+    assert classified == reduced == odd[:4] and len(odd) > 4
+    assert report.cut == odd[3]
+    assert (report.input_verdict.is_g_ghz, report.input_verdict.dimension) == (True, 2)
+    assert (report.graph.n, len(report.graph.edges)) == (4, 4)
+    assert report == list_then_filter_reduce(g, all_cuts=True)
+    assert reduce(g).cut == odd[0]
+
+
+def test_a_graph_that_is_not_g_ghz_takes_no_bound_from_its_dimension():
+    """Only a g-GHZ input's result must keep its dimension.  The dimension 1
+    graph here reaches 4 vertices and 2 edges, the g-GHZ bound, at an earlier
+    cut, and its winner, with 1 edge, is found only past it."""
+    g = dimension_losing_cut()
+    odd = [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    verdict = verify(g)
+    assert (verdict.is_g_ghz, verdict.dimension) == (False, 1)
+    report = reduce(g, all_cuts=True)
+    assert report == list_then_filter_reduce(g, all_cuts=True)
+    assert report.cut == CutSpec((2, 3, 4), (5,), (0, 1))
+    assert (report.graph.n, len(report.graph.edges), report.output_verdict.dimension) == (4, 1, 0)
+    first_at_bound = next(cut for cut in odd if len(reduce_easy(g, cut).edges) == 2)
+    assert odd.index(first_at_bound) < odd.index(report.cut)
 
 
 @pytest.mark.parametrize("all_cuts", [False, True])
@@ -1143,8 +1285,30 @@ def test_reduce_builds_each_block_once(monkeypatch, case, all_cuts):
     monkeypatch.setattr(ghzgraphs.reduction, "_block", counting_block)
     reduce(g, all_cuts=all_cuts)
     assert len(built) == len(set(built)) and set(built) == set(asked)
-    if all_cuts:  # every case has odd cuts that ask for the same block
-        assert len(asked) > len(built)
+
+
+@pytest.mark.parametrize("g", [even_cut_first(), planted_cut_corpus(4)[3][0]])
+def test_the_cuts_of_a_full_scan_share_their_blocks(monkeypatch, g):
+    """Two scans that never meet the bound: every odd cut is classified, and
+    blocks asked for by several cuts are built once."""
+    real_kernel, real_block = ghzgraphs.reduction._weight_table, ghzgraphs.reduction._block
+    built, asked = [], []
+
+    def counting_kernel(h, vertices=-1, cut=0):
+        built.append((vertices, vertices & cut))
+        return real_kernel(h, vertices, cut)
+
+    def counting_block(blocks, h, vertices, cut=0):
+        asked.append((vertices, vertices & cut))
+        return real_block(blocks, h, vertices, cut)
+
+    monkeypatch.setattr(ghzgraphs.reduction, "_weight_table", counting_kernel)
+    monkeypatch.setattr(ghzgraphs.reduction, "_block", counting_block)
+    classified, _ = counting_scan(monkeypatch)
+    reduce(g, all_cuts=True)
+    assert classified == [cut for cut in iter_cuts(g, 3) if cut.parity == "odd"]
+    assert len(built) == len(set(built)) and set(built) == set(asked)
+    assert len(asked) > len(built)
 
 
 # ---------------------------------------------------------------------------

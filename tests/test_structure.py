@@ -1,6 +1,7 @@
 """Matching cover, connectivity, cut enumeration and square decompositions."""
 
 import itertools
+import re
 import random
 from collections import deque
 
@@ -467,6 +468,16 @@ def test_cut_search_refuses_a_negative_size(g):
         find_cut(g, -1)
     with pytest.raises(ValueError, match="cut size"):
         list(iter_cuts(g, -2))
+
+
+@pytest.mark.parametrize("size", [True, False, 2.0, 3.0, "3", None])
+def test_cut_search_refuses_a_size_that_is_not_an_int(size):
+    """True would search size-1 cuts, and 2.0 would fail inside itertools."""
+    c6 = cycle_ghz(6)
+    with pytest.raises(ValueError, match=re.escape(f"size must be an int, got {size!r}")):
+        find_cut(c6, size)
+    with pytest.raises(ValueError, match=re.escape(f"size must be an int, got {size!r}")):
+        list(iter_cuts(c6, size))
 
 
 def test_iter_cuts_yields_only_valid_cuts():

@@ -90,16 +90,37 @@ MUTANTS = (
     Mutant(
         "all_cuts skips cuts of the best's size",
         "src/ghzgraphs/reduction.py",
-        "len(_vertex_map(cut, cls)) > best[2].n:",
-        "len(_vertex_map(cut, cls)) >= best[2].n:",
+        "(n, k * n // 2) >= best[0]:",
+        "n >= best[0][0]:",
         "tests/test_reduction.py::test_lazy_cut_scan_matches_the_listed_scan",
     ),
     Mutant(
         "all_cuts reduces every cut",
         "src/ghzgraphs/reduction.py",
-        "        if best is not None and len(_vertex_map(cut, cls)) > best[2].n:\n",
+        "        if best is not None and (n, k * n // 2) >= best[0]:\n",
         "        if False:\n",
         "tests/test_reduction.py::test_all_cuts_reduces_only_the_cuts_that_can_still_win",
+    ),
+    Mutant(
+        "a tie on the bound is reduced",
+        "src/ghzgraphs/reduction.py",
+        "(n, k * n // 2) >= best[0]:",
+        "(n, k * n // 2) > best[0]:",
+        "tests/test_reduction.py::test_all_cuts_reduces_only_the_cuts_that_can_still_win",
+    ),
+    Mutant(
+        "the stop rule ignores the input's dimension",
+        "src/ghzgraphs/reduction.py",
+        "best[0] == (4, 2 * k):",
+        "best[0][0] == 4:",
+        "tests/test_reduction.py::test_all_cuts_scans_past_a_first_cut_above_the_bound",
+    ),
+    Mutant(
+        "the bound applies to inputs that are not g-GHZ",
+        "src/ghzgraphs/reduction.py",
+        "    k = input_verdict.dimension if input_verdict.is_g_ghz else 0\n",
+        "    k = input_verdict.dimension\n",
+        "tests/test_reduction.py::test_a_graph_that_is_not_g_ghz_takes_no_bound_from_its_dimension",
     ),
     Mutant(
         "the identity check names the largest mismatch",
