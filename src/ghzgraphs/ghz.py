@@ -55,13 +55,15 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     """Classify every feasible colouring and every mono colouring of g.
 
     ``epsilon`` only matters for float-weighted graphs; exact graphs are
-    compared exactly, but a negative or NaN ``epsilon``, a bool, or anything
+    compared exactly, but a negative or NaN ``epsilon``, a bool (numpy's
+    bool scalar and 0-d bool array too, read by their dtype), or anything
     that does not compare with 0 raises ``ValueError`` either way.  The
     dimension field counts monochromatic colourings with non-zero weight
     regardless of the verdict flags.
     """
     try:  # NaN compares false too
-        valid = not isinstance(epsilon, bool) and bool(epsilon >= 0)
+        valid = (not isinstance(epsilon, bool) and getattr(getattr(epsilon, "dtype", None), "kind", "") != "b"
+                 and bool(epsilon >= 0))
     except (TypeError, ValueError, ArithmeticError):  # None, str, complex; an array, a decimal NaN
         valid = False
     if not valid:

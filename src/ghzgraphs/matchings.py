@@ -20,7 +20,11 @@ the DP does no normalisation, and its table entries are put in lowest terms
 only when they are read.  Most of ``reduce``'s blocks have tables of no or
 one entry, so the kernel's fixed cost per call is kept to what the block
 needs: digit places and edge lists for the kept vertices only, one decode
-for a table of one entry, and no reference cycle left for the collector.
+for a table of one entry, and no reference cycle left for the collector.  A
+larger table is read out in one pass over its sorted int keys, each key as
+two halves: from one list of every half when the table has at least as many
+entries as there are halves (the dense tables of ``verify``), and otherwise
+each distinct half decoded once, when first met (most of ``reduce``'s).
 ``_iter_perfect_matchings`` yields the matchings one at a time by a search of
 the same shape, so a caller can stop at the one it wants (the Bogdanov
 witness does); ``enumerate_perfect_matchings`` lists them all.
@@ -29,6 +33,7 @@ witness does); ``enumerate_perfect_matchings`` lists them all.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from itertools import product
 from math import gcd
 from types import MappingProxyType
 
@@ -152,10 +157,16 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     pays for its own vertices; only the scan of g's edges is per graph.
 
     A table of at most one entry is read with one decode of its key.  A
-    larger table is sorted and each key read as two halves, each distinct
-    half decoded once.  ``solve`` refers to itself, so it is deleted once
-    it has run: the call then leaves no reference cycle, and its memo is
-    freed when it returns instead of at the next cyclic collection.
+    larger table is read in one pass over its sorted int keys, each key as
+    two halves of ``half`` digits, and each exact value is wrapped in that
+    same pass.  When the table has at least ``base ** half`` entries, every
+    half is decoded up front into one list indexed by ``key // split`` and
+    ``key % split``; a sparser table decodes each distinct half once, when
+    first met, so it never builds a list longer than itself.  The path
+    follows the table's size alone, and both give the same keys in the same
+    order.  ``solve`` refers to itself, so it is deleted once it has run:
+    the call then leaves no reference cycle, and its memo is freed when it
+    returns instead of at the next cyclic collection.
 
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
@@ -254,24 +265,30 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
             return {_digits(key, places): _make(w) if exact else w}
         return {}
     # A key is read as two halves of equal length (kept vertices are even in
-    # number): a table's keys share few distinct halves, so each is decoded
-    # once and then looked up.
-    half_places = places[len(places) // 2:]
-    split = base ** len(half_places)
-    halves: dict[int, VertexColouring] = {}
+    # number), in one pass over the sorted keys that also wraps each exact
+    # entry as a GaussianRational, the only time it is wrapped.
+    half = count // 2
+    split = base**half
     out: dict[VertexColouring, object] = {}
-    for key, w in sorted(table.items()):
+    if split <= len(table):  # no more halves than entries: decode every half up front
+        halves = list(product(range(base), repeat=half))
+        for key in sorted(table):
+            w = table[key]
+            out[halves[key // split] + halves[key % split]] = _make(w) if exact else w
+        return out
+    # a sparse table shares few of its halves: decode each distinct one once
+    half_places = places[half:]
+    seen: dict[int, VertexColouring] = {}
+    for key in sorted(table):
         high, low = divmod(key, split)
-        head = halves.get(high)
+        head = seen.get(high)
         if head is None:
-            head = halves[high] = _digits(high, half_places)
-        tail = halves.get(low)
+            head = seen[high] = _digits(high, half_places)
+        tail = seen.get(low)
         if tail is None:
-            tail = halves[low] = _digits(low, half_places)
-        out[head + tail] = w
-    if exact:  # each entry becomes a GaussianRational once, here
-        for vc, w in out.items():
-            out[vc] = _make(w)
+            tail = seen[low] = _digits(low, half_places)
+        w = table[key]
+        out[head + tail] = _make(w) if exact else w
     return out
 
 

@@ -117,11 +117,13 @@ def test_float_graphs_verify_within_epsilon():
     assert not verify(g, epsilon=1e-15).is_ghz
 
 
-# a bool would pass as 0 or 1; None, str, complex, a decimal NaN and an
-# array of two do not compare with 0 to one bool
+# a bool, numpy's scalar or 0-d array included, would pass as 0 or 1; None,
+# str, complex, a decimal NaN and an array of two do not compare with 0 to
+# one bool
 @pytest.mark.parametrize("epsilon", [
     -1.0, -1e-12, float("nan"),
     True, False, None, "1e-9", 1j, 0.5 + 0j, Decimal("NaN"), np.array([0.1, 0.2]),
+    np.True_, np.False_, np.array(True), np.array(False),
 ])
 def test_out_of_range_epsilon_is_refused(epsilon):
     ghz = scale_to_ghz(cycle_ghz(6))

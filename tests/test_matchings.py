@@ -498,7 +498,11 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
     """The kernel reads each key as two halves, each decoded once per call,
     in a base taken from the colour universe; the per-digit decode in the
     base of the edge colours it replaced gives the same keys in the same
-    order, with the same values, for whole graphs and for masked blocks."""
+    order, with the same values, for whole graphs and for masked blocks.
+    A table of two or more entries with at least base ** half of them reads
+    its halves from one list of every half, and a sparser one decodes each
+    distinct half when first met; both run, exact and float, on tables of
+    exactly base ** half entries and on halves of an odd number of digits."""
     kernel = ghzgraphs.matchings._weight_table
     rng = random.Random("halves")
     corpus = enumeration_corpus() + [
@@ -519,7 +523,14 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
                 assert list(fast.items()) == list(slow.items())
                 assert [type(w) for w in fast.values()] == [type(w) for w in slow.values()]
                 colours = {c for vc in fast for c in vc}
+                base = 1 + max(g.colour_universe, default=0)
+                half = (vertices & ((1 << g.n) - 1)).bit_count() // 2
+                path = None if len(fast) < 2 else "list" if base**half <= len(fast) else "memo"
+                kind = "exact" if h.is_exact else "float"
                 reached.update({
+                    f"{path} read-out, {kind}": path is not None,
+                    f"{path} read-out, odd half": path is not None and half % 2 == 1,
+                    f"{kind} table of base ** half entries": path is not None and len(fast) == base**half,
                     "n = 0": g.n == 0 and bool(fast),
                     "one colour": colours == {0},
                     "base at least 3": max(colours, default=0) >= 2,
@@ -531,6 +542,9 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
     assert all(reached[name] for name in (
         "n = 0", "one colour", "base at least 3", "vertex mask", "cut mask", "1,024 entries",
         "universe above the edge colours",
+        "list read-out, exact", "list read-out, float", "memo read-out, exact", "memo read-out, float",
+        "list read-out, odd half", "memo read-out, odd half",
+        "exact table of base ** half entries", "float table of base ** half entries",
     )), reached
 
 

@@ -167,8 +167,29 @@ MUTANTS = (
     Mutant(
         "the weight kernel swaps a key's halves",
         "src/ghzgraphs/matchings.py",
-        "        out[head + tail] = w\n",
-        "        out[tail + head] = w\n",
+        "out[halves[key // split] + halves[key % split]]",
+        "out[halves[key % split] + halves[key // split]]",
+        "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
+    ),
+    Mutant(
+        "the sparse read-out swaps a key's halves",
+        "src/ghzgraphs/matchings.py",
+        "        out[head + tail] = _make(w) if exact else w\n",
+        "        out[tail + head] = _make(w) if exact else w\n",
+        "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
+    ),
+    Mutant(
+        "the decode list holds halves of the wrong length",
+        "src/ghzgraphs/matchings.py",
+        "product(range(base), repeat=half)",
+        "product(range(base), repeat=half + 1)",
+        "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
+    ),
+    Mutant(
+        "the list read-out leaves exact values unwrapped",
+        "src/ghzgraphs/matchings.py",
+        "halves[key % split]] = _make(w) if exact else w\n",
+        "halves[key % split]] = w\n",
         "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
     ),
     Mutant(
