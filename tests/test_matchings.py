@@ -494,16 +494,24 @@ def test_masked_kernel_is_the_kernel_on_the_block_copy():
     )), reached
 
 
-def test_keys_decoded_by_halves_are_the_per_digit_keys():
+def test_keys_decoded_by_halves_are_the_per_digit_keys(monkeypatch):
     """The kernel reads each key as two halves, each decoded once per call,
     in a base taken from the colour universe; the per-digit decode in the
     base of the edge colours it replaced gives the same keys in the same
     order, with the same values, for whole graphs and for masked blocks.
-    A table of two or more entries with at least base ** half of them reads
-    its halves from one list of every half, and a sparser one decodes each
-    distinct half when first met; both run, exact and float, on tables of
-    exactly base ** half entries and on halves of an odd number of digits."""
+    A table of two or more entries takes its halves either from one list of
+    every half or from a memo of the halves it meets; which one a call took
+    is read from whether it built that list, not from the kernel's rule, and
+    both run, exact and float, on halves of an odd number of digits, beside
+    tables of exactly base ** half entries, the size the choice turns on."""
     kernel = ghzgraphs.matchings._weight_table
+    lists_built = []
+
+    def recording_product(*args, **kwargs):
+        lists_built.append(kwargs)
+        return itertools.product(*args, **kwargs)
+
+    monkeypatch.setattr(ghzgraphs.matchings, "product", recording_product)
     rng = random.Random("halves")
     corpus = enumeration_corpus() + [
         cycle_ghz(12),
@@ -519,13 +527,14 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys():
         ]
         for h in (g, as_float(g)):
             for vertices, cut in masks:
+                lists_built.clear()
                 fast, slow = kernel(h, vertices, cut), slow_weight_table(h, vertices, cut)
                 assert list(fast.items()) == list(slow.items())
                 assert [type(w) for w in fast.values()] == [type(w) for w in slow.values()]
                 colours = {c for vc in fast for c in vc}
                 base = 1 + max(g.colour_universe, default=0)
                 half = (vertices & ((1 << g.n) - 1)).bit_count() // 2
-                path = None if len(fast) < 2 else "list" if base**half <= len(fast) else "memo"
+                path = None if len(fast) < 2 else "list" if lists_built else "memo"
                 kind = "exact" if h.is_exact else "float"
                 reached.update({
                     f"{path} read-out, {kind}": path is not None,
