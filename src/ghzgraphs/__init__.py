@@ -7,12 +7,15 @@ monochromatic colouring weighs 1, everything else 0), how to rescale and
 reduce such graphs across small vertex cuts, and how to search numerically
 for GHZ weight assignments on a fixed skeleton.
 
-``structure``, ``reduction``, ``instances`` and ``search`` load on first
-use, since a command such as ``verify`` needs none of them and every CLI run
-is a new process.  The module ``__getattr__`` below (PEP 562) resolves their
-names.  It reads the submodule's attribute on every lookup and stores nothing
-here, so a name that a test or a tracer rebinds in its submodule, and later
-puts back, is seen the same way through the package.  The package's
+``import ghzgraphs`` loads no submodule: each one loads the first time one
+of its names is used, since every CLI run is a new process and a command
+such as ``verify`` needs only some of them.  The module ``__getattr__`` below
+(PEP 562) resolves every re-exported name.  It reads the submodule's
+attribute on every lookup and stores nothing here, so a name that a test or
+a tracer rebinds in its submodule, and later puts back, is seen the same way
+through the package; a copy kept here would keep a stand-in after its
+submodule dropped it.  Once the submodule is loaded a lookup is one hit in
+``sys.modules`` on a precomputed module name.  The package's
 ``search`` is the function, not the submodule of that name: when the import
 system first loads ``ghzgraphs.search`` it binds the package attribute
 ``search`` to the module, so the package's module class, ``_Package``,
@@ -33,136 +36,75 @@ import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .errors import (
-    BogdanovHypothesisError,
-    DocumentError,
-    GhzGraphError,
-    InvariantViolation,
-    IrreducibleError,
-    NotGhzError,
-    UnscalableColourError,
-    WrongCaseError,
-)
-from .exact import GaussianRational
-from .graphs import (
-    Colour,
-    Edge,
-    InducedSubgraph,
-    Multigraph,
-    VertexColouring,
-    adjacency_sets,
-    build_graph,
-    drop_zero_edges,
-    induced_subgraph,
-    merge_parallel_edges,
-    mono_colouring,
-    skeleton,
-)
-from .matchings import (
-    PerfectMatching,
-    colouring_weight,
-    colouring_weight_table,
-    enumerate_perfect_matchings,
-    filter_graph,
-    graph_weight,
-    induced_colouring,
-    is_feasible,
-    matching_weight,
-)
-from .ghz import (
-    DEFAULT_EPSILON,
-    GhzVerdict,
-    Violation,
-    dimension,
-    find_bogdanov_witness,
-    mono_weights,
-    scale_to_ghz,
-    verify,
-)
-from .io import (
-    document_to_graph,
-    graph_to_document,
-    load_graph,
-    parse_document,
-    serialize_graph,
-)
-
-# re-exported name -> the submodule that defines it, imported on first use
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "CutSpec",
-            "SquareDecomposition",
-            "find_cut",
-            "iter_cuts",
-            "make_cut",
-            "mcg",
-            "square_decomposition_even",
-            "square_decomposition_odd",
-            "vertex_connectivity",
-        ),
-        "structure",
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": (
+        "BogdanovHypothesisError", "DocumentError", "GhzGraphError", "InvariantViolation",
+        "IrreducibleError", "NotGhzError", "UnscalableColourError", "WrongCaseError",
     ),
-    **dict.fromkeys(
-        (
-            "ColourClassification",
-            "ReductionReport",
-            "TypeWeights",
-            "classify_colours",
-            "reduce",
-            "reduce_easy",
-            "reduce_hard",
-            "type_weights",
-        ),
-        "reduction",
+    "exact": ("GaussianRational",),
+    "graphs": (
+        "Colour", "Edge", "InducedSubgraph", "Multigraph", "VertexColouring", "adjacency_sets",
+        "build_graph", "drop_zero_edges", "induced_subgraph", "merge_parallel_edges",
+        "mono_colouring", "skeleton",
     ),
-    **dict.fromkeys(
-        (
-            "cancelling_square",
-            "complete_ghz_k4",
-            "cycle_ghz",
-            "cycle_ghz_on",
-            "octahedron",
-            "parallel_ghz_k2",
-        ),
-        "instances",
+    "matchings": (
+        "PerfectMatching", "colouring_weight", "colouring_weight_table",
+        "enumerate_perfect_matchings", "filter_graph", "graph_weight", "induced_colouring",
+        "is_feasible", "matching_weight",
     ),
-    **dict.fromkeys(
-        (
-            "Exactification",
-            "Residual",
-            "SearchProblem",
-            "SearchResult",
-            "assignment_graph",
-            "exactify",
-            "gradient",
-            "residual",
-            "search",
-        ),
-        "search",
+    "ghz": (
+        "DEFAULT_EPSILON", "GhzVerdict", "Violation", "dimension", "find_bogdanov_witness",
+        "mono_weights", "scale_to_ghz", "verify",
+    ),
+    "io": (
+        "document_to_graph", "graph_to_document", "load_graph", "parse_document",
+        "serialize_graph",
+    ),
+    "structure": (
+        "CutSpec", "SquareDecomposition", "find_cut", "iter_cuts", "make_cut", "mcg",
+        "square_decomposition_even", "square_decomposition_odd", "vertex_connectivity",
+    ),
+    "reduction": (
+        "ColourClassification", "ReductionReport", "TypeWeights", "classify_colours", "reduce",
+        "reduce_easy", "reduce_hard", "type_weights",
+    ),
+    "instances": (
+        "cancelling_square", "complete_ghz_k4", "cycle_ghz", "cycle_ghz_on", "octahedron",
+        "parallel_ghz_k2",
+    ),
+    "search": (
+        "Exactification", "Residual", "SearchProblem", "SearchResult", "assignment_graph",
+        "exactify", "gradient", "residual", "search",
     ),
 }
 
-# submodules loaded on first use; not `search`, whose name is the function's
-_SUBMODULES = ("structure", "reduction", "instances")
+# re-exported name -> the full name of its submodule, imported on first use
+_LAZY = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(
-    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
-    + list(_LAZY)
-)
+# submodules loaded on first use; not `search`, whose name is the function's
+_SUBMODULES = frozenset(_EXPORTS) - {"search"}
+
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):
+    # once the submodule is loaded, one dict hit on its precomputed name; the
+    # attribute is read from it on every access and never stored here
+    try:
+        return getattr(_sys.modules[_LAZY[name]], name)
+    except KeyError:
+        pass
     if name in _SUBMODULES:
         return _import_module(f"{__name__}.{name}")
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_import_module(f"{__name__}.{module}"), name)
+    return getattr(_import_module(module), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
+    return sorted(set(globals()) | set(_LAZY) | _SUBMODULES)
 
 
 class _Package(_ModuleType):

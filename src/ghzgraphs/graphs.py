@@ -40,9 +40,10 @@ def _as_weight(w):
 
 
 def _as_index(value, name: str) -> int:
-    """value as a plain int, for a vertex index or count: numpy's integers
-    convert, while a bool or a value without ``__index__`` (a float) is
-    refused, as a graph document refuses them."""
+    """value as a plain int, for a vertex index or count (and, in
+    ``matchings``, a query's edge index or colour): numpy's integers convert,
+    while a bool or a value without ``__index__`` (a float) is refused, as a
+    graph document refuses them."""
     if value.__class__ is not bool:
         try:
             return index(value)

@@ -38,7 +38,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .exact import _make
-from .graphs import _EXACT_ONE, _FLOAT_ONE, Multigraph, VertexColouring
+from .graphs import _EXACT_ONE, _FLOAT_ONE, Multigraph, VertexColouring, _as_index
 
 PerfectMatching = tuple[int, ...]
 
@@ -85,9 +85,20 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
         del extend  # it refers to itself: a cycle the collector would have to free
 
 
+def _refuse_non_int(value, name: str) -> None:
+    """Refuse a bool, or a value without ``__index__`` (a float), as an edge
+    index or colour, by ``graphs._as_index``'s rule; numpy's integers pass."""
+    try:
+        _as_index(value, name)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
+
+
 def _check_matching(g: Multigraph, m: PerfectMatching) -> None:
     covered = 0
     for i in m:
+        if i.__class__ is not int:
+            _refuse_non_int(i, "edge index")
         if not 0 <= i < len(g.edges):
             raise ValueError(f"edge index {i} out of range")
         e = g.edges[i]
@@ -122,9 +133,12 @@ def induced_colouring(g: Multigraph, m: PerfectMatching) -> VertexColouring:
 def _check_colouring(g: Multigraph, vc: VertexColouring) -> None:
     if len(vc) != g.n:
         raise ValueError(f"colouring has {len(vc)} entries for {g.n} vertices")
+    universe = g.colour_universe
     for c in vc:
-        if c not in g.colour_universe:
-            raise ValueError(f"colour {c} outside universe {sorted(g.colour_universe)}")
+        if c.__class__ is not int:
+            _refuse_non_int(c, "colour")
+        if c not in universe:
+            raise ValueError(f"colour {c} outside universe {sorted(universe)}")
 
 
 def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:

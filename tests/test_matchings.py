@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ghzgraphs.matchings
@@ -165,6 +166,14 @@ def test_matching_weight_rejects_garbage():
         matching_weight(g, (0,))  # vertices 2, 3 uncovered
     with pytest.raises(ValueError):
         matching_weight(g, (99,))
+    # an edge index is an int: a bool or a float is refused, not read as one
+    ring = cycle_ghz(4)
+    for m in ((True, 3), (1.0, 3), (1, 3.0), (np.True_, 3), ("1", 3)):
+        with pytest.raises(ValueError, match="edge index must be an int"):
+            matching_weight(ring, m)
+        with pytest.raises(ValueError, match="edge index must be an int"):
+            induced_colouring(ring, m)
+    assert matching_weight(ring, (np.int64(1), np.int32(3))) == matching_weight(ring, (1, 3))
 
 
 def test_induced_colouring_reads_half_colours():
@@ -180,6 +189,15 @@ def test_filter_keeps_exactly_matching_edges():
         filter_graph(g, (0,))
     with pytest.raises(ValueError):
         filter_graph(g, (0, 9))
+    # a colour is an int: a bool or a float is refused, not read as 0 or 1
+    ring = cycle_ghz(6)
+    for vc in ((True,) * 6, (1.0,) * 6, (0, 0, 0, 0, 0, False), (np.True_,) * 6, (0.0,) * 6):
+        for query in (filter_graph, colouring_weight, is_feasible):
+            with pytest.raises(ValueError, match="colour must be an int"):
+                query(ring, vc)
+    assert colouring_weight(ring, (np.int64(1),) * 6) == colouring_weight(ring, (1,) * 6) == 1
+    assert is_feasible(ring, (np.int8(0),) * 6)
+    assert filter_graph(ring, (np.int64(1),) * 6).edges == filter_graph(ring, (1,) * 6).edges
 
 
 def test_graph_weight_against_pairing_oracle():

@@ -242,6 +242,20 @@ MUTANTS = (
         "tests/test_api.py::test_search_is_the_function_after_importing_its_submodule_first",
     ),
     Mutant(
+        "a submodule is imported eagerly again",
+        "src/ghzgraphs/__init__.py",
+        "from types import ModuleType as _ModuleType\n",
+        "from types import ModuleType as _ModuleType\n\nfrom .ghz import verify\n",
+        "tests/test_api.py::test_every_re_exported_name_resolves_in_a_fresh_interpreter",
+    ),
+    Mutant(
+        "`__getattr__` stores what it resolves in the package",
+        "src/ghzgraphs/__init__.py",
+        "        return getattr(_sys.modules[_LAZY[name]], name)\n",
+        "        value = globals()[name] = getattr(_sys.modules[_LAZY[name]], name)\n        return value\n",
+        "tests/test_api.py::test_a_name_rebound_in_its_submodule_is_seen_through_the_package",
+    ),
+    Mutant(
         "from_parts keeps a negative denominator",
         "src/ghzgraphs/exact.py",
         "    if den < 0:\n        g = -g\n",
