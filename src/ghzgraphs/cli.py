@@ -1,10 +1,24 @@
 """Command-line interface.
 
-Every subcommand reads a graph document, prints a JSON result to stdout and
-exits 0 on success, 1 on a domain error (bad document, non-GHZ input where
-GHZ is required, a failed verify gate, ...) and 2 on a usage error.  Error
-details go to stderr as JSON.  Output is deterministic: repeated runs on
-the same input are byte-identical.
+Every subcommand reads one graph document, named by the positional ``file``
+(``search`` names its skeleton with ``--skeleton``), and ``main`` is the one
+path through all of them: it loads the document once, calls the command's
+handler on the graph and the parsed arguments, and prints the JSON object
+the handler returns to stdout.  It exits 0 on success, 1 on a domain error
+(bad document, non-GHZ input where GHZ is required, a failed verify gate,
+...) and 2 on a usage error; ``verify``, the one gated command, returns its
+exit code beside its object.  Error details go to stderr as JSON, a failed
+write to stdout included.  Output is deterministic: repeated runs on the
+same input are byte-identical.
+
+Library names are read at call time as ``gz.<name>``, through the package's
+lazy table, so a command loads only the submodules it uses: every command
+loads ``ghz`` (``build_parser`` reads its default epsilon), ``mcg``,
+``connectivity`` and ``cut`` load ``structure``, ``reduce`` loads
+``reduction`` and with it ``structure``, and ``search`` loads ``search``
+and with it numpy only once its skeleton has loaded, so a bad document
+fails fast.  Importing this module loads ``io`` (for ``weight_to_strings``,
+which the package does not re-export) and what ``io`` imports.
 """
 
 from __future__ import annotations
@@ -14,30 +28,12 @@ import json
 import re
 import sys
 
-from .errors import GhzGraphError
-from .ghz import (
-    DEFAULT_EPSILON,
-    GhzVerdict,
-    dimension,
-    find_bogdanov_witness,
-    scale_to_ghz,
-    verify,
-)
-from .graphs import drop_zero_edges, merge_parallel_edges
-from .io import graph_to_document, load_graph, weight_to_strings
-from .matchings import colouring_weight_table, filter_graph, graph_weight, induced_colouring
+import ghzgraphs as gz
 
-# Handlers import what only they use: `mcg`, `connectivity` and `cut` import
-# `structure`, `reduce` imports `reduction` (and with it `structure`), and
-# `search` reads its skeleton, then imports `search` and with it numpy.  The
-# other commands start without loading any of them.
+from .io import weight_to_strings
 
 
-def _print(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _verdict_json(verdict: GhzVerdict) -> dict:
+def _verdict_json(verdict: gz.GhzVerdict) -> dict:
     return {
         "is_ghz": verdict.is_ghz,
         "is_g_ghz": verdict.is_g_ghz,
@@ -65,83 +61,58 @@ def _parse_colouring(text: str) -> tuple[int, ...]:
         raise ValueError(f"colouring must be comma-separated integers, got {text!r}")
 
 
-def _cmd_verify(args) -> int:
-    g = load_graph(args.file)
-    verdict = verify(g, args.epsilon)
-    _print(_verdict_json(verdict))
+def _cmd_verify(g, args) -> tuple[dict, int]:
+    verdict = gz.verify(g, args.epsilon)
     ok = verdict.is_g_ghz if args.g_ghz else verdict.is_ghz
-    return 0 if ok else 1
+    return _verdict_json(verdict), 0 if ok else 1
 
 
-def _cmd_dimension(args) -> int:
-    g = load_graph(args.file)
-    _print({"dimension": dimension(g, args.epsilon)})
-    return 0
+def _cmd_dimension(g, args) -> dict:
+    return {"dimension": gz.dimension(g, args.epsilon)}
 
 
-def _cmd_weights(args) -> int:
-    g = load_graph(args.file)
+def _cmd_weights(g, args) -> dict:
     if args.colouring is not None:
         vc = _parse_colouring(args.colouring)
-        table = colouring_weight_table(filter_graph(g, vc))
-        _print(
-            {
-                "colouring": list(vc),
-                "weight": weight_to_strings(table.get(vc, g.zero)),
-                "feasible": bool(table),
-            }
-        )
-        return 0
-    table = colouring_weight_table(g)
-    _print(
-        {
-            "graph_weight": weight_to_strings(graph_weight(g)),
-            "table": [
-                {"colouring": list(vc), "weight": weight_to_strings(w)}
-                for vc, w in table.items()
-            ],
+        table = gz.colouring_weight_table(gz.filter_graph(g, vc))
+        return {
+            "colouring": list(vc),
+            "weight": weight_to_strings(table.get(vc, g.zero)),
+            "feasible": bool(table),
         }
-    )
-    return 0
+    table = gz.colouring_weight_table(g)
+    return {
+        "graph_weight": weight_to_strings(gz.graph_weight(g)),
+        "table": [
+            {"colouring": list(vc), "weight": weight_to_strings(w)}
+            for vc, w in table.items()
+        ],
+    }
 
 
-def _cmd_filter(args) -> int:
-    g = load_graph(args.file)
-    vc = _parse_colouring(args.colouring)
-    _print(graph_to_document(filter_graph(g, vc)))
-    return 0
+def _cmd_filter(g, args) -> dict:
+    return gz.graph_to_document(gz.filter_graph(g, _parse_colouring(args.colouring)))
 
 
-def _cmd_mcg(args) -> int:
-    from .structure import mcg
-
-    _print(graph_to_document(mcg(load_graph(args.file))))
-    return 0
+def _cmd_mcg(g, args) -> dict:
+    return gz.graph_to_document(gz.mcg(g))
 
 
-def _cmd_merge(args) -> int:
-    _print(graph_to_document(merge_parallel_edges(load_graph(args.file))))
-    return 0
+def _cmd_merge(g, args) -> dict:
+    return gz.graph_to_document(gz.merge_parallel_edges(g))
 
 
-def _cmd_drop_zeros(args) -> int:
-    _print(graph_to_document(drop_zero_edges(load_graph(args.file))))
-    return 0
+def _cmd_drop_zeros(g, args) -> dict:
+    return gz.graph_to_document(gz.drop_zero_edges(g))
 
 
-def _cmd_connectivity(args) -> int:
-    from .structure import vertex_connectivity
-
-    _print({"kappa": vertex_connectivity(load_graph(args.file))})
-    return 0
+def _cmd_connectivity(g, args) -> dict:
+    return {"kappa": gz.vertex_connectivity(g)}
 
 
-def _cmd_cut(args) -> int:
-    from .structure import find_cut
-
-    cut = find_cut(load_graph(args.file), args.size)
-    _print(_cut_json(cut) if cut is not None else "none")
-    return 0
+def _cmd_cut(g, args) -> dict | str:
+    cut = gz.find_cut(g, args.size)
+    return _cut_json(cut) if cut is not None else "none"
 
 
 def _report_json(report) -> dict:
@@ -153,61 +124,46 @@ def _report_json(report) -> dict:
         "cut": _cut_json(report.cut),
         "classification": {"c1": sorted(cls.c1), "c2": sorted(cls.c2)},
         "vertex_map": [list(x) if isinstance(x, tuple) else x for x in report.vertex_map],
-        "graph": graph_to_document(report.graph),
-        "scaled": graph_to_document(report.scaled) if report.scaled else None,
+        "graph": gz.graph_to_document(report.graph),
+        "scaled": gz.graph_to_document(report.scaled) if report.scaled else None,
         "input_verdict": _verdict_json(report.input_verdict),
         "output_verdict": _verdict_json(report.output_verdict),
     }
 
 
-def _cmd_reduce(args) -> int:
-    from .reduction import reduce
-
-    g = load_graph(args.file)
-    report = reduce(g, all_cuts=args.all_cuts, check=not args.no_check)
-    _print(_report_json(report))
-    return 0
+def _cmd_reduce(g, args) -> dict:
+    return _report_json(gz.reduce(g, all_cuts=args.all_cuts, check=not args.no_check))
 
 
-def _cmd_scale(args) -> int:
-    g = load_graph(args.file)
-    _print(graph_to_document(scale_to_ghz(g, args.epsilon)))
-    return 0
+def _cmd_scale(g, args) -> dict:
+    return gz.graph_to_document(gz.scale_to_ghz(g, args.epsilon))
 
 
-def _cmd_bogdanov(args) -> int:
-    g = load_graph(args.file)
-    witness = find_bogdanov_witness(g)
-    _print({"matching": list(witness), "colouring": list(induced_colouring(g, witness))})
-    return 0
+def _cmd_bogdanov(g, args) -> dict:
+    witness = gz.find_bogdanov_witness(g)
+    return {"matching": list(witness), "colouring": list(gz.induced_colouring(g, witness))}
 
 
-def _cmd_search(args) -> int:
-    g = load_graph(args.skeleton)  # before numpy loads, so a bad document fails fast
-    from .search import SearchProblem, exactify, search
-
-    problem = SearchProblem(g, args.dim)
-    result = search(
+def _cmd_search(g, args) -> dict:
+    problem = gz.SearchProblem(g, args.dim)
+    result = gz.search(
         problem,
         seed=args.seed,
         restarts=args.restarts,
         max_iters=args.iters,
         tol=args.tol,
     )
-    certified = exactify(problem, result.weights)
-    _print(
-        {
-            "residual": result.residual.value,
-            "converged": result.converged,
-            "restart": result.restart,
-            "iterations": result.iterations,
-            "mode": certified.mode,
-            "epsilon": certified.epsilon,
-            "verdict": _verdict_json(certified.verdict),
-            "graph": graph_to_document(certified.graph),
-        }
-    )
-    return 0
+    certified = gz.exactify(problem, result.weights)
+    return {
+        "residual": result.residual.value,
+        "converged": result.converged,
+        "restart": result.restart,
+        "iterations": result.iterations,
+        "mode": certified.mode,
+        "epsilon": certified.epsilon,
+        "verdict": _verdict_json(certified.verdict),
+        "graph": gz.graph_to_document(certified.graph),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,63 +173,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *flags, epsilon=False):
+        """The command's parser: the positional ``file`` (but for ``search``),
+        the ``store_true`` options given as (option, help) ``flags``, then
+        ``--epsilon`` when the command takes one."""
         p = sub.add_parser(name, help=help_text)
         # a negative number in exponent form ("-1e-3") is an option's value,
         # not an option name, as in later CPython releases
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.set_defaults(func=func)
+        if name != "search":
+            p.add_argument("file")
+        for flag, flag_help in flags:
+            p.add_argument(flag, action="store_true", help=flag_help)
+        if epsilon:
+            p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
         return p
 
-    p = add("verify", _cmd_verify, "check the GHZ / g-GHZ property")
-    p.add_argument("file")
-    p.add_argument("--g-ghz", action="store_true", help="gate on the generalized property (default: strict)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-
-    p = add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings")
-    p.add_argument("file")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    add("verify", _cmd_verify, "check the GHZ / g-GHZ property",
+        ("--g-ghz", "gate on the generalized property (default: strict)"), epsilon=True)
+    add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings", epsilon=True)
 
     p = add("weights", _cmd_weights, "colouring-weight table, or one colouring's weight")
-    p.add_argument("file")
     p.add_argument("--colouring", help="comma-separated colours, one per vertex")
 
     p = add("filter", _cmd_filter, "keep edges matching a vertex colouring")
-    p.add_argument("file")
     p.add_argument("--colouring", required=True)
 
-    p = add("mcg", _cmd_mcg, "drop edges lying in no perfect matching")
-    p.add_argument("file")
-
-    p = add("merge", _cmd_merge, "merge parallel edges of equal colour class")
-    p.add_argument("file")
-
-    p = add("drop-zeros", _cmd_drop_zeros, "drop edges of weight exactly zero")
-    p.add_argument("file")
-
-    p = add("connectivity", _cmd_connectivity, "vertex connectivity of the skeleton")
-    p.add_argument("file")
+    add("mcg", _cmd_mcg, "drop edges lying in no perfect matching")
+    add("merge", _cmd_merge, "merge parallel edges of equal colour class")
+    add("drop-zeros", _cmd_drop_zeros, "drop edges of weight exactly zero")
+    add("connectivity", _cmd_connectivity, "vertex connectivity of the skeleton")
 
     p = add("cut", _cmd_cut, "find a small vertex cut")
-    p.add_argument("file")
     p.add_argument("--size", type=int, default=3)
 
-    p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
-    p.add_argument("file")
-    p.add_argument("--all-cuts", action="store_true",
-                   help="scan the odd cuts for the smallest result, stopping once the best has "
-                        "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)")
-    p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")
-
-    p = add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one")
-    p.add_argument("file")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-
-    p = add("bogdanov", _cmd_bogdanov, "find a non-monochromatic perfect matching")
-    p.add_argument("file")
+    add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block",
+        ("--all-cuts", "scan the odd cuts for the smallest result, stopping once the best has "
+                       "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)"),
+        ("--no-check", "skip the runtime identity checks"))
+    add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one", epsilon=True)
+    add("bogdanov", _cmd_bogdanov, "find a non-monochromatic perfect matching")
 
     p = add("search", _cmd_search, "search for a GHZ assignment on a skeleton")
-    p.add_argument("--skeleton", required=True)
+    p.add_argument("--skeleton", required=True, dest="file", metavar="SKELETON")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
@@ -284,11 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (GhzGraphError, ValueError, OSError, RecursionError) as exc:
+        # a handler returns the object to print, and verify its exit code too
+        result = args.func(gz.load_graph(args.file), args)
+        obj, status = result if isinstance(result, tuple) else (result, 0)
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        return status
+    except (gz.GhzGraphError, ValueError, OSError, RecursionError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = getattr(exc, "code", None)
         if code is not None:

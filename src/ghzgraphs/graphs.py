@@ -40,10 +40,9 @@ def _as_weight(w):
 
 
 def _as_index(value, name: str) -> int:
-    """value as a plain int, for a vertex index or count (and, in
-    ``matchings``, a query's edge index or colour): numpy's integers convert,
-    while a bool or a value without ``__index__`` (a float) is refused, as a
-    graph document refuses them."""
+    """value as a plain int, for a vertex index or count or a colour:
+    numpy's integers convert, while a bool or a value without ``__index__``
+    (a float) is refused, as a graph document refuses them."""
     if value.__class__ is not bool:
         try:
             return index(value)
@@ -52,10 +51,34 @@ def _as_index(value, name: str) -> int:
     raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool: a bool colour would serialise
-    as true, which a graph document refuses."""
-    return isinstance(value, int) and value.__class__ is not bool
+def _refuse_non_int(value, name: str) -> int:
+    """value as a plain int by ``_as_index``'s rule, refused with
+    ``ValueError``: an argument of a query (an edge index or colour in
+    ``matchings``), or a vertex passed to ``_as_vertices``."""
+    try:
+        return _as_index(value, name)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
+
+
+def _as_vertices(values) -> tuple[int, ...]:
+    """values as a tuple of plain-int vertices, each read by ``_refuse_non_int``."""
+    return tuple(x if x.__class__ is int else _refuse_non_int(x, "vertex") for x in values)
+
+
+def _as_universe(colours: frozenset) -> frozenset:
+    """A colour universe as plain ints, or ``ValueError`` at the first
+    entry that is not a non-negative int by ``_as_index``'s rule."""
+    plain = []
+    for c in colours:
+        try:
+            i = _as_index(c, "colour")
+        except TypeError:
+            i = -1
+        if i < 0:
+            raise ValueError(f"colour universe entry {c!r} is not a non-negative int")
+        plain.append(i)
+    return frozenset(plain)
 
 
 class _Record:
@@ -111,8 +134,8 @@ class Edge(_Record):
             raise ValueError(f"self-loop at vertex {u} is not allowed")
         if u < 0 or v < 0:
             raise ValueError("vertex indices must be non-negative")
-        if not (cu.__class__ is cv.__class__ is int or _is_int(cu) and _is_int(cv)):
-            raise TypeError("colours must be ints")
+        if cu.__class__ is not int or cv.__class__ is not int:
+            cu, cv = _as_index(cu, "colour"), _as_index(cv, "colour")
         if cu < 0 or cv < 0:
             raise ValueError("colours must be non-negative")
         weight = _as_weight(weight)
@@ -141,8 +164,9 @@ class Multigraph(_Record):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for c in colour_universe:
-            if c.__class__ is not int and not _is_int(c) or c < 0:
-                raise ValueError(f"colour universe entry {c!r} is not a non-negative int")
+            if c.__class__ is not int or c < 0:  # plain non-negative ints need no call
+                colour_universe = _as_universe(colour_universe)
+                break
         exact = None
         for e in edges:
             if not isinstance(e, Edge):
@@ -231,7 +255,7 @@ def drop_zero_edges(g: Multigraph) -> Multigraph:
 
 def induced_subgraph(g: Multigraph, vertices: Iterable[int]) -> InducedSubgraph:
     """Subgraph on a vertex subset, relabelled to a dense 0..k-1 range."""
-    kept = sorted(set(vertices))
+    kept = sorted(set(_as_vertices(vertices)))
     for v in kept:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")

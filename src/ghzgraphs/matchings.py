@@ -38,7 +38,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .exact import _make
-from .graphs import _EXACT_ONE, _FLOAT_ONE, Multigraph, VertexColouring, _as_index
+from .graphs import _EXACT_ONE, _FLOAT_ONE, Multigraph, VertexColouring, _refuse_non_int
 
 PerfectMatching = tuple[int, ...]
 
@@ -83,15 +83,6 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
         yield from extend(0)
     finally:
         del extend  # it refers to itself: a cycle the collector would have to free
-
-
-def _refuse_non_int(value, name: str) -> None:
-    """Refuse a bool, or a value without ``__index__`` (a float), as an edge
-    index or colour, by ``graphs._as_index``'s rule; numpy's integers pass."""
-    try:
-        _as_index(value, name)
-    except TypeError as error:
-        raise ValueError(str(error)) from None
 
 
 def _check_matching(g: Multigraph, m: PerfectMatching) -> None:

@@ -77,18 +77,19 @@ class ColourClassification(namedtuple("ColourClassification", "c1 c2 has_type0 v
     __slots__ = ()
 
 
-def _check_three_cut(g: Multigraph, cut: CutSpec) -> None:
+def _check_three_cut(g: Multigraph, cut: CutSpec) -> CutSpec:
+    """cut, checked to be a 3-cut of g with an odd v1, with plain-int vertices."""
     if len(cut.s) != 3:
         raise ValueError(f"need a cut of size 3, got {len(cut.s)}")
     if len(cut.v1) % 2 == 0:
         raise ValueError("v1 must have odd size for the type decomposition")
-    make_cut(g, cut.s, cut.v1, cut.v2)
+    return make_cut(g, cut.s, cut.v1, cut.v2)
 
 
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:
     """The eight block weights of vc at the cut, read from g filtered once
     by vc; ``.total`` equals w(vc)."""
-    _check_three_cut(g, cut)
+    cut = _check_three_cut(g, cut)
     v1, v2, s = set(cut.v1), set(cut.v2), set(cut.s)
     weights = _block_weights(
         g, vc,
@@ -105,8 +106,7 @@ def classify_colours(g: Multigraph, cut: CutSpec) -> ColourClassification:
     otherwise it collects the colours whose monochromatic weight on G[V2] is
     non-zero.
     """
-    _check_three_cut(g, cut)
-    return _classify(g, cut, {})
+    return _classify(g, _check_three_cut(g, cut), {})
 
 
 def _block(blocks: dict, g: Multigraph, vertices: int, cut: int = 0) -> tuple:
@@ -235,7 +235,8 @@ def reduce_easy(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
 
     The result lives on vertices (v0, v1, v2, v3) = (V1 block, u1, u2, u3).
     """
-    cls = classify_colours(g, cut)
+    cut = _check_three_cut(g, cut)
+    cls = _classify(g, cut, {})
     if cls.c1:
         raise WrongCaseError(f"easy case inapplicable: C1 = {sorted(cls.c1)} is non-empty")
     return _reduce(g, cut, cls, check, {})
@@ -246,7 +247,8 @@ def reduce_hard(g: Multigraph, cut: CutSpec, check: bool = True) -> Multigraph:
 
     The result lives on V1 + S, relabelled densely in increasing order.
     """
-    cls = classify_colours(g, cut)
+    cut = _check_three_cut(g, cut)
+    cls = _classify(g, cut, {})
     if not cls.c1:
         raise WrongCaseError("hard case inapplicable: C1 is empty")
     return _reduce(g, cut, cls, check, {})

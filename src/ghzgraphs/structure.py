@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 
-from .graphs import Colour, Multigraph, adjacency_sets, skeleton
+from .graphs import Colour, Multigraph, _as_vertices, adjacency_sets, skeleton
 from .matchings import _block_weights, _weight_table
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,12 @@ class CutSpec(namedtuple("CutSpec", "s v1 v2")):
 
 
 def make_cut(g: Multigraph, s, v1, v2) -> CutSpec:
-    """Validate and package an explicit cut (partition, no v1-v2 edges)."""
-    s, v1, v2 = tuple(s), tuple(v1), tuple(v2)
+    """Validate and package an explicit cut (partition, no v1-v2 edges).
+
+    Each vertex is stored as a plain int: numpy's integers convert, while a
+    bool or a float raises ``ValueError``.
+    """
+    s, v1, v2 = _as_vertices(s), _as_vertices(v1), _as_vertices(v2)
     if sorted(s + v1 + v2) != list(range(g.n)):
         raise ValueError("s, v1, v2 must partition the vertex set")
     s, v1, v2 = set(s), set(v1), set(v2)
@@ -302,6 +306,7 @@ def square_decomposition_odd(
     and total = H_top*H_bottom + V_left*V_right equals the weight of the
     square colouring on g, filtered once by it for all four blocks.
     """
+    u, v = _as_vertices((u, v))
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2 == 0:
         raise ValueError("odd-case decomposition needs odd-size sides")
@@ -322,6 +327,7 @@ def square_decomposition_even(
     direct u-v edges, H_bottom = w(i_A) on G[A]; total again reproduces the
     square colouring's weight on g, filtered once by it for all four blocks.
     """
+    u, v = _as_vertices((u, v))
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2:
         raise ValueError("even-case decomposition needs even-size sides")

@@ -330,14 +330,17 @@ def test_usage_errors_exit_two(files, capsys):
 
 
 def test_every_option_is_read_by_its_handler():
-    """An option that no handler reads changes nothing, so none may stay."""
+    """An option that no handler reads changes nothing, so none may stay.
+    Every command's document, ``file``, is read by ``main``, which loads it."""
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    main_source = inspect.getsource(main)
     unread = []
     for name, command in commands.choices.items():
         source = inspect.getsource(command.get_default("func"))
         for action in command._actions:
-            if action.dest != "help" and f"args.{action.dest}" not in source:
+            reader = main_source if action.dest == "file" else source
+            if action.dest != "help" and f"args.{action.dest}" not in reader:
                 unread.append((name, action.dest))
     assert len(commands.choices) == 13 and unread == []
 
@@ -446,6 +449,23 @@ ON_FIRST_USE = {
 
 #: only `search` may load these, through numpy or `GaussianRational.from_float`
 SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal"}
+
+
+CLI_ALONE = textwrap.dedent("""
+    import json, sys
+    import ghzgraphs.cli
+    print(json.dumps(sorted(name for name in sys.modules if name.startswith("ghzgraphs."))))
+""")
+
+
+def test_importing_the_cli_loads_only_io_and_what_it_imports():
+    """Library names reach the CLI through the package's lazy table; only
+    ``weight_to_strings`` is imported, from ``io``."""
+    proc = fresh_interpreter(CLI_ALONE)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {
+        "ghzgraphs.cli", "ghzgraphs.io", "ghzgraphs.errors", "ghzgraphs.exact", "ghzgraphs.graphs",
+    }
 
 
 @pytest.mark.parametrize("command, loaded", [

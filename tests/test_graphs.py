@@ -12,11 +12,14 @@ from ghzgraphs import (
     adjacency_sets,
     build_graph,
     colouring_weight_table,
+    cycle_ghz,
     dimension,
     drop_zero_edges,
     induced_subgraph,
     merge_parallel_edges,
     mono_colouring,
+    parse_document,
+    serialize_graph,
     skeleton,
 )
 
@@ -74,6 +77,26 @@ def test_bool_colours_are_refused():
         Edge(0, 1, 0, False, 1)
     with pytest.raises(ValueError):
         Multigraph(2, (), frozenset({True}))
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_numpy_colours_become_ints(numpy_int):
+    # a numpy colour is converted as a numpy vertex index is, so a graph
+    # holds plain ints and serialises
+    e = Edge(1, 0, numpy_int(1), numpy_int(2), 1)
+    assert (e.cu, e.cv) == (2, 1) and e.cu.__class__ is e.cv.__class__ is int
+    g = build_graph(2, [(0, 1, numpy_int(0), 0, 1)])
+    assert g.colour_universe == frozenset({0})
+    assert all(c.__class__ is int for c in g.colour_universe)
+    assert g.edges[0].cu.__class__ is int
+    h = Multigraph(2, (Edge(0, 1, 0, 3, 1),), [numpy_int(0), numpy_int(3)])
+    assert h.colour_universe == frozenset({0, 3})
+    assert all(c.__class__ is int for c in h.colour_universe)
+    assert parse_document(serialize_graph(h)) == h
+    with pytest.raises(ValueError, match="colours must be non-negative"):
+        Edge(0, 1, np.int64(-1), 0, 1)
+    with pytest.raises(ValueError, match="is not a non-negative int"):
+        Multigraph(2, (), [np.int64(-1)])
 
 
 def test_weight_coercion():
@@ -160,6 +183,19 @@ def test_induced_subgraph_relabels_densely():
     assert [(e.u, e.v, e.cu, e.cv) for e in sub.edges] == [(0, 1, 0, 1), (1, 2, 0, 0)]
     with pytest.raises(ValueError):
         induced_subgraph(g, {5})
+
+
+@pytest.mark.parametrize("vertices", [[True, 0], [1.0, 0], [0, 2.5], [np.True_, 0], [0, np.float64(1)]])
+def test_induced_subgraph_refuses_a_vertex_that_is_not_an_int(vertices):
+    # True and 1.0 would be kept as labels equal to vertex 1
+    with pytest.raises(ValueError, match="vertex must be an int"):
+        induced_subgraph(cycle_ghz(4), vertices)
+
+
+def test_induced_subgraph_labels_numpy_vertices_with_ints():
+    sub, kept = induced_subgraph(cycle_ghz(4), [np.int64(1), 0, np.int32(2)])
+    assert kept == (0, 1, 2) and all(v.__class__ is int for v in kept)
+    assert sub == induced_subgraph(cycle_ghz(4), [0, 1, 2]).graph
 
 
 def test_induced_subgraph_of_everything_is_identity():

@@ -6,6 +6,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,28 @@ def test_a_cut_that_is_not_one_of_the_graph_is_refused(take):
         take(c8, CutSpec((0, 1, 2), (3,), (5, 6, 7)))  # vertex 4 left out
     with pytest.raises(ValueError, match="must partition the vertex set"):
         take(cycle_ghz(6), CutSpec((1, 3, 5), (0, 0, 0), (2, 4)))  # vertex 0 thrice
+
+
+@pytest.mark.parametrize("take", CUT_TAKERS.values(), ids=CUT_TAKERS.keys())
+@pytest.mark.parametrize("cut", [
+    CutSpec((0.0, 2, 4), (1,), (3, 5)),
+    CutSpec((0, 2, 4), (True,), (3, 5)),
+    CutSpec((0, 2, 4), (1,), (3, np.float64(5))),
+], ids=["float", "bool", "numpy-float"])
+def test_a_cut_vertex_that_is_not_an_int_is_refused(take, cut):
+    # each stand-in equals the vertex it replaces; unchecked it reached the
+    # weight kernel's bit masks, which raised a bare TypeError
+    with pytest.raises(ValueError, match="vertex must be an int"):
+        take(cycle_ghz(6), cut)
+
+
+def test_a_cut_of_numpy_vertices_reads_as_the_plain_cut():
+    c6 = cycle_ghz(6)
+    plain = CutSpec((0, 2, 4), (1,), (3, 5))
+    numpy_cut = CutSpec((np.int64(0), 2, np.int32(4)), (np.int64(1),), (3, np.uint8(5)))
+    assert classify_colours(c6, numpy_cut) == classify_colours(c6, plain)
+    assert type_weights(c6, numpy_cut, (0,) * 6) == type_weights(c6, plain, (0,) * 6)
+    assert reduce_easy(c6, numpy_cut) == reduce_easy(c6, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -455,6 +456,26 @@ def test_make_cut_validations():
         make_cut(c6, (0, 1), (2, 3), (4, 5))  # edge 3-4 crosses the blocks
 
 
+@pytest.mark.parametrize("s, v1, v2", [
+    ((0.0, 2, 4), (1,), (3, 5)),
+    ((False, 2, 4), (1,), (3, 5)),
+    ((0, 2, 4), (True,), (3, 5)),
+    ((0, 2, 4), (np.True_,), (3, 5)),
+    ((0, 2, 4), (1,), (3.0, 5)),
+    ((0, 2, 4), (1,), (3, np.float64(5))),
+])
+def test_make_cut_refuses_a_vertex_that_is_not_an_int(s, v1, v2):
+    # each stand-in equals the vertex it replaces, so the partition check passes
+    with pytest.raises(ValueError, match="vertex must be an int"):
+        make_cut(cycle_ghz(6), s, v1, v2)
+
+
+def test_make_cut_stores_numpy_vertices_as_ints():
+    cut = make_cut(cycle_ghz(6), (np.int64(0), 2, np.int32(4)), (np.uint8(1),), [3, np.int64(5)])
+    assert cut == CutSpec((0, 2, 4), (1,), (3, 5))
+    assert all(x.__class__ is int for side in cut for x in side)
+
+
 def test_find_cut_on_c6_is_deterministic():
     c6 = cycle_ghz(6)
     assert find_cut(c6, 2) == CutSpec((0, 2), (1,), (3, 4, 5))
@@ -666,6 +687,35 @@ def test_square_decompositions_reject_a_repeated_cut_vertex():
     for decomposition, colours in SQUARE_DECOMPOSITIONS:
         with pytest.raises(ValueError, match="partition"):
             decomposition(g, 2, 2, [0, 1], [3, 4], colours)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("stand_in", [float, np.float64])
+def test_square_decompositions_refuse_a_cut_vertex_that_is_not_an_int(odd, stand_in):
+    g, u, v, a_side, b_side = planted_two_cut(0, odd)
+    decomposition, colours = SQUARE_DECOMPOSITIONS[not odd]
+    for bad_u, bad_v in ((stand_in(u), v), (u, stand_in(v))):
+        with pytest.raises(ValueError, match="vertex must be an int"):
+            decomposition(g, bad_u, bad_v, a_side, b_side, colours)
+
+
+@pytest.mark.parametrize("decomposition, args", [
+    (square_decomposition_odd, (cycle_ghz(4), False, 2, (1,), (3,), (0, 0, 0, 0))),
+    (square_decomposition_even, (cycle_ghz(6), False, 3, (1, 2), (4, 5), (0, 0, 0))),
+])
+def test_square_decompositions_refuse_a_bool_cut_vertex(decomposition, args):
+    # False equals vertex 0, which the squares read in its place
+    with pytest.raises(ValueError, match="vertex must be an int"):
+        decomposition(*args)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_square_decompositions_read_numpy_cut_vertices_as_ints(odd):
+    g, u, v, a_side, b_side = planted_two_cut(0, odd)
+    decomposition, colours = SQUARE_DECOMPOSITIONS[not odd]
+    assert decomposition(g, np.int64(u), np.int32(v), a_side, b_side, colours) == decomposition(
+        g, u, v, a_side, b_side, colours
+    )
 
 
 @pytest.mark.parametrize("odd", [True, False])

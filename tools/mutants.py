@@ -325,6 +325,55 @@ MUTANTS = (
         "    slots[-1] = 1  # the gather's padding\n",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
+    Mutant(
+        "the CLI imports `structure` at its top",
+        "src/ghzgraphs/cli.py",
+        "from .io import weight_to_strings\n",
+        "from . import structure  # noqa: F401\nfrom .io import weight_to_strings\n",
+        "tests/test_cli.py::test_each_command_loads_only_the_modules_it_needs",
+    ),
+    Mutant(
+        "`main` exits 0 whatever `verify` finds",
+        "src/ghzgraphs/cli.py",
+        "        return status\n",
+        "        return 0\n",
+        "tests/test_cli.py::test_verify_gates_on_the_requested_property",
+    ),
+    Mutant(
+        "make_cut keeps a float or bool vertex",
+        "src/ghzgraphs/structure.py",
+        "    s, v1, v2 = _as_vertices(s), _as_vertices(v1), _as_vertices(v2)\n",
+        "    s, v1, v2 = tuple(s), tuple(v1), tuple(v2)\n",
+        "tests/test_structure.py::test_make_cut_refuses_a_vertex_that_is_not_an_int",
+    ),
+    Mutant(
+        "the odd square keeps numpy cut vertices",
+        "src/ghzgraphs/structure.py",
+        'colouring on g, filtered once by it for all four blocks.\n    """\n    u, v = _as_vertices((u, v))\n',
+        'colouring on g, filtered once by it for all four blocks.\n    """\n',
+        "tests/test_structure.py::test_square_decompositions_read_numpy_cut_vertices_as_ints",
+    ),
+    Mutant(
+        "induced_subgraph keeps a float or bool vertex",
+        "src/ghzgraphs/graphs.py",
+        "    kept = sorted(set(_as_vertices(vertices)))\n",
+        "    kept = sorted(set(vertices))\n",
+        "tests/test_graphs.py::test_induced_subgraph_refuses_a_vertex_that_is_not_an_int",
+    ),
+    Mutant(
+        "Edge keeps numpy colours",
+        "src/ghzgraphs/graphs.py",
+        '            cu, cv = _as_index(cu, "colour"), _as_index(cv, "colour")\n',
+        '            _as_index(cu, "colour"), _as_index(cv, "colour")\n',
+        "tests/test_graphs.py::test_numpy_colours_become_ints",
+    ),
+    Mutant(
+        "the colour universe keeps numpy entries",
+        "src/ghzgraphs/graphs.py",
+        "        plain.append(i)\n",
+        "        plain.append(c)\n",
+        "tests/test_graphs.py::test_numpy_colours_become_ints",
+    ),
 )
 
 
