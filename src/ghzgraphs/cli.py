@@ -6,10 +6,11 @@ path through all of them: it loads the document once, calls the command's
 handler on the graph and the parsed arguments, and prints the JSON object
 the handler returns to stdout.  It exits 0 on success, 1 on a domain error
 (bad document, non-GHZ input where GHZ is required, a failed verify gate,
-...) and 2 on a usage error; ``verify``, the one gated command, returns its
-exit code beside its object.  Error details go to stderr as JSON, a failed
-write to stdout included.  Output is deterministic: repeated runs on the
-same input are byte-identical.
+...) and 2 on a usage error.  ``verify``, the one gated command, returns its
+exit code beside its object, and ``main`` reads that pair for ``verify``
+alone; every other handler returns only its object.  Error details go to
+stderr as JSON, a failed write to stdout included.  Output is deterministic:
+repeated runs on the same input are byte-identical.
 
 Library names are read at call time as ``gz.<name>``, through the package's
 lazy table, so a command loads only the submodules it uses: every command
@@ -173,10 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *flags, epsilon=False):
-        """The command's parser: the positional ``file`` (but for ``search``),
-        the ``store_true`` options given as (option, help) ``flags``, then
-        ``--epsilon`` when the command takes one."""
+    def add(name, func, help_text):
+        """The command's parser, with the positional ``file`` but for ``search``."""
         p = sub.add_parser(name, help=help_text)
         # a negative number in exponent form ("-1e-3") is an option's value,
         # not an option name, as in later CPython releases
@@ -184,15 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if name != "search":
             p.add_argument("file")
-        for flag, flag_help in flags:
-            p.add_argument(flag, action="store_true", help=flag_help)
-        if epsilon:
-            p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
         return p
 
-    add("verify", _cmd_verify, "check the GHZ / g-GHZ property",
-        ("--g-ghz", "gate on the generalized property (default: strict)"), epsilon=True)
-    add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings", epsilon=True)
+    p = add("verify", _cmd_verify, "check the GHZ / g-GHZ property")
+    p.add_argument("--g-ghz", action="store_true", help="gate on the generalized property (default: strict)")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+
+    p = add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
 
     p = add("weights", _cmd_weights, "colouring-weight table, or one colouring's weight")
     p.add_argument("--colouring", help="comma-separated colours, one per vertex")
@@ -208,11 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cut", _cmd_cut, "find a small vertex cut")
     p.add_argument("--size", type=int, default=3)
 
-    add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block",
-        ("--all-cuts", "scan the odd cuts for the smallest result, stopping once the best has "
-                       "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)"),
-        ("--no-check", "skip the runtime identity checks"))
-    add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one", epsilon=True)
+    p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
+    p.add_argument("--all-cuts", action="store_true",
+                   help="scan the odd cuts for the smallest result, stopping once the best has "
+                        "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)")
+    p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")
+
+    p = add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+
     add("bogdanov", _cmd_bogdanov, "find a non-monochromatic perfect matching")
 
     p = add("search", _cmd_search, "search for a GHZ assignment on a skeleton")
@@ -229,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a handler returns the object to print, and verify its exit code too
+        # a handler returns the object to print; verify returns its exit code too
         result = args.func(gz.load_graph(args.file), args)
-        obj, status = result if isinstance(result, tuple) else (result, 0)
+        obj, status = result if args.command == "verify" else (result, 0)
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
         return status
     except (gz.GhzGraphError, ValueError, OSError, RecursionError) as exc:

@@ -51,7 +51,7 @@ from operator import itemgetter
 
 from .errors import InvariantViolation, IrreducibleError, WrongCaseError
 from .ghz import scale_to_ghz, verify
-from .graphs import Edge, Multigraph, VertexColouring
+from .graphs import Edge, Multigraph, VertexColouring, _as_vertices
 from .matchings import _bits, _block_weights, _weight_table, colouring_weight_table
 from .structure import CutSpec, iter_cuts, make_cut, vertex_connectivity
 
@@ -78,12 +78,18 @@ class ColourClassification(namedtuple("ColourClassification", "c1 c2 has_type0 v
 
 
 def _check_three_cut(g: Multigraph, cut: CutSpec) -> CutSpec:
-    """cut, checked to be a 3-cut of g with an odd v1, with plain-int vertices."""
+    """cut, checked to be a 3-cut of g with an odd v1, with plain-int vertices.
+
+    Each side keeps its order, which a cut built by ``_make`` or ``_replace``
+    need not have sorted: ``type_weights`` and the reductions read the cut
+    vertices in that order.
+    """
     if len(cut.s) != 3:
         raise ValueError(f"need a cut of size 3, got {len(cut.s)}")
     if len(cut.v1) % 2 == 0:
         raise ValueError("v1 must have odd size for the type decomposition")
-    return make_cut(g, cut.s, cut.v1, cut.v2)
+    make_cut(g, cut.s, cut.v1, cut.v2)
+    return CutSpec._make(map(_as_vertices, (cut.s, cut.v1, cut.v2)))
 
 
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:

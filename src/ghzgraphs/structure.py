@@ -306,7 +306,7 @@ def square_decomposition_odd(
     and total = H_top*H_bottom + V_left*V_right equals the weight of the
     square colouring on g, filtered once by it for all four blocks.
     """
-    u, v = _as_vertices((u, v))
+    u, v = _as_vertices((u, v))  # read here: the CutSpec below sorts u and v
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2 == 0:
         raise ValueError("odd-case decomposition needs odd-size sides")
@@ -327,7 +327,7 @@ def square_decomposition_even(
     direct u-v edges, H_bottom = w(i_A) on G[A]; total again reproduces the
     square colouring's weight on g, filtered once by it for all four blocks.
     """
-    u, v = _as_vertices((u, v))
+    u, v = _as_vertices((u, v))  # read here: the CutSpec below sorts u and v
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
     if len(a) % 2:
         raise ValueError("even-case decomposition needs even-size sides")

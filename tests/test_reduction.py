@@ -212,6 +212,23 @@ def test_a_cut_of_numpy_vertices_reads_as_the_plain_cut():
     assert reduce_easy(c6, numpy_cut) == reduce_easy(c6, plain)
 
 
+@pytest.mark.parametrize("g, cut", [
+    (cycle_ghz(6), CutSpec((0, 2, 4), (1,), (3, 5))),
+    hard_family_member(0),
+], ids=["easy", "hard"])
+def test_the_cut_takers_read_the_cut_in_the_order_given(g, cut):
+    # type_weights orders its blocks by cut.s, and the reduced graphs their
+    # vertices and edges; _replace builds a cut that CutSpec has not sorted
+    vc = (0,) * g.n
+    for s in itertools.permutations(cut.s):
+        shuffled = cut._replace(s=s, v1=cut.v1[::-1], v2=cut.v2[::-1])
+        assert type_weights(g, shuffled, vc) == slow_type_weights(g, shuffled, vc)
+        if classify_colours(g, shuffled).c1:
+            assert reduce_hard(g, shuffled) == slow_reduce_hard(g, shuffled)
+        else:
+            assert reduce_easy(g, shuffled) == slow_reduce_easy(g, shuffled)
+
+
 # ---------------------------------------------------------------------------
 # colour classification
 

@@ -709,6 +709,20 @@ def test_square_decompositions_refuse_a_bool_cut_vertex(decomposition, args):
         decomposition(*args)
 
 
+def test_the_odd_square_reads_u_and_v_in_the_order_given():
+    # swapping u and v with their colours k and l swaps the blocks pairwise;
+    # the cut sorts u > v back, so the square must not read them from it
+    asymmetric = 0
+    for seed in range(3):
+        g, u, v, a_side, b_side = planted_two_cut(seed, True)
+        for i, j, k, l in itertools.product(sorted(g.colour_universe), repeat=4):
+            sq = square_decomposition_odd(g, u, v, a_side, b_side, (i, j, k, l))
+            swapped = square_decomposition_odd(g, v, u, a_side, b_side, (i, j, l, k))
+            assert swapped == SquareDecomposition(sq.h_bottom, sq.h_top, sq.v_right, sq.v_left)
+            asymmetric += sq.v_left != sq.h_bottom
+    assert asymmetric
+
+
 @pytest.mark.parametrize("odd", [True, False])
 def test_square_decompositions_read_numpy_cut_vertices_as_ints(odd):
     g, u, v, a_side, b_side = planted_two_cut(0, odd)

@@ -347,10 +347,17 @@ MUTANTS = (
         "tests/test_structure.py::test_make_cut_refuses_a_vertex_that_is_not_an_int",
     ),
     Mutant(
+        "the cut takers read a cut with its sides sorted",
+        "src/ghzgraphs/reduction.py",
+        "    return CutSpec._make(map(_as_vertices, (cut.s, cut.v1, cut.v2)))\n",
+        "    return make_cut(g, cut.s, cut.v1, cut.v2)\n",
+        "tests/test_reduction.py::test_the_cut_takers_read_the_cut_in_the_order_given",
+    ),
+    Mutant(
         "the odd square keeps numpy cut vertices",
         "src/ghzgraphs/structure.py",
-        'colouring on g, filtered once by it for all four blocks.\n    """\n    u, v = _as_vertices((u, v))\n',
-        'colouring on g, filtered once by it for all four blocks.\n    """\n',
+        "    u, v = _as_vertices((u, v))  # read here: the CutSpec below sorts u and v\n    _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))\n    if len(a) % 2 == 0:\n",
+        "    _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))\n    if len(a) % 2 == 0:\n",
         "tests/test_structure.py::test_square_decompositions_read_numpy_cut_vertices_as_ints",
     ),
     Mutant(
