@@ -54,10 +54,21 @@ def _cut_json(cut) -> dict:
     return {"s": list(cut.s), "v1": list(cut.v1), "v2": list(cut.v2), "parity": cut.parity}
 
 
+def _int(text: str) -> int:
+    """An integer option value or colour, written as a graph document writes
+    one: ASCII digits after an optional minus sign, nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _parse_colouring(text: str) -> tuple[int, ...]:
     """The colours of a comma-separated list; ``filter_graph`` checks them."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"colouring must be comma-separated integers, got {text!r}")
 
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("connectivity", _cmd_connectivity, "vertex connectivity of the skeleton")
 
     p = add("cut", _cmd_cut, "find a small vertex cut")
-    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--size", type=_int, default=3)
 
     p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
     p.add_argument("--all-cuts", action="store_true",
@@ -219,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("search", _cmd_search, "search for a GHZ assignment on a skeleton")
     p.add_argument("--skeleton", required=True, dest="file", metavar="SKELETON")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--dim", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--restarts", type=_int, default=20)
+    p.add_argument("--iters", type=_int, default=2000)
     p.add_argument("--tol", type=float, default=1e-10)
 
     return parser

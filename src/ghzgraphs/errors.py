@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
 Contract misuse (wrong argument shapes, invalid matchings, malformed cuts)
-raises plain ValueError/TypeError.  Domain-state failures -- a graph that is
-not GHZ, a colour that cannot be scaled, a theorem hypothesis that does not
-hold -- raise GhzGraphError subclasses so callers (and the CLI) can tell the
-two apart.
+raises plain ValueError/TypeError.  An integer argument is read by one rule,
+``exact._as_index``, which README's API section states.  Domain-state
+failures -- a graph that is not GHZ, a colour that cannot be scaled, a
+theorem hypothesis that does not hold -- raise GhzGraphError subclasses so
+callers (and the CLI) can tell the two apart.
 """
 
 

@@ -22,12 +22,19 @@ a value carries.
 that only parses, computes and prints exact weights never imports it.  An
 argument is tested for ``Fraction`` only once ``fractions`` is loaded: no
 instance can exist before.
+
+Every integer argument of the library -- an index, count, colour, size,
+dimension, seed, budget or ``from_parts`` part -- is read here, by
+``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form): numpy's
+integers convert to plain ints, and a bool or a value without
+``__index__`` is refused.  This is the lowest module every reader imports.
 """
 
 from __future__ import annotations
 
 import sys
 from math import gcd
+from operator import index
 
 _HASH_IMAG = sys.hash_info.imag
 _MAX_DENOMINATOR = 10**6  # from_float's bound, the rounding exactify certifies with
@@ -56,6 +63,28 @@ def _ratio(x) -> tuple[int, int]:
     elif not _is_fraction(x):
         raise TypeError(f"expected int, str or Fraction, got {type(x).__name__}")
     return x.numerator, x.denominator
+
+
+def _as_index(value, name: str) -> int:
+    """value as a plain int, for an integer argument: numpy's integers
+    convert, while a bool or a value without ``__index__`` (a float, a str,
+    None) is refused, as a graph document refuses them."""
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _refuse_non_int(value, name: str) -> int:
+    """value as a plain int by ``_as_index``'s rule, refused with
+    ``ValueError``: the form for every integer argument outside ``Edge``,
+    ``Multigraph``'s count and ``from_parts``."""
+    try:
+        return _as_index(value, name)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
@@ -94,7 +123,11 @@ class GaussianRational:
 
     @classmethod
     def from_parts(cls, re_num: int, re_den: int, im_num: int = 0, im_den: int = 1):
-        """Build from four integers (numerators and denominators)."""
+        """Build from four integers (numerators and denominators), each read
+        by ``_as_index``."""
+        if not (re_num.__class__ is re_den.__class__ is im_num.__class__ is im_den.__class__ is int):
+            re_num, re_den = _as_index(re_num, "re_num"), _as_index(re_den, "re_den")
+            im_num, im_den = _as_index(im_num, "im_num"), _as_index(im_den, "im_den")
         return _make(_over(*_lowest(re_num, re_den), *_lowest(im_num, im_den)))
 
     @classmethod

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from operator import attrgetter, index
+from operator import attrgetter
 
-from .exact import GaussianRational, _is_fraction
+from .exact import GaussianRational, _as_index, _is_fraction, _refuse_non_int
 
 Colour = int
 VertexColouring = tuple[Colour, ...]
@@ -39,36 +39,15 @@ def _as_weight(w):
     raise TypeError(f"unsupported weight type {type(w).__name__}")
 
 
-def _as_index(value, name: str) -> int:
-    """value as a plain int, for a vertex index or count or a colour:
-    numpy's integers convert, while a bool or a value without ``__index__``
-    (a float) is refused, as a graph document refuses them."""
-    if value.__class__ is not bool:
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an int, got {value!r}")
-
-
-def _refuse_non_int(value, name: str) -> int:
-    """value as a plain int by ``_as_index``'s rule, refused with
-    ``ValueError``: an argument of a query (an edge index or colour in
-    ``matchings``), or a vertex passed to ``_as_vertices``."""
-    try:
-        return _as_index(value, name)
-    except TypeError as error:
-        raise ValueError(str(error)) from None
-
-
 def _as_vertices(values) -> tuple[int, ...]:
     """values as a tuple of plain-int vertices, each read by ``_refuse_non_int``."""
     return tuple(x if x.__class__ is int else _refuse_non_int(x, "vertex") for x in values)
 
 
-def _as_universe(colours: frozenset) -> frozenset:
-    """A colour universe as plain ints, or ``ValueError`` at the first
-    entry that is not a non-negative int by ``_as_index``'s rule."""
+def _as_universe(colours: Iterable[Colour]) -> frozenset:
+    """A colour universe as plain ints, its entries read in the order given
+    before any is deduplicated, or ``ValueError`` at the first entry that is
+    not a non-negative int by ``_as_index``'s rule."""
     plain = []
     for c in colours:
         try:
@@ -158,11 +137,12 @@ class Multigraph(_Record):
 
     def __init__(self, n: int, edges: Iterable[Edge], colour_universe: Iterable[Colour]):
         edges = tuple(edges)
-        colour_universe = frozenset(colour_universe)
         if n.__class__ is not int:
             n = _as_index(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if colour_universe.__class__ is not frozenset:
+            colour_universe = _as_universe(colour_universe)
         for c in colour_universe:
             if c.__class__ is not int or c < 0:  # plain non-negative ints need no call
                 colour_universe = _as_universe(colour_universe)
@@ -221,8 +201,8 @@ def build_graph(n: int, edge_specs: Iterable[tuple], colours: Iterable[Colour] |
     """
     edges = tuple(Edge(u, v, cu, cv, w) for u, v, cu, cv, w in edge_specs)
     if colours is None:
-        colours = {c for e in edges for c in (e.cu, e.cv)}
-    return Multigraph(n, edges, frozenset(colours))
+        colours = frozenset(c for e in edges for c in (e.cu, e.cv))
+    return Multigraph(n, edges, colours)
 
 
 def mono_colouring(n: int, colour: Colour) -> VertexColouring:

@@ -67,7 +67,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .exact import GaussianRational
+from .exact import GaussianRational, _refuse_non_int
 from .ghz import DEFAULT_EPSILON, verify
 from .graphs import Edge, Multigraph, skeleton
 from .matchings import colouring_weight, enumerate_perfect_matchings
@@ -77,8 +77,7 @@ class SearchProblem:
     """Monomial structure of the residual for one skeleton and dimension."""
 
     def __init__(self, g: Multigraph, d: int):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError(f"dimension must be an int, got {d!r}")
+        d = _refuse_non_int(d, "dimension")
         if d < 1:
             raise ValueError("dimension must be at least 1")
         base = skeleton(g)
@@ -121,9 +120,8 @@ class SearchProblem:
         self.targets = targets
 
     def variable_index(self, pair: int, p: int, q: int) -> int:
-        for name, value in (("pair index", pair), ("colour", p), ("colour", q)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        pair = _refuse_non_int(pair, "pair index")
+        p, q = _refuse_non_int(p, "colour"), _refuse_non_int(q, "colour")
         if not 0 <= pair < len(self.pairs):
             raise ValueError(f"pair index {pair} out of range")
         if not (0 <= p < self.d and 0 <= q < self.d):
@@ -268,9 +266,9 @@ def search(
     reach ``tol`` wins outright; otherwise the lowest residual does, earlier
     restarts breaking ties.
     """
+    seed = _refuse_non_int(seed, "seed")
+    restarts, max_iters = _refuse_non_int(restarts, "restarts"), _refuse_non_int(max_iters, "max_iters")
     for name, value, low in (("seed", seed, 0), ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 
-from .graphs import Colour, Multigraph, _as_vertices, adjacency_sets, skeleton
+from .graphs import Colour, Multigraph, _as_vertices, _refuse_non_int, adjacency_sets, skeleton
 from .matchings import _block_weights, _weight_table
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,10 @@ def iter_cuts(g: Multigraph, size: int):
     the block containing the smallest remaining vertex versus the rest; for
     size 3 every bipartition with an odd first block is tried,
     lexicographically smallest odd block first (falling back to the
-    smallest-vertex grouping when no odd block exists).  A size that is a
-    bool or not an int raises ``ValueError``.
+    smallest-vertex grouping when no odd block exists).  The size is read
+    by ``_refuse_non_int``.
     """
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise ValueError(f"size must be an int, got {size!r}")
+    size = _refuse_non_int(size, "size")
     if size < 0:
         raise ValueError(f"cut size must be at least 0, got {size}")
     if g.n < size + 2:

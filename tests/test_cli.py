@@ -104,6 +104,33 @@ def test_a_colouring_of_the_wrong_length_is_a_value_error(files, capsys, command
     }
 
 
+@pytest.mark.parametrize("command", ["weights", "filter"])
+@pytest.mark.parametrize("entry", ["0_0", "+1", " 1", "\uff11"], ids=["underscore", "plus", "space", "fullwidth"])
+def test_a_colouring_entry_is_ascii_digits_alone(files, capsys, command, entry):
+    """A colour is written as a graph document writes one, so each entry
+    that Python's int would read otherwise is refused."""
+    text = ",".join([entry] + ["0"] * 5)
+    code, out, err = run([command, "--colouring", text, files["c6"]], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ValueError", "message": f"colouring must be comma-separated integers, got {text!r}"}}
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--size", "0_3"), ("--dim", "\uff12"), ("--seed", "+1"), ("--restarts", " 1"), ("--iters", "1_0"),
+], ids=["size", "dim", "seed", "restarts", "iters"])
+def test_an_integer_option_is_ascii_digits_alone(files, capsys, option, value):
+    if option == "--size":
+        argv = ["cut", option, value, files["c6"]]
+    else:  # argparse reads an option's last value; a one-step budget, were the value read
+        argv = ["search", "--skeleton", files["k2skel"], "--dim", "2", "--restarts", "1", "--iters", "1",
+                option, value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"invalid int value: {value!r}\n")
+
+
 def test_structural_commands(files, capsys):
     code, out, _ = run(["connectivity", files["c6"]], capsys)
     assert code == 0 and json.loads(out) == {"kappa": 2}

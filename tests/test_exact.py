@@ -6,6 +6,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -97,6 +98,28 @@ def test_constructor_rejects_floats():
 def test_from_parts_and_accessors():
     w = GaussianRational.from_parts(3, 6, -2, 4)
     assert (w.re, w.im) == (Fraction(1, 2), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("parts", [
+    (np.int64(3), np.int64(4)), (3, np.int64(4)), (np.int32(3), 4, np.uint8(0), np.int64(1)),
+], ids=["both", "den", "all-four"])
+def test_from_parts_stores_numpy_parts_as_ints(parts):
+    """A numpy part kept as it was would overflow silently: the fifth
+    square's denominator, 4**32, wraps to 0 in an int64."""
+    w = GaussianRational.from_parts(*parts)
+    assert w._v == (3, 0, 4) and all(x.__class__ is int for x in w._v)
+    for _ in range(5):
+        w = w * w
+    assert w == GaussianRational.from_parts(3**32, 4**32)
+    assert str(w) == f"{3**32}/{4**32}"
+
+
+@pytest.mark.parametrize("parts, name", [
+    ((True, 2), "re_num"), ((1, False), "re_den"), ((1, 2, 1.0), "im_num"), ((1, 2, 0, "1"), "im_den"),
+], ids=["re_num=True", "re_den=False", "im_num=1.0", "im_den='1'"])
+def test_from_parts_refuses_a_part_that_is_not_an_int(parts, name):
+    with pytest.raises(TypeError, match=f"{name} must be an int, got "):
+        GaussianRational.from_parts(*parts)
 
 
 def test_from_float_rounds_to_small_denominators():

@@ -127,6 +127,19 @@ def test_exactness_flags():
     assert Multigraph(3, (), frozenset()).is_exact  # edgeless counts as exact
 
 
+@pytest.mark.parametrize("entries", [[1, True], [0, 1, 1.0], [0, np.float64(0.0)]], ids=["bool", "float", "numpy-float"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+def test_a_colour_universe_is_read_before_it_is_deduplicated(entries, reverse):
+    """An entry equal to an int (True, 1.0) is refused whichever comes first,
+    not dropped as a duplicate when the int comes first."""
+    if reverse:
+        entries = entries[::-1]
+    with pytest.raises(ValueError, match="is not a non-negative int"):
+        Multigraph(2, (), entries)
+    with pytest.raises(ValueError, match="is not a non-negative int"):
+        build_graph(2, [(0, 1, 0, 0, 1)], colours=entries)
+
+
 def test_build_graph_universe_defaults_to_present_colours():
     g = build_graph(2, [(0, 1, 0, 2, 1)])
     assert g.colour_universe == frozenset({0, 2})

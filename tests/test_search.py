@@ -84,13 +84,28 @@ def test_variable_index_bounds():
 @pytest.mark.parametrize("args, name, bad", [
     ((0, 0.5, 0), "colour", 0.5), ((1.5, 0, 0), "pair index", 1.5), ((0, 1, True), "colour", True),
     ((True, 0, 0), "pair index", True), ((0, 1.0, 0), "colour", 1.0), ((0, 0, "1"), "colour", "1"),
-    ((np.int64(0), 0, 0), "pair index", np.int64(0)), ((None, 0, 0), "pair index", None),
+    ((np.int64(1), 0, 0), None, None), ((None, 0, 0), "pair index", None),
 ], ids=["p=0.5", "pair=1.5", "q=True", "pair=True", "p=1.0", "q='1'", "pair=int64", "pair=None"])
 def test_variable_index_refuses_indices_that_are_not_ints(args, name, bad):
+    """Every case is refused but ``pair=int64``: a numpy integer is an int,
+    read as a plain one."""
     prob = SearchProblem(cycle_ghz(4), 2)
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad!r}")):
-        prob.variable_index(*args)
+    if name is None:
+        index = prob.variable_index(*args)
+        assert (index, index.__class__) == (4, int)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+            prob.variable_index(*args)
     assert prob.variable_index(1, 1, 0) == 6
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_problem_reads_numpy_integers_as_ints(numpy_int):
+    prob = SearchProblem(cycle_ghz(4), numpy_int(2))
+    assert (prob.d, prob.d.__class__) == (2, int)
+    assert np.array_equal(prob.monomials, SearchProblem(cycle_ghz(4), 2).monomials)
+    index = prob.variable_index(numpy_int(1), numpy_int(1), numpy_int(0))
+    assert (index, index.__class__) == (6, int)
 
 
 def test_residual_vanishes_at_the_planted_solution():
@@ -161,6 +176,15 @@ def test_search_refuses_budgets_and_seeds_that_are_not_ints(name, value):
     prob = SearchProblem(parallel_ghz_k2(1), 2)
     with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
         search(prob, **{name: value})
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_search_reads_numpy_budgets_and_seeds_as_ints(numpy_int):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    want = search(prob, seed=3, restarts=2, max_iters=4)
+    got = search(prob, seed=numpy_int(3), restarts=numpy_int(2), max_iters=numpy_int(4))
+    assert (got.restart, got.iterations, got.converged) == (want.restart, want.iterations, want.converged)
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 def test_search_refuses_a_negative_seed():

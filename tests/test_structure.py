@@ -501,6 +501,14 @@ def test_cut_search_refuses_a_size_that_is_not_an_int(size):
         list(iter_cuts(c6, size))
 
 
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_cut_search_reads_a_numpy_size_as_an_int(numpy_int):
+    c6 = cycle_ghz(6)
+    assert find_cut(c6, numpy_int(2)) == find_cut(c6, 2)
+    cuts = list(iter_cuts(c6, numpy_int(3)))
+    assert cuts == list(iter_cuts(c6, 3)) and cuts
+
+
 def test_iter_cuts_yields_only_valid_cuts():
     for g in (cycle_ghz(6), cycle_ghz(8), planted_matching_graph(1)):
         for cut in itertools.islice(iter_cuts(g, 3), 50):

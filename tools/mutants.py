@@ -381,6 +381,48 @@ MUTANTS = (
         "        plain.append(c)\n",
         "tests/test_graphs.py::test_numpy_colours_become_ints",
     ),
+    Mutant(
+        "the integer reader accepts a bool",
+        "src/ghzgraphs/exact.py",
+        "    if value.__class__ is not bool:\n",
+        "    if True:\n",
+        "tests/test_exact.py::test_from_parts_refuses_a_part_that_is_not_an_int",
+    ),
+    Mutant(
+        "the integer reader reads with int(), so floats pass",
+        "src/ghzgraphs/exact.py",
+        "            return index(value)\n",
+        "            return int(value)\n",
+        "tests/test_search.py::test_variable_index_refuses_indices_that_are_not_ints",
+    ),
+    Mutant(
+        "the integer reader returns a numpy integer unconverted",
+        "src/ghzgraphs/exact.py",
+        "            return index(value)\n",
+        "            return index(value) and value\n",
+        "tests/test_search.py::test_problem_reads_numpy_integers_as_ints",
+    ),
+    Mutant(
+        "the CLI's integer pattern takes any Unicode digit",
+        "src/ghzgraphs/cli.py",
+        '    if not re.fullmatch(r"-?[0-9]+", text):\n',
+        '    if not re.fullmatch(r"-?\\d+", text):\n',
+        "tests/test_cli.py::test_a_colouring_entry_is_ascii_digits_alone",
+    ),
+    Mutant(
+        "from_parts keeps its parts unread",
+        "src/ghzgraphs/exact.py",
+        "        if not (re_num.__class__ is re_den.__class__ is im_num.__class__ is im_den.__class__ is int):\n",
+        "        if False:\n",
+        "tests/test_exact.py::test_from_parts_stores_numpy_parts_as_ints",
+    ),
+    Mutant(
+        "the colour universe is frozen before its entries are read",
+        "src/ghzgraphs/graphs.py",
+        "            colour_universe = _as_universe(colour_universe)\n        for c in colour_universe:\n",
+        "            colour_universe = _as_universe(frozenset(colour_universe))\n        for c in colour_universe:\n",
+        "tests/test_graphs.py::test_a_colour_universe_is_read_before_it_is_deduplicated",
+    ),
 )
 
 
