@@ -12,22 +12,35 @@ alone; every other handler returns only its object.  Error details go to
 stderr as JSON, a failed write to stdout included.  Output is deterministic:
 repeated runs on the same input are byte-identical.
 
+Arguments are read by ``parse_args`` from one table, ``COMMANDS``, with the
+rules argparse applied before it: the file may come before or after the
+options; an option's value is the next token or follows ``=``
+(``--size=2``); a unique prefix names a long option (``--eps``) and an
+ambiguous one is refused; ``--`` ends the options; a token matching
+``-\\.?\\d`` is a value, so ``--epsilon -1e-3`` reaches the library, which
+refuses it; the last of a repeated option counts; and ``-h`` or ``--help``,
+before the command or after it, prints help to stdout and exits 0.  A usage
+error exits 2 with a usage line and ``ghzgraphs[ <command>]: error:
+<message>`` on stderr, in argparse's wording.  Nothing here imports
+argparse, whose import and first parser cost more than the parse itself.
+
 Library names are read at call time as ``gz.<name>``, through the package's
-lazy table, so a command loads only the submodules it uses: every command
-loads ``ghz`` (``build_parser`` reads its default epsilon), ``mcg``,
-``connectivity`` and ``cut`` load ``structure``, ``reduce`` loads
-``reduction`` and with it ``structure``, and ``search`` loads ``search``
-and with it numpy only once its skeleton has loaded, so a bad document
-fails fast.  Importing this module loads ``io`` (for ``weight_to_strings``,
-which the package does not re-export) and what ``io`` imports.
+lazy table, so a command loads only the submodules it uses: ``verify``,
+``dimension``, ``scale`` and ``bogdanov`` load ``ghz``; ``weights`` and
+``filter`` load ``matchings``; ``mcg``, ``connectivity`` and ``cut`` load
+``structure`` (and with it ``matchings``); ``reduce`` loads ``reduction``
+and with it ``ghz`` and ``structure``; and ``search`` loads ``search`` and
+with it numpy only once its skeleton has loaded, so a bad document fails
+fast.  Importing this module loads ``io`` (for ``weight_to_strings``, which
+the package does not re-export) and what ``io`` imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 import ghzgraphs as gz
 
@@ -60,9 +73,6 @@ def _int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
-
-
-_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 def _parse_colouring(text: str) -> tuple[int, ...]:
@@ -178,69 +188,210 @@ def _cmd_search(g, args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ghzgraphs",
-        description="Exact analysis of edge-coloured weighted multigraphs via perfect matchings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ghz.DEFAULT_EPSILON written out, and pinned to it by a test, so that the
+# commands that never call ghz do not load it to read its default
+_EPSILON = ("--epsilon", "epsilon", float, 1e-9, False, "")
 
-    def add(name, func, help_text):
-        """The command's parser, with the positional ``file`` but for ``search``."""
-        p = sub.add_parser(name, help=help_text)
-        # a negative number in exponent form ("-1e-3") is an option's value,
-        # not an option name, as in later CPython releases
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
-        p.set_defaults(func=func)
-        if name != "search":
-            p.add_argument("file")
-        return p
+#: command -> (handler, one-line help, options).  An option is (name, dest,
+#: reader, default, required, help), with reader ``None`` for a flag.  Every
+#: command takes its document as the positional ``file`` unless an option
+#: stores to ``file``, as ``search``'s ``--skeleton`` does.
+COMMANDS = {
+    "verify": (_cmd_verify, "check the GHZ / g-GHZ property", (
+        ("--g-ghz", "g_ghz", None, False, False, "gate on the generalized property (default: strict)"),
+        _EPSILON,
+    )),
+    "dimension": (_cmd_dimension, "number of non-zero monochromatic colourings", (_EPSILON,)),
+    "weights": (_cmd_weights, "colouring-weight table, or one colouring's weight", (
+        ("--colouring", "colouring", str, None, False, "comma-separated colours, one per vertex"),
+    )),
+    "filter": (_cmd_filter, "keep edges matching a vertex colouring", (
+        ("--colouring", "colouring", str, None, True, ""),
+    )),
+    "mcg": (_cmd_mcg, "drop edges lying in no perfect matching", ()),
+    "merge": (_cmd_merge, "merge parallel edges of equal colour class", ()),
+    "drop-zeros": (_cmd_drop_zeros, "drop edges of weight exactly zero", ()),
+    "connectivity": (_cmd_connectivity, "vertex connectivity of the skeleton", ()),
+    "cut": (_cmd_cut, "find a small vertex cut", (("--size", "size", _int, 3, False, ""),)),
+    "reduce": (_cmd_reduce, "reduce across a 3-cut with an odd block", (
+        ("--all-cuts", "all_cuts", None, False, False,
+         "scan the odd cuts for the smallest result, stopping once the best has "
+         "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)"),
+        ("--no-check", "no_check", None, False, False, "skip the runtime identity checks"),
+    )),
+    "scale": (_cmd_scale, "rescale a g-GHZ graph to a strict GHZ one", (_EPSILON,)),
+    "bogdanov": (_cmd_bogdanov, "find a non-monochromatic perfect matching", ()),
+    "search": (_cmd_search, "search for a GHZ assignment on a skeleton", (
+        ("--skeleton", "file", str, None, True, ""),
+        ("--dim", "dim", _int, None, True, ""),
+        ("--seed", "seed", _int, 0, False, ""),
+        ("--restarts", "restarts", _int, 20, False, ""),
+        ("--iters", "iters", _int, 2000, False, ""),
+        ("--tol", "tol", float, 1e-10, False, ""),
+    )),
+}
 
-    p = add("verify", _cmd_verify, "check the GHZ / g-GHZ property")
-    p.add_argument("--g-ghz", action="store_true", help="gate on the generalized property (default: strict)")
-    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+#: a token matching this is a value wherever a command's option could start,
+#: so ``--epsilon -1e-3`` reaches the library, which refuses it; before the
+#: command, where a value is the command, only "-1" and "-.5" are values
+_VALUE = re.compile(r"-\.?\d")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings")
-    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
 
-    p = add("weights", _cmd_weights, "colouring-weight table, or one colouring's weight")
-    p.add_argument("--colouring", help="comma-separated colours, one per vertex")
+def _takes_file(options) -> bool:
+    return all(option[1] != "file" for option in options)
 
-    p = add("filter", _cmd_filter, "keep edges matching a vertex colouring")
-    p.add_argument("--colouring", required=True)
 
-    add("mcg", _cmd_mcg, "drop edges lying in no perfect matching")
-    add("merge", _cmd_merge, "merge parallel edges of equal colour class")
-    add("drop-zeros", _cmd_drop_zeros, "drop edges of weight exactly zero")
-    add("connectivity", _cmd_connectivity, "vertex connectivity of the skeleton")
+def _shown(name: str, reader) -> str:
+    """An option as usage and help show it: ``--size SIZE``, or a flag's name."""
+    return name if reader is None else f"{name} {name[2:].upper()}"
 
-    p = add("cut", _cmd_cut, "find a small vertex cut")
-    p.add_argument("--size", type=_int, default=3)
 
-    p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
-    p.add_argument("--all-cuts", action="store_true",
-                   help="scan the odd cuts for the smallest result, stopping once the best has "
-                        "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)")
-    p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")
+def _usage(command) -> str:
+    if command is None:
+        return f"ghzgraphs [-h] {{{','.join(COMMANDS)}}} ..."
+    options = COMMANDS[command][2]
+    parts = ["ghzgraphs", command, "[-h]"]
+    for name, _, reader, _, required, _ in options:
+        part = _shown(name, reader)
+        parts.append(part if required else f"[{part}]")
+    if _takes_file(options):
+        parts.append("file")
+    return " ".join(parts)
 
-    p = add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one")
-    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
 
-    add("bogdanov", _cmd_bogdanov, "find a non-monochromatic perfect matching")
+def _help(command) -> str:
+    if command is None:
+        head = "Exact analysis of edge-coloured weighted multigraphs via perfect matchings.\n\ncommands:"
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    else:
+        _, head, options = COMMANDS[command]
+        head += "\n\narguments:"
+        rows = [("file", "the graph document")] if _takes_file(options) else []
+        rows.append(("-h, --help", "show this help message and exit"))
+        rows += [(_shown(name, reader), text) for name, _, reader, _, _, text in options]
+    width = max(len(left) for left, _ in rows)
+    body = "".join(f"\n  {left:<{width}}  {text}".rstrip() for left, text in rows)
+    return f"usage: {_usage(command)}\n\n{head}{body}\n"
 
-    p = add("search", _cmd_search, "search for a GHZ assignment on a skeleton")
-    p.add_argument("--skeleton", required=True, dest="file", metavar="SKELETON")
-    p.add_argument("--dim", type=_int, required=True)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--restarts", type=_int, default=20)
-    p.add_argument("--iters", type=_int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-10)
 
-    return parser
+def _fail(command, message: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = "ghzgraphs" if command is None else f"ghzgraphs {command}"
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(token: str, names, command, number=_VALUE) -> tuple:
+    """(option name, its ``=`` value or None) for a token that names one of
+    ``names`` (long options, ``--help`` first) by itself or by a unique
+    prefix, or names ``-h``; (None, token) for a value; (token, None) for an
+    unknown option.  The caller handles ``--``."""
+    if token[:1] != "-" or token == "-" or number.match(token):
+        return None, token
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        found = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(found) == 1:
+            return found[0], value if eq else None
+        if found:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
+    elif token[1] == "h":  # the one short option; "-hX" gives it the value X
+        return "--help", token[2:] or None
+    return (None, token) if " " in token else (token, None)
+
+
+def _help_exit(command, value):
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, tokens: list) -> tuple:
+    """The command's attributes, and the tokens it does not read."""
+    handler, _, options = COMMANDS[command]
+    by_name = {option[0]: option for option in options}
+    takes_file = _takes_file(options)
+    values = {"command": command, "func": handler, "file": None}
+    values.update((option[1], option[3]) for option in options)
+    # every token is read before any option acts, so an ambiguous prefix is
+    # refused even after -h; after "--" every token is a value
+    items = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            items.append(("--", None))
+            items += [(None, rest) for rest in tokens[k + 1:]]
+            break
+        items.append(_read(token, ("--help", *by_name), command))
+    seen, extras, i = set(), [], 0
+    while i < len(items):
+        name, value = items[i]
+        i += 1
+        option = by_name.get(name)
+        if option is None:
+            if name == "--help":
+                _help_exit(command, value)
+            if takes_file and "file" not in seen and name in (None, "--"):
+                # the file is this value, or the one after this "--"; a "--"
+                # just after it goes with it, and every other "--" is extra
+                k = i if name == "--" else i - 1
+                if k < len(items) and items[k][0] is None:
+                    values["file"] = items[k][1]
+                    seen.add("file")
+                    i = k + 2 if k + 1 < len(items) and items[k + 1][0] == "--" else k + 1
+                    continue
+            extras.append(value if name is None else name)
+            continue
+        _, dest, reader, _, _, _ = option
+        if reader is not None and value is None:  # the value is the next token
+            if i == len(items) or items[i][0] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            value = items[i][1]
+            i += 1
+        if reader is None:
+            if value is not None:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[dest] = True
+        else:
+            try:
+                values[dest] = reader(value)
+            except ValueError:  # argparse's wording, which names _int "int"
+                _fail(command, f"argument {name}: invalid {reader.__name__.lstrip('_')} value: {value!r}")
+        seen.add(dest)
+    missing = ["file"] if takes_file and "file" not in seen else []
+    missing += [option[0] for option in options if option[4] and option[1] not in seen]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values), extras
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The attributes the handlers read, from ``argv`` (default
+    ``sys.argv[1:]``): ``command``, ``func``, ``file`` and each option's
+    dest.  A usage error exits 2, and ``-h`` or ``--help`` exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    for i, token in enumerate(argv):
+        name, value = (None, token) if token == "--" else _read(token, ("--help",), None, _NUMBER)
+        if name is None:
+            break
+        if name == "--help":
+            _help_exit(None, value)
+        extras.append(token)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if token not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+    args, more = _parse_command(token, argv[i + 1:])
+    if extras or more:
+        _fail(None, f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         # a handler returns the object to print; verify returns its exit code too
         result = args.func(gz.load_graph(args.file), args)

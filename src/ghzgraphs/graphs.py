@@ -206,6 +206,10 @@ def build_graph(n: int, edge_specs: Iterable[tuple], colours: Iterable[Colour] |
 
 
 def mono_colouring(n: int, colour: Colour) -> VertexColouring:
+    """The colouring of n vertices that all have ``colour``; both are read by
+    ``_refuse_non_int``."""
+    if n.__class__ is not int or colour.__class__ is not int:  # plain ints need no call
+        n, colour = _refuse_non_int(n, "n"), _refuse_non_int(colour, "colour")
     return (colour,) * n
 
 

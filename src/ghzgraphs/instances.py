@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .exact import _refuse_non_int
 from .graphs import Multigraph, build_graph
 
 
@@ -34,6 +35,7 @@ def parallel_ghz_k2(t: int) -> Multigraph:
     Each edge alone is a perfect matching, so the graph is GHZ with
     dimension t.
     """
+    t = _refuse_non_int(t, "t")
     if t < 1:
         raise ValueError("need at least one edge")
     return build_graph(2, [(0, 1, c, c, 1) for c in range(t)], colours=range(t))
@@ -67,7 +69,7 @@ def cycle_ghz_on(order: Sequence[int], weights: Sequence | None = None) -> Multi
 
 def cycle_ghz(n: int) -> Multigraph:
     """The plain even cycle 0-1-...-(n-1)-0 with alternating colours."""
-    return cycle_ghz_on(range(n))
+    return cycle_ghz_on(range(_refuse_non_int(n, "n")))
 
 
 def cancelling_square() -> Multigraph:

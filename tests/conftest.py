@@ -9,10 +9,12 @@ so the two routes can disagree when one of them is wrong.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import ghzgraphs as gz
 from ghzgraphs import (
     DEFAULT_EPSILON,
     GaussianRational,
@@ -38,6 +41,22 @@ from ghzgraphs import (
     induced_subgraph,
     make_cut,
     parallel_ghz_k2,
+)
+from ghzgraphs.cli import (
+    _cmd_bogdanov,
+    _cmd_connectivity,
+    _cmd_cut,
+    _cmd_dimension,
+    _cmd_drop_zeros,
+    _cmd_filter,
+    _cmd_mcg,
+    _cmd_merge,
+    _cmd_reduce,
+    _cmd_scale,
+    _cmd_search,
+    _cmd_verify,
+    _cmd_weights,
+    _int,
 )
 from ghzgraphs.exact import _make
 from ghzgraphs.ghz import MONO_NOT_ONE, MONO_ZERO, NON_MONO_NONZERO
@@ -92,6 +111,73 @@ def console_script(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
         yield script
+
+
+# ---------------------------------------------------------------------------
+# the CLI's argparse parser
+
+
+def slow_build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, which ``ghzgraphs.cli.parse_args`` replaced:
+    the reference its exit codes and attributes are tested against."""
+    parser = argparse.ArgumentParser(
+        prog="ghzgraphs",
+        description="Exact analysis of edge-coloured weighted multigraphs via perfect matchings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, help_text):
+        """The command's parser, with the positional ``file`` but for ``search``."""
+        p = sub.add_parser(name, help=help_text)
+        # a negative number in exponent form ("-1e-3") is an option's value,
+        # not an option name, as in later CPython releases
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.set_defaults(func=func)
+        if name != "search":
+            p.add_argument("file")
+        return p
+
+    p = add("verify", _cmd_verify, "check the GHZ / g-GHZ property")
+    p.add_argument("--g-ghz", action="store_true", help="gate on the generalized property (default: strict)")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+
+    p = add("dimension", _cmd_dimension, "number of non-zero monochromatic colourings")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+
+    p = add("weights", _cmd_weights, "colouring-weight table, or one colouring's weight")
+    p.add_argument("--colouring", help="comma-separated colours, one per vertex")
+
+    p = add("filter", _cmd_filter, "keep edges matching a vertex colouring")
+    p.add_argument("--colouring", required=True)
+
+    add("mcg", _cmd_mcg, "drop edges lying in no perfect matching")
+    add("merge", _cmd_merge, "merge parallel edges of equal colour class")
+    add("drop-zeros", _cmd_drop_zeros, "drop edges of weight exactly zero")
+    add("connectivity", _cmd_connectivity, "vertex connectivity of the skeleton")
+
+    p = add("cut", _cmd_cut, "find a small vertex cut")
+    p.add_argument("--size", type=_int, default=3)
+
+    p = add("reduce", _cmd_reduce, "reduce across a 3-cut with an odd block")
+    p.add_argument("--all-cuts", action="store_true",
+                   help="scan the odd cuts for the smallest result, stopping once the best has "
+                        "4 vertices and 2k edges (k: the dimension of a g-GHZ input, else 0)")
+    p.add_argument("--no-check", action="store_true", help="skip the runtime identity checks")
+
+    p = add("scale", _cmd_scale, "rescale a g-GHZ graph to a strict GHZ one")
+    p.add_argument("--epsilon", type=float, default=gz.DEFAULT_EPSILON)
+
+    add("bogdanov", _cmd_bogdanov, "find a non-monochromatic perfect matching")
+
+    p = add("search", _cmd_search, "search for a GHZ assignment on a skeleton")
+    p.add_argument("--skeleton", required=True, dest="file", metavar="SKELETON")
+    p.add_argument("--dim", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--restarts", type=_int, default=20)
+    p.add_argument("--iters", type=_int, default=2000)
+    p.add_argument("--tol", type=float, default=1e-10)
+
+    return parser
 
 
 # ---------------------------------------------------------------------------

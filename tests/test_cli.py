@@ -1,6 +1,5 @@
 """CLI contract: JSON on stdout, deterministic bytes, exit codes 0/1/2."""
 
-import argparse
 import inspect
 import json
 import subprocess
@@ -11,6 +10,7 @@ import pytest
 
 import ghzgraphs.reduction
 from ghzgraphs import (
+    DEFAULT_EPSILON,
     cancelling_square,
     complete_ghz_k4,
     cycle_ghz,
@@ -22,9 +22,9 @@ from ghzgraphs import (
     skeleton,
     verify,
 )
-from ghzgraphs.cli import build_parser, main
+from ghzgraphs.cli import COMMANDS, main, parse_args
 
-from conftest import bogdanov_instance, fresh_interpreter, hard_family_member
+from conftest import bogdanov_instance, fresh_interpreter, hard_family_member, slow_build_parser
 
 
 @pytest.fixture
@@ -359,17 +359,15 @@ def test_usage_errors_exit_two(files, capsys):
 def test_every_option_is_read_by_its_handler():
     """An option that no handler reads changes nothing, so none may stay.
     Every command's document, ``file``, is read by ``main``, which loads it."""
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     main_source = inspect.getsource(main)
-    unread = []
-    for name, command in commands.choices.items():
-        source = inspect.getsource(command.get_default("func"))
-        for action in command._actions:
-            reader = main_source if action.dest == "file" else source
-            if action.dest != "help" and f"args.{action.dest}" not in reader:
-                unread.append((name, action.dest))
-    assert len(commands.choices) == 13 and unread == []
+    unread = [] if "args.file" in main_source else [("main", "file")]
+    for name, (handler, _, options) in COMMANDS.items():
+        source = inspect.getsource(handler)
+        for _, dest, *_ in options:
+            reader = main_source if dest == "file" else source
+            if f"args.{dest}" not in reader:
+                unread.append((name, dest))
+    assert len(COMMANDS) == 13 and unread == []
 
 
 def test_search_defaults_are_the_librarys():
@@ -377,13 +375,117 @@ def test_search_defaults_are_the_librarys():
     change to either is made in both modules."""
     from ghzgraphs import search
 
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = commands.choices["search"]
+    defaults = {dest: default for _, dest, _, default, _, _ in COMMANDS["search"][2]}
     parameters = inspect.signature(search).parameters
     for option, name in (("seed", "seed"), ("restarts", "restarts"), ("iters", "max_iters"), ("tol", "tol")):
-        default = command.get_default(option)
+        default = defaults[option]
         assert (type(default), default) == (type(parameters[name].default), parameters[name].default)
+
+
+@pytest.mark.parametrize("command", ["verify", "dimension", "scale"])
+def test_the_epsilon_default_is_the_librarys(command):
+    """The CLI writes the default out, so that a command that never calls
+    ``ghz`` does not load it to read the default."""
+    epsilon = parse_args([command, "g.json"]).epsilon
+    assert (type(epsilon), epsilon) == (type(DEFAULT_EPSILON), DEFAULT_EPSILON)
+
+
+# argv the parser accepts: every command, the file before and after options,
+# "=" values, unique prefixes, repeated options (the last counts), negative
+# and exponent-form values, and "--"
+ACCEPTED = [
+    ["verify", "g.json"], ["verify", "--g-ghz", "g.json"], ["verify", "g.json", "--g-ghz"],
+    ["verify", "--epsilon", "1e-6", "g.json"], ["verify", "g.json", "--epsilon=-1e-3"],
+    ["verify", "--eps", "-1", "g.json"], ["verify", "--g", "--e", "-.5", "g.json", "--g-ghz"],
+    ["verify", "--epsilon", "1", "g.json", "--epsilon", "2"], ["verify", "--epsilon", "nan", "g.json"],
+    ["verify", "--epsilon", "1_0", "g.json"], ["verify", "--", "--g-ghz"], ["verify", "g.json", "--"],
+    ["verify", "--g-ghz", "--", "-g.json"], ["verify", "-"], ["verify", "-1"], ["verify", "-x y"], ["verify", ""],
+    ["verify", "--", "-h"], ["verify", "--", "--"], ["verify", "--g-ghz", "x", "--"], ["cut", "--size", "3", "--", "x"],
+    ["dimension", "g.json"], ["dimension", "--epsilon=0", "g.json"], ["dimension", "g.json", "--epsilon", "-1E-3"],
+    ["weights", "g.json"], ["weights", "--colouring", "0,1", "g.json"], ["weights", "g.json", "--col=-1,0"],
+    ["weights", "--colouring", "", "g.json"], ["weights", "--colouring=a=b", "g.json"],
+    ["weights", "--colouring", "0", "--colouring", "1,1", "g.json"],
+    ["filter", "--colouring", "0,0", "g.json"], ["filter", "g.json", "--c", "-1"],
+    ["mcg", "g.json"], ["merge", "--", "g.json"], ["drop-zeros", "g.json"], ["connectivity", "g.json"],
+    ["bogdanov", "g.json"],
+    ["cut", "g.json"], ["cut", "--size", "2", "g.json"], ["cut", "g.json", "--size=-1"], ["cut", "--s", "4", "g.json"],
+    ["cut", "--size", "1", "--size", "5", "g.json"], ["cut", "--size", "007", "g.json"], ["cut", "--si=-0", "g.json"],
+    ["reduce", "g.json"], ["reduce", "--all-cuts", "--no-check", "g.json"], ["reduce", "g.json", "--no", "--all"],
+    ["reduce", "--a", "g.json", "--all-cuts"],
+    ["scale", "--epsilon", "-1e-3", "g.json"], ["scale", "g.json"],
+    ["search", "--skeleton", "k.json", "--dim", "2"],
+    ["search", "--dim=3", "--skeleton=k.json", "--seed", "-1", "--restarts", "0", "--iters", "-5", "--tol", "-1e-3"],
+    ["search", "--sk", "k.json", "--d", "2", "--r", "3", "--i", "1", "--t", "nan", "--se", "9"],
+    ["search", "--skeleton", "a", "--skeleton", "b", "--dim", "1", "--dim", "2"],
+    ["search", "--skeleton", "-1", "--dim", "-2"],
+]
+
+# argv the parser refuses with exit code 2
+REFUSED = [
+    [], ["--foo"],  # no command
+    ["frobnicate"], ["frobnicate", "g.json"], ["Verify", "g.json"], ["ver", "g.json"], ["--", "verify", "g.json"],
+    ["-1", "verify", "g.json"], ["-.5", "-h"],  # an unknown command
+    ["verify"], ["cut", "--size", "2"], ["verify", "--"], ["verify", "--g-ghz"],  # a missing file
+    ["verify", "a", "b"], ["reduce", "a", "--all-cuts", "b"], ["verify", "a", "--", "b"], ["verify", "--", "--", "a"],
+    ["search", "x", "--skeleton", "k", "--dim", "2"], ["verify", "a", "b", "--", "c"],  # an extra file
+    ["search", "--skeleton", "k", "--dim", "2", "--"], ["verify", "x", "--g-ghz", "--"], ["verify", "--", "x", "--"],
+    ["cut", "x", "--size", "3", "--"], ["mcg", "--", "--", "--"], ["verify", "--g-ghz", "--"],  # a "--" not by the file
+    ["verify", "--foo", "g.json"], ["verify", "-x", "g.json"], ["--foo", "verify", "g.json"],
+    ["cut", "--sizes", "2", "g.json"], ["connectivity", "--epsilon", "1", "g.json"],
+    ["verify", "g.json", "-1e-3x"],  # an unknown option
+    ["search", "--s", "k", "--dim", "2"], ["search", "--skeleton", "k", "--dim", "2", "--s=1"],
+    ["search", "--skeleton", "k", "--dim", "2", "-h", "--s", "1"], ["cut", "--=3", "g.json"],  # an ambiguous prefix
+    ["cut", "g.json", "--size"], ["verify", "--epsilon", "--g-ghz", "g.json"], ["cut", "--size", "--", "3", "g.json"],
+    ["verify", "--epsilon", "-inf", "g.json"], ["search", "--dim", "2", "--skeleton"],  # a missing value
+    ["verify", "--g-ghz=x", "g.json"], ["reduce", "--no-check=", "g.json"], ["verify", "--help=x"],
+    ["--help=1"],  # --flag=x
+    ["cut", "--size", "0_3", "g.json"], ["cut", "--size", "x", "g.json"], ["cut", "--size", "-.5", "g.json"],
+    ["cut", "--size", " 1", "g.json"], ["cut", "--size=", "g.json"],
+    ["search", "--skeleton", "k", "--dim", "\uff12"], ["search", "--skeleton", "k", "--dim", "2", "--seed", "+1"],
+    ["cut", "--size", "x", "-h"],  # a bad int, read before -h
+    ["verify", "--epsilon", "abc", "g.json"], ["scale", "--epsilon=", "g.json"],
+    ["search", "--skeleton", "k", "--dim", "2", "--tol", "1e"],  # a bad float
+    ["filter", "g.json"], ["filter"], ["search", "--dim", "2"], ["search", "--skeleton", "k"], ["search"],
+]
+
+# argv that print help to stdout and exit 0
+HELP = [
+    ["-h"], ["--help"], ["--he"], ["--foo", "-h"], ["-h", "frobnicate"], ["-1e-3", "-h"], ["verify", "-h"],
+    ["verify", "g.json", "--help"], ["search", "--h"], ["cut", "-h", "--size", "x"], ["filter", "--help"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """(exit code, attributes, (stdout, stderr)): code None for a parse that
+    returns, attributes None for one that exits.  Each attribute is its type
+    and repr, so a nan equals a nan and 1 differs from 1.0."""
+    try:
+        args = parse(argv)
+    except SystemExit as exit:
+        return exit.code, None, capsys.readouterr()
+    return None, {k: (type(v), repr(v)) for k, v in vars(args).items()}, capsys.readouterr()
+
+
+CORPUS = [(argv, None) for argv in ACCEPTED] + [(argv, 2) for argv in REFUSED] + [(argv, 0) for argv in HELP]
+
+
+@pytest.mark.parametrize("argv, code", CORPUS, ids=lambda x: " ".join(x) or "(none)" if isinstance(x, list) else str(x))
+def test_parse_args_is_the_argparse_parser(argv, code, capsys):
+    """The same exit code, and on an accepted argv the same attributes, as
+    the argparse parser the CLI used to build."""
+    ours = parsed(parse_args, argv, capsys)
+    assert ours[:2] == parsed(slow_build_parser().parse_args, argv, capsys)[:2]
+    assert ours[0] == code
+    out, err = ours[2]
+    if code == 2:  # "usage: <prog> ..." and "<prog>: error: ...", prog "ghzgraphs[ <command>]"
+        usage, message = err.splitlines()
+        prog = message.partition(": error: ")[0]
+        assert out == "" and usage.startswith(f"usage: {prog} ")
+        assert prog == "ghzgraphs" or prog.removeprefix("ghzgraphs ") in COMMANDS
+    elif code == 0:
+        assert err == "" and out.startswith("usage: ghzgraphs ")
+    else:
+        assert out == err == ""
 
 
 def test_output_is_byte_deterministic(files, capsys):
@@ -471,11 +573,14 @@ LOADED_BY = textwrap.dedent("""
 """)
 
 ON_FIRST_USE = {
-    "ghzgraphs.structure", "ghzgraphs.reduction", "ghzgraphs.instances", "ghzgraphs.search", "numpy",
+    "ghzgraphs.ghz", "ghzgraphs.structure", "ghzgraphs.reduction", "ghzgraphs.instances", "ghzgraphs.search", "numpy",
 }
 
 #: only `search` may load these, through numpy or `GaussianRational.from_float`
 SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal"}
+
+#: no command loads these: argparse and the modules its messages load
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 CLI_ALONE = textwrap.dedent("""
@@ -496,18 +601,18 @@ def test_importing_the_cli_loads_only_io_and_what_it_imports():
 
 
 @pytest.mark.parametrize("command, loaded", [
-    ("verify", set()),
+    ("verify", {"ghzgraphs.ghz"}),
     ("weights", set()),
-    ("scale", set()),
+    ("scale", {"ghzgraphs.ghz"}),
     ("connectivity", {"ghzgraphs.structure"}),
-    ("reduce", {"ghzgraphs.structure", "ghzgraphs.reduction"}),
-    ("dimension", set()),
+    ("reduce", {"ghzgraphs.ghz", "ghzgraphs.structure", "ghzgraphs.reduction"}),
+    ("dimension", {"ghzgraphs.ghz"}),
     ("filter", set()),
     ("mcg", {"ghzgraphs.structure"}),
     ("merge", set()),
     ("drop-zeros", set()),
     ("cut", {"ghzgraphs.structure"}),
-    ("bogdanov", set()),
+    ("bogdanov", {"ghzgraphs.ghz"}),
 ])
 def test_each_command_loads_only_the_modules_it_needs(files, command, loaded):
     document = files["bog" if command == "bogdanov" else "c6"]  # c6 fails bogdanov's hypothesis
@@ -519,3 +624,4 @@ def test_each_command_loads_only_the_modules_it_needs(files, command, loaded):
     added = set(blob["modules"])
     assert ON_FIRST_USE & added == loaded
     assert not SLOW_TO_IMPORT & added
+    assert not ARGPARSE & added

@@ -18,6 +18,7 @@ from ghzgraphs import (
     induced_subgraph,
     merge_parallel_edges,
     mono_colouring,
+    parallel_ghz_k2,
     parse_document,
     serialize_graph,
     skeleton,
@@ -231,3 +232,25 @@ def test_skeleton_forgets_colours_weights_and_multiplicity():
 def test_colouring_helpers():
     assert mono_colouring(3, 2) == (2, 2, 2)
     assert adjacency_sets(build_graph(3, [(0, 1, 0, 0, 1)])) == [{1}, {0}, set()]
+
+
+@pytest.mark.parametrize("n, colour", [(3, 1.0), (3.0, 1), (True, 0), (3, False), (3, np.float64(1))],
+                         ids=["float-colour", "float-n", "bool-n", "bool-colour", "numpy-float-colour"])
+def test_mono_colouring_refuses_an_argument_that_is_not_an_int(n, colour):
+    # (1.0, 1.0, 1.0) would be a colouring every query refuses
+    with pytest.raises(ValueError, match="must be an int"):
+        mono_colouring(n, colour)
+
+
+def test_mono_colouring_reads_numpy_integers_as_ints():
+    vc = mono_colouring(np.int64(3), np.int32(2))
+    assert vc == (2, 2, 2) and all(c.__class__ is int for c in vc)
+
+
+@pytest.mark.parametrize("build, size", [
+    (cycle_ghz, 6.0), (cycle_ghz, True), (cycle_ghz, np.float64(6)), (parallel_ghz_k2, True), (parallel_ghz_k2, 2.0),
+], ids=["cycle-float", "cycle-bool", "cycle-numpy-float", "k2-bool", "k2-float"])
+def test_cycle_ghz_and_parallel_ghz_k2_refuse_a_size_that_is_not_an_int(build, size):
+    # parallel_ghz_k2(True) would be the one-edge graph of parallel_ghz_k2(1)
+    with pytest.raises(ValueError, match="must be an int"):
+        build(size)

@@ -340,6 +340,20 @@ MUTANTS = (
         "tests/test_cli.py::test_verify_gates_on_the_requested_property",
     ),
     Mutant(
+        "an ambiguous option prefix is read as its first match",
+        "src/ghzgraphs/cli.py",
+        "        if len(found) == 1:\n",
+        "        if found:\n",
+        "tests/test_cli.py::test_parse_args_is_the_argparse_parser",
+    ),
+    Mutant(
+        "a flag takes the next token as its value",
+        "src/ghzgraphs/cli.py",
+        "        if reader is not None and value is None:",
+        "        if value is None:",
+        "tests/test_cli.py::test_parse_args_is_the_argparse_parser",
+    ),
+    Mutant(
         "make_cut keeps a float or bool vertex",
         "src/ghzgraphs/structure.py",
         "    s, v1, v2 = _as_vertices(s), _as_vertices(v1), _as_vertices(v2)\n",
