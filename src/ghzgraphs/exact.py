@@ -17,6 +17,12 @@ through ``Fraction(re, den)``.  Equality cross-multiplies, and ``complex()``
 divides ints, which rounds correctly, so neither depends on the denominator
 a value carries.
 
+Each operation has one path: it reads the other operand through ``_parts``
+and builds its result with ``_make``.  A branch for an operand of the exact
+type or for equal denominators would not pay: the weight kernel runs the
+product and sum rules inline on raw triples, so the operators serve only
+``reduce``'s projections and sums over tables, a few hundred calls a pass.
+
 ``fractions`` (with ``decimal`` and ``numbers``) loads on the first of those
 ``Fraction`` readers, ``from_float`` or string argument, so a CLI command
 that only parses, computes and prints exact weights never imports it.  An
@@ -24,9 +30,9 @@ argument is tested for ``Fraction`` only once ``fractions`` is loaded: no
 instance can exist before.
 
 Every integer argument of the library -- an index, count, colour, size,
-dimension, seed, budget or ``from_parts`` part -- is read here, by
-``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form): numpy's
-integers convert to plain ints, and a bool or a value without
+dimension, seed, budget, ``from_parts`` part or power's exponent -- is read
+here, by ``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form):
+numpy's integers convert to plain ints, and a bool or a value without
 ``__index__`` is refused.  This is the lowest module every reader imports.
 """
 
@@ -125,9 +131,8 @@ class GaussianRational:
     def from_parts(cls, re_num: int, re_den: int, im_num: int = 0, im_den: int = 1):
         """Build from four integers (numerators and denominators), each read
         by ``_as_index``."""
-        if not (re_num.__class__ is re_den.__class__ is im_num.__class__ is im_den.__class__ is int):
-            re_num, re_den = _as_index(re_num, "re_num"), _as_index(re_den, "re_den")
-            im_num, im_den = _as_index(im_num, "im_num"), _as_index(im_den, "im_den")
+        re_num, re_den = _as_index(re_num, "re_num"), _as_index(re_den, "re_den")
+        im_num, im_den = _as_index(im_num, "im_num"), _as_index(im_den, "im_den")
         return _make(_over(*_lowest(re_num, re_den), *_lowest(im_num, im_den)))
 
     @classmethod
@@ -152,28 +157,14 @@ class GaussianRational:
 
     # -- arithmetic --------------------------------------------------------
 
-    # + and * read a GaussianRational operand's parts directly and build the
-    # result without helper calls.  The weight kernel's DP writes these two
-    # rules out on raw triples; their hot callers are reduction._project and
-    # the sums over table values.
-
     def __add__(self, other):
-        if type(other) is GaussianRational:
-            c, d, q = other._v
-        else:
-            other = _parts(other)
-            if other is None:
-                return NotImplemented
-            c, d, q = other
-        a, b, p = self._v
-        out = _new(GaussianRational)
-        if p == q:
-            _set_v(out, (a + c, b + d, p))
-        else:
-            k = gcd(p, q)
-            s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
-            _set_v(out, (a * s + c * t, b * s + d * t, p * s))
-        return out
+        other = _parts(other)
+        if other is None:
+            return NotImplemented
+        (a, b, p), (c, d, q) = self._v, other
+        k = gcd(p, q)
+        s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
+        return _make((a * s + c * t, b * s + d * t, p * s))
 
     __radd__ = __add__
 
@@ -195,17 +186,11 @@ class GaussianRational:
         return _make(other) + -self
 
     def __mul__(self, other):
-        if type(other) is GaussianRational:
-            c, d, q = other._v
-        else:
-            other = _parts(other)
-            if other is None:
-                return NotImplemented
-            c, d, q = other
-        a, b, p = self._v
-        out = _new(GaussianRational)
-        _set_v(out, (a * c - b * d, a * d + b * c, p * q))
-        return out
+        other = _parts(other)
+        if other is None:
+            return NotImplemented
+        (a, b, p), (c, d, q) = self._v, other
+        return _make((a * c - b * d, a * d + b * c, p * q))
 
     __rmul__ = __mul__
 
@@ -228,7 +213,9 @@ class GaussianRational:
         return _make(other) / self
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        try:
+            exponent = _as_index(exponent, "exponent")
+        except TypeError:
             return NotImplemented
         if exponent < 0:
             return (1 / self) ** (-exponent)
@@ -249,10 +236,7 @@ class GaussianRational:
         other = _parts(other)
         if other is None:
             return NotImplemented
-        a, b, p = self._v
-        c, d, q = other
-        if p == q:
-            return a == c and b == d
+        (a, b, p), (c, d, q) = self._v, other
         return a * q == c * p and b * q == d * p
 
     def __hash__(self):

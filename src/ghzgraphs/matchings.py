@@ -183,7 +183,12 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     dispatch, not the DP, was the cost: a Python-level call and a new object
     per product and per sum took more of an exact table's time than the
     DP's own bookkeeping.  Float graphs keep the ``solve`` on complex
-    numbers.
+    numbers.  The inline sum keeps a branch for equal denominators, which
+    ``GaussianRational.__add__`` does without (both give the same triple):
+    here it skips a gcd on every sum it takes, about one in six of a
+    ``tables`` benchmark pass, and that pass ran about 1% slower in process
+    without it (Python 3.11, 2-core Xeon); the operators see a few hundred
+    sums a pass, where no such branch pays.
     """
     n = g.n
     full = (1 << n) - 1

@@ -134,7 +134,10 @@ def vertex_connectivity(g: Multigraph) -> int:
     or contains v, and then, being minimal, leaves neighbours of v in two
     components of G - S, which it separates.  So flows run only from v to
     its non-neighbours and between non-adjacent neighbours of v, each
-    capped at the best found so far.
+    capped at the best found so far.  Neither end needs a case of its own: a
+    complete graph leaves no pair, so delta = n - 1 stands, and once a flow
+    finds 0 each later flow, capped at 0, returns 0 without a search (it
+    still builds its residual graph).
     """
     n = g.n
     if n <= 1:
@@ -142,15 +145,11 @@ def vertex_connectivity(g: Multigraph) -> int:
     adj = adjacency_sets(g)
     v = min(range(n), key=lambda x: len(adj[x]))
     best = len(adj[v])
-    if best == n - 1:
-        return best
     if best <= 2:
         return min(best, _biconnectivity(adj))
     pairs = [(v, t) for t in range(n) if t != v and t not in adj[v]]
     pairs += [(x, y) for x, y in itertools.combinations(sorted(adj[v]), 2) if y not in adj[x]]
     for s, t in pairs:
-        if best == 0:
-            break
         best = _local_connectivity(adj, s, t, best)
     return best
 

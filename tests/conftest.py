@@ -58,7 +58,7 @@ from ghzgraphs.cli import (
     _cmd_weights,
     _int,
 )
-from ghzgraphs.exact import _make
+from ghzgraphs.exact import _make, _parts
 from ghzgraphs.ghz import MONO_NOT_ONE, MONO_ZERO, NON_MONO_NONZERO
 from ghzgraphs.matchings import _weight_table
 
@@ -543,6 +543,51 @@ def slow_from_parts(re_num: int, re_den: int, im_num: int = 0, im_den: int = 1) 
     re, im = Fraction(re_num, re_den), Fraction(im_num, im_den)
     den = math.lcm(re.denominator, im.denominator)
     return _make((re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den))
+
+
+def slow_add(x: GaussianRational, other):
+    """``GaussianRational.__add__`` (and ``__radd__``) as it was, with a path
+    for an operand of exactly that type and one for equal denominators."""
+    if type(other) is GaussianRational:
+        c, d, q = other._v
+    else:
+        other = _parts(other)
+        if other is None:
+            return NotImplemented
+        c, d, q = other
+    a, b, p = x._v
+    if p == q:
+        return _make((a + c, b + d, p))
+    k = math.gcd(p, q)
+    s, t = q // k, p // k  # p * s == q * t == lcm(p, q)
+    return _make((a * s + c * t, b * s + d * t, p * s))
+
+
+def slow_mul(x: GaussianRational, other):
+    """``GaussianRational.__mul__`` (and ``__rmul__``) as it was, with a path
+    for an operand of exactly that type."""
+    if type(other) is GaussianRational:
+        c, d, q = other._v
+    else:
+        other = _parts(other)
+        if other is None:
+            return NotImplemented
+        c, d, q = other
+    a, b, p = x._v
+    return _make((a * c - b * d, a * d + b * c, p * q))
+
+
+def slow_eq(x: GaussianRational, other):
+    """``GaussianRational.__eq__`` as it was, comparing equal denominators'
+    parts without cross-multiplying."""
+    other = _parts(other)
+    if other is None:
+        return NotImplemented
+    a, b, p = x._v
+    c, d, q = other
+    if p == q:
+        return a == c and b == d
+    return a * q == c * p and b * q == d * p
 
 
 def slow_weight_to_strings(w) -> list[str]:

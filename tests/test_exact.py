@@ -5,6 +5,7 @@ import pickle
 import sys
 import textwrap
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzgraphs import GaussianRational
-from ghzgraphs.exact import _parts
+from ghzgraphs.exact import _make, _parts
 
-from conftest import fresh_interpreter, slow_from_parts, weight_bits
+from conftest import fresh_interpreter, slow_add, slow_eq, slow_from_parts, slow_mul, weight_bits
 
 
 def gaussians(nonzero=False):
@@ -73,6 +74,21 @@ def test_integer_powers(a, k):
     for _ in range(abs(k)):
         expected = expected * base
     assert a ** k == expected
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0, "2", None], ids=repr)
+def test_a_power_refuses_an_exponent_that_is_not_an_int(exponent):
+    a = GaussianRational(2)
+    assert a.__pow__(exponent) is NotImplemented
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow\(\)"):
+        a ** exponent
+
+
+def test_a_power_reads_a_numpy_exponent_as_an_int():
+    for exponent in (np.int64(3), np.int8(3), np.uint16(3)):
+        w = GaussianRational(2) ** exponent
+        assert type(w) is GaussianRational and w._v == (8, 0, 1)
+    assert GaussianRational(2) ** np.int32(-2) == GaussianRational("1/4")
 
 
 @given(gaussians())
@@ -351,9 +367,9 @@ class SubclassedRational(GaussianRational):
 
 @given(both(), both())
 def test_sum_and_product_agree_with_fraction_pairs_for_every_operand_type(x, y):
-    """+ and * read a GaussianRational operand's parts directly and any other
-    exact operand through its numerator and denominator; each kind, on either
-    side, gives the Fraction pairs' result as a GaussianRational."""
+    """+ and * read every exact operand's parts through ``_parts``: a
+    GaussianRational, a subclass of it, a Fraction or an int, on either side,
+    gives the Fraction pairs' result as a GaussianRational."""
     (a, A), (b, B) = x, y
     sub = object.__new__(SubclassedRational)
     GaussianRational._v.__set__(sub, b._v)  # b's own parts, often unreduced
@@ -375,6 +391,63 @@ def test_sum_and_product_leave_floats_and_complexes_to_the_other_operand(other):
     for op in (lambda: a + other, lambda: other + a, lambda: a * other, lambda: other * a):
         with pytest.raises(TypeError):
             op()
+
+
+# ---------------------------------------------------------------------------
+# differential: one path per operator against the paths it replaced
+
+
+@st.composite
+def related_pairs(draw):
+    """A GaussianRational over p and an operand over q, where q equals p, is
+    coprime to it or one divides the other; the operand is a GaussianRational
+    (at times one of equal value), a Fraction or an int."""
+    kind = draw(st.sampled_from(["equal", "coprime", "dividing"]))
+    p = draw(denominators)
+    if kind == "equal":
+        q = p
+    elif kind == "coprime":
+        p, q = draw(st.permutations(COPRIME_DENOMINATORS))[:2]
+    else:
+        q = p * draw(st.sampled_from([2, 3, 12, 2**40, 10**9 + 7]))
+        if draw(st.booleans()):
+            p, q = q, p
+    a, b, c, d = (draw(numerators) for _ in range(4))
+    x = _make((a, b, p))
+    if kind == "dividing" and p < q and draw(st.booleans()):
+        return x, _make((a * (q // p), b * (q // p), q))  # x's value on q
+    return x, draw(st.sampled_from([_make((c, d, q)), Fraction(c, q), c]))
+
+
+def slow_sub(left, right):
+    """``left - right`` as it was: ``__sub__`` and ``__rsub__`` each added
+    the negated subtrahend to the minuend by the old ``__add__``."""
+    re, im, den = _parts(right)
+    return slow_add(_make(_parts(left)), _make((-re, -im, den)))
+
+
+def by_the_exact_side(slow, left, right):
+    # an int or Fraction on the left leaves the operation to the reflected method
+    return slow(left, right) if isinstance(left, GaussianRational) else slow(right, left)
+
+
+@given(st.one_of(st.tuples(both().map(itemgetter(0)), both().map(itemgetter(0))), related_pairs()))
+@example((GaussianRational.from_parts(1, 6), GaussianRational(3) / 18))
+@example((_make((1, 2, 4)), _make((1, 2, 4))))
+@example((_make((3, -1, 5)), Fraction(3, 5)))
+@example((_make((2, 0, 6)), 0))
+def test_operators_give_the_triples_of_the_paths_they_replaced(pair):
+    """Each operator's one path gives the unreduced triples, and the equality
+    verdicts, of the type fast path and the equal-denominator branches it
+    replaced, with the exact operand on either side."""
+    for a, b in (pair, pair[::-1]):
+        assert weight_bits(a + b) == weight_bits(by_the_exact_side(slow_add, a, b))
+        assert weight_bits(b + a) == weight_bits(by_the_exact_side(slow_add, b, a))
+        assert weight_bits(a - b) == weight_bits(slow_sub(a, b))
+        assert weight_bits(a * b) == weight_bits(by_the_exact_side(slow_mul, a, b))
+        assert weight_bits(b * a) == weight_bits(by_the_exact_side(slow_mul, b, a))
+        assert (a == b) is by_the_exact_side(slow_eq, a, b)
+        assert (a != b) is not by_the_exact_side(slow_eq, a, b)
 
 
 # ---------------------------------------------------------------------------

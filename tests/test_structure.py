@@ -178,6 +178,22 @@ def test_a_triangular_prism_runs_the_flows(monkeypatch):
     assert flows
 
 
+def disjoint_complete(*sizes):
+    starts = list(itertools.accumulate(sizes, initial=0))
+    pairs = [(a + u, a + v) for a, k in zip(starts, sizes) for u, v in itertools.combinations(range(k), 2)]
+    return plain_graph(starts[-1], pairs)
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (4, 5), (5, 4), (4, 4, 4)], ids=["K4+K4", "K4+K5", "K5+K4", "3K4"])
+def test_a_disconnected_graph_of_minimum_degree_three_runs_its_flows_to_zero(monkeypatch, sizes):
+    # every vertex has degree 3 or more, so no depth-first search answers:
+    # the flows find 0, and every pair after that is capped at 0
+    flows = count_flows(monkeypatch)
+    g = disjoint_complete(*sizes)
+    assert vertex_connectivity(g) == oracle_connectivity(g) == 0
+    assert flows
+
+
 @settings(max_examples=150, deadline=None)
 @given(simple_graphs(max_n=9, min_n=5))
 def test_low_connectivity_leaves_an_odd_three_cut(g):

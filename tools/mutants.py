@@ -426,9 +426,24 @@ MUTANTS = (
     Mutant(
         "from_parts keeps its parts unread",
         "src/ghzgraphs/exact.py",
-        "        if not (re_num.__class__ is re_den.__class__ is im_num.__class__ is im_den.__class__ is int):\n",
-        "        if False:\n",
+        '        re_num, re_den = _as_index(re_num, "re_num"), _as_index(re_den, "re_den")\n'
+        '        im_num, im_den = _as_index(im_num, "im_num"), _as_index(im_den, "im_den")\n',
+        "",
         "tests/test_exact.py::test_from_parts_stores_numpy_parts_as_ints",
+    ),
+    Mutant(
+        "a sum's denominator is p * q, not the lcm",
+        "src/ghzgraphs/exact.py",
+        "        k = gcd(p, q)\n",
+        "        k = 1\n",
+        "tests/test_exact.py::test_operators_give_the_triples_of_the_paths_they_replaced",
+    ),
+    Mutant(
+        "equality compares the parts without cross-multiplying",
+        "src/ghzgraphs/exact.py",
+        "        return a * q == c * p and b * q == d * p\n",
+        "        return a == c and b == d\n",
+        "tests/test_exact.py::test_operators_give_the_triples_of_the_paths_they_replaced",
     ),
     Mutant(
         "the colour universe is frozen before its entries are read",
