@@ -33,7 +33,9 @@ Every integer argument of the library -- an index, count, colour, size,
 dimension, seed, budget, ``from_parts`` part or power's exponent -- is read
 here, by ``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form):
 numpy's integers convert to plain ints, and a bool or a value without
-``__index__`` is refused.  This is the lowest module every reader imports.
+``__index__`` is refused.  Every tolerance argument -- ``verify``'s epsilon
+and ``search``'s tol -- is read here too, by ``_as_tolerance``.  This is
+the lowest module every reader imports.
 """
 
 from __future__ import annotations
@@ -91,6 +93,24 @@ def _refuse_non_int(value, name: str) -> int:
         return _as_index(value, name)
     except TypeError as error:
         raise ValueError(str(error)) from None
+
+
+def _as_tolerance(value, name: str):
+    """value, for a tolerance argument (``verify``'s epsilon, ``search``'s
+    tol): a number with no dimensions that is at least 0 -- an int, float,
+    ``Fraction``, ``Decimal``, numpy scalar or 0-d array -- refused with
+    ``ValueError`` otherwise.  The test is duck-typed, so it loads no
+    module: a bool (numpy's by its dtype), an array with dimensions, NaN
+    (it compares false) and a value that does not compare with 0 (None, a
+    str, a complex, a decimal NaN) are refused."""
+    try:
+        valid = (not isinstance(value, bool) and getattr(getattr(value, "dtype", None), "kind", "") != "b"
+                 and not getattr(value, "ndim", 0) and bool(value >= 0))
+    except (TypeError, ValueError, ArithmeticError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+    return value
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:

@@ -18,6 +18,7 @@ import cmath
 from collections import namedtuple
 
 from .errors import BogdanovHypothesisError, InvariantViolation, NotGhzError, UnscalableColourError
+from .exact import _as_tolerance
 from .graphs import Colour, Edge, Multigraph, VertexColouring, drop_zero_edges, mono_colouring
 from .matchings import (
     PerfectMatching,
@@ -55,19 +56,14 @@ def verify(g: Multigraph, epsilon: float = DEFAULT_EPSILON) -> GhzVerdict:
     """Classify every feasible colouring and every mono colouring of g.
 
     ``epsilon`` only matters for float-weighted graphs; exact graphs are
-    compared exactly, but a negative or NaN ``epsilon``, a bool (numpy's
-    bool scalar and 0-d bool array too, read by their dtype), or anything
-    that does not compare with 0 raises ``ValueError`` either way.  The
-    dimension field counts monochromatic colourings with non-zero weight
-    regardless of the verdict flags.
+    compared exactly, but an ``epsilon`` that is negative, NaN, a bool
+    (numpy's too), an array with dimensions or anything that does not
+    compare with 0 raises ``ValueError`` either way, by the tolerance rule
+    that ``search``'s tol follows too.  The dimension field counts
+    monochromatic colourings with non-zero weight regardless of the verdict
+    flags.
     """
-    try:  # NaN compares false too
-        valid = (not isinstance(epsilon, bool) and getattr(getattr(epsilon, "dtype", None), "kind", "") != "b"
-                 and bool(epsilon >= 0))
-    except (TypeError, ValueError, ArithmeticError):  # None, str, complex; an array, a decimal NaN
-        valid = False
-    if not valid:
-        raise ValueError(f"epsilon must be a non-negative number, got {epsilon}")
+    epsilon = _as_tolerance(epsilon, "epsilon")
     table = colouring_weight_table(g)
     exact = g.is_exact
     zero, one = g.zero, g.one

@@ -41,7 +41,7 @@ def _as_weight(w):
 
 def _as_vertices(values) -> tuple[int, ...]:
     """values as a tuple of plain-int vertices, each read by ``_refuse_non_int``."""
-    return tuple(x if x.__class__ is int else _refuse_non_int(x, "vertex") for x in values)
+    return tuple(_refuse_non_int(x, "vertex") for x in values)
 
 
 def _as_universe(colours: Iterable[Colour]) -> frozenset:
@@ -208,8 +208,7 @@ def build_graph(n: int, edge_specs: Iterable[tuple], colours: Iterable[Colour] |
 def mono_colouring(n: int, colour: Colour) -> VertexColouring:
     """The colouring of n vertices that all have ``colour``; both are read by
     ``_refuse_non_int``."""
-    if n.__class__ is not int or colour.__class__ is not int:  # plain ints need no call
-        n, colour = _refuse_non_int(n, "n"), _refuse_non_int(colour, "colour")
+    n, colour = _refuse_non_int(n, "n"), _refuse_non_int(colour, "colour")
     return (colour,) * n
 
 

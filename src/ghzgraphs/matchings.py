@@ -21,10 +21,11 @@ only when they are read.  Most of ``reduce``'s blocks have tables of no or
 one entry, so the kernel's fixed cost per call is kept to what the block
 needs: digit places and edge lists for the kept vertices only, one decode
 for a table of one entry, and no reference cycle left for the collector.  A
-larger table is read out in one pass over its sorted int keys, each key as
-two halves: from one list of every half when the table has at least as many
-entries as there are halves (the dense tables of ``verify``), and otherwise
-each distinct half decoded once, when first met (most of ``reduce``'s).
+larger table is read out in one pass over its sorted int keys, in one of two
+ways: a table with at least as many entries as there are key halves (the
+dense tables of ``verify``) reads each key as two halves from one list of
+every half, and a sparser one (most of ``reduce``'s) decodes each key digit
+by digit, as the one-entry table decodes its key.
 ``_iter_perfect_matchings`` yields the matchings one at a time by a search of
 the same shape, so a caller can stop at the one it wants (the Bogdanov
 witness does); ``enumerate_perfect_matchings`` lists them all.
@@ -88,8 +89,7 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
 def _check_matching(g: Multigraph, m: PerfectMatching) -> None:
     covered = 0
     for i in m:
-        if i.__class__ is not int:
-            _refuse_non_int(i, "edge index")
+        i = _refuse_non_int(i, "edge index")
         if not 0 <= i < len(g.edges):
             raise ValueError(f"edge index {i} out of range")
         e = g.edges[i]
@@ -126,8 +126,7 @@ def _check_colouring(g: Multigraph, vc: VertexColouring) -> None:
         raise ValueError(f"colouring has {len(vc)} entries for {g.n} vertices")
     universe = g.colour_universe
     for c in vc:
-        if c.__class__ is not int:
-            _refuse_non_int(c, "colour")
+        c = _refuse_non_int(c, "colour")
         if c not in universe:
             raise ValueError(f"colour {c} outside universe {sorted(universe)}")
 
@@ -162,16 +161,18 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     pays for its own vertices; only the scan of g's edges is per graph.
 
     A table of at most one entry is read with one decode of its key.  A
-    larger table is read in one pass over its sorted int keys, each key as
-    two halves of ``half`` digits, and each exact value is wrapped in that
-    same pass.  When the table has at least ``base ** half`` entries, every
-    half is decoded up front into one list indexed by ``key // split`` and
-    ``key % split``; a sparser table decodes each distinct half once, when
-    first met, so it never builds a list longer than itself.  The path
-    follows the table's size alone, and both give the same keys in the same
-    order.  ``solve`` refers to itself, so it is deleted once it has run:
-    the call then leaves no reference cycle, and its memo is freed when it
-    returns instead of at the next cyclic collection.
+    larger table is read in one pass over its sorted int keys, and each
+    exact value is wrapped in that same pass.  When the table has at least
+    ``base ** half`` entries, a key is read as two halves of ``half``
+    digits, every half decoded up front into one list indexed by
+    ``key // split`` and ``key % split``; a sparser table decodes each key
+    digit by digit, as the one-entry table does, so it never builds a list
+    longer than itself (decoding each distinct half once instead measured
+    no faster on the benchmark's passes).  The read-out follows the table's
+    size alone, and both give the same keys in the same order.  ``solve``
+    refers to itself, so it is deleted once it has run: the call then
+    leaves no reference cycle, and its memo is freed when it returns
+    instead of at the next cyclic collection.
 
     Exact weights keep their own denominators (no graph-wide common
     denominator, whose size grows with every distinct denominator), and the
@@ -270,13 +271,13 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
 
     table = solve(outside)
     del solve  # it refers to itself: a cycle the collector would have to free
-    if len(table) < 2:  # no halves to share: one decode at most
+    if len(table) < 2:  # nothing to sort: one decode at most
         for key, w in table.items():
             return {_digits(key, places): _make(w) if exact else w}
         return {}
-    # A key is read as two halves of equal length (kept vertices are even in
-    # number), in one pass over the sorted keys that also wraps each exact
-    # entry as a GaussianRational, the only time it is wrapped.
+    # One pass over the sorted keys, which also wraps each exact entry as a
+    # GaussianRational, the only time it is wrapped.  A dense table reads a
+    # key as two halves of equal length (kept vertices are even in number).
     half = count // 2
     split = base**half
     out: dict[VertexColouring, object] = {}
@@ -286,19 +287,9 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
             w = table[key]
             out[halves[key // split] + halves[key % split]] = _make(w) if exact else w
         return out
-    # a sparse table shares few of its halves: decode each distinct one once
-    half_places = places[half:]
-    seen: dict[int, VertexColouring] = {}
-    for key in sorted(table):
-        high, low = divmod(key, split)
-        head = seen.get(high)
-        if head is None:
-            head = seen[high] = _digits(high, half_places)
-        tail = seen.get(low)
-        if tail is None:
-            tail = seen[low] = _digits(low, half_places)
+    for key in sorted(table):  # a sparser table: each key decoded digit by digit
         w = table[key]
-        out[head + tail] = _make(w) if exact else w
+        out[_digits(key, places)] = _make(w) if exact else w
     return out
 
 

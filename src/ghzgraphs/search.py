@@ -62,12 +62,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import namedtuple
 
 import numpy as np
 
-from .exact import GaussianRational, _refuse_non_int
+from .exact import GaussianRational, _as_tolerance, _refuse_non_int
 from .ghz import DEFAULT_EPSILON, verify
 from .graphs import Edge, Multigraph, skeleton
 from .matchings import colouring_weight, enumerate_perfect_matchings
@@ -271,8 +270,7 @@ def search(
     for name, value, low in (("seed", seed, 0), ("restarts", restarts, 1), ("max_iters", max_iters, 0)):
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    tol = _as_tolerance(tol, "tol")
     best_x = None
     best_f = math.inf
     best_restart = 0
@@ -290,7 +288,7 @@ def search(
     return SearchResult(
         weights=best_x,
         residual=residual(problem, best_x),
-        converged=best_f <= tol,
+        converged=bool(best_f <= tol),
         restart=best_restart,
         iterations=best_iters,
     )

@@ -56,8 +56,11 @@ def _local_connectivity(adj: list[set[int]], s: int, t: int, cap: int) -> int:
     the residual graph is one set of arc heads per node, and an augmenting
     path flips every arc it uses: b leaves res[a] and a joins res[b].  Once
     the flow reaches ``cap`` no further path is searched for, which saves
-    the last search, a failing one over the whole residual graph.
+    the last search, a failing one over the whole residual graph; a cap of
+    0 returns before the residual graph is built.
     """
+    if not cap:
+        return 0
     res: list[set[int]] = []
     for x, ys in enumerate(adj):
         res += ({2 * x + 1}, {2 * y for y in ys})  # x_in's one arc, then x_out's arcs
@@ -136,8 +139,8 @@ def vertex_connectivity(g: Multigraph) -> int:
     its non-neighbours and between non-adjacent neighbours of v, each
     capped at the best found so far.  Neither end needs a case of its own: a
     complete graph leaves no pair, so delta = n - 1 stands, and once a flow
-    finds 0 each later flow, capped at 0, returns 0 without a search (it
-    still builds its residual graph).
+    finds 0 each later flow, capped at 0, returns 0 at once, before it
+    builds its residual graph.
     """
     n = g.n
     if n <= 1:

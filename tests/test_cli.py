@@ -577,7 +577,7 @@ ON_FIRST_USE = {
 }
 
 #: only `search` may load these, through numpy or `GaussianRational.from_float`
-SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal"}
+SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal", "numbers"}
 
 #: no command loads these: argparse and the modules its messages load
 ARGPARSE = {"argparse", "gettext", "locale"}

@@ -513,15 +513,16 @@ def test_masked_kernel_is_the_kernel_on_the_block_copy():
 
 
 def test_keys_decoded_by_halves_are_the_per_digit_keys(monkeypatch):
-    """The kernel reads each key as two halves, each decoded once per call,
-    in a base taken from the colour universe; the per-digit decode in the
-    base of the edge colours it replaced gives the same keys in the same
-    order, with the same values, for whole graphs and for masked blocks.
-    A table of two or more entries takes its halves either from one list of
-    every half or from a memo of the halves it meets; which one a call took
-    is read from whether it built that list, not from the kernel's rule, and
-    both run, exact and float, on halves of an odd number of digits, beside
-    tables of exactly base ** half entries, the size the choice turns on."""
+    """The kernel decodes its keys in a base taken from the colour universe,
+    a dense table's keys as two halves, each decoded once per call; the
+    per-digit decode in the base of the edge colours it replaced gives the
+    same keys in the same order, with the same values, for whole graphs and
+    for masked blocks.  A table of two or more entries either takes its
+    halves from one list of every half or decodes each key on its own, digit
+    by digit; which one a call took is read from whether it built that list,
+    not from the kernel's rule, and both run, exact and float, on keys whose
+    halves have an odd number of digits, beside tables of exactly
+    base ** half entries, the size the choice turns on."""
     kernel = ghzgraphs.matchings._weight_table
     lists_built = []
 
@@ -552,7 +553,7 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys(monkeypatch):
                 colours = {c for vc in fast for c in vc}
                 base = 1 + max(g.colour_universe, default=0)
                 half = (vertices & ((1 << g.n) - 1)).bit_count() // 2
-                path = None if len(fast) < 2 else "list" if lists_built else "memo"
+                path = None if len(fast) < 2 else "list" if lists_built else "per-key"
                 kind = "exact" if h.is_exact else "float"
                 reached.update({
                     f"{path} read-out, {kind}": path is not None,
@@ -569,8 +570,8 @@ def test_keys_decoded_by_halves_are_the_per_digit_keys(monkeypatch):
     assert all(reached[name] for name in (
         "n = 0", "one colour", "base at least 3", "vertex mask", "cut mask", "1,024 entries",
         "universe above the edge colours",
-        "list read-out, exact", "list read-out, float", "memo read-out, exact", "memo read-out, float",
-        "list read-out, odd half", "memo read-out, odd half",
+        "list read-out, exact", "list read-out, float", "per-key read-out, exact", "per-key read-out, float",
+        "list read-out, odd half", "per-key read-out, odd half",
         "exact table of base ** half entries", "float table of base ** half entries",
     )), reached
 

@@ -1,10 +1,13 @@
 """The numerical search: monomial structure, gradient, descent, exactify."""
 
 import copy
+import json
 import math
 import re
 import warnings
 from collections import namedtuple
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +217,36 @@ def test_search_takes_ints_and_numpy_reals_as_a_tolerance(tol):
     prob = SearchProblem(parallel_ghz_k2(1), 2)
     res = search(prob, seed=2, restarts=1, max_iters=50, tol=tol)
     assert res.converged == (res.residual.value <= tol)
+
+
+@pytest.mark.parametrize("tol", [1e-3, np.float64(1e-3), np.float32(1e-3), np.int64(0), np.array(1e-3)],
+                         ids=["float", "float64", "float32", "int64", "0-d array"])
+def test_converged_is_a_plain_bool(tol):
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    res = search(prob, seed=2, restarts=1, max_iters=50, tol=tol)
+    assert type(res.converged) is bool
+    assert json.dumps(res.converged) in ("true", "false")
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (Decimal("1e-3"), True), (Fraction(1, 1000), True), (np.array(1e-3), True), (np.float32(1e-3), True),
+    (np.array([1e-3]), False), (np.array([[0.0]]), False), (Decimal("NaN"), False), (np.array(True), False),
+], ids=["Decimal", "Fraction", "0-d array", "float32", "array of one", "1x1 array", "decimal NaN", "0-d bool"])
+def test_verify_and_search_read_a_tolerance_by_one_rule(value, accepted):
+    # verify's epsilon and search's tol: a number with no dimensions, at least 0
+    prob = SearchProblem(parallel_ghz_k2(1), 2)
+    k4 = SearchProblem(complete_ghz_k4(), 3)
+    g = assignment_graph(k4, k4_solution_vector(k4))  # GHZ, with float weights
+    if accepted:
+        assert verify(g, value).is_ghz
+        res = search(prob, seed=2, restarts=1, max_iters=50, tol=value)
+        assert res.converged == (res.residual.value <= value)
+        return
+    refused = re.escape(f" must be a non-negative number, got {value!r}")
+    with pytest.raises(ValueError, match="epsilon" + refused):
+        verify(g, value)
+    with pytest.raises(ValueError, match="tol" + refused):
+        search(prob, tol=value)
 
 
 def test_search_converges_on_small_problems():

@@ -194,6 +194,21 @@ def test_a_disconnected_graph_of_minimum_degree_three_runs_its_flows_to_zero(mon
     assert flows
 
 
+class Unreadable(list):
+    """An adjacency list whose iteration raises: a flow that reads it fails."""
+
+    def __iter__(self):
+        raise AssertionError("the adjacency was read")
+
+
+def test_a_flow_capped_at_0_reads_no_adjacency():
+    # a cap of 0 leaves nothing to find: no residual graph is built
+    adj = Unreadable([{2}, {2}, {0, 1}])
+    assert ghzgraphs.structure._local_connectivity(adj, 0, 1, 0) == 0
+    with pytest.raises(AssertionError, match="the adjacency was read"):
+        ghzgraphs.structure._local_connectivity(adj, 0, 1, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(simple_graphs(max_n=9, min_n=5))
 def test_low_connectivity_leaves_an_odd_three_cut(g):

@@ -39,6 +39,13 @@ MUTANTS = (
         "tests/test_structure.py::test_local_connectivity_matches_the_capacity_table_flow",
     ),
     Mutant(
+        "a cap-0 flow builds its residual graph",
+        "src/ghzgraphs/structure.py",
+        "    if not cap:\n        return 0\n",
+        "",
+        "tests/test_structure.py::test_a_flow_capped_at_0_reads_no_adjacency",
+    ),
+    Mutant(
         "vertex_connectivity without the neighbour pairs",
         "src/ghzgraphs/structure.py",
         "    pairs += [(x, y) for x, y in itertools.combinations(sorted(adj[v]), 2) if y not in adj[x]]\n",
@@ -172,10 +179,10 @@ MUTANTS = (
         "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
     ),
     Mutant(
-        "the sparse read-out swaps a key's halves",
+        "the sparse read-out decodes with the wrong place values",
         "src/ghzgraphs/matchings.py",
-        "        out[head + tail] = _make(w) if exact else w\n",
-        "        out[tail + head] = _make(w) if exact else w\n",
+        "        out[_digits(key, places)] = _make(w) if exact else w\n",
+        "        out[_digits(key, places[::-1])] = _make(w) if exact else w\n",
         "tests/test_matchings.py::test_keys_decoded_by_halves_are_the_per_digit_keys",
     ),
     Mutant(
@@ -401,6 +408,13 @@ MUTANTS = (
         "    if value.__class__ is not bool:\n",
         "    if True:\n",
         "tests/test_exact.py::test_from_parts_refuses_a_part_that_is_not_an_int",
+    ),
+    Mutant(
+        "the tolerance reader accepts an array of one",
+        "src/ghzgraphs/exact.py",
+        ' and not getattr(value, "ndim", 0) and ',
+        " and ",
+        "tests/test_search.py::test_verify_and_search_read_a_tolerance_by_one_rule",
     ),
     Mutant(
         "the integer reader reads with int(), so floats pass",
