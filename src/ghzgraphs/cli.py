@@ -12,17 +12,19 @@ alone; every other handler returns only its object.  Error details go to
 stderr as JSON, a failed write to stdout included.  Output is deterministic:
 repeated runs on the same input are byte-identical.
 
-Arguments are read by ``parse_args`` from one table, ``COMMANDS``, with the
-rules argparse applied before it: the file may come before or after the
-options; an option's value is the next token or follows ``=``
-(``--size=2``); a unique prefix names a long option (``--eps``) and an
-ambiguous one is refused; ``--`` ends the options; a token matching
-``-\\.?\\d`` is a value, so ``--epsilon -1e-3`` reaches the library, which
-refuses it; the last of a repeated option counts; and ``-h`` or ``--help``,
-before the command or after it, prints help to stdout and exits 0.  A usage
-error exits 2 with a usage line and ``ghzgraphs[ <command>]: error:
-<message>`` on stderr, in argparse's wording.  Nothing here imports
-argparse, whose import and first parser cost more than the parse itself.
+Arguments are read by ``parse_args`` from one table, ``COMMANDS``.  It
+reads the common form itself: the command first; each option by its full
+name, as ``--opt value``, ``--opt=value`` or a bare flag, before or after
+the file; at most one file; no file or value that starts with ``-``; every
+required argument present, and every value accepted by its reader.  Any
+other argv -- help, a usage error, an option's prefix, ``--``, a value that
+starts with ``-`` -- goes to argparse, imported only then, with a parser
+built from the same table, so its rules and wording are argparse's own.
+That parser reads a token matching ``-\\.?\\d`` as a command's value, so
+``--epsilon -1e-3`` reaches the library, which refuses it.  A usage error
+exits 2, and ``-h`` or ``--help`` prints help to stdout and exits 0.  The
+common form does not load argparse, whose import and first parser cost more
+than the parse itself.
 
 Library names are read at call time as ``gz.<name>``, through the package's
 lazy table, so a command loads only the submodules it uses: ``verify``,
@@ -73,6 +75,9 @@ def _int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+_int.__name__ = "int"  # argparse names a refused value's reader by it: "invalid int value"
 
 
 def _parse_colouring(text: str) -> tuple[int, ...]:
@@ -231,163 +236,82 @@ COMMANDS = {
     )),
 }
 
-#: a token matching this is a value wherever a command's option could start,
-#: so ``--epsilon -1e-3`` reaches the library, which refuses it; before the
-#: command, where a value is the command, only "-1" and "-.5" are values
-_VALUE = re.compile(r"-\.?\d")
-_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+def _argparse_parse(argv: list):
+    """``argv`` read by argparse, from a parser built on ``COMMANDS``: help,
+    usage errors and every form ``parse_args`` does not read itself follow
+    argparse's own rules and wording.  argparse is imported only here."""
+    import argparse
+
+    def formatter(prog):  # usage on one line, whatever the terminal's width
+        return argparse.HelpFormatter(prog, width=1 << 30)
+
+    parser = argparse.ArgumentParser(
+        prog="ghzgraphs",
+        description="Exact analysis of edge-coloured weighted multigraphs via perfect matchings.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text, description=text, formatter_class=formatter)
+        # a negative number in exponent form ("-1e-3") is a value, not an
+        # option name, so it reaches the library, which refuses it
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.set_defaults(func=handler)
+        if all(option[1] != "file" for option in options):
+            p.add_argument("file", help="the graph document")
+        for name, dest, reader, default, required, help_text in options:
+            if reader is None:
+                p.add_argument(name, dest=dest, action="store_true", help=help_text)
+            else:
+                p.add_argument(name, dest=dest, type=reader, default=default, required=required,
+                               metavar=name[2:].upper(), help=help_text)
+    return parser.parse_args(argv)
 
 
-def _takes_file(options) -> bool:
-    return all(option[1] != "file" for option in options)
-
-
-def _shown(name: str, reader) -> str:
-    """An option as usage and help show it: ``--size SIZE``, or a flag's name."""
-    return name if reader is None else f"{name} {name[2:].upper()}"
-
-
-def _usage(command) -> str:
-    if command is None:
-        return f"ghzgraphs [-h] {{{','.join(COMMANDS)}}} ..."
-    options = COMMANDS[command][2]
-    parts = ["ghzgraphs", command, "[-h]"]
-    for name, _, reader, _, required, _ in options:
-        part = _shown(name, reader)
-        parts.append(part if required else f"[{part}]")
-    if _takes_file(options):
-        parts.append("file")
-    return " ".join(parts)
-
-
-def _help(command) -> str:
-    if command is None:
-        head = "Exact analysis of edge-coloured weighted multigraphs via perfect matchings.\n\ncommands:"
-        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
-    else:
-        _, head, options = COMMANDS[command]
-        head += "\n\narguments:"
-        rows = [("file", "the graph document")] if _takes_file(options) else []
-        rows.append(("-h, --help", "show this help message and exit"))
-        rows += [(_shown(name, reader), text) for name, _, reader, _, _, text in options]
-    width = max(len(left) for left, _ in rows)
-    body = "".join(f"\n  {left:<{width}}  {text}".rstrip() for left, text in rows)
-    return f"usage: {_usage(command)}\n\n{head}{body}\n"
-
-
-def _fail(command, message: str):
-    """A usage error: the usage line and the message on stderr, exit 2."""
-    prog = "ghzgraphs" if command is None else f"ghzgraphs {command}"
-    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _read(token: str, names, command, number=_VALUE) -> tuple:
-    """(option name, its ``=`` value or None) for a token that names one of
-    ``names`` (long options, ``--help`` first) by itself or by a unique
-    prefix, or names ``-h``; (None, token) for a value; (token, None) for an
-    unknown option.  The caller handles ``--``."""
-    if token[:1] != "-" or token == "-" or number.match(token):
-        return None, token
-    if token[1] == "-":
-        name, eq, value = token.partition("=")
-        found = [name] if name in names else [n for n in names if n.startswith(name)]
-        if len(found) == 1:
-            return found[0], value if eq else None
-        if found:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
-    elif token[1] == "h":  # the one short option; "-hX" gives it the value X
-        return "--help", token[2:] or None
-    return (None, token) if " " in token else (token, None)
-
-
-def _help_exit(command, value):
-    if value is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    sys.stdout.write(_help(command))
-    raise SystemExit(0)
-
-
-def _parse_command(command: str, tokens: list) -> tuple:
-    """The command's attributes, and the tokens it does not read."""
-    handler, _, options = COMMANDS[command]
+def _common_form(argv: list) -> dict | None:
+    """The attributes of an argv in the common form the module docstring
+    states, or None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, options = COMMANDS[argv[0]]
     by_name = {option[0]: option for option in options}
-    takes_file = _takes_file(options)
-    values = {"command": command, "func": handler, "file": None}
+    if all(option[1] != "file" for option in options):
+        by_name[None] = (None, "file", str, None, True, "")  # the positional file
+    values = {"command": argv[0], "func": handler, "file": None}
     values.update((option[1], option[3]) for option in options)
-    # every token is read before any option acts, so an ambiguous prefix is
-    # refused even after -h; after "--" every token is a value
-    items = []
-    for k, token in enumerate(tokens):
-        if token == "--":
-            items.append(("--", None))
-            items += [(None, rest) for rest in tokens[k + 1:]]
-            break
-        items.append(_read(token, ("--help", *by_name), command))
-    seen, extras, i = set(), [], 0
-    while i < len(items):
-        name, value = items[i]
-        i += 1
-        option = by_name.get(name)
-        if option is None:
-            if name == "--help":
-                _help_exit(command, value)
-            if takes_file and "file" not in seen and name in (None, "--"):
-                # the file is this value, or the one after this "--"; a "--"
-                # just after it goes with it, and every other "--" is extra
-                k = i if name == "--" else i - 1
-                if k < len(items) and items[k][0] is None:
-                    values["file"] = items[k][1]
-                    seen.add("file")
-                    i = k + 2 if k + 1 < len(items) and items[k + 1][0] == "--" else k + 1
-                    continue
-            extras.append(value if name is None else name)
-            continue
-        _, dest, reader, _, _, _ = option
-        if reader is not None and value is None:  # the value is the next token
-            if i == len(items) or items[i][0] is not None:
-                _fail(command, f"argument {name}: expected one argument")
-            value = items[i][1]
-            i += 1
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        # a token that does not start with "-" is the file, read as an "=" value
+        name, eq, value = token.partition("=") if token[:1] == "-" else (None, "=", token)
+        if name not in by_name or name is None and "file" in seen:
+            return None
+        _, dest, reader, _, _, _ = by_name[name]
         if reader is None:
-            if value is not None:
-                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            if eq:
+                return None
             values[dest] = True
         else:
+            if not eq:
+                value = next(tokens, "-")  # a missing value counts as one starting with "-"
+            if value[:1] == "-":
+                return None
             try:
                 values[dest] = reader(value)
-            except ValueError:  # argparse's wording, which names _int "int"
-                _fail(command, f"argument {name}: invalid {reader.__name__.lstrip('_')} value: {value!r}")
+            except ValueError:
+                return None
         seen.add(dest)
-    missing = ["file"] if takes_file and "file" not in seen else []
-    missing += [option[0] for option in options if option[4] and option[1] not in seen]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(**values), extras
+    return values if all(option[1] in seen for option in by_name.values() if option[4]) else None
 
 
-def parse_args(argv=None) -> SimpleNamespace:
+def parse_args(argv=None):
     """The attributes the handlers read, from ``argv`` (default
     ``sys.argv[1:]``): ``command``, ``func``, ``file`` and each option's
     dest.  A usage error exits 2, and ``-h`` or ``--help`` exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    extras = []
-    for i, token in enumerate(argv):
-        name, value = (None, token) if token == "--" else _read(token, ("--help",), None, _NUMBER)
-        if name is None:
-            break
-        if name == "--help":
-            _help_exit(None, value)
-        extras.append(token)
-    else:
-        _fail(None, "the following arguments are required: command")
-    if token not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
-    args, more = _parse_command(token, argv[i + 1:])
-    if extras or more:
-        _fail(None, f"unrecognized arguments: {' '.join(extras + more)}")
-    return args
+    values = _common_form(argv)
+    return _argparse_parse(argv) if values is None else SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -33,8 +33,8 @@ Every integer argument of the library -- an index, count, colour, size,
 dimension, seed, budget, ``from_parts`` part or power's exponent -- is read
 here, by ``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form):
 numpy's integers convert to plain ints, and a bool or a value without
-``__index__`` is refused.  Every tolerance argument -- ``verify``'s epsilon
-and ``search``'s tol -- is read here too, by ``_as_tolerance``.  This is
+``__index__`` is refused.  Every tolerance argument -- ``verify``'s and
+``exactify``'s epsilon and ``search``'s tol -- is read here too, by ``_as_tolerance``.  This is
 the lowest module every reader imports.
 """
 

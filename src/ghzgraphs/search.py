@@ -363,7 +363,12 @@ def exactify(problem: SearchProblem, weights, epsilon: float | None = None) -> E
     numeric verdict, which is the one the full exact check would have led
     to.  Away from an exact solution this refutes the certificate at the
     cost of one small exact weight instead of a full exact table.
+
+    An ``epsilon`` that is not ``None`` is read as ``verify`` reads its
+    tolerance, before either path runs.
     """
+    if epsilon is not None:
+        epsilon = _as_tolerance(epsilon, "epsilon")
     x = _check_weights(problem, weights)
     _, diff, achieved = _evaluate(problem, x)
     if not _refutes(problem, x, diff):

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +487,60 @@ def test_parse_args_is_the_argparse_parser(argv, code, capsys):
         assert err == "" and out.startswith("usage: ghzgraphs ")
     else:
         assert out == err == ""
+
+
+def in_common_form(argv):
+    """Whether an accepted argv takes the common form: after the command,
+    each token that starts with "-" is an option's full name, and its "="
+    value, if any, does not start with "-"."""
+    names = {option[0] for option in COMMANDS[argv[0]][2]}
+    for token in argv[1:]:
+        name, _, value = token.partition("=")
+        if token.startswith("-") and (name not in names or value.startswith("-")):
+            return False
+    return True
+
+
+def attributes(args):
+    """Each attribute as its type's name and its repr, a function's name for
+    its repr, so that two interpreters give the same."""
+    return {k: [type(v).__name__, v.__name__ if callable(v) else repr(v)] for k, v in vars(args).items()}
+
+
+#: the argv of the benchmark's cli jobs, written for a directory
+BENCH_CLI_ARGV = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    sys.path.insert(0, sys.argv[1])
+    import workloads
+    print(json.dumps([job.make() for job in workloads.cli_jobs(1, Path(sys.argv[2]), None)]))
+""")
+
+#: run after the source of ``attributes``
+PARSE_EACH = textwrap.dedent("""
+    import json, sys
+    from ghzgraphs.cli import parse_args
+    parsed = [attributes(parse_args(argv)) for argv in json.loads(sys.argv[1])]
+    print(json.dumps({"parsed": parsed, "loaded": sorted({"argparse", "gettext", "locale"} & set(sys.modules))}))
+""")
+
+
+def test_the_common_form_never_loads_argparse(tmp_path):
+    """The benchmark's argv and every accepted argv in the common form parse
+    to the reference parser's attributes without loading argparse.  The
+    differential test cannot see a parser that hands these to argparse too,
+    since argparse gives the same attributes."""
+    root = Path(__file__).resolve().parent.parent
+    proc = fresh_interpreter(BENCH_CLI_ARGV, str(root / "bench"), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(proc.stdout)
+    assert bench and all(in_common_form(argv) for argv in bench)
+    argvs = bench + [argv for argv in ACCEPTED if in_common_form(argv)]
+    proc = fresh_interpreter(inspect.getsource(attributes) + PARSE_EACH, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert blob["loaded"] == []
+    assert blob["parsed"] == [attributes(slow_build_parser().parse_args(argv)) for argv in argvs]
 
 
 def test_output_is_byte_deterministic(files, capsys):

@@ -231,14 +231,20 @@ def test_converged_is_a_plain_bool(tol):
 @pytest.mark.parametrize("value, accepted", [
     (Decimal("1e-3"), True), (Fraction(1, 1000), True), (np.array(1e-3), True), (np.float32(1e-3), True),
     (np.array([1e-3]), False), (np.array([[0.0]]), False), (Decimal("NaN"), False), (np.array(True), False),
-], ids=["Decimal", "Fraction", "0-d array", "float32", "array of one", "1x1 array", "decimal NaN", "0-d bool"])
+    (-1.0, False), ("abc", False),
+], ids=["Decimal", "Fraction", "0-d array", "float32", "array of one", "1x1 array", "decimal NaN", "0-d bool",
+        "negative", "str"])
 def test_verify_and_search_read_a_tolerance_by_one_rule(value, accepted):
-    # verify's epsilon and search's tol: a number with no dimensions, at least 0
+    # verify's and exactify's epsilon and search's tol: a number with no
+    # dimensions, at least 0; exactify reads it even where its exact path
+    # certifies, as at K4's planted point, and never uses it
     prob = SearchProblem(parallel_ghz_k2(1), 2)
     k4 = SearchProblem(complete_ghz_k4(), 3)
-    g = assignment_graph(k4, k4_solution_vector(k4))  # GHZ, with float weights
+    x = k4_solution_vector(k4)
+    g = assignment_graph(k4, x)  # GHZ, with float weights
     if accepted:
         assert verify(g, value).is_ghz
+        assert exactify(k4, x, value).mode == "exact"
         res = search(prob, seed=2, restarts=1, max_iters=50, tol=value)
         assert res.converged == (res.residual.value <= value)
         return
@@ -247,6 +253,8 @@ def test_verify_and_search_read_a_tolerance_by_one_rule(value, accepted):
         verify(g, value)
     with pytest.raises(ValueError, match="tol" + refused):
         search(prob, tol=value)
+    with pytest.raises(ValueError, match="epsilon" + refused):
+        exactify(k4, x, value)
 
 
 def test_search_converges_on_small_problems():

@@ -2,12 +2,13 @@
 
 Each mutant is one source edit, an exact old text replaced by a new one,
 together with the test that must fail once it is applied.  The script copies
-``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, runs
-every mutant's test on the unmutated copy (each must pass there), then
-applies the mutants one at a time, never in parallel: it edits the copy, runs
-that mutant's test and restores the file.  It exits with status 1 if a test
-fails on the unmutated copy, if a mutant's old text does not occur exactly
-once, or if a mutant survives.
+``src``, ``tests``, ``bench`` (a CLI test parses its cli jobs' argv) and
+``pyproject.toml`` to a temporary directory, runs every mutant's test on the
+unmutated copy (each must pass there), then applies the mutants one at a
+time, never in parallel: it edits the copy, runs that mutant's test and
+restores the file.  It exits with status 1 if a test fails on the unmutated
+copy, if a mutant's old text does not occur exactly once, or if a mutant
+survives.
 
     python3 tools/mutants.py
 
@@ -326,6 +327,13 @@ MUTANTS = (
         "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
     ),
     Mutant(
+        "exactify leaves its epsilon unread",
+        "src/ghzgraphs/search.py",
+        '    if epsilon is not None:\n        epsilon = _as_tolerance(epsilon, "epsilon")\n',
+        "",
+        "tests/test_search.py::test_verify_and_search_read_a_tolerance_by_one_rule",
+    ),
+    Mutant(
         "the gradient's padding slot is not zero",
         "src/ghzgraphs/search.py",
         "    slots[-1] = 0  # the gather's padding\n",
@@ -347,17 +355,31 @@ MUTANTS = (
         "tests/test_cli.py::test_verify_gates_on_the_requested_property",
     ),
     Mutant(
-        "an ambiguous option prefix is read as its first match",
+        "parse_args hands every argv to argparse",
         "src/ghzgraphs/cli.py",
-        "        if len(found) == 1:\n",
-        "        if found:\n",
+        "    return _argparse_parse(argv) if values is None else SimpleNamespace(**values)\n",
+        "    return _argparse_parse(argv)\n",
+        "tests/test_cli.py::test_the_common_form_never_loads_argparse",
+    ),
+    Mutant(
+        "the common form accepts a second file",
+        "src/ghzgraphs/cli.py",
+        '        if name not in by_name or name is None and "file" in seen:\n',
+        "        if name not in by_name:\n",
         "tests/test_cli.py::test_parse_args_is_the_argparse_parser",
     ),
     Mutant(
-        "a flag takes the next token as its value",
+        "the common form accepts a flag's =value",
         "src/ghzgraphs/cli.py",
-        "        if reader is not None and value is None:",
-        "        if value is None:",
+        "            if eq:\n                return None\n            values[dest] = True\n",
+        "            values[dest] = True\n",
+        "tests/test_cli.py::test_parse_args_is_the_argparse_parser",
+    ),
+    Mutant(
+        "the common form reads a value that starts with -",
+        "src/ghzgraphs/cli.py",
+        '            if value[:1] == "-":\n                return None\n',
+        "",
         "tests/test_cli.py::test_parse_args_is_the_argparse_parser",
     ),
     Mutant(
@@ -481,7 +503,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ghzgraphs-mutants-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
