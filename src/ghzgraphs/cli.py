@@ -31,10 +31,11 @@ lazy table, so a command loads only the submodules it uses: ``verify``,
 ``dimension``, ``scale`` and ``bogdanov`` load ``ghz``; ``weights`` and
 ``filter`` load ``matchings``; ``mcg``, ``connectivity`` and ``cut`` load
 ``structure`` (and with it ``matchings``); ``reduce`` loads ``reduction``
-and with it ``ghz`` and ``structure``; and ``search`` loads ``search`` and
-with it numpy only once its skeleton has loaded, so a bad document fails
-fast.  Importing this module loads ``io`` (for ``weight_to_strings``, which
-the package does not re-export) and what ``io`` imports.
+and with it ``ghz`` and ``structure``; and ``search`` loads ``search``,
+and with it ``structure`` and numpy, only once its skeleton has loaded, so
+a bad document fails fast.  Importing this module loads ``io`` (for
+``weight_to_strings``, which the package does not re-export) and what
+``io`` imports.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ _int.__name__ = "int"  # argparse names a refused value's reader by it: "invalid
 
 
 def _parse_colouring(text: str) -> tuple[int, ...]:
-    """The colours of a comma-separated list; ``filter_graph`` checks them."""
+    """The colours of a comma-separated list; the library checks them against the graph."""
     try:
         return tuple(_int(part) for part in text.split(","))
     except ValueError:
@@ -101,11 +102,10 @@ def _cmd_dimension(g, args) -> dict:
 def _cmd_weights(g, args) -> dict:
     if args.colouring is not None:
         vc = _parse_colouring(args.colouring)
-        table = gz.colouring_weight_table(gz.filter_graph(g, vc))
         return {
             "colouring": list(vc),
-            "weight": weight_to_strings(table.get(vc, g.zero)),
-            "feasible": bool(table),
+            "weight": weight_to_strings(gz.colouring_weight(g, vc)),
+            "feasible": gz.is_feasible(g, vc),
         }
     table = gz.colouring_weight_table(g)
     return {
@@ -324,10 +324,10 @@ def main(argv=None) -> int:
         return status
     except (gz.GhzGraphError, ValueError, OSError, RecursionError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = getattr(exc, "code", None)
-        if code is not None:
-            payload["error"]["code"] = code
-            payload["error"]["path"] = exc.path
+        for field in ("code", "path"):  # a DocumentError's both, a ConnectivityBoundError's code
+            value = getattr(exc, field, None)
+            if value is not None:
+                payload["error"][field] = value
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return 1
 

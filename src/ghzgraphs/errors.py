@@ -37,6 +37,18 @@ class WrongCaseError(GhzGraphError):
     """The easy/hard reduction constructor was called on the other case."""
 
 
+class ConnectivityBoundError(GhzGraphError):
+    """No weighting of the skeleton is a GHZ graph of the asked dimension.
+
+    The paper proves the Krenn-Gu conjecture for vertex connectivity at most
+    2: such a GHZ graph on more than four vertices has dimension at most 2.
+    A weighting's support is a spanning subgraph of its skeleton, so its
+    connectivity is at most the skeleton's.  ``code`` names the theorem.
+    """
+
+    code = "KRENN_GU_CONNECTIVITY_2"
+
+
 class InvariantViolation(GhzGraphError):
     """An internal identity that must hold by theorem failed: a library bug."""
 

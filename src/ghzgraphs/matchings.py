@@ -8,10 +8,13 @@ for scaled ones.
 
 Those sums come from one kernel, ``_weight_table``: a subset DP over the
 covered vertices that adds up matching weights per induced colouring without
-listing the matchings; its vertex and cut masks give a cut block's table,
-G[X] without the edges inside a cut, with no copy of the graph, and
-``_block_weights`` reads one colouring's weight on several such blocks from
-one filtered copy: the 2-cut squares and the 3-cut type weights.  Float
+listing the matchings.  Its one scan of the graph's edges applies three
+masks, so no query copies the graph: a vertex mask and a cut mask give a cut
+block's table, G[X] without the edges inside a cut, and a colouring mask
+keeps only the edges that agree with one colouring.  So ``colouring_weight``
+and ``is_feasible`` read one colouring on g in place, and ``_block_weights``
+reads it on several blocks of g: the 2-cut squares and the 3-cut type
+weights.  ``filter_graph`` builds its copy from the same agreement test.  Float
 weights go through the DP as complex numbers; exact weights as the raw
 (re, im, den) int triples of ``GaussianRational``, with its product and sum
 written out in the loop, so an exact entry becomes a ``GaussianRational``
@@ -131,24 +134,34 @@ def _check_colouring(g: Multigraph, vc: VertexColouring) -> None:
             raise ValueError(f"colour {c} outside universe {sorted(universe)}")
 
 
+def _agreeing_edges(g: Multigraph, vc: VertexColouring):
+    """g's edges whose half-colours agree with vc at both ends, lazily, once
+    vc is checked against g."""
+    _check_colouring(g, vc)
+    return (e for e in g.edges if e.cu == vc[e.u] and e.cv == vc[e.v])
+
+
 def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
     """Keep exactly the edges whose half-colours agree with vc at both ends."""
-    _check_colouring(g, vc)
-    kept = tuple(e for e in g.edges if e.cu == vc[e.u] and e.cv == vc[e.v])
-    return Multigraph(g.n, kept, g.colour_universe)
+    return Multigraph(g.n, _agreeing_edges(g, vc), g.colour_universe)
 
 
-def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[VertexColouring, object]:
+def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0,
+                  colouring: VertexColouring | None = None) -> dict[VertexColouring, object]:
     """Total matching weight per induced colouring of G[vertices] without the
-    edges joining two vertices of ``cut``, by a subset DP on g in place.
+    edges joining two vertices of ``cut``, by a subset DP on g in place;
+    given a ``colouring``, only the edges that agree with it at both ends.
 
     ``vertices`` and ``cut`` are bit masks, bit v for vertex v; the defaults
     keep every vertex and edge, so a whole-graph call is unchanged by them.
-    Vertices outside ``vertices`` start covered, edges touching them or
-    joining two cut vertices are skipped, and keys are the colours of the
-    kept vertices in increasing order.  Parallel edges of one colour class
-    are merged by summing their weights; a merged edge whose weights cancel
-    to 0 is kept, so its colourings stay feasible with weight 0.  A state is
+    The one scan of g's edges applies all three masks: vertices outside
+    ``vertices`` start covered, edges touching them, joining two cut
+    vertices or disagreeing with ``colouring`` are skipped, and keys are the
+    colours of the kept vertices in increasing order.  With a colouring the
+    table has at most one entry, that colouring on the kept vertices.
+    Parallel edges of one colour class are merged by summing their weights;
+    a merged edge whose weights cancel to 0 is kept, so its colourings stay
+    feasible with weight 0.  A state is
     the set of covered vertices; it branches on its lowest uncovered vertex,
     whose partners are all higher, so each edge is listed under its lower
     endpoint only.  A state's table is keyed by the colours of its uncovered
@@ -196,7 +209,7 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0) -> dict[Verte
     outside = full & ~vertices
     merged: dict[tuple[int, int, int, int], object] = {}
     touched = outside
-    for e in g.edges:
+    for e in g.edges if colouring is None else _agreeing_edges(g, colouring):
         ends = 1 << e.u | 1 << e.v
         if ends & outside or ends & cut == ends:
             continue
@@ -300,13 +313,10 @@ def _bits(vertices) -> int:
 
 def _block_weights(g: Multigraph, vc: VertexColouring, blocks) -> tuple:
     """The weight of vc on each block (vertices, cut vertices), G[vertices]
-    without the edges joining two cut vertices, read on g filtered once by vc:
-    there a block's table has at most one entry.  A block without one weighs
-    g's zero, not the filtered copy's, which is exact when no edge survives.
-    """
-    h = filter_graph(g, vc)
+    without the edges joining two cut vertices, each read on g in place with
+    vc as the kernel's colouring mask."""
     zero = g.zero
-    return tuple(next(iter(_weight_table(h, _bits(vertices), _bits(cut)).values()), zero)
+    return tuple(next(iter(_weight_table(g, _bits(vertices), _bits(cut), vc).values()), zero)
                  for vertices, cut in blocks)
 
 
@@ -325,13 +335,13 @@ def graph_weight(g: Multigraph):
 
 
 def colouring_weight(g: Multigraph, vc: VertexColouring):
-    """Weight of the subgraph surviving the colouring filter; g's zero if none."""
-    return _weight_table(filter_graph(g, vc)).get(tuple(vc), g.zero)
+    """Total weight of the perfect matchings inducing vc; g's zero if none."""
+    return next(iter(_weight_table(g, colouring=vc).values()), g.zero)
 
 
 def is_feasible(g: Multigraph, vc: VertexColouring) -> bool:
     """Whether at least one perfect matching induces vc (its weight may be 0)."""
-    return bool(_weight_table(filter_graph(g, vc)))
+    return bool(_weight_table(g, colouring=vc))
 
 
 def colouring_weight_table(g: Multigraph) -> Mapping[VertexColouring, object]:

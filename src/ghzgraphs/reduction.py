@@ -93,8 +93,8 @@ def _check_three_cut(g: Multigraph, cut: CutSpec) -> CutSpec:
 
 
 def type_weights(g: Multigraph, cut: CutSpec, vc: VertexColouring) -> TypeWeights:
-    """The eight block weights of vc at the cut, read from g filtered once
-    by vc; ``.total`` equals w(vc)."""
+    """The eight block weights of vc at the cut, each read on g in place;
+    ``.total`` equals w(vc)."""
     cut = _check_three_cut(g, cut)
     v1, v2, s = set(cut.v1), set(cut.v2), set(cut.s)
     weights = _block_weights(

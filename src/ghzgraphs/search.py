@@ -66,10 +66,12 @@ from collections import namedtuple
 
 import numpy as np
 
+from .errors import ConnectivityBoundError
 from .exact import GaussianRational, _as_tolerance, _refuse_non_int
 from .ghz import DEFAULT_EPSILON, verify
 from .graphs import Edge, Multigraph, skeleton
 from .matchings import colouring_weight, enumerate_perfect_matchings
+from .structure import vertex_connectivity
 
 
 class SearchProblem:
@@ -264,6 +266,10 @@ def search(
     (seed, r): weights uniform on the unit disc.  The first restart to
     reach ``tol`` wins outright; otherwise the lowest residual does, earlier
     restarts breaking ties.
+
+    A skeleton on more than 4 vertices with vertex connectivity at most 2
+    carries no GHZ graph of dimension 3 or more (``ConnectivityBoundError``),
+    so there ``search`` refuses d >= 3 before it descends.
     """
     seed = _refuse_non_int(seed, "seed")
     restarts, max_iters = _refuse_non_int(restarts, "restarts"), _refuse_non_int(max_iters, "max_iters")
@@ -271,6 +277,14 @@ def search(
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     tol = _as_tolerance(tol, "tol")
+    base, d = problem.skeleton, problem.d
+    if base.n > 4 and d >= 3:
+        kappa = vertex_connectivity(base)
+        if kappa <= 2:
+            raise ConnectivityBoundError(
+                f"no weighting of this skeleton is GHZ of dimension {d}: a GHZ graph on "
+                f"{base.n} > 4 vertices with vertex connectivity {kappa} <= 2 has dimension at most 2"
+            )
     best_x = None
     best_f = math.inf
     best_restart = 0

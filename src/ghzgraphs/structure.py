@@ -305,7 +305,7 @@ def square_decomposition_odd(
     V_left = w(i_A k_u) on G[A + u],   V_right = w(j_B l_v) on G[B + v],
     H_top  = w(j_B k_u) on G[B + u],   H_bottom = w(i_A l_v) on G[A + v],
     and total = H_top*H_bottom + V_left*V_right equals the weight of the
-    square colouring on g, filtered once by it for all four blocks.
+    square colouring on g.
     """
     u, v = _as_vertices((u, v))  # read here: the CutSpec below sorts u and v
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))
@@ -326,7 +326,7 @@ def square_decomposition_even(
     V_left = w(i_A k_U) on G[A + u + v] without the direct u-v edges,
     V_right = w(j_B) on G[B], H_top = w(j_B k_U) on G[B + u + v] with the
     direct u-v edges, H_bottom = w(i_A) on G[A]; total again reproduces the
-    square colouring's weight on g, filtered once by it for all four blocks.
+    square colouring's weight on g.
     """
     u, v = _as_vertices((u, v))  # read here: the CutSpec below sorts u and v
     _, a, b = map(set, make_cut(g, (u, v), a_side, b_side))

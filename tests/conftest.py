@@ -37,7 +37,6 @@ from ghzgraphs import (
     complete_ghz_k4,
     cycle_ghz,
     cycle_ghz_on,
-    filter_graph,
     induced_subgraph,
     make_cut,
     parallel_ghz_k2,
@@ -500,16 +499,31 @@ def slow_cut_block(g: Multigraph, vertices, cut_vertices=()) -> InducedSubgraph:
     return InducedSubgraph(Multigraph(sub.n, edges, sub.colour_universe), kept)
 
 
+def slow_filter_graph(g: Multigraph, vc) -> Multigraph:
+    """A copy of g with exactly the edges whose half-colours agree with vc
+    at both ends, by its own test: ``filter_graph`` shares its test with the
+    weight kernel's colouring mask, so it is no reference for that mask."""
+    return Multigraph(g.n, [e for e in g.edges if e.cu == vc[e.u] and e.cv == vc[e.v]], g.colour_universe)
+
+
 def slow_block_weight(g: Multigraph, vertices, colour_of, cut_vertices=()):
     """The weight on G[vertices], without the edges joining two vertices of
     ``cut_vertices``, of the colouring that paints each vertex x with
     ``colour_of(x)``: how the squares and the 3-cut type weights read each
-    block before one filtered copy of g served all of a colouring's blocks,
-    with a whole colouring and a filtered copy per block."""
+    block before the weight kernel took a colouring mask, with a whole
+    colouring and a filtered copy of g per block."""
     vc = tuple(colour_of(x) for x in range(g.n))
     kept = sorted(vertices)
-    table = _weight_table(filter_graph(g, vc), bits(kept), bits(cut_vertices))
+    table = _weight_table(slow_filter_graph(g, vc), bits(kept), bits(cut_vertices))
     return table.get(tuple(vc[x] for x in kept), g.zero)
+
+
+def slow_colouring_weight(g: Multigraph, vc) -> tuple:
+    """(``colouring_weight``, ``is_feasible``) of vc as they were before the
+    weight kernel took a colouring mask: read from the whole table of a copy
+    of g filtered by vc, g's zero when vc is not in it."""
+    table = _weight_table(slow_filter_graph(g, vc))
+    return table.get(tuple(vc), g.zero), bool(table)
 
 
 def slow_project(table: dict, owner: list, factors: dict, zero) -> dict:

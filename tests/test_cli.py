@@ -265,6 +265,18 @@ def test_search_rejects_a_negative_iteration_budget(files, capsys):
     assert "max_iters" in blob["error"]["message"]
 
 
+def test_search_reports_the_connectivity_bound_as_json(files, capsys):
+    """C6 has vertex connectivity 2, so no weighting of it is GHZ of
+    dimension 3: the error carries the theorem's code and no document path."""
+    code, out, err = run(["search", "--skeleton", files["c6"], "--dim", "3"], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert set(blob["error"]) == {"type", "message", "code"}
+    assert blob["error"]["type"] == "ConnectivityBoundError"
+    assert blob["error"]["code"] == "KRENN_GU_CONNECTIVITY_2"
+    assert "dimension at most 2" in blob["error"]["message"]
+
+
 @pytest.mark.parametrize("option, value, name", [
     ("--seed", "-1", "seed"), ("--restarts", "0", "restarts"),
 ])

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -30,9 +31,13 @@ from ghzgraphs import (
     induced_colouring,
     induced_subgraph,
     is_feasible,
+    iter_cuts,
     matching_weight,
     mono_weights,
     scale_to_ghz,
+    square_decomposition_even,
+    square_decomposition_odd,
+    type_weights,
     verify,
 )
 
@@ -40,6 +45,7 @@ from conftest import (
     as_float,
     bits,
     bogdanov_instance,
+    cycle_cases,
     enumeration_corpus,
     hard_family,
     oracle_colouring_weight,
@@ -47,7 +53,10 @@ from conftest import (
     planted_cut_corpus,
     random_corpus,
     random_multigraph,
+    slow_block_weight,
+    slow_colouring_weight,
     slow_cut_block,
+    slow_filter_graph,
     slow_weight_table,
     small_rational,
     weight_bits,
@@ -795,3 +804,162 @@ def test_verdict_and_graph_weight_build_one_table(monkeypatch):
     verify(g)
     assert graph_weight(g) == sum(colouring_weight_table(g).values(), g.zero)
     assert len(built) == 1 and built[0] is g
+
+
+def colouring_query_cases():
+    """(graph, colourings) over the conftest corpora, exact and float: two
+    feasible keys of each graph's table and two seeded colourings, with the
+    alternating colouring of C6, which no edge of it agrees with."""
+    rng = random.Random("colouring-queries")
+    for g, extra in [(g, []) for g in enumeration_corpus()] + [(cycle_ghz(6), [(0, 1, 0, 1, 0, 1)])]:
+        universe = sorted(g.colour_universe)
+        keys = list(colouring_weight_table(g))
+        colourings = keys[:1] + keys[-1:] + [tuple(rng.choice(universe) for _ in range(g.n)) for _ in range(2)]
+        for h in (g, as_float(g)):
+            yield h, colourings + extra
+
+
+def test_colouring_queries_are_the_filter_then_kernel_reads():
+    """``colouring_weight``, ``is_feasible``, ``type_weights`` and both square
+    decompositions read g through the kernel's colouring mask; each equals
+    the weight kernel on a copy of g filtered by its own test
+    (``slow_colouring_weight``, ``slow_block_weight``), bit for bit."""
+    agreeing_none = 0
+    for g, colourings in colouring_query_cases():
+        for vc in colourings:
+            weight, feasible = slow_colouring_weight(g, vc)
+            assert weight_bits(colouring_weight(g, vc)) == weight_bits(weight), (g, vc)
+            assert is_feasible(g, vc) is feasible, (g, vc)
+            agreeing_none += not slow_filter_graph(g, vc).edges and g.n > 0
+    assert agreeing_none >= 10
+
+    def assert_blocks(fast, g, vc, blocks):
+        slow = [slow_block_weight(g, vertices, vc.__getitem__, cut) for vertices, cut in blocks]
+        assert list(map(weight_bits, fast)) == list(map(weight_bits, slow)), (g, vc)
+
+    rng = random.Random("colouring-query-blocks")
+    for g, cut in hard_family() + planted_cut_corpus(20):
+        universe = sorted(g.colour_universe)
+        v1, v2, s = set(cut.v1), set(cut.v2), set(cut.s)
+        blocks = [(v1 | s, s)] + [(v1 | {u}, ()) for u in cut.s]
+        blocks += [(v2, ())] + [(v2 | (s - {u}), ()) for u in cut.s]
+        for h in (g, as_float(g)):
+            for vc in [(universe[0],) * g.n] + [tuple(rng.choice(universe) for _ in range(g.n)) for _ in range(3)]:
+                tw = type_weights(h, cut, vc)
+                assert_blocks(tw.v1_side + tw.v2_side, h, vc, blocks)
+    squares = {True: 0, False: 0}
+    for g in cycle_cases() + [g for g, _ in hard_family(6)]:
+        universe = sorted(g.colour_universe)
+        for cut in list(iter_cuts(g, 2))[:4]:
+            (u, v), a, b = cut.s, set(cut.v1), set(cut.v2)
+            odd = len(a) % 2 == 1
+            squares[odd] += 1
+            for h in (g, as_float(g)):
+                for colours in itertools.islice(itertools.product(universe, repeat=4 if odd else 3), 0, None, 5):
+                    if odd:
+                        i, j, k, l = colours
+                        vc = tuple(i if x in a else j if x in b else k if x == u else l for x in range(g.n))
+                        fast = square_decomposition_odd(h, u, v, cut.v1, cut.v2, colours)
+                        blocks = [(a | {u}, ()), (b | {v}, ()), (b | {u}, ()), (a | {v}, ())]
+                    else:
+                        i, j, k = colours
+                        vc = tuple(i if x in a else j if x in b else k for x in range(g.n))
+                        fast = square_decomposition_even(h, u, v, cut.v1, cut.v2, colours)
+                        blocks = [(a | {u, v}, {u, v}), (b, ()), (b | {u, v}, ()), (a, ())]
+                    assert_blocks(fast, h, vc, blocks)
+    assert squares[True] >= 10 and squares[False] >= 10, squares
+
+
+# ---------------------------------------------------------------------------
+# identities of the weight kernel at sizes the pairing oracle cannot reach
+
+
+def every_class_graph(n, d, pairs, seed):
+    """n vertices, each pair joined by an edge of every colour class (p, q),
+    each with its own seeded non-zero exact weight."""
+    rng = random.Random(f"every-class-{seed}")
+    specs = [(u, v, p, q, small_rational(rng)) for u, v in pairs for p in range(d) for q in range(d)]
+    return build_graph(n, specs, colours=range(d))
+
+
+def ladder_pairs(k):
+    """The rungs x - (x + k) and both rails of the ladder on 2k vertices."""
+    return [(x, x + k) for x in range(k)] + [(r + x, r + x + 1) for r in (0, k) for x in range(k - 1)]
+
+
+#: dense K10 (1,024 entries) and the 16-vertex ladder (65,536), both at d = 2
+IDENTITY_GRAPHS = {
+    "K10": every_class_graph(10, 2, itertools.combinations(range(10), 2), "K10"),
+    "L16": every_class_graph(16, 2, ladder_pairs(8), "L16"),
+}
+#: their float copies, whose tables are kept on them for both identities
+FLOAT_IDENTITY_GRAPHS = {name: as_float(g) for name, g in IDENTITY_GRAPHS.items()}
+
+
+def assert_close_tables(fast: dict, expected: dict):
+    """Equal keys, and values within a relative 1e-9 of the table's largest."""
+    assert fast.keys() == expected.keys()
+    tol = 1e-9 * max(map(abs, expected.values()))
+    assert all(abs(fast[vc] - w) <= tol for vc, w in expected.items())
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_a_relabelled_graph_has_the_relabelled_table(name):
+    """table(pi(G))[vc o pi^-1] = table(G)[vc] for a seeded vertex
+    permutation pi; an edge whose ends swap order swaps its half-colours."""
+    g = IDENTITY_GRAPHS[name]
+    perm = list(range(g.n))
+    random.Random(f"relabel-{name}").shuffle(perm)
+    specs = []
+    for e in g.edges:
+        u, v, cu, cv = perm[e.u], perm[e.v], e.cu, e.cv
+        specs.append((u, v, cu, cv, e.weight) if u < v else (v, u, cv, cu, e.weight))
+    h = build_graph(g.n, specs, colours=g.colour_universe)
+    moved = itemgetter(*sorted(range(g.n), key=perm.__getitem__))  # vc o pi^-1
+    table, moved_table = colouring_weight_table(g), colouring_weight_table(h)
+    assert len(moved_table) == len(table) == 2**g.n
+    assert all(moved_table[moved(vc)] == w for vc, w in table.items())
+    for vc in list(table)[:: len(table) // 5]:
+        assert colouring_weight(h, moved(vc)) == table[vc] == colouring_weight(g, vc)
+    float_table = colouring_weight_table(FLOAT_IDENTITY_GRAPHS[name])
+    assert_close_tables(
+        {vc: w for vc, w in zip(map(moved, float_table), float_table.values())},
+        colouring_weight_table(as_float(h)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_a_gauged_graph_has_the_gauged_table(name):
+    """Scaling every colour-c edge end at v by a non-zero lambda_{v,c}
+    multiplies entry vc by the product over v of lambda_{v,vc_v}."""
+    g = IDENTITY_GRAPHS[name]
+    rng = random.Random(f"gauge-{name}")
+    d = len(g.colour_universe)
+    lam = {(v, c): small_rational(rng) for v in range(g.n) for c in range(d)}
+    h = build_graph(
+        g.n,
+        [(e.u, e.v, e.cu, e.cv, e.weight * lam[e.u, e.cu] * lam[e.v, e.cv]) for e in g.edges],
+        colours=g.colour_universe,
+    )
+    # the factor of vc is the product of the factors of its two halves
+    half = g.n // 2
+    factors = []
+    for start in (0, half):
+        factor = {}
+        for key in itertools.product(range(d), repeat=half):
+            f = GaussianRational(1)
+            for v, c in enumerate(key, start):
+                f = f * lam[v, c]
+            factor[key] = f
+        factors.append(factor)
+    first, second = factors
+    table, gauged_table = colouring_weight_table(g), colouring_weight_table(h)
+    assert gauged_table.keys() == table.keys() and len(table) == 2**g.n
+    assert all(gauged_table[vc] == w * first[vc[:half]] * second[vc[half:]] for vc, w in table.items())
+    for vc in list(table)[:: len(table) // 5]:
+        assert colouring_weight(h, vc) == gauged_table[vc]
+    float_table = colouring_weight_table(FLOAT_IDENTITY_GRAPHS[name])
+    assert_close_tables(
+        colouring_weight_table(as_float(h)),
+        {vc: w * complex(first[vc[:half]] * second[vc[half:]]) for vc, w in float_table.items()},
+    )

@@ -1,9 +1,11 @@
 """The numerical search: monomial structure, gradient, descent, exactify."""
 
 import copy
+import itertools
 import json
 import math
 import re
+import sys
 import warnings
 from collections import namedtuple
 from decimal import Decimal
@@ -18,6 +20,7 @@ from ghzgraphs import (
     Edge,
     Exactification,
     GaussianRational,
+    GhzGraphError,
     Multigraph,
     SearchProblem,
     assignment_graph,
@@ -28,12 +31,14 @@ from ghzgraphs import (
     exactify,
     gradient,
     induced_colouring,
+    octahedron,
     parallel_ghz_k2,
     residual,
     search,
     skeleton,
     verify,
 )
+from ghzgraphs.errors import ConnectivityBoundError
 from ghzgraphs.search import (
     _check_weights,
     _coloured_graph,
@@ -906,9 +911,50 @@ def test_search_never_converges_to_dimension_3_on_a_cycle(n):
     """A GHZ graph on more than 4 vertices with vertex connectivity at most 2
     has dimension at most 2 (the paper's theorem), and every graph on a cycle
     skeleton has connectivity at most 2, so no assignment on C6 or C8 has
-    residual 0 at d = 3.  A bounded search there never reports convergence.
-    Only that is asserted: the numeric verdict ``exactify`` gives such a
-    point is not."""
+    residual 0 at d = 3.  ``search`` refuses to look there, with the error
+    that names the theorem, and so never reports convergence."""
     prob = SearchProblem(cycle_ghz(n), 3)
     for seed in (0, 1):
-        assert not search(prob, seed=seed, restarts=2, max_iters=200).converged
+        with pytest.raises(ConnectivityBoundError) as info:
+            search(prob, seed=seed, restarts=2, max_iters=200)
+        assert info.value.code == "KRENN_GU_CONNECTIVITY_2"
+
+
+def plain_skeleton(n, pairs):
+    return Multigraph(n, [Edge(u, v, 0, 0, GaussianRational(1)) for u, v in pairs], {0})
+
+
+#: K4 on 0..3 and the triangle 3, 4, 5: vertex 3 cuts them apart, and
+#: {0, 1}, {2, 3}, {4, 5} is a perfect matching
+CUT_VERTEX = plain_skeleton(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+
+
+def no_descent(monkeypatch):
+    """Make any descent fail the test: the bound must answer before it."""
+    def descend(*args):
+        raise AssertionError("search descended")
+
+    monkeypatch.setattr(sys.modules["ghzgraphs.search"], "_descend", descend)
+
+
+@pytest.mark.parametrize("g, d", [
+    (cycle_ghz(6), 3), (cycle_ghz(8), 3), (CUT_VERTEX, 3), (cycle_ghz(6), 4), (CUT_VERTEX, 5),
+], ids=["C6-d3", "C8-d3", "cut-vertex-d3", "C6-d4", "cut-vertex-d5"])
+def test_search_refuses_a_dimension_above_2_at_connectivity_2_or_less(monkeypatch, g, d):
+    prob = SearchProblem(g, d)
+    no_descent(monkeypatch)
+    with pytest.raises(ConnectivityBoundError) as info:
+        search(prob, restarts=1, max_iters=1)
+    assert isinstance(info.value, GhzGraphError) and info.value.code == "KRENN_GU_CONNECTIVITY_2"
+    assert "dimension at most 2" in str(info.value)
+
+
+@pytest.mark.parametrize("g, d", [
+    (complete_ghz_k4(), 3),  # 4 vertices: the bound needs more
+    (plain_skeleton(6, itertools.combinations(range(6), 2)), 3),  # K6: connectivity 5
+    (octahedron(), 3),  # connectivity 4
+    (cycle_ghz(6), 2), (cycle_ghz(8), 1), (CUT_VERTEX, 2),  # d <= 2
+], ids=["K4-d3", "K6-d3", "octahedron-d3", "C6-d2", "C8-d1", "cut-vertex-d2"])
+def test_search_descends_where_the_bound_does_not_apply(g, d):
+    result = search(SearchProblem(g, d), restarts=1, max_iters=1)
+    assert result.restart == 0 and result.iterations <= 1

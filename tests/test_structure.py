@@ -308,6 +308,55 @@ def test_local_connectivity_matches_the_capacity_table_flow():
     assert pairs > 10_000
 
 
+def brute_force_separator(adj: list[set[int]], s: int, t: int) -> int:
+    """The fewest vertices other than s and t whose removal leaves no s-t
+    path (s, t non-adjacent), by trying every vertex set in order of size:
+    by Menger's theorem, the number of internally vertex-disjoint s-t paths."""
+    others = [x for x in range(len(adj)) if x not in (s, t)]
+    for size in range(len(others) + 1):
+        for removed in itertools.combinations(others, size):
+            seen = {s, *removed}
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for y in adj[x] - seen:
+                    seen.add(y)
+                    stack.append(y)
+            if t not in seen:
+                return size
+    raise AssertionError("s and t are adjacent")
+
+
+def dense_random_graph(seed):
+    """The graph of ``test_connectivity_of_dense_random_graphs`` for seed."""
+    rng = random.Random(f"kappa-{seed}")
+    n = rng.randint(5, 11)
+    p = rng.uniform(0.5, 0.95)
+    return plain_graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_local_connectivity_is_the_smallest_separator_of_each_pair():
+    """Each capped flow of ``_local_connectivity`` against an oracle that
+    shares nothing with a flow, on every non-adjacent pair of the random
+    connectivity corpora up to 9 vertices, at every cap from 0 to past the
+    answer."""
+    local = ghzgraphs.structure._local_connectivity
+    graphs = [skeleton(g) for g in random_corpus()] + [dense_random_graph(seed) for seed in range(40)]
+    answers = set()
+    for g in graphs:
+        if g.n > 9:
+            continue
+        adj = adjacency_sets(g)
+        for s, t in itertools.combinations(range(g.n), 2):
+            if t in adj[s]:
+                continue
+            expected = brute_force_separator(adj, s, t)
+            answers.add(expected)
+            for cap in range(expected + 2):
+                assert local(adj, s, t, cap) == min(cap, expected), (g, s, t, cap)
+    assert answers >= set(range(6)), answers
+
+
 def test_connectivity_of_flow_corpus_families():
     for n in range(6, 21):
         assert vertex_connectivity(complete_minus_matching(n)) == n - 2

@@ -42,3 +42,12 @@ def test_kernel_calls_counts_and_digests_one_reduce_pass():
     assert result["seed"] == 1 and result["repeats"] == 1
     assert result["calls"] == result["empty"] + result["one_entry"] + result["more"]
     assert len(result["digest"]) == 64 and set(result["digest"]) <= set("0123456789abcdef")
+
+
+def test_kernel_calls_replays_the_untraced_tables_jobs():
+    result = run_tool("kernel_calls.py", "--workload", "tables", "--seed", "1", "--repeats", "1")
+    assert result["seed"] == 1 and result["repeats"] == 1
+    assert result["calls"] == result["empty"] + result["one_entry"] + result["more"]
+    # the colouring lookups' calls return at most one entry each, the whole tables more
+    assert result["one_entry"] and result["more"]
+    assert len(result["digest"]) == 64 and set(result["digest"]) <= set("0123456789abcdef")

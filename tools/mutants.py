@@ -40,6 +40,13 @@ MUTANTS = (
         "tests/test_structure.py::test_local_connectivity_matches_the_capacity_table_flow",
     ),
     Mutant(
+        "an augmenting path adds no reverse arc",
+        "src/ghzgraphs/structure.py",
+        "            res[b].add(a)\n",
+        "",
+        "tests/test_structure.py::test_local_connectivity_is_the_smallest_separator_of_each_pair",
+    ),
+    Mutant(
         "a cap-0 flow builds its residual graph",
         "src/ghzgraphs/structure.py",
         "    if not cap:\n        return 0\n",
@@ -215,11 +222,32 @@ MUTANTS = (
         "tests/test_matchings.py::test_exact_tables_from_triples_are_the_operator_tables_bit_for_bit",
     ),
     Mutant(
-        "_block_weights returns the filtered copy's zero",
+        "the weight kernel splices an edge's half-colours at each other's ends",
         "src/ghzgraphs/matchings.py",
-        "    zero = g.zero\n",
-        "    zero = h.zero\n",
-        "tests/test_reduction.py::test_type_weights_where_no_edge_agrees_are_the_graphs_zeros",
+        "cu * place[u] + cv * place[v]",
+        "cv * place[u] + cu * place[v]",
+        "tests/test_matchings.py::test_a_relabelled_graph_has_the_relabelled_table",
+    ),
+    Mutant(
+        "the weight kernel merges an edge into the class of its lower end's colour at both ends",
+        "src/ghzgraphs/matchings.py",
+        "        edge_class = (e.u, e.v, e.cu, e.cv)\n",
+        "        edge_class = (e.u, e.v, e.cu, e.cu)\n",
+        "tests/test_matchings.py::test_a_gauged_graph_has_the_gauged_table",
+    ),
+    Mutant(
+        "search refuses dimension 3 only below connectivity 2",
+        "src/ghzgraphs/search.py",
+        "        if kappa <= 2:\n",
+        "        if kappa < 2:\n",
+        "tests/test_search.py::test_search_refuses_a_dimension_above_2_at_connectivity_2_or_less",
+    ),
+    Mutant(
+        "the colouring mask ignores the upper end's colour",
+        "src/ghzgraphs/matchings.py",
+        "if e.cu == vc[e.u] and e.cv == vc[e.v])",
+        "if e.cu == vc[e.u])",
+        "tests/test_matchings.py::test_colouring_queries_are_the_filter_then_kernel_reads",
     ),
     Mutant(
         "the odd square paints v with u's colour",
