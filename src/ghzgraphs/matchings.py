@@ -135,14 +135,14 @@ def _check_colouring(g: Multigraph, vc: VertexColouring) -> None:
 
 
 def _agreeing_edges(g: Multigraph, vc: VertexColouring):
-    """g's edges whose half-colours agree with vc at both ends, lazily, once
-    vc is checked against g."""
-    _check_colouring(g, vc)
+    """g's edges whose half-colours agree with vc at both ends, lazily; the
+    caller has checked vc against g."""
     return (e for e in g.edges if e.cu == vc[e.u] and e.cv == vc[e.v])
 
 
 def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
     """Keep exactly the edges whose half-colours agree with vc at both ends."""
+    _check_colouring(g, vc)
     return Multigraph(g.n, _agreeing_edges(g, vc), g.colour_universe)
 
 
@@ -158,7 +158,8 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0,
     ``vertices`` start covered, edges touching them, joining two cut
     vertices or disagreeing with ``colouring`` are skipped, and keys are the
     colours of the kept vertices in increasing order.  With a colouring the
-    table has at most one entry, that colouring on the kept vertices.
+    table has at most one entry, that colouring on the kept vertices; the
+    caller checks the colouring against g (``_check_colouring``).
     Parallel edges of one colour class are merged by summing their weights;
     a merged edge whose weights cancel to 0 is kept, so its colourings stay
     feasible with weight 0.  A state is
@@ -314,7 +315,8 @@ def _bits(vertices) -> int:
 def _block_weights(g: Multigraph, vc: VertexColouring, blocks) -> tuple:
     """The weight of vc on each block (vertices, cut vertices), G[vertices]
     without the edges joining two cut vertices, each read on g in place with
-    vc as the kernel's colouring mask."""
+    vc as the kernel's colouring mask, vc checked once for all blocks."""
+    _check_colouring(g, vc)
     zero = g.zero
     return tuple(next(iter(_weight_table(g, _bits(vertices), _bits(cut), vc).values()), zero)
                  for vertices, cut in blocks)
@@ -336,11 +338,13 @@ def graph_weight(g: Multigraph):
 
 def colouring_weight(g: Multigraph, vc: VertexColouring):
     """Total weight of the perfect matchings inducing vc; g's zero if none."""
+    _check_colouring(g, vc)
     return next(iter(_weight_table(g, colouring=vc).values()), g.zero)
 
 
 def is_feasible(g: Multigraph, vc: VertexColouring) -> bool:
     """Whether at least one perfect matching induces vc (its weight may be 0)."""
+    _check_colouring(g, vc)
     return bool(_weight_table(g, colouring=vc))
 
 

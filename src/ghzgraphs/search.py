@@ -160,6 +160,78 @@ class SearchResult(namedtuple("SearchResult", "weights residual converged restar
     __slots__ = ()
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's 32-bit hash: each call xors in the running constant,
+    steps it by ``multiplier``, multiplies by it and folds the top half down."""
+
+    def hash_word(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _uniforms(entropy, count: int) -> np.ndarray:
+    """``np.random.default_rng(entropy).random(count)``, bit for bit, for a
+    tuple of non-negative ints, without loading ``numpy.random``.
+
+    numpy's ``SeedSequence`` splits each int into little-endian 32-bit words,
+    hashes the first four into a pool of four words (zeros past the end),
+    mixes every pool word into every other, then folds in any further words;
+    ``generate_state(4, uint64)`` hashes the pool out to eight 32-bit words,
+    read in pairs, low word first, as four 64-bit words.  PCG64 (O'Neill's
+    XSL-RR 128/64) takes the first two as its initial state and the last two
+    as its stream, both high word first, and steps its 128-bit LCG before
+    each output.  An output xors the state's two halves and rotates right by
+    the state's top six bits; a double is its top 53 bits times 2**-53.  The
+    LCG runs on Python ints, the output in numpy.
+    """
+    words = []
+    for value in entropy:
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                break
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hash_out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hash_out(pool[i % 4]) for i in range(8)]
+    words64 = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+    seed = words64[0] << 64 | words64[1]
+    inc = (words64[2] << 64 | words64[3]) << 1 & _MASK128 | 1
+    current = ((inc + seed) * _PCG_MULTIPLIER + inc) & _MASK128
+    states = []
+    for _ in range(count):
+        current = (current * _PCG_MULTIPLIER + inc) & _MASK128
+        states.append(current)
+    low, high = np.frombuffer(b"".join(x.to_bytes(16, "little") for x in states), dtype="<u8").reshape(-1, 2).T
+    folded = high ^ low
+    rotation = high >> 58
+    output = folded >> rotation | folded << ((64 - rotation) & 63)
+    return (output >> 11) * 2.0**-53
+
+
 def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (problem.n_vars,):
@@ -263,9 +335,12 @@ def search(
     """Multi-restart descent; returns the best point found, deterministically.
 
     Restart r draws its start from numpy's default_rng seeded with
-    (seed, r): weights uniform on the unit disc.  The first restart to
-    reach ``tol`` wins outright; otherwise the lowest residual does, earlier
-    restarts breaking ties.
+    (seed, r): weights uniform on the unit disc, radii the square roots of
+    its first n_vars ``random()`` numbers and angles 2*pi times the next
+    n_vars.  Those numbers are computed without loading ``numpy.random``
+    (``_uniforms``), bit for bit the ones ``default_rng((seed, r))`` gives.
+    The first restart to reach ``tol`` wins outright; otherwise the lowest
+    residual does, earlier restarts breaking ties.
 
     A skeleton on more than 4 vertices with vertex connectivity at most 2
     carries no GHZ graph of dimension 3 or more (``ConnectivityBoundError``),
@@ -290,9 +365,9 @@ def search(
     best_restart = 0
     best_iters = 0
     for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        radius = np.sqrt(rng.random(problem.n_vars))
-        angle = rng.random(problem.n_vars) * 2.0 * math.pi
+        draws = _uniforms((seed, r), 2 * problem.n_vars)
+        radius = np.sqrt(draws[:problem.n_vars])
+        angle = draws[problem.n_vars:] * 2.0 * math.pi
         x0 = radius * np.exp(1j * angle)
         x, f, iters = _descend(problem, x0, max_iters, tol)
         if f < best_f:

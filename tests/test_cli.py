@@ -692,3 +692,24 @@ def test_each_command_loads_only_the_modules_it_needs(files, command, loaded):
     assert ON_FIRST_USE & added == loaded
     assert not SLOW_TO_IMPORT & added
     assert not ARGPARSE & added
+
+
+NUMPY_ALONE = "import json, sys, numpy; print(json.dumps(sorted(sys.modules)))"
+
+
+def test_search_loads_numpy_but_not_numpy_random(files):
+    """``search`` draws its restarts' starts without ``numpy.random``, and its
+    ``exactify`` loads it neither.  numpy before 2.0 loads ``numpy.random``
+    on ``import numpy``, so there the test has nothing to see."""
+    proc = fresh_interpreter(NUMPY_ALONE)
+    assert proc.returncode == 0, proc.stderr
+    if "numpy.random" in json.loads(proc.stdout):
+        pytest.skip("import numpy alone loads numpy.random")
+    proc = fresh_interpreter(LOADED_BY, "search", "--skeleton", files["k4"], "--dim", "3")
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert blob["code"] == 0
+    added = set(blob["modules"])
+    assert ON_FIRST_USE & added == {"ghzgraphs.ghz", "ghzgraphs.structure", "ghzgraphs.search", "numpy"}
+    assert not {name for name in added if name == "numpy.random" or name.startswith("numpy.random.")}
+    assert not ARGPARSE & added

@@ -14,6 +14,7 @@ import pytest
 
 import ghzgraphs.matchings
 from ghzgraphs import (
+    CutSpec,
     GaussianRational,
     Multigraph,
     PerfectMatching,
@@ -198,11 +199,25 @@ def test_filter_keeps_exactly_matching_edges():
         filter_graph(g, (0,))
     with pytest.raises(ValueError):
         filter_graph(g, (0, 9))
-    # a colour is an int: a bool or a float is refused, not read as 0 or 1
+    # every colouring query refuses a colouring that is not one of g's: a bool
+    # or a float colour (not read as 0 or 1), a short colouring and a colour
+    # outside the universe; each square reads the last 4 or 3 entries as its
+    # colours, so it sees the same fault (a short colouring, too few colours)
     ring = cycle_ghz(6)
-    for vc in ((True,) * 6, (1.0,) * 6, (0, 0, 0, 0, 0, False), (np.True_,) * 6, (0.0,) * 6):
-        for query in (filter_graph, colouring_weight, is_feasible):
-            with pytest.raises(ValueError, match="colour must be an int"):
+    queries = (
+        filter_graph,
+        colouring_weight,
+        is_feasible,
+        lambda g, vc: type_weights(g, CutSpec((0, 2, 4), (1,), (3, 5)), vc),
+        lambda g, vc: square_decomposition_odd(g, 0, 2, (1,), (3, 4, 5), vc[2:]),
+        lambda g, vc: square_decomposition_even(g, 0, 3, (1, 2), (4, 5), vc[3:]),
+    )
+    refusals = [(vc, "colour must be an int")
+                for vc in ((True,) * 6, (1.0,) * 6, (0, 0, 0, 0, 0, False), (np.True_,) * 6, (0.0,) * 6)]
+    refusals += [((0,) * 5, "colouring has 5 entries|not enough values"), ((0, 0, 0, 0, 0, 9), "outside universe")]
+    for vc, message in refusals:
+        for query in queries:
+            with pytest.raises(ValueError, match=message):
                 query(ring, vc)
     assert colouring_weight(ring, (np.int64(1),) * 6) == colouring_weight(ring, (1,) * 6) == 1
     assert is_feasible(ring, (np.int8(0),) * 6)

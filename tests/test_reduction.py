@@ -152,7 +152,8 @@ def test_type_weights_are_the_per_block_reads(convert):
 
 def test_type_weights_where_no_edge_agrees_are_the_graphs_zeros():
     # no edge of the alternately coloured 6-cycle agrees with the alternating
-    # colouring, so the filtered copy is edgeless and exact: its zero is not g's
+    # colouring, so each block's table is empty and the block weighs g's own
+    # zero, here the float 0j
     g, vc = as_float(cycle_ghz(6)), (0, 1, 0, 1, 0, 1)
     tw = type_weights(g, CutSpec((0, 1, 3), (2,), (4, 5)), vc)
     assert [(type(w), w) for w in tw.v1_side + tw.v2_side] == [(complex, 0j)] * 8

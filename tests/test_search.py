@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import random
 import re
 import sys
 import warnings
@@ -44,6 +45,7 @@ from ghzgraphs.search import (
     _coloured_graph,
     _evaluate,
     _refutes,
+    _uniforms,
 )
 
 
@@ -161,6 +163,23 @@ def test_search_is_deterministic():
     assert np.array_equal(a.weights, b.weights)
     assert a.residual.value == b.residual.value
     assert a.restart == b.restart and a.iterations == b.iterations
+
+
+def test_restart_draws_are_numpys_default_rng_draws():
+    """``_uniforms((seed, r), 2n)`` is bit for bit the two draws of n that
+    ``slow_search`` takes from ``np.random.default_rng((seed, r))``: seeds of
+    one, two, three and four 32-bit words and ~200 random ones of up to 140
+    bits, so the seed pool also folds in words past its four."""
+    rng = random.Random("restart-draws")
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 10**30] + [rng.getrandbits(rng.choice((8, 32, 33, 64, 65, 100, 140))) for _ in range(200)]
+    for seed in seeds:
+        for r in (0, 1, 2, 5):
+            for n in (0, 1, 27, 243):
+                reference = np.random.default_rng((seed, r))
+                expected = np.concatenate([reference.random(n), reference.random(n)])
+                got = _uniforms((seed, r), 2 * n)
+                assert got.dtype == np.float64 and got.shape == (2 * n,)
+                assert got.tobytes() == expected.tobytes(), (seed, r, n)
 
 
 def test_search_needs_a_restart():

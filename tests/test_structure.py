@@ -742,8 +742,9 @@ def test_squares_are_the_per_block_reads(convert):
 
 
 def test_a_square_where_no_edge_agrees_is_the_graphs_zeros():
-    # the square colouring (0, 1, 0, 1) of the alternately coloured 4-cycle
-    # leaves no edge, so the filtered copy is exact: its zero is not g's
+    # no edge of the alternately coloured 4-cycle agrees with the square
+    # colouring (0, 1, 0, 1), so each block's table is empty and the block
+    # weighs g's own zero, here the float 0j
     g = as_float(cycle_ghz(4))
     sq = square_decomposition_odd(g, 0, 2, [1], [3], (1, 1, 0, 0))
     assert [(type(w), w) for w in sq] == [(complex, 0j)] * 4

@@ -355,6 +355,20 @@ MUTANTS = (
         "tests/test_search.py::test_gradient_gather_lists_each_variables_terms_in_the_scatter_order",
     ),
     Mutant(
+        "the output rotation reads the state's low bits",
+        "src/ghzgraphs/search.py",
+        "    rotation = high >> 58\n",
+        "    rotation = low & 63\n",
+        "tests/test_search.py::test_restart_draws_are_numpys_default_rng_draws",
+    ),
+    Mutant(
+        "the seed pool skips its cross-mixing rounds",
+        "src/ghzgraphs/search.py",
+        "            if src != dst:\n",
+        "            if False:\n",
+        "tests/test_search.py::test_restart_draws_are_numpys_default_rng_draws",
+    ),
+    Mutant(
         "exactify leaves its epsilon unread",
         "src/ghzgraphs/search.py",
         '    if epsilon is not None:\n        epsilon = _as_tolerance(epsilon, "epsilon")\n',
