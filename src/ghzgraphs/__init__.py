@@ -39,8 +39,9 @@ from types import ModuleType as _ModuleType
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "errors": (
-        "BogdanovHypothesisError", "DocumentError", "GhzGraphError", "InvariantViolation",
-        "IrreducibleError", "NotGhzError", "UnscalableColourError", "WrongCaseError",
+        "BogdanovHypothesisError", "ConnectivityBoundError", "DocumentError", "GhzGraphError",
+        "InvariantViolation", "IrreducibleError", "NotGhzError", "UnscalableColourError",
+        "WrongCaseError",
     ),
     "exact": ("GaussianRational",),
     "graphs": (

@@ -22,6 +22,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ghzgraphs as gz
@@ -67,11 +68,18 @@ from ghzgraphs.matchings import _weight_table
 
 def fresh_interpreter(script, *args):
     """Run ``script`` in a new interpreter on this checkout's sources: the
-    test session has numpy and every ghzgraphs module loaded already."""
+    test session has numpy and every ghzgraphs module loaded already.
+
+    The interpreter runs with ``-S``: it skips ``site`` and the ``.pth``
+    files it reads, which may import modules such as ``typing`` first, so
+    every module a script sees loaded was loaded by the script or the
+    library.  ``-S`` also drops site-packages from the path, so the path is
+    ``src`` and then the directory that holds the ``numpy`` package."""
     src = Path(__file__).resolve().parent.parent / "src"
+    packages = Path(np.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-S", "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(packages)])),
         capture_output=True,
         text=True,
         timeout=120,

@@ -16,8 +16,9 @@ from conftest import fresh_interpreter
 # submodule -> the names ``ghzgraphs`` re-exports from it
 EXPORTS = {
     "errors": [
-        "BogdanovHypothesisError", "DocumentError", "GhzGraphError", "InvariantViolation",
-        "IrreducibleError", "NotGhzError", "UnscalableColourError", "WrongCaseError",
+        "BogdanovHypothesisError", "ConnectivityBoundError", "DocumentError", "GhzGraphError",
+        "InvariantViolation", "IrreducibleError", "NotGhzError", "UnscalableColourError",
+        "WrongCaseError",
     ],
     "exact": ["GaussianRational"],
     "graphs": [

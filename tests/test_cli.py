@@ -628,8 +628,7 @@ def test_search_reports_a_malformed_skeleton_before_numpy_loads(files):
     assert proc.stdout == "False\n"
 
 
-# the modules a command adds, counted from before `import ghzgraphs`: site may
-# load some of them first (typing, through a .pth file)
+# the modules a command adds, counted from before `import ghzgraphs`
 LOADED_BY = textwrap.dedent("""
     import contextlib, io, json, sys
     before = set(sys.modules)
@@ -648,6 +647,25 @@ SLOW_TO_IMPORT = {"dataclasses", "inspect", "typing", "fractions", "decimal", "n
 
 #: no command loads these: argparse and the modules its messages load
 ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+LIBRARY_ALONE = textwrap.dedent("""
+    import json, sys
+    import ghzgraphs.cli, ghzgraphs.structure, ghzgraphs.reduction, ghzgraphs.instances
+    print(json.dumps(sorted(sys.modules)))
+""")
+
+
+def test_importing_the_library_loads_no_slow_module_numpy_or_argparse():
+    """Importing the CLI and the ``structure``, ``reduction`` and
+    ``instances`` modules loads none of the slow stdlib modules, no numpy
+    and no argparse."""
+    proc = fresh_interpreter(LIBRARY_ALONE)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not SLOW_TO_IMPORT & loaded
+    assert "numpy" not in loaded
+    assert not ARGPARSE & loaded
 
 
 CLI_ALONE = textwrap.dedent("""

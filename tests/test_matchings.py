@@ -902,10 +902,17 @@ def ladder_pairs(k):
     return [(x, x + k) for x in range(k)] + [(r + x, r + x + 1) for r in (0, k) for x in range(k - 1)]
 
 
-#: dense K10 (1,024 entries) and the 16-vertex ladder (65,536), both at d = 2
+def cycle_pairs(n):
+    """The edges of the cycle on n vertices."""
+    return [(x, x + 1) for x in range(n - 1)] + [(0, n - 1)]
+
+
+#: dense K10 (1,024 entries), the 16-vertex ladder (65,536) and cycles up to
+#: C16 (65,536), all at d = 2
 IDENTITY_GRAPHS = {
     "K10": every_class_graph(10, 2, itertools.combinations(range(10), 2), "K10"),
     "L16": every_class_graph(16, 2, ladder_pairs(8), "L16"),
+    **{f"C{n}": every_class_graph(n, 2, cycle_pairs(n), f"C{n}") for n in (4, 10, 16)},
 }
 #: their float copies, whose tables are kept on them for both identities
 FLOAT_IDENTITY_GRAPHS = {name: as_float(g) for name, g in IDENTITY_GRAPHS.items()}
@@ -977,4 +984,40 @@ def test_a_gauged_graph_has_the_gauged_table(name):
     assert_close_tables(
         colouring_weight_table(as_float(h)),
         {vc: w * complex(first[vc[:half]] * second[vc[half:]]) for vc, w in float_table.items()},
+    )
+
+
+def disjoint_union(g, h):
+    """g beside h, h's vertices shifted past g's."""
+    specs = [(e.u, e.v, e.cu, e.cv, e.weight) for e in g.edges]
+    specs += [(e.u + g.n, e.v + g.n, e.cu, e.cv, e.weight) for e in h.edges]
+    return build_graph(g.n + h.n, specs, colours=sorted({*g.colour_universe, *h.colour_universe}))
+
+
+#: pairs from the kernel corpus and the identity graphs: dense K6 beside a
+#: 10-vertex ladder, and a K6 whose parallel edges cancel, with zero
+#: entries, beside C8, all at d = 2
+UNIONS = {
+    "K6+L10": (dense_graph(6, 2, 0), every_class_graph(10, 2, ladder_pairs(5), "L10")),
+    "cancelling-K6+C8": (
+        exact_weight_cases()["cancelling K6 d=2"], every_class_graph(8, 2, cycle_pairs(8), "C8"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+def test_a_disjoint_union_has_the_product_table(name):
+    """table(G ⊔ H)[a + b] = table(G)[a] * table(H)[b], on exactly the keys
+    a + b, in sorted order."""
+    g, h = UNIONS[name]
+    union = disjoint_union(g, h)
+    first, second = colouring_weight_table(g), colouring_weight_table(h)
+    table = colouring_weight_table(union)
+    assert first and second
+    assert list(table) == [a + b for a in first for b in second] == sorted(table)
+    assert all(table[a + b] == w * x for a, w in first.items() for b, x in second.items())
+    first, second = colouring_weight_table(as_float(g)), colouring_weight_table(as_float(h))
+    assert_close_tables(
+        colouring_weight_table(as_float(union)),
+        {a + b: w * x for a, w in first.items() for b, x in second.items()},
     )

@@ -1,4 +1,5 @@
-"""The measurement scripts under ``tools/`` run against the library in src/."""
+"""The measurement scripts under ``tools/``, and the benchmark's self-test,
+run against the library in src/."""
 
 import json
 import subprocess
@@ -8,17 +9,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_tool(name, *args):
-    """The last-line JSON of one tool run in a subprocess."""
+def run_script(path, *args):
+    """The stdout lines of one script run in a subprocess from the
+    repository root, which must exit 0."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / name), *args],
+        [sys.executable, str(ROOT / path), *args],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()
+
+
+def run_tool(name, *args):
+    """The last-line JSON of one tool run in a subprocess."""
+    return json.loads(run_script(Path("tools") / name, *args)[-1])
+
+
+def test_the_benchmark_self_test_passes():
+    """A corrupted table entry is flagged, and a traced pass's self times
+    sum to its wall time."""
+    flagged, covered = run_script(Path("bench") / "selftest.py")
+    assert flagged == "corrupted table entry flagged: True"
+    assert covered.startswith("self times cover traced wall: True ")
 
 
 def test_search_layer_measures_k4_at_d2():

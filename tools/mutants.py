@@ -530,6 +530,41 @@ MUTANTS = (
         "            colour_universe = _as_universe(frozenset(colour_universe))\n        for c in colour_universe:\n",
         "tests/test_graphs.py::test_a_colour_universe_is_read_before_it_is_deduplicated",
     ),
+    Mutant(
+        "structure imports typing",
+        "src/ghzgraphs/structure.py",
+        "import itertools\nfrom collections import deque, namedtuple\n",
+        "import itertools\nimport typing\nfrom collections import deque, namedtuple\n",
+        "tests/test_cli.py::test_each_command_loads_only_the_modules_it_needs[connectivity-loaded3]",
+    ),
+    Mutant(
+        "instances imports typing",
+        "src/ghzgraphs/instances.py",
+        "from collections.abc import Sequence\n",
+        "import typing\nfrom collections.abc import Sequence\n",
+        "tests/test_cli.py::test_importing_the_library_loads_no_slow_module_numpy_or_argparse",
+    ),
+    Mutant(
+        "the package imports ghz",
+        "src/ghzgraphs/__init__.py",
+        '__version__ = "0.1.0"\n',
+        '__version__ = "0.1.0"\nfrom . import ghz\n',
+        "tests/test_api.py::test_every_re_exported_name_resolves_in_a_fresh_interpreter",
+    ),
+    Mutant(
+        "the CLI imports argparse at module level",
+        "src/ghzgraphs/cli.py",
+        "import json\nimport re\nimport sys\n",
+        "import argparse\nimport json\nimport re\nimport sys\n",
+        "tests/test_cli.py::test_the_common_form_never_loads_argparse",
+    ),
+    Mutant(
+        "the exact kernel's base state weighs 2",
+        "src/ghzgraphs/matchings.py",
+        "{full: {0: _EXACT_ONE._v if exact else _FLOAT_ONE}}",
+        "{full: {0: (2, 0, 1) if exact else _FLOAT_ONE}}",
+        "tests/test_matchings.py::test_a_disjoint_union_has_the_product_table",
+    ),
 )
 
 
