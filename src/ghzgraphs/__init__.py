@@ -9,27 +9,12 @@ for GHZ weight assignments on a fixed skeleton.
 
 ``import ghzgraphs`` loads no submodule: each one loads the first time one
 of its names is used, since every CLI run is a new process and a command
-such as ``verify`` needs only some of them.  The module ``__getattr__`` below
-(PEP 562) resolves every re-exported name.  It reads the submodule's
-attribute on every lookup and stores nothing here, so a name that a test or
-a tracer rebinds in its submodule, and later puts back, is seen the same way
-through the package; a copy kept here would keep a stand-in after its
-submodule dropped it.  Once the submodule is loaded a lookup is one hit in
-``sys.modules`` on a precomputed module name.  The package's
-``search`` is the function, not the submodule of that name: when the import
-system first loads ``ghzgraphs.search`` it binds the package attribute
-``search`` to the module, so the package's module class, ``_Package``,
-ignores that one binding.  So ``import ghzgraphs.search as m`` binds ``m``
-to the function as well: CPython resolves ``import a.b as m`` through the
-package attribute ``b``.  The module is reached as
-``sys.modules["ghzgraphs.search"]``, and its names with
-``from ghzgraphs.search import ...``.  numpy, which only ``search`` uses,
-loads with that module.
-
-For the same reason the package imports neither ``dataclasses`` (which
-brings in ``inspect``) nor ``typing``.  ``Edge`` and ``Multigraph`` are
-slotted classes with hand-written validating constructors; every other
-record is an immutable ``collections.namedtuple`` subclass.
+such as ``verify`` needs only some of them.  numpy, which only ``search``
+uses, loads with that module.  For the same reason the package imports
+neither ``dataclasses`` (which brings in ``inspect``) nor ``typing``.
+``Edge`` and ``Multigraph`` are slotted classes with hand-written validating
+constructors; every other record is an immutable ``collections.namedtuple``
+subclass.
 """
 
 import sys as _sys
@@ -90,8 +75,14 @@ __all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):
-    # once the submodule is loaded, one dict hit on its precomputed name; the
-    # attribute is read from it on every access and never stored here
+    """The re-exported ``name``, read from its submodule (PEP 562).
+
+    The attribute is read on every lookup and nothing is stored here, so a name
+    that a test or a tracer rebinds in its submodule, and later puts back,
+    is seen the same way through the package; a copy kept here would keep a
+    stand-in after its submodule dropped it.  Once the submodule is loaded a
+    lookup is one hit in ``sys.modules`` on a precomputed module name.
+    """
     try:
         return getattr(_sys.modules[_LAZY[name]], name)
     except KeyError:
@@ -109,9 +100,17 @@ def __dir__() -> list[str]:
 
 
 class _Package(_ModuleType):
+    """The package's module class: its ``search`` is the function.
+
+    When the import system first loads ``ghzgraphs.search`` it binds the
+    package attribute ``search`` to the module; this class ignores that one
+    binding.  So ``import ghzgraphs.search as m`` binds ``m`` to the function
+    as well, as CPython resolves ``import a.b as m`` through the package
+    attribute ``b``.  The module is ``sys.modules["ghzgraphs.search"]``, and
+    ``from ghzgraphs.search import ...`` reads its names.
+    """
+
     def __setattr__(self, name, value):
-        # the import system binds each submodule on its parent; the package's
-        # `search` is the function, which __getattr__ reads from the module
         if name == "search" and isinstance(value, _ModuleType):
             return
         super().__setattr__(name, value)

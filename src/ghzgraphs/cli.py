@@ -1,41 +1,12 @@
 """Command-line interface.
 
-Every subcommand reads one graph document, named by the positional ``file``
-(``search`` names its skeleton with ``--skeleton``), and ``main`` is the one
-path through all of them: it loads the document once, calls the command's
-handler on the graph and the parsed arguments, and prints the JSON object
-the handler returns to stdout.  It exits 0 on success, 1 on a domain error
-(bad document, non-GHZ input where GHZ is required, a failed verify gate,
-...) and 2 on a usage error.  ``verify``, the one gated command, returns its
-exit code beside its object, and ``main`` reads that pair for ``verify``
-alone; every other handler returns only its object.  Error details go to
-stderr as JSON, a failed write to stdout included.  Output is deterministic:
-repeated runs on the same input are byte-identical.
-
-Arguments are read by ``parse_args`` from one table, ``COMMANDS``.  It
-reads the common form itself: the command first; each option by its full
-name, as ``--opt value``, ``--opt=value`` or a bare flag, before or after
-the file; at most one file; no file or value that starts with ``-``; every
-required argument present, and every value accepted by its reader.  Any
-other argv -- help, a usage error, an option's prefix, ``--``, a value that
-starts with ``-`` -- goes to argparse, imported only then, with a parser
-built from the same table, so its rules and wording are argparse's own.
-That parser reads a token matching ``-\\.?\\d`` as a command's value, so
-``--epsilon -1e-3`` reaches the library, which refuses it.  A usage error
-exits 2, and ``-h`` or ``--help`` prints help to stdout and exits 0.  The
-common form does not load argparse, whose import and first parser cost more
-than the parse itself.
-
-Library names are read at call time as ``gz.<name>``, through the package's
-lazy table, so a command loads only the submodules it uses: ``verify``,
-``dimension``, ``scale`` and ``bogdanov`` load ``ghz``; ``weights`` and
-``filter`` load ``matchings``; ``mcg``, ``connectivity`` and ``cut`` load
-``structure`` (and with it ``matchings``); ``reduce`` loads ``reduction``
-and with it ``ghz`` and ``structure``; and ``search`` loads ``search``,
-and with it ``structure`` and numpy, only once its skeleton has loaded, so
-a bad document fails fast.  Importing this module loads ``io`` (for
-``weight_to_strings``, which the package does not re-export) and what
-``io`` imports.
+Arguments are read by ``parse_args`` from one table, ``COMMANDS``, and
+``main`` runs every command.  Library names are read at call time as
+``gz.<name>``, through the package's lazy table, so a command loads only the
+submodules it uses (README's table lists them); ``search`` loads numpy only
+once its skeleton has loaded, so a bad document fails fast.  Importing this
+module loads ``io`` (for ``weight_to_strings``, which the package does not
+re-export) and what ``io`` imports.
 """
 
 from __future__ import annotations
@@ -47,6 +18,7 @@ from types import SimpleNamespace
 
 import ghzgraphs as gz
 
+from .exact import DEFAULT_EPSILON
 from .io import weight_to_strings
 
 
@@ -193,9 +165,7 @@ def _cmd_search(g, args) -> dict:
     }
 
 
-# ghz.DEFAULT_EPSILON written out, and pinned to it by a test, so that the
-# commands that never call ghz do not load it to read its default
-_EPSILON = ("--epsilon", "epsilon", float, 1e-9, False, "")
+_EPSILON = ("--epsilon", "epsilon", float, DEFAULT_EPSILON, False, "")
 
 #: command -> (handler, one-line help, options).  An option is (name, dest,
 #: reader, default, required, help), with reader ``None`` for a flag.  Every
@@ -270,8 +240,15 @@ def _argparse_parse(argv: list):
 
 
 def _common_form(argv: list) -> dict | None:
-    """The attributes of an argv in the common form the module docstring
-    states, or None for any other argv."""
+    """The attributes of an argv in the common form, or None for any other.
+
+    The common form is: the command first; each option by its full name, as
+    ``--opt value``, ``--opt=value`` or a bare flag, before or after the
+    file; at most one file; no file or value that starts with ``-``; every
+    required argument present, and every value accepted by its reader.  It
+    is read without argparse, whose import and first parser cost more than
+    the parse itself.
+    """
     if not argv or argv[0] not in COMMANDS:
         return None
     handler, _, options = COMMANDS[argv[0]]
@@ -315,9 +292,19 @@ def parse_args(argv=None):
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    It loads the command's document once (named by ``file``, or by
+    ``--skeleton`` for ``search``), calls the handler on the graph and the
+    parsed arguments, and prints the JSON object the handler returns to
+    stdout, byte-identical on every run.  It returns 0 on success and 1 on a
+    domain error, with the error's details on stderr as JSON, a failed
+    write to stdout included.  ``verify``, the one gated command, returns
+    its exit code beside its object, and ``main`` reads that pair for
+    ``verify`` alone.
+    """
     args = parse_args(argv)
     try:
-        # a handler returns the object to print; verify returns its exit code too
         result = args.func(gz.load_graph(args.file), args)
         obj, status = result if args.command == "verify" else (result, 0)
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")

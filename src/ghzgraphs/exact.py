@@ -24,18 +24,14 @@ product and sum rules inline on raw triples, so the operators serve only
 ``reduce``'s projections and sums over tables, a few hundred calls a pass.
 
 ``fractions`` (with ``decimal`` and ``numbers``) loads on the first of those
-``Fraction`` readers, ``from_float`` or string argument, so a CLI command
-that only parses, computes and prints exact weights never imports it.  An
-argument is tested for ``Fraction`` only once ``fractions`` is loaded: no
-instance can exist before.
+``Fraction`` readers, ``from_float`` or string argument (``_Fraction``), so a
+CLI command that only parses, computes and prints exact weights never
+imports it.  An argument is tested for ``Fraction`` only once ``fractions``
+is loaded: no instance can exist before.
 
-Every integer argument of the library -- an index, count, colour, size,
-dimension, seed, budget, ``from_parts`` part or power's exponent -- is read
-here, by ``_as_index`` (or ``_refuse_non_int``, its ``ValueError`` form):
-numpy's integers convert to plain ints, and a bool or a value without
-``__index__`` is refused.  Every tolerance argument -- ``verify``'s and
-``exactify``'s epsilon and ``search``'s tol -- is read here too, by ``_as_tolerance``.  This is
-the lowest module every reader imports.
+Every integer argument of the library is read here, by ``_as_index`` or
+``_refuse_non_int``, and every tolerance argument by ``_as_tolerance``: this
+is the lowest module every reader imports.
 """
 
 from __future__ import annotations
@@ -93,6 +89,10 @@ def _refuse_non_int(value, name: str) -> int:
         return _as_index(value, name)
     except TypeError as error:
         raise ValueError(str(error)) from None
+
+
+# the default tolerance of verify, dimension and scale_to_ghz, and the floor of exactify's
+DEFAULT_EPSILON = 1e-9
 
 
 def _as_tolerance(value, name: str):
@@ -233,6 +233,8 @@ class GaussianRational:
         return _make(other) / self
 
     def __pow__(self, exponent: int):
+        """self ** exponent, the exponent read by ``_as_index``: a numpy
+        integer is an int, and a bool or a float is refused."""
         try:
             exponent = _as_index(exponent, "exponent")
         except TypeError:

@@ -18,7 +18,7 @@ import cmath
 from collections import namedtuple
 
 from .errors import BogdanovHypothesisError, InvariantViolation, NotGhzError, UnscalableColourError
-from .exact import _as_tolerance
+from .exact import DEFAULT_EPSILON, _as_tolerance
 from .graphs import Colour, Edge, Multigraph, VertexColouring, drop_zero_edges, mono_colouring
 from .matchings import (
     PerfectMatching,
@@ -27,8 +27,6 @@ from .matchings import (
     induced_colouring,
     is_feasible,
 )
-
-DEFAULT_EPSILON = 1e-9
 
 #: violation kinds, in the order they are reported
 NON_MONO_NONZERO = "non_mono_nonzero"  # breaks GHZ and g-GHZ

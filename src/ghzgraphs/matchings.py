@@ -6,32 +6,9 @@ weights, the induced-colouring partition -- is a finite sum of matching
 weights, evaluated exactly for GaussianRational graphs and in complex floats
 for scaled ones.
 
-Those sums come from one kernel, ``_weight_table``: a subset DP over the
-covered vertices that adds up matching weights per induced colouring without
-listing the matchings.  Its one scan of the graph's edges applies three
-masks, so no query copies the graph: a vertex mask and a cut mask give a cut
-block's table, G[X] without the edges inside a cut, and a colouring mask
-keeps only the edges that agree with one colouring.  So ``colouring_weight``
-and ``is_feasible`` read one colouring on g in place, and ``_block_weights``
-reads it on several blocks of g: the 2-cut squares and the 3-cut type
-weights.  ``filter_graph`` builds its copy from the same agreement test.  Float
-weights go through the DP as complex numbers; exact weights as the raw
-(re, im, den) int triples of ``GaussianRational``, with its product and sum
-written out in the loop, so an exact entry becomes a ``GaussianRational``
-only once, when the table is read out.  Arithmetic never reduces a value, so
-the DP does no normalisation, and its table entries are put in lowest terms
-only when they are read.  Most of ``reduce``'s blocks have tables of no or
-one entry, so the kernel's fixed cost per call is kept to what the block
-needs: digit places and edge lists for the kept vertices only, one decode
-for a table of one entry, and no reference cycle left for the collector.  A
-larger table is read out in one pass over its sorted int keys, in one of two
-ways: a table with at least as many entries as there are key halves (the
-dense tables of ``verify``) reads each key as two halves from one list of
-every half, and a sparser one (most of ``reduce``'s) decodes each key digit
-by digit, as the one-entry table decodes its key.
-``_iter_perfect_matchings`` yields the matchings one at a time by a search of
-the same shape, so a caller can stop at the one it wants (the Bogdanov
-witness does); ``enumerate_perfect_matchings`` lists them all.
+Those sums come from one kernel, ``_weight_table``, which lists no
+matching; only ``_iter_perfect_matchings`` does, by a search of the same
+shape.
 """
 
 from __future__ import annotations
@@ -59,7 +36,9 @@ def enumerate_perfect_matchings(g: Multigraph) -> list[PerfectMatching]:
 
 
 def _iter_perfect_matchings(g: Multigraph) -> Iterator[PerfectMatching]:
-    """``enumerate_perfect_matchings`` one at a time, edges under their lower endpoint."""
+    """``enumerate_perfect_matchings`` one at a time, edges under their lower
+    endpoint, so a caller can stop at the one it wants (the Bogdanov witness
+    does).  Run out or closed early, it leaves no reference cycle behind."""
     n = g.n
     below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     touched = 0
@@ -141,7 +120,11 @@ def _agreeing_edges(g: Multigraph, vc: VertexColouring):
 
 
 def filter_graph(g: Multigraph, vc: VertexColouring) -> Multigraph:
-    """Keep exactly the edges whose half-colours agree with vc at both ends."""
+    """Keep exactly the edges whose half-colours agree with vc at both ends.
+
+    The one query that builds a filtered copy; its test is the one the weight
+    kernel's colouring mask applies, so every other query reads g in place.
+    """
     _check_colouring(g, vc)
     return Multigraph(g.n, _agreeing_edges(g, vc), g.colour_universe)
 
@@ -174,10 +157,11 @@ def _weight_table(g: Multigraph, vertices: int = -1, cut: int = 0,
     exist for the kept vertices only, so a small block of a large graph
     pays for its own vertices; only the scan of g's edges is per graph.
 
-    A table of at most one entry is read with one decode of its key.  A
-    larger table is read in one pass over its sorted int keys, and each
-    exact value is wrapped in that same pass.  When the table has at least
-    ``base ** half`` entries, a key is read as two halves of ``half``
+    A table of at most one entry, as most of ``reduce``'s blocks have, is
+    read with one decode of its key.  A larger table is read in one pass
+    over its sorted int keys, and each exact value is wrapped in that same
+    pass.  When the table has at least ``base ** half`` entries (the dense
+    tables of ``verify``), a key is read as two halves of ``half``
     digits, every half decoded up front into one list indexed by
     ``key // split`` and ``key % split``; a sparser table decodes each key
     digit by digit, as the one-entry table does, so it never builds a list
@@ -315,7 +299,8 @@ def _bits(vertices) -> int:
 def _block_weights(g: Multigraph, vc: VertexColouring, blocks) -> tuple:
     """The weight of vc on each block (vertices, cut vertices), G[vertices]
     without the edges joining two cut vertices, each read on g in place with
-    vc as the kernel's colouring mask, vc checked once for all blocks."""
+    vc as the kernel's colouring mask, vc checked once for all blocks; a
+    block that vc's matchings miss weighs g's zero."""
     _check_colouring(g, vc)
     zero = g.zero
     return tuple(next(iter(_weight_table(g, _bits(vertices), _bits(cut), vc).values()), zero)

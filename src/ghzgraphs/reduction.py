@@ -26,21 +26,7 @@ W(c_V2) the all-c weight of G[V2], every colouring vc' of the result obeys
     w'(vc') = sum_c  f_c * w(vc'(c)),
 
 where vc'(c) paints V2 in c and every other vertex as vc' paints the
-reduced vertex standing for it.  In the easy case every f_c is 1.  A block
-is a vertex set, not a graph: the weight kernel reads its table on the input
-in place, through a vertex mask and a cut mask, and the cuts of one
-``reduce`` call share each block's table.  Every block and the input are
-read through one projection of their tables onto the reduced vertices, one
-pass over each table.  One more pass sums the resulting edges, parallel ones
-merged and exact zeros dropped, into the reduced graph, and unless disabled
-the identity is re-checked on it.
-
-A reduction of a g-GHZ graph of dimension k must keep that dimension, and
-each of its k colours needs a perfect matching of its own, so a reduced
-graph on n vertices has at least k * n / 2 edges, and every reduced graph
-has at least 4 vertices.  ``reduce`` with ``all_cuts`` reduces only the
-cuts whose least result could beat the best graph so far, and stops its
-scan once the best graph meets the least result of all, (4, 2k).
+reduced vertex standing for it.  In the easy case every f_c is 1.
 """
 
 from __future__ import annotations
@@ -195,7 +181,8 @@ def _reduce(g: Multigraph, cut: CutSpec, cls: ColourClassification, check: bool,
     edges in first-occurrence order and drops exact zeros, as
     ``drop_zero_edges(merge_parallel_edges(...))`` would, and builds one
     graph.  With ``check`` the identity w'(vc') = sum_c f_c * w(vc'(c)) is
-    checked over the colourings either side has.
+    checked over the colourings either side has; a failure names the
+    smallest colouring that differs, and nothing is sorted unless one does.
     """
     one, zero = g.one, g.zero
     factors = {c: one / (w * len(cls.c1)) if c in cls.c1 else one
@@ -308,7 +295,8 @@ def reduce(g: Multigraph, all_cuts: bool = False, check: bool = True) -> Reducti
     whose reduced graph cannot be rescaled raises nothing either.  The cuts
     of one call share their blocks: a block is a weight table read on g in
     place, built once per call for its vertex set and the cut vertices
-    inside it, and freed when the call returns.
+    inside it, and freed when the call returns.  kappa is computed once,
+    after the scan, for the report.
 
     kappa <= 2 implies an odd 3-cut.  Take a minimum separator S, one
     component A of G - S (a = |A|) and the rest B (b = |B|).  Moving j

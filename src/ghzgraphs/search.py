@@ -18,44 +18,16 @@ the real residual with respect to (Re x_k, Im x_k) is packed into one
 complex number per variable:  g_k = 2 * sum_vc conj(D_k,vc) * (w_vc - t_vc)
 with D_k,vc the sum over matchings through k of the leave-one-out products.
 
-Every colouring of the expanded multigraph takes exactly one monomial from
-each perfect matching of the skeleton, so the monomial table is a regular
-grid: column [j, pm, c] is the variable of the skeleton matching pm's j-th
-pair (matchings as sorted tuples of pair indices, in lexicographic order),
-coloured as colouring c colours its ends.  The build enumerates the
-skeleton's matchings (15 for K6, 2 for a cycle), not the expanded graph's,
-and forms the grid by broadcasting, stored once as contiguous rows of shape
-(width, M), M = n_pm * n_col, matching-major (``monomials`` is its (M,
-width) transposed view).
-
-Each point is evaluated once (``_evaluate``): one gather x[columns], then
-the running products from 1, written into the rows of one (width + 1, M)
-prefix buffer (row j holds the product of the first j factors, the last row
-the monomial products), then each colouring's sum as one axis-0 reduction
-over the (n_pm, n_col) products, matchings added in order from 0.  Every
-product in the search, the evaluation's prefixes and the gradient's
-suffixes alike, is a running element-wise complex multiply from 1 down
-contiguous rows of shape (width, M).  They must stay on such rows: the
-multiply's bits depend on the strides (written into a column of an (M,
-width) array, the prefix products of 464 of K6 d=2's 960 monomials change
-in their last bits).
-
-The gradient reuses the gather, the prefix rows and the colourings'
-differences, forms only the suffix products and multiplies in the
-differences by broadcasting over the matchings.  Every sum in the search
-adds its terms from 0 in the grid's one order: row j, then the matching,
-then the colouring.  So the gradient's gather, ``_gather``, is the stable
-sort of the flattened grid, one column per variable, shorter columns
-ending in a slot held at 0; one gather of the terms through it and one
-axis-0 reduction add each variable's terms.  The reductions run
-on float views, whose inner axis is never of length 1: an axis-0 reduction
-adds its rows in sequence only while the inner length is above 1, and
-pairs them up otherwise.  The line search keeps the accepted candidate's
-evaluation, prefix buffer included, so the next gradient needs no new one,
-and frees a rejected candidate's before it evaluates the next.  All of this
-path (the monomial grid, the prefix buffer and the gather) would go if the
-residual and its gradient were computed by an inside-outside pass over the
-weight kernel instead.
+Two rules keep the search's floats bit for bit reproducible.  Every
+product, the evaluation's prefixes and the gradient's suffixes alike, is a
+running element-wise complex multiply from 1 down contiguous rows of shape
+(width, M): the multiply's bits depend on the strides (written into a
+column of an (M, width) array, the prefix products of 464 of K6 d=2's 960
+monomials change in their last bits).  Every sum adds its terms from 0 in
+the grid's one order: row j, then the matching, then the colouring.  The
+reductions run on float views, whose inner axis is never of length 1: an
+axis-0 reduction adds its rows in sequence only while the inner length is
+above 1, and pairs them up otherwise.
 """
 
 from __future__ import annotations
@@ -75,7 +47,18 @@ from .structure import vertex_connectivity
 
 
 class SearchProblem:
-    """Monomial structure of the residual for one skeleton and dimension."""
+    """Monomial structure of the residual for one skeleton and dimension.
+
+    Every colouring of the expanded multigraph takes exactly one monomial
+    from each perfect matching of the skeleton, so the monomial table is a
+    regular grid: column [j, pm, c] is the variable of the skeleton matching
+    pm's j-th pair (matchings as sorted tuples of pair indices, in
+    lexicographic order), coloured as colouring c colours its ends.  The
+    build enumerates the skeleton's matchings (15 for K6, 2 for a cycle),
+    not the expanded graph's, and forms the grid by broadcasting, stored
+    once as contiguous rows of shape (width, M), M = n_pm * n_col,
+    matching-major; ``monomials`` is its (M, width) transposed view.
+    """
 
     def __init__(self, g: Multigraph, d: int):
         d = _refuse_non_int(d, "dimension")
@@ -87,10 +70,6 @@ class SearchProblem:
         self.pairs: tuple[tuple[int, int], ...] = tuple((e.u, e.v) for e in base.edges)
         self.n_vars = len(self.pairs) * d * d
 
-        # every colouring of the expanded graph takes one monomial from each
-        # perfect matching of the skeleton, so the monomial table is a grid:
-        # the matchings (sorted tuples of pair indices, in lexicographic
-        # order) major, the colourings minor
         matchings = sorted(enumerate_perfect_matchings(base))
         # monos first (one entry when n = 0), then, if there is a perfect
         # matching, every other colouring in lexicographic order
@@ -99,10 +78,6 @@ class SearchProblem:
             ordered += [vc for vc in itertools.product(range(d), repeat=base.n) if len(set(vc)) > 1]
         self.colourings: tuple[tuple, ...] = tuple(ordered)
 
-        # column [j, pm, c] is the variable of matching pm's j-th pair coloured
-        # as colouring c colours its ends; the table is stored once, as the
-        # contiguous (width, M) rows the evaluation gathers from, and
-        # monomials is its (M, width) transposed view
         width = base.n // 2
         dd = d * d
         chosen = np.array(matchings, dtype=np.int64).reshape(len(matchings), width).T
@@ -134,7 +109,9 @@ def _gather_index(columns: np.ndarray, n_vars: int) -> np.ndarray:
     """The gradient's (c_max, n_vars) gather: column k lists variable k's
     positions in the flattened table in order, its run in the stable sort
     of the entries, and shorter columns end in the index one past the
-    table."""
+    table, a slot the gradient holds at 0.  So one gather of the terms
+    through it and one axis-0 reduction add each variable's terms in the
+    grid's order."""
     flat = columns.ravel()
     order = np.argsort(flat, kind="stable")
     keys = flat[order]
@@ -197,7 +174,9 @@ def _uniforms(entropy, count: int) -> np.ndarray:
     as its stream, both high word first, and steps its 128-bit LCG before
     each output.  An output xors the state's two halves and rotates right by
     the state's top six bits; a double is its top 53 bits times 2**-53.  The
-    LCG runs on Python ints, the output in numpy.
+    LCG runs on Python ints, the output in numpy.  ``numpy.random`` stays
+    unloaded because it adds about 6 MB of resident memory to ``import
+    numpy``.
     """
     words = []
     for value in entropy:
@@ -233,6 +212,8 @@ def _uniforms(entropy, count: int) -> np.ndarray:
 
 
 def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
+    """x as a complex array of ``n_vars`` weights; ``ValueError`` for another
+    shape or for a weight that is not finite."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (problem.n_vars,):
         raise ValueError(f"expected {problem.n_vars} weights, got shape {x.shape}")
@@ -251,7 +232,8 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
     """(factors, diff, f) at x: factors = (vals, pre) with vals[j, m] =
     x[monomials[m, j]] and pre[j] the running product of rows 0..j-1 of vals
     (pre[0] = 1, pre[-1] the monomial products), diff[vc] = w_vc - t_vc and
-    f the residual."""
+    f the residual.  Each colouring's sum is one axis-0 reduction over the
+    (n_pm, n_col) products, the matchings added in order from 0."""
     vals = x[problem._columns]  # (width, M)
     pre = np.empty((len(vals) + 1, vals.shape[1]), dtype=np.complex128)
     pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
@@ -267,7 +249,13 @@ def _evaluate(problem: SearchProblem, x: np.ndarray):
 
 
 def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
-    """The complex-packed gradient from a point's ``_evaluate`` output."""
+    """The complex-packed gradient from a point's ``_evaluate`` output.
+
+    It reuses the gather, the prefix rows and the colourings' differences,
+    forms only the suffix products, multiplies in the differences by
+    broadcasting over the matchings and adds each variable's terms through
+    ``_gather``.
+    """
     vals, pre = factors
     width, count = vals.shape
     slots = np.empty(width * count + 1, dtype=np.complex128)
@@ -300,7 +288,12 @@ def gradient(problem: SearchProblem, weights) -> np.ndarray:
 
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
-    """Backtracking gradient descent from one starting point."""
+    """Backtracking gradient descent from one starting point.
+
+    The line search keeps the accepted candidate's evaluation, prefix buffer
+    included, so the next gradient needs no new one, and frees a rejected
+    candidate's before it evaluates the next.
+    """
     factors, diff, f = _evaluate(problem, x)
     step = 0.1
     iterations = 0
@@ -340,7 +333,9 @@ def search(
     n_vars.  Those numbers are computed without loading ``numpy.random``
     (``_uniforms``), bit for bit the ones ``default_rng((seed, r))`` gives.
     The first restart to reach ``tol`` wins outright; otherwise the lowest
-    residual does, earlier restarts breaking ties.
+    residual does, earlier restarts breaking ties.  ``tol`` is read by the
+    tolerance rule (``_as_tolerance``), and the integers by
+    ``_refuse_non_int``.
 
     A skeleton on more than 4 vertices with vertex connectivity at most 2
     carries no GHZ graph of dimension 3 or more (``ConnectivityBoundError``),

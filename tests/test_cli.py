@@ -397,8 +397,8 @@ def test_search_defaults_are_the_librarys():
 
 @pytest.mark.parametrize("command", ["verify", "dimension", "scale"])
 def test_the_epsilon_default_is_the_librarys(command):
-    """The CLI writes the default out, so that a command that never calls
-    ``ghz`` does not load it to read the default."""
+    """The CLI reads the default from ``exact``, which ``io`` loads anyway,
+    so that a command that never calls ``ghz`` does not load it."""
     epsilon = parse_args([command, "g.json"]).epsilon
     assert (type(epsilon), epsilon) == (type(DEFAULT_EPSILON), DEFAULT_EPSILON)
 

@@ -1,10 +1,13 @@
 """The measurement scripts under ``tools/``, and the benchmark's self-test,
 run against the library in src/."""
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +29,15 @@ def run_script(path, *args):
 def run_tool(name, *args):
     """The last-line JSON of one tool run in a subprocess."""
     return json.loads(run_script(Path("tools") / name, *args)[-1])
+
+
+@pytest.mark.parametrize("name", ["kernel_calls.py", "search_layer.py", "search_recall.py"])
+def test_each_tool_describes_itself_on_help(name):
+    """``--help`` prints the first paragraph of the tool's docstring, so
+    README can name each tool in one line and point to ``--help``."""
+    path = Path("tools") / name
+    first = ast.get_docstring(ast.parse((ROOT / path).read_text(encoding="utf-8"))).split("\n\n")[0]
+    assert " ".join(first.split()) in " ".join(" ".join(run_script(path, "--help")).split())
 
 
 def test_the_benchmark_self_test_passes():
