@@ -228,49 +228,88 @@ def _check_weights(problem: SearchProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _evaluate(problem: SearchProblem, x: np.ndarray):
-    """(factors, diff, f) at x: factors = (vals, pre) with vals[j, m] =
-    x[monomials[m, j]] and pre[j] the running product of rows 0..j-1 of vals
-    (pre[0] = 1, pre[-1] the monomial products), diff[vc] = w_vc - t_vc and
-    f the residual.  Each colouring's sum is one axis-0 reduction over the
-    (n_pm, n_col) products, the matchings added in order from 0."""
-    vals = x[problem._columns]  # (width, M)
-    pre = np.empty((len(vals) + 1, vals.shape[1]), dtype=np.complex128)
-    pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
-    for j, row in enumerate(vals):
-        np.multiply(pre[j], row, out=pre[j + 1])
-    # each colouring's products, one per matching, added from 0 in matching
-    # order; on the float view, so the inner axis is never of length 1 (d = 1),
-    # where the reduction would sum pairwise
-    products = pre[-1].view(np.float64).reshape(problem._matching_count, 2 * len(problem.targets))
-    sums = np.add.reduce(products, axis=0, initial=0.0)
-    diff = sums.view(np.complex128) - problem.targets
-    return (vals, pre), diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
+class _Buffers:
+    """One evaluation's buffers and one gradient's for a problem, allocated
+    uninitialised, and the views ``_evaluate`` and ``_gradient`` write them
+    through.  The views are made here once: made on every call, they took
+    about 15% of a descent's time at K4 d=3 and K6 d=2.
 
-
-def _gradient(problem: SearchProblem, factors, diff: np.ndarray) -> np.ndarray:
-    """The complex-packed gradient from a point's ``_evaluate`` output.
-
-    It reuses the gather, the prefix rows and the colourings' differences,
-    forms only the suffix products, multiplies in the differences by
-    broadcasting over the matchings and adds each variable's terms through
-    ``_gather``.
+    The evaluation's are ``vals`` (width, M) and ``pre`` (width + 1, M);
+    ``pre_steps`` holds the (pre[j], vals[j], pre[j + 1]) rows of each
+    product step and ``products`` reads pre[-1] as a float (n_pm, 2 n_col)
+    table.  The gradient's are ``slots``, the width * M terms with one
+    padding slot past them, read as ``suf`` (width, M) and ``by_colouring``
+    (width, n_pm, n_col); ``suf_steps`` holds the (suf[j], vals[j],
+    suf[j - 1]) rows of each suffix step, from j = width - 1 down; and
+    ``terms`` is the gather's (c_max, n_vars) output.
     """
-    vals, pre = factors
-    width, count = vals.shape
-    slots = np.empty(width * count + 1, dtype=np.complex128)
-    suf = slots[:-1].reshape(width, count)
-    suf[-1:] = 1  # a slice, not a row: width is 0 when n = 0
-    for j in range(1, width):
-        np.multiply(suf[width - j], vals[width - j], out=suf[width - 1 - j])
-    leave_one_out = np.multiply(pre[:-1], suf, out=suf)
+
+    __slots__ = ("vals", "pre", "pre_steps", "products", "slots", "suf", "suf_steps", "by_colouring", "terms")
+
+    def __init__(self, problem: SearchProblem):
+        width, count = problem._columns.shape
+        n_pm, n_col = problem._matching_count, len(problem.targets)
+        self.vals = vals = np.empty((width, count), dtype=np.complex128)
+        self.pre = pre = np.empty((width + 1, count), dtype=np.complex128)
+        self.pre_steps = [(pre[j], vals[j], pre[j + 1]) for j in range(width)]
+        # on the float view, so the inner axis is never of length 1 (d = 1),
+        # where the reduction would sum pairwise
+        self.products = pre[-1].view(np.float64).reshape(n_pm, 2 * n_col)
+        self.slots = np.empty(width * count + 1, dtype=np.complex128)
+        self.suf = suf = self.slots[:-1].reshape(width, count)
+        self.suf_steps = [(suf[j], vals[j], suf[j - 1]) for j in range(width - 1, 0, -1)]
+        self.by_colouring = suf.reshape(width, n_pm, n_col)
+        self.terms = np.empty(problem._gather.shape, dtype=np.complex128)
+
+
+def _evaluate(problem: SearchProblem, x: np.ndarray, buffers: _Buffers | None = None):
+    """(buffers, diff, f) at x: the buffers hold vals[j, m] =
+    x[monomials[m, j]] and pre[j], the running product of rows 0..j-1 of
+    vals (pre[0] = 1, pre[-1] the monomial products); diff[vc] = w_vc - t_vc
+    and f is the residual.  Each colouring's sum is one axis-0 reduction over
+    the (n_pm, n_col) products, the matchings added in order from 0.
+
+    Given ``buffers``, it writes the evaluation into them, every entry before
+    it reads it, so their earlier contents never matter; without, it
+    allocates them.  The gather is the ``take`` method with ``out=`` and
+    ``mode="clip"``: ``np.take`` adds about 1 µs of Python-level wrapper per
+    call, more than the whole gather at K4 d=3, and ``mode="raise"`` buffers
+    its output.  Every index is in range by construction, so clipping
+    changes nothing.
+    """
+    b = _Buffers(problem) if buffers is None else buffers
+    x.take(problem._columns, out=b.vals, mode="clip")
+    b.pre[0] = 1  # with no rows (n = 0), the one empty matching weighs 1
+    for prefix, row, out in b.pre_steps:
+        np.multiply(prefix, row, out=out)
+    # each colouring's products, one per matching, added from 0 in matching order
+    sums = np.add.reduce(b.products, axis=0, initial=0.0)
+    diff = sums.view(np.complex128) - problem.targets
+    return b, diff, float(np.add.reduce(diff.real**2 + diff.imag**2))
+
+
+def _gradient(problem: SearchProblem, b: _Buffers, diff: np.ndarray) -> np.ndarray:
+    """The complex-packed gradient from a point's ``_evaluate`` output, its
+    buffers ``b`` and differences.
+
+    It reuses the gathered values, the prefix rows and the colourings'
+    differences, forms only the suffix products, multiplies in the
+    differences by broadcasting over the matchings and adds each variable's
+    terms through ``_gather``.  Like ``_evaluate`` it writes every entry of
+    its buffers before it reads it, on every call, the last suffix row and
+    the padding slot included, and gathers with the ``take`` method for the
+    same reason.
+    """
+    b.suf[-1:] = 1  # a slice, not a row: width is 0 when n = 0
+    for suffix, row, out in b.suf_steps:
+        np.multiply(suffix, row, out=out)
+    leave_one_out = np.multiply(b.pre[:-1], b.suf, out=b.suf)
     np.conjugate(leave_one_out, out=leave_one_out)
-    by_colouring = leave_one_out.reshape(width, problem._matching_count, len(diff))
-    np.multiply(by_colouring, diff, out=by_colouring)
-    slots[-1] = 0  # the gather's padding
+    np.multiply(b.by_colouring, diff, out=b.by_colouring)
+    b.slots[-1] = 0  # the gather's padding
     # each variable's terms, gathered in the scatter's order and added from 0
-    terms = slots[problem._gather].view(np.float64)
-    return 2.0 * np.add.reduce(terms, axis=0, initial=0.0).view(np.complex128)
+    b.slots.take(problem._gather, out=b.terms, mode="clip")
+    return 2.0 * np.add.reduce(b.terms.view(np.float64), axis=0, initial=0.0).view(np.complex128)
 
 
 def residual(problem: SearchProblem, weights) -> Residual:
@@ -283,35 +322,46 @@ def residual(problem: SearchProblem, weights) -> Residual:
 
 def gradient(problem: SearchProblem, weights) -> np.ndarray:
     """Complex-packed gradient: (d/dRe x_k) + i (d/dIm x_k) of the residual."""
-    factors, diff, _ = _evaluate(problem, _check_weights(problem, weights))
-    return _gradient(problem, factors, diff)
+    buffers, diff, _ = _evaluate(problem, _check_weights(problem, weights))
+    return _gradient(problem, buffers, diff)
 
 
 def _descend(problem: SearchProblem, x: np.ndarray, max_iters: int, tol: float):
     """Backtracking gradient descent from one starting point.
 
-    The line search keeps the accepted candidate's evaluation, prefix buffer
-    included, so the next gradient needs no new one, and frees a rejected
-    candidate's before it evaluates the next.
+    Its first evaluation allocates one ``_Buffers``, one evaluation set
+    (vals, pre) and one gradient set (slots, terms), and every evaluation
+    and gradient after refills it.  At C10 d=2 each buffer is 160-200 KB,
+    above glibc's default mmap threshold of 128 KiB: allocated afresh on
+    every iteration, they are mapped or trimmed and faulted in again, or
+    not, as malloc's dynamic thresholds happen to stand, and that nearly
+    doubled the C10 jobs' time.
+
+    One evaluation set is enough.  The gradient reads the point's vals and
+    pre only at the top of an iteration, and there the last evaluation
+    written is always the point's: the first one, or the candidate just
+    accepted.  A rejected candidate's evaluation overwrites them, but the
+    next one is another candidate's or the descent ends.  ``diff`` and ``x``
+    are fresh small arrays, so the point keeps them whatever a candidate
+    writes.
     """
-    factors, diff, f = _evaluate(problem, x)
+    buffers, diff, f = _evaluate(problem, x)
     step = 0.1
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if f <= tol:
             break
-        g = _gradient(problem, factors, diff)
+        g = _gradient(problem, buffers, diff)
         gnorm2 = float(np.add.reduce(g.real**2 + g.imag**2))
         if gnorm2 < 1e-24:
             break
         while step > 1e-18:
             candidate = x - step * g
-            c_factors, c_diff, f_new = _evaluate(problem, candidate)
+            _, c_diff, f_new = _evaluate(problem, candidate, buffers)
             if f_new <= f - 1e-4 * step * gnorm2:
-                x, factors, diff, f = candidate, c_factors, c_diff, f_new
+                x, diff, f = candidate, c_diff, f_new
                 step *= 2.0
                 break
-            del c_factors  # free a rejected candidate's buffers before the next evaluation
             step *= 0.5
         else:
             break

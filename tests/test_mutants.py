@@ -18,15 +18,17 @@ def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = load_mutants()
+mutants = load_mutants()
+MUTANTS = mutants.MUTANTS
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name.replace(" ", "-") for m in MUTANTS])
 def test_each_mutant_edits_text_that_occurs_once_and_names_a_test(mutant):
-    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
-    assert mutant.old != mutant.new
+    source = (ROOT / mutant.path).read_text()
+    for old, new in mutants.edits(mutant):
+        assert source.count(old) == 1 and old != new
     path, name = mutant.test.split("::")
     assert f"\ndef {name.partition('[')[0]}(" in (ROOT / path).read_text()

@@ -43,7 +43,9 @@ from ghzgraphs.errors import ConnectivityBoundError
 from ghzgraphs.search import (
     _check_weights,
     _coloured_graph,
+    _Buffers,
     _evaluate,
+    _gradient,
     _refutes,
     _uniforms,
 )
@@ -615,11 +617,11 @@ def test_evaluated_products_are_the_reference_and_numpys_product(build, d):
                np.full(prob.n_vars, -0.0 - 0.0j)]
     points += [signed_zero_mix(rng, prob.n_vars) for _ in range(10)]
     for x in points:
-        (_, pre), diff, _ = _evaluate(weights, x)
+        buffers, diff, _ = _evaluate(weights, x)
         assert_same_bits(diff, slow_group_weights(slow, x))
         expected = np.prod(x[prob.monomials], axis=1)
         moduli = np.prod(np.abs(x[prob.monomials]), axis=1)
-        error = np.abs(pre[-1] - expected)
+        error = np.abs(buffers.pre[-1] - expected)
         assert np.all(error <= 4 * width * np.finfo(float).eps * moduli)
 
 
@@ -846,6 +848,31 @@ def test_the_chorded_cycles_gather_is_padded():
     count, width = prob.monomials.shape
     terms = (prob._gather != width * count).sum(axis=0)
     assert sorted(set(terms)) == [81, 162] and len(prob._gather) == 162
+
+
+@pytest.mark.parametrize("shape", BUILDS.values(), ids=BUILDS)
+def test_reused_buffers_give_the_bits_of_fresh_ones(shape):
+    """The descent evaluates every point and takes every gradient in one
+    buffer set per restart.  Two points in turn, written into buffers first
+    filled with NaN, give the evaluation and gradient of fresh buffers bit
+    for bit, so no step reads an entry the call has not written: the
+    gradient's last suffix row, say, which its leave-one-out product
+    overwrites on every call."""
+    build, d = shape
+    prob = SearchProblem(build(), d)
+    buffers = _Buffers(prob)
+    for name in ("vals", "pre", "slots", "terms"):
+        getattr(buffers, name)[...] = complex(math.nan, math.nan)
+    rng = np.random.default_rng(52)
+    points = [rng.standard_normal(prob.n_vars) + 1j * rng.standard_normal(prob.n_vars),
+              signed_zero_mix(rng, prob.n_vars)]
+    for x in points:
+        fresh, fresh_diff, fresh_f = _evaluate(prob, x)
+        reused, diff, f = _evaluate(prob, x, buffers)
+        assert reused is buffers
+        for a, b in ((fresh.vals, buffers.vals), (fresh.pre, buffers.pre), (fresh_diff, diff), (fresh_f, f)):
+            assert_same_bits(a, b)
+        assert_same_bits(_gradient(prob, buffers, diff), _gradient(prob, fresh, fresh_diff))
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)

@@ -51,6 +51,8 @@ def test_the_benchmark_self_test_passes():
 def test_search_layer_measures_k4_at_d2():
     (result,) = run_tool("search_layer.py", "--case", "4:2")
     assert result["case"] == "K4 d=2" and result["monomials"] == 48
+    assert result["descent_iterations"] == 5 and result["descent_ms_per_iteration"] > 0
+    assert result["max_rss_mib_after_descent"] >= result["max_rss_mib_after_evaluate_gradient"]
 
 
 def test_search_recall_reports_each_field_of_one_case():

@@ -1,14 +1,15 @@
 """Check that the test suite still kills the known mutants of the fast paths.
 
-Each mutant is one source edit, an exact old text replaced by a new one,
-together with the test that must fail once it is applied.  The script copies
-``src``, ``tests``, ``bench`` (a CLI test parses its cli jobs' argv) and
-``pyproject.toml`` to a temporary directory, runs every mutant's test on the
-unmutated copy (each must pass there), then applies the mutants one at a
-time, never in parallel: it edits the copy, runs that mutant's test and
-restores the file.  It exits with status 1 if a test fails on the unmutated
-copy, if a mutant's old text does not occur exactly once, or if a mutant
-survives.
+Each mutant is one source edit, an exact old text replaced by a new one
+(or a tuple of old texts, each replaced by its new one, for a mutant that
+moves a line), together with the test that must fail once it is applied.
+The script copies ``src``, ``tests``, ``bench`` (a CLI test parses its cli
+jobs' argv) and ``pyproject.toml`` to a temporary directory, runs every
+mutant's test on the unmutated copy (each must pass there), then applies
+the mutants one at a time, never in parallel: it edits the copy, runs that
+mutant's test and restores the file.  It exits with status 1 if a test
+fails on the unmutated copy, if a mutant's old text does not occur exactly
+once, or if a mutant survives.
 
     python3 tools/mutants.py
 
@@ -30,6 +31,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name path old new test")
+
+
+def edits(mutant: Mutant) -> list[tuple[str, str]]:
+    """A mutant's (old, new) text pairs."""
+    if isinstance(mutant.old, tuple):
+        return list(zip(mutant.old, mutant.new, strict=True))
+    return [(mutant.old, mutant.new)]
+
 
 MUTANTS = (
     Mutant(
@@ -322,8 +331,8 @@ MUTANTS = (
     Mutant(
         "the evaluation's product skips a row",
         "src/ghzgraphs/search.py",
-        "np.multiply(pre[j], row, out=pre[j + 1])",
-        "np.multiply(pre[j], row if j else 1, out=pre[j + 1])",
+        "[(pre[j], vals[j], pre[j + 1]) for j in range(width)]",
+        "[(pre[j], vals[j] if j else 1, pre[j + 1]) for j in range(width)]",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
@@ -336,8 +345,8 @@ MUTANTS = (
     Mutant(
         "the gradient reads the prefix rows one row off",
         "src/ghzgraphs/search.py",
-        "np.multiply(pre[:-1], suf, out=suf)",
-        "np.multiply(pre[1:], suf, out=suf)",
+        "np.multiply(b.pre[:-1], b.suf, out=b.suf)",
+        "np.multiply(b.pre[1:], b.suf, out=b.suf)",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
     ),
     Mutant(
@@ -378,9 +387,22 @@ MUTANTS = (
     Mutant(
         "the gradient's padding slot is not zero",
         "src/ghzgraphs/search.py",
-        "    slots[-1] = 0  # the gather's padding\n",
-        "    slots[-1] = 1  # the gather's padding\n",
+        "    b.slots[-1] = 0  # the gather's padding\n",
+        "    b.slots[-1] = 1  # the gather's padding\n",
         "tests/test_search.py::test_evaluation_is_the_scatter_add_evaluation_exactly",
+    ),
+    Mutant(
+        "the gradient's last suffix row is set to 1 only when its buffer is made",
+        "src/ghzgraphs/search.py",
+        (
+            "    b.suf[-1:] = 1  # a slice, not a row: width is 0 when n = 0\n",
+            "        self.suf = suf = self.slots[:-1].reshape(width, count)\n",
+        ),
+        (
+            "",
+            "        self.suf = suf = self.slots[:-1].reshape(width, count)\n        suf[-1:] = 1\n",
+        ),
+        "tests/test_search.py::test_search_is_the_scatter_add_search_exactly",
     ),
     Mutant(
         "the CLI imports `structure` at its top",
@@ -596,10 +618,14 @@ def main() -> int:
         for m in MUTANTS:
             path = copy / m.path
             source = path.read_text()
-            if source.count(m.old) != 1:
-                failures.append(f"{m.name}: old text occurs {source.count(m.old)} times in {m.path}")
+            counts = [source.count(old) for old, _ in edits(m)]
+            if counts != [1] * len(counts):
+                failures.append(f"{m.name}: old texts occur {counts} times in {m.path}")
                 continue
-            path.write_text(source.replace(m.old, m.new))
+            mutated = source
+            for old, new in edits(m):
+                mutated = mutated.replace(old, new)
+            path.write_text(mutated)
             try:
                 status = run_test(copy, m.test)
             finally:
