@@ -1,22 +1,8 @@
-"""JSON graph documents.
+"""JSON graph documents, version 1.
 
-Layout (version 1):
-
-    {
-      "version": 1,
-      "n": 4,
-      "colour_universe": [0, 1],
-      "edges": [
-        {"u": 0, "v": 1, "cu": 0, "cv": 0, "w": ["1", "2", "0", "1"]},
-        ...
-      ]
-    }
-
-Exact weights are four decimal strings [re_num, re_den, im_num, im_den] so
-that arbitrary-precision rationals survive JSON unscathed; float graphs
-(from scaling or search) use two strings [re, im] in shortest round-trip
-decimal form instead.  Parsing rejects malformed documents with a stable
-error code and the JSON path of the offending value.
+README's Document format section gives the layout and the error form.
+Weights travel as decimal strings, so arbitrary-precision rationals and
+each float's shortest round-trip form survive JSON unchanged.
 """
 
 from __future__ import annotations

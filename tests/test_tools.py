@@ -31,7 +31,7 @@ def run_tool(name, *args):
     return json.loads(run_script(Path("tools") / name, *args)[-1])
 
 
-@pytest.mark.parametrize("name", ["kernel_calls.py", "search_layer.py", "search_recall.py"])
+@pytest.mark.parametrize("name", ["layers.py", "search_recall.py"])
 def test_each_tool_describes_itself_on_help(name):
     """``--help`` prints the first paragraph of the tool's docstring, so
     README can name each tool in one line and point to ``--help``."""
@@ -48,8 +48,13 @@ def test_the_benchmark_self_test_passes():
     assert covered.startswith("self times cover traced wall: True ")
 
 
-def test_search_layer_measures_k4_at_d2():
-    (result,) = run_tool("search_layer.py", "--case", "4:2")
+def test_the_search_row_measures_k4_at_d2():
+    result = run_tool("layers.py", "--row", "search.K4.d2")["search.K4.d2"]
+    assert set(result) == {
+        "case", "monomials", "build_s", "evaluate_gradient_s", "descent_iterations", "descent_ms_per_iteration",
+        "max_rss_mib_after_imports", "max_rss_mib_after_build", "max_rss_mib_after_evaluate_gradient",
+        "max_rss_mib_after_descent", "digest",
+    }
     assert result["case"] == "K4 d=2" and result["monomials"] == 48
     assert result["descent_iterations"] == 5 and result["descent_ms_per_iteration"] > 0
     assert result["max_rss_mib_after_descent"] >= result["max_rss_mib_after_evaluate_gradient"]
@@ -66,17 +71,28 @@ def test_search_recall_reports_each_field_of_one_case():
     assert result["worst_residual"] >= 0.0 and result["wall_s"] >= 0.0
 
 
-def test_kernel_calls_counts_and_digests_one_reduce_pass():
-    result = run_tool("kernel_calls.py", "--seed", "1", "--repeats", "1")
-    assert result["seed"] == 1 and result["repeats"] == 1
-    assert result["calls"] == result["empty"] + result["one_entry"] + result["more"]
-    assert len(result["digest"]) == 64 and set(result["digest"]) <= set("0123456789abcdef")
+@pytest.mark.parametrize(
+    "workload, counts, digest",
+    [
+        ("reduce", (540, 187, 248, 105, 501), "f0498c0160675bf273e0c807f6afad9deaf5b513646b86ecf8400709064c709b"),
+        ("tables", (102, 32, 40, 30, 8964), "400defb29a514a6200574348a3472dcea8991999632ea5c113c5d8595a435596"),
+    ],
+    ids=["reduce", "tables"],
+)
+def test_the_replay_rows_count_and_digest_the_kernel_calls_of_one_pass(workload, counts, digest):
+    """One seed-1 pass's kernel calls, pinned: how many, how many return no
+    entry, one entry and more, their entries, and the digest of every
+    returned table.  A change to the kernel's output, to the calls a pass
+    makes or to the workload's jobs moves them."""
+    result = run_tool("layers.py", "--row", f"replay.{workload}")[f"replay.{workload}"]
+    assert tuple(result[k] for k in ("calls", "empty", "one_entry", "more", "entries")) == counts
+    assert result["digest"] == digest
+    assert 0 < result["us_per_call_best"] <= result["us_per_call_median"]
 
 
-def test_kernel_calls_replays_the_untraced_tables_jobs():
-    result = run_tool("kernel_calls.py", "--workload", "tables", "--seed", "1", "--repeats", "1")
-    assert result["seed"] == 1 and result["repeats"] == 1
-    assert result["calls"] == result["empty"] + result["one_entry"] + result["more"]
-    # the colouring lookups' calls return at most one entry each, the whole tables more
-    assert result["one_entry"] and result["more"]
-    assert len(result["digest"]) == 64 and set(result["digest"]) <= set("0123456789abcdef")
+def test_an_a_a_run_reports_both_sides_and_equal_digests():
+    result = run_tool("layers.py", "--row", "arith.add", "--against", ".", "--rounds", "2")["arith.add"]
+    assert result["key"] == "ms_best" and result["rounds"] == 2 and result["digests_agree"]
+    assert len(result["parent"]) == len(result["change"]) == 2
+    assert 0 <= result["change_wins"] <= 2 and result["parent_iqr"] >= 0
+    assert min(result["parent"]) <= result["parent_median"] <= max(result["parent"])

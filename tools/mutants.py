@@ -4,9 +4,10 @@ Each mutant is one source edit, an exact old text replaced by a new one
 (or a tuple of old texts, each replaced by its new one, for a mutant that
 moves a line), together with the test that must fail once it is applied.
 The script copies ``src``, ``tests``, ``bench`` (a CLI test parses its cli
-jobs' argv) and ``pyproject.toml`` to a temporary directory, runs every
-mutant's test on the unmutated copy (each must pass there), then applies
-the mutants one at a time, never in parallel: it edits the copy, runs that
+jobs' argv), ``tools`` (the tool tests run the tools from the copy's root)
+and ``pyproject.toml`` to a temporary directory, runs every mutant's test
+on the unmutated copy (each must pass there), then applies the mutants
+one at a time, never in parallel: it edits the copy, runs that
 mutant's test and restores the file.  It exits with status 1 if a test
 fails on the unmutated copy, if a mutant's old text does not occur exactly
 once, or if a mutant survives.
@@ -587,6 +588,13 @@ MUTANTS = (
         "{full: {0: (2, 0, 1) if exact else _FLOAT_ONE}}",
         "tests/test_matchings.py::test_a_disjoint_union_has_the_product_table",
     ),
+    Mutant(
+        "the replay digest leaves out each value's exact parts",
+        "tools/layers.py",
+        "w._v if isinstance(w, GaussianRational)",
+        "() if isinstance(w, GaussianRational)",
+        "tests/test_tools.py::test_the_replay_rows_count_and_digest_the_kernel_calls_of_one_pass",
+    ),
 )
 
 
@@ -602,7 +610,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ghzgraphs-mutants-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests", "bench"):
+        for name in ("src", "tests", "bench", "tools"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
